@@ -1,5 +1,6 @@
-//! The `slap-bench parallel` sweep: strip-parallel engine scaling vs. the
-//! sequential fast engine, serialized to `BENCH_parallel.json`.
+//! The `slap-bench parallel` sweep: strip-parallel engine scaling (the
+//! tiled engine on a `threads × 1` grid) vs. the sequential fast engine,
+//! serialized to `BENCH_parallel.json`.
 //!
 //! For each (family, size, connectivity) point the sweep times the
 //! sequential fast engine once and the strip-parallel engine at every

@@ -3,7 +3,8 @@
 //!
 //! The workspace grew six host labeling engines — the BFS gold oracle, the
 //! word-parallel [`fast`](crate::fast) engine, its strip-parallel and 2-D
-//! tiled variants, the bounded-memory streaming engine, and the iterative
+//! tiled decompositions (one tiled engine: strips are its `T × 1` shape),
+//! the bounded-memory streaming engine, and the iterative
 //! label-equivalence propagation engine — and, as the two-pass parallel
 //! CCL literature observes (Gupta et al., arXiv:1606.05973), they all share
 //! one skeleton: *group foreground into equivalence classes, then resolve
@@ -13,11 +14,12 @@
 //! * [`LabelEngine`] — the common interface: `label_into(&mut self, img,
 //!   conn, out) -> EngineStats`. Implementations are **sessions**: each owns
 //!   its scratch arenas (run tables, union–find nodes, frontier buffers,
-//!   per-strip pools) and reuses them across calls, so a warm session in
+//!   per-tile pools) and reuses them across calls, so a warm session in
 //!   steady state performs **zero heap allocation** per frame — the
 //!   difference the `slap-bench reuse` sweep records.
-//! * [`BfsSession`], [`FastSession`], [`ParallelSession`], [`TiledSession`],
-//!   [`StreamSession`], [`PropagateSession`] — the engines behind the trait.
+//! * [`BfsSession`], [`FastSession`], [`TiledSession`], [`StreamSession`],
+//!   [`PropagateSession`] — the engines behind the trait (`parallel` and
+//!   `tiled` are two shapes of one [`TiledSession`]).
 //!   All produce
 //!   **bit-identical**
 //!   output (component minima are decomposition-invariant), which the
@@ -30,7 +32,7 @@
 //!   *data* instead of hand-rolled match arms, the adaptive-selection shape
 //!   argued for by Sutton et al. (arXiv:1612.01178).
 
-use slap_image::fast::{FastLabeler, ParallelLabeler, PropagateLabeler, TiledLabeler};
+use slap_image::fast::{FastLabeler, PropagateLabeler, TiledLabeler};
 use slap_image::stream::StreamGridLabeler;
 use slap_image::{BfsOracle, Bitmap, Connectivity, LabelGrid, TileStats};
 
@@ -177,74 +179,34 @@ impl LabelEngine for FastSession {
     }
 }
 
-/// Session over the strip-parallel engine ([`ParallelLabeler`]): `threads`
-/// scoped workers label disjoint row bands, seams are stitched over the run
-/// universe, and the flatten runs per-strip in parallel.
-#[derive(Debug)]
-pub struct ParallelSession {
-    labeler: ParallelLabeler,
-}
-
-impl ParallelSession {
-    /// Creates a session that labels on `threads` workers (clamped to ≥ 1).
-    pub fn new(threads: usize) -> Self {
-        ParallelSession {
-            labeler: ParallelLabeler::new(threads),
-        }
-    }
-}
-
-impl LabelEngine for ParallelSession {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Parallel
-    }
-
-    fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats {
-        self.labeler.label_into(img, conn, out);
-        EngineStats {
-            components: self.labeler.last_components(),
-            runs: self.labeler.last_runs(),
-            threads: self.labeler.threads(),
-            peak_frontier_runs: 0,
-            peak_carried_runs: 0,
-            tiles: self.labeler.last_tile_stats(),
-            iterations: 0,
-            reduction_passes: 0,
-        }
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.labeler.scratch_bytes()
-    }
-
-    fn threads(&self) -> usize {
-        self.labeler.threads()
-    }
-}
-
 /// Session over the 2-D tiled engine ([`TiledLabeler`]): workers own
 /// rectangular tiles of a `tiles_y × tiles_x` grid, and the seams merge
 /// hierarchically in pairwise-doubling order — vertical column boundaries
-/// first, then full-width band seams.
+/// first, then full-width band seams. It serves two registry kinds:
+/// [`EngineKind::Tiled`] and [`EngineKind::Parallel`], the `threads × 1`
+/// strip shape.
 #[derive(Debug)]
 pub struct TiledSession {
     labeler: TiledLabeler,
+    kind: EngineKind,
 }
 
 impl TiledSession {
     /// Creates a session labeling on a `tiles_y × tiles_x` grid with
     /// `threads` workers (all clamped to ≥ 1).
     pub fn new(tiles_y: usize, tiles_x: usize, threads: usize) -> Self {
+        let labeler = TiledLabeler::new(tiles_y, tiles_x, threads);
+        let (tiles_y, tiles_x) = labeler.tiles();
         TiledSession {
-            labeler: TiledLabeler::new(tiles_y, tiles_x, threads),
+            labeler,
+            kind: EngineKind::Tiled { tiles_x, tiles_y },
         }
     }
 }
 
 impl LabelEngine for TiledSession {
     fn kind(&self) -> EngineKind {
-        let (tiles_y, tiles_x) = self.labeler.tiles();
-        EngineKind::Tiled { tiles_x, tiles_y }
+        self.kind
     }
 
     fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats {
@@ -360,7 +322,8 @@ pub enum EngineKind {
     Bfs,
     /// Word-parallel run-based two-pass (the sequential hot path).
     Fast,
-    /// Strip-parallel two-pass with seam stitching (scales with cores).
+    /// Strip-parallel two-pass with seam stitching (scales with cores): the
+    /// tiled engine on a `threads × 1` grid.
     Parallel,
     /// 2-D tiled two-pass with hierarchical seam merging. The shape is part
     /// of the kind; [`EngineKind::parse`] yields the canonical 2×2 grid.
@@ -444,7 +407,11 @@ impl EngineKind {
         match self {
             EngineKind::Bfs => Box::new(BfsSession::new()),
             EngineKind::Fast => Box::new(FastSession::new()),
-            EngineKind::Parallel => Box::new(ParallelSession::new(threads)),
+            // Full-width strips, one worker each.
+            EngineKind::Parallel => Box::new(TiledSession {
+                labeler: TiledLabeler::new(threads, 1, threads),
+                kind: EngineKind::Parallel,
+            }),
             EngineKind::Tiled { tiles_x, tiles_y } => {
                 Box::new(TiledSession::new(tiles_y, tiles_x, threads))
             }
@@ -502,7 +469,7 @@ const REGISTRY_ROWS: [EngineInfo; 6] = [
     },
     EngineInfo {
         kind: EngineKind::Parallel,
-        description: "strip-parallel two-pass with seam stitching — scales with cores",
+        description: "tiled two-pass on threads × 1 full-width strips — scales with cores",
         connectivities: &[Connectivity::Four, Connectivity::Eight],
         multithreaded: true,
         memory: MemoryClass::RunArena,
@@ -634,8 +601,9 @@ mod tests {
     fn parallel_session_honors_thread_counts() {
         let img = gen::by_name("maze", 32, 3).unwrap();
         let truth = bfs_labels_conn(&img, Connectivity::Four);
-        for t in [1usize, 2, 4, 8] {
+        for t in [0usize, 1, 2, 4, 8] {
             let mut session = EngineKind::Parallel.session(t);
+            assert_eq!(session.kind(), EngineKind::Parallel);
             assert_eq!(session.threads(), t.max(1));
             let mut grid = LabelGrid::new_background(1, 1);
             let stats = session.label_into(&img, Connectivity::Four, &mut grid);

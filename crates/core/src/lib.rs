@@ -27,15 +27,15 @@
 //! initial labels) and [`bitserial`] the Theorem 5 bit-link machinery.
 //!
 //! The crate also re-exports the *host-side* engines as [`fast`]
-//! ([`fast::fast_labels`] sequential, [`fast::parallel_labels`]
-//! strip-parallel) and [`stream`] ([`stream::StreamLabeler`], the
-//! one-row-per-beat bounded-memory engine whose retirement records feed the
-//! [`features`] hook) — the wall-clock counterparts the simulation is
-//! measured against — and generalizes the stitch argument to horizontal band
-//! seams in [`stitch::stitch_bands`] and to full 2-D tile grids with
-//! hierarchical pairwise-doubling seam merging in [`stitch::stitch_grid`],
-//! the specifications behind the strip-parallel and tiled engines' seam
-//! passes.
+//! ([`fast::fast_labels`] sequential, [`fast::tiled_labels`] decomposed
+//! over a tile grid whose `T × 1` shape is the strip-parallel engine) and
+//! [`stream`] ([`stream::StreamLabeler`], the one-row-per-beat
+//! bounded-memory engine whose retirement records feed the [`features`]
+//! hook) — the wall-clock counterparts the simulation is measured against —
+//! and generalizes the stitch argument to 2-D tile grids with hierarchical
+//! pairwise-doubling seam merging in [`stitch::stitch_grid`] (a grid of one
+//! column is a stack of horizontal band seams), the specification behind
+//! the tiled engine's seam pass.
 //!
 //! The [`engine`] module unifies those host engines behind one trait:
 //! [`LabelEngine`] sessions own their scratch arenas and relabel
@@ -75,7 +75,7 @@ pub use cc::{
 };
 pub use engine::{
     registry, BfsSession, EngineInfo, EngineKind, EngineStats, FastSession, LabelEngine,
-    MemoryClass, ParallelSession, PropagateSession, StreamSession, TiledSession,
+    MemoryClass, PropagateSession, StreamSession, TiledSession,
 };
 pub use runs::label_components_runs;
 pub use slap_image::fast;

@@ -1,8 +1,9 @@
 //! Step 3 of Algorithm CC: the per-PE stitch of the left- and
-//! right-connected labelings — plus [`stitch_bands`], the same union/min
-//! argument generalized from column seams to horizontal band seams (the
-//! reconciliation step of the host-side strip-parallel engine,
-//! `slap_image::fast::parallel`).
+//! right-connected labelings — plus [`stitch_grid`], the same union/min
+//! argument generalized from column seams to the horizontal and vertical
+//! seams of a tile grid (the reconciliation step of the host-side tiled
+//! engine, `slap_image::fast::tiled`, whose `T × 1` shape is the
+//! strip-parallel engine).
 //!
 //! Each PE holds, for every foreground row `j` of its column, a left label
 //! `leftlabel[j]` (minimum column-major position of the pixel's component
@@ -89,114 +90,6 @@ pub fn stitch_column(left: &[u32], right: &[u32]) -> (Vec<u32>, u64) {
     (out, units)
 }
 
-/// The paper's stitch argument generalized from column seams to a horizontal
-/// band seam: merges two *independently labeled* vertical halves of an image
-/// into the global canonical labeling.
-///
-/// `top` and `bottom` are labelings of the two bands in the paper's
-/// convention — each component labeled with its minimum **band-local**
-/// column-major position (`col * band_rows + row_in_band`), exactly what
-/// [`slap_image::fast_labels_conn`] produces on the band's sub-image. The
-/// stitch is the same construction as [`stitch_column`], rotated 90°:
-/// component labeling on the graph whose nodes are the band-local labels and
-/// whose edges join the label pairs adjacent across the seam under `conn`,
-/// with each merged component taking the least label seen.
-///
-/// Two facts make the output globally canonical (mirroring the module-level
-/// argument for columns): band-local column-major order agrees with global
-/// column-major order *within a band*, so converting a band component's
-/// local minimum to global coordinates yields that component's true global
-/// minimum over its band; and a merged component's global minimum pixel lies
-/// in one of its constituent band components, so the minimum of the
-/// converted candidates is exact.
-///
-/// This is both the specification the strip-parallel engine's seam pass must
-/// meet (the differential suites pit them against each other) and a usable
-/// two-band reference reducer. Unlike [`stitch_column`] it is host-side
-/// machinery, so it meters no work units.
-pub fn stitch_bands(top: &LabelGrid, bottom: &LabelGrid, conn: Connectivity) -> LabelGrid {
-    assert_eq!(
-        top.cols(),
-        bottom.cols(),
-        "bands must share the column count"
-    );
-    let cols = top.cols();
-    let (tr, br) = (top.rows(), bottom.rows());
-    let rows = tr + br;
-    // Band-local label -> global column-major position.
-    let global_top = |l: u32| (l / tr as u32) * rows as u32 + (l % tr as u32);
-    let global_bot = |l: u32| (l / br as u32) * rows as u32 + tr as u32 + (l % br as u32);
-    // Intern the labels that appear on the seam; `true` keys the bottom band.
-    let mut dense: HashMap<(bool, u32), u32> = HashMap::new();
-    let mut values: Vec<u32> = Vec::new(); // dense id -> global position
-    let mut intern = |side: bool, l: u32, values: &mut Vec<u32>| -> u32 {
-        *dense.entry((side, l)).or_insert_with(|| {
-            values.push(if side { global_bot(l) } else { global_top(l) });
-            values.len() as u32 - 1
-        })
-    };
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    let reach = match conn {
-        Connectivity::Four => 0isize,
-        Connectivity::Eight => 1isize,
-    };
-    for c in 0..cols as isize {
-        let t = top.get(tr - 1, c as usize);
-        if t == NIL {
-            continue;
-        }
-        for bc in c - reach..=c + reach {
-            if bc < 0 || bc >= cols as isize {
-                continue;
-            }
-            let b = bottom.get(0, bc as usize);
-            if b != NIL {
-                let dt = intern(false, t, &mut values);
-                let db = intern(true, b, &mut values);
-                edges.push((dt, db));
-            }
-        }
-    }
-    let mut uf = RankHalvingUf::with_elements(values.len());
-    for &(a, b) in &edges {
-        uf.union(a as usize, b as usize);
-    }
-    // Least global position per stitched component.
-    let mut min_label = vec![NIL; values.len()];
-    for (id, &value) in values.iter().enumerate() {
-        let r = uf.find(id);
-        if value < min_label[r] {
-            min_label[r] = value;
-        }
-    }
-    // Readout: seam-connected labels resolve through the union-find; every
-    // other component keeps its (converted) band-local minimum.
-    let mut out = LabelGrid::new_background(rows, cols);
-    let emit = |out: &mut LabelGrid,
-                band: &LabelGrid,
-                side: bool,
-                row_off: usize,
-                uf: &mut RankHalvingUf| {
-        for r in 0..band.rows() {
-            for c in 0..cols {
-                let l = band.get(r, c);
-                if l == NIL {
-                    continue;
-                }
-                let resolved = match dense.get(&(side, l)) {
-                    Some(&id) => min_label[uf.find(id as usize)],
-                    None if side => global_bot(l),
-                    None => global_top(l),
-                };
-                out.set(r + row_off, c, resolved);
-            }
-        }
-    };
-    emit(&mut out, top, false, 0, &mut uf);
-    emit(&mut out, bottom, true, tr, &mut uf);
-    out
-}
-
 /// Per-level cost record of a hierarchical [`stitch_grid`] merge: the seam
 /// boundaries the level processed, the adjacent label pairs it examined, and
 /// how many actually joined two distinct classes.
@@ -216,9 +109,15 @@ pub struct StitchLevel {
     pub unions: usize,
 }
 
-/// The band stitch generalized to a full 2-D grid: merges an `R × C` grid of
-/// *independently labeled* tiles into the global canonical labeling,
-/// processing seams in hierarchical pairwise-doubling order.
+/// The paper's stitch argument generalized from column seams to a 2-D grid
+/// of tile seams: merges an `R × C` grid of *independently labeled* tiles
+/// into the global canonical labeling, processing seams in hierarchical
+/// pairwise-doubling order. The stitch is the construction of
+/// [`stitch_column`] on each seam: component labeling on the graph whose
+/// nodes are the tile-local labels and whose edges join the label pairs
+/// adjacent across the seam under `conn`, with each merged component taking
+/// the least label seen. A one-column grid (`R × 1`) stitches horizontal
+/// band seams — the strip-parallel decomposition.
 ///
 /// `tiles[i][j]` is the labeling of the tile in band `i`, tile-column `j`,
 /// in the paper's convention over the tile's own coordinates (minimum
@@ -236,10 +135,12 @@ pub struct StitchLevel {
 /// same way over the **full image width** — which is what catches diagonal
 /// adjacencies straddling a four-corner point. Union order cannot change
 /// the final partition; the hierarchy exists so each level's cost is
-/// attributable ([`StitchLevel`]).
+/// attributable ([`StitchLevel`]). Like the band engines it specifies, it
+/// is host-side machinery and meters no work units.
 ///
-/// Correctness of the minima mirrors [`stitch_bands`]: tile-local
-/// column-major order agrees with global column-major order within a tile,
+/// Correctness of the minima mirrors the column argument of the module docs:
+/// tile-local column-major order agrees with global column-major order
+/// within a tile,
 /// so converting a tile component's local minimum yields its true global
 /// minimum over that tile; a merged component's global minimum pixel lies in
 /// one of its constituent tile components, every one of which touches a seam
@@ -440,17 +341,18 @@ mod tests {
         out
     }
 
-    /// Labeling each half independently then stitching must reproduce the
-    /// whole-image labeling exactly.
-    fn check_split(img: &Bitmap, split: usize, conn: Connectivity) {
+    /// Labeling each half independently then stitching them as a 2 × 1 grid
+    /// must reproduce the whole-image labeling exactly.
+    fn check_split(img: &Bitmap, split: usize, conn: Connectivity) -> LabelGrid {
         let top = fast_labels_conn(&band(img, 0, split), conn);
         let bottom = fast_labels_conn(&band(img, split, img.rows()), conn);
-        let stitched = stitch_bands(&top, &bottom, conn);
+        let (stitched, _) = stitch_grid(&[vec![top], vec![bottom]], conn);
         assert_eq!(
             stitched,
             fast_labels_conn(img, conn),
             "split={split} conn={conn:?}"
         );
+        stitched
     }
 
     #[test]
@@ -469,19 +371,9 @@ mod tests {
     fn band_stitch_bridges_only_under_eight_connectivity() {
         // Two diagonal pixels facing each other across the seam.
         let img = Bitmap::from_art("#.\n.#\n");
-        check_split(&img, 1, Connectivity::Four);
-        check_split(&img, 1, Connectivity::Eight);
-        let four = stitch_bands(
-            &fast_labels_conn(&band(&img, 0, 1), Connectivity::Four),
-            &fast_labels_conn(&band(&img, 1, 2), Connectivity::Four),
-            Connectivity::Four,
-        );
+        let four = check_split(&img, 1, Connectivity::Four);
         assert_eq!(four.component_count(), 2);
-        let eight = stitch_bands(
-            &fast_labels_conn(&band(&img, 0, 1), Connectivity::Eight),
-            &fast_labels_conn(&band(&img, 1, 2), Connectivity::Eight),
-            Connectivity::Eight,
-        );
+        let eight = check_split(&img, 1, Connectivity::Eight);
         assert_eq!(eight.component_count(), 1);
     }
 

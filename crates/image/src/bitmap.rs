@@ -7,6 +7,8 @@
 //! instruction instead of one — the foundation of the [`crate::fast`]
 //! labeling engine and of the run-based simulator passes.
 
+use crate::connectivity::Connectivity;
+
 /// Invokes `f(start, end)` (inclusive bounds) for every maximal run of set
 /// bits among the first `bits` bits of `words`, where bit `i % 64` of word
 /// `i / 64` is position `i`. Bits at positions `>= bits` must be zero (the
@@ -136,9 +138,10 @@ pub fn dilate_words_into(src: &[u64], bits: usize, dst: &mut Vec<u64>) {
 /// is reported exactly once; non-adjacent pairs never.
 ///
 /// This one sweep serves every diagonal-join site — the fast engine's
-/// in-strip row merge, strip seams, tile seams, the out-of-core band merge,
-/// and the streaming merge — replacing their per-site two-pointer walks
-/// (kept as test-only cross-checks).
+/// in-tile row merge and, through [`for_each_adjacent_pair`], tile seams,
+/// the out-of-core band merge, the streaming merge, and the propagation
+/// engine's edge list — replacing their per-site two-pointer walks (kept as
+/// test-only cross-checks).
 #[inline]
 pub fn for_each_diagonal_pair(
     and_words: &[u64],
@@ -183,6 +186,61 @@ pub fn for_each_diagonal_pair_at(
             p = q - 1;
         }
     });
+}
+
+/// Invokes `f(cur_idx, prev_idx)` once for every pair of a run in `cur_runs`
+/// (the lower row, packed words `lower`) and a run in `prev_runs` (the upper
+/// row, words `upper`) that touch under `conn`, in lower-run order. Runs are
+/// packed `start << 32 | end` with inclusive bounds, sorted by start; both
+/// rows keep their padding bits zero. `and_buf` is scratch for the adjacency
+/// words.
+///
+/// At 4-connectivity the adjacency words are `lower & upper`: each maximal
+/// segment lies inside exactly one run of each row, and a touching pair
+/// overlaps in exactly one segment, so two forward cursors report every pair
+/// once. At 8-connectivity they are `lower & dilate(upper)` and the segments
+/// go through [`for_each_diagonal_pair`]. This is the one row-to-row merge
+/// of the streaming engine, the out-of-core band seam, the tile engine's band
+/// seams, and the propagation engine's edge list.
+#[inline]
+pub fn for_each_adjacent_pair(
+    conn: Connectivity,
+    lower: &[u64],
+    upper: &[u64],
+    cur_runs: &[u64],
+    prev_runs: &[u64],
+    and_buf: &mut Vec<u64>,
+    mut f: impl FnMut(usize, usize),
+) {
+    debug_assert_eq!(lower.len(), upper.len());
+    // Zero padding makes the word count a safe bit bound: a segment reaches
+    // the last word's top bit only when the row width is a multiple of 64.
+    let bits = lower.len() * 64;
+    match conn {
+        Connectivity::Four => {
+            and_buf.clear();
+            and_buf.extend(lower.iter().zip(upper).map(|(&a, &b)| a & b));
+            let (mut c, mut q) = (0usize, 0usize);
+            for_each_run_in_words(and_buf, bits, |s, _| {
+                let s = u64::from(s);
+                while (cur_runs[c] & 0xffff_ffff) < s {
+                    c += 1;
+                }
+                while (prev_runs[q] & 0xffff_ffff) < s {
+                    q += 1;
+                }
+                f(c, q);
+            });
+        }
+        Connectivity::Eight => {
+            // The dilation may spill into the padding; the AND clears it.
+            dilate_words_into(upper, bits, and_buf);
+            for (w, &l) in and_buf.iter_mut().zip(lower) {
+                *w &= l;
+            }
+            for_each_diagonal_pair(and_buf, bits, cur_runs, prev_runs, f);
+        }
+    }
 }
 
 /// A rectangular binary image stored row-major, 64 pixels per word.

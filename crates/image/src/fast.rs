@@ -23,9 +23,9 @@
 //!   itself;
 //! * **one unified 8-connectivity kernel** — the diagonal merge is the same
 //!   word-level dilated-AND sweep ([`crate::bitmap::for_each_diagonal_pair`])
-//!   used by strip seams, tile seams, the out-of-core band merge, and the
-//!   streaming engine; the retired two-pointer join survives only as a
-//!   test-only reference;
+//!   used by tile seams, the out-of-core band merge, and the streaming
+//!   engine; the retired two-pointer join survives only as a test-only
+//!   reference;
 //! * **two-pass union–find over the run universe** — union by minimum run
 //!   index, path halving, and per-root minimum-position maintenance;
 //! * **bulk output** — labels are written a run at a time with slice fills,
@@ -48,12 +48,10 @@ use crate::connectivity::Connectivity;
 use crate::labels::LabelGrid;
 
 pub mod ooc;
-pub mod parallel;
 pub mod propagate;
 pub mod tiled;
 
 pub use ooc::{label_out_of_core, OocRun, OocStats, OutOfCoreLabeler};
-pub use parallel::{parallel_labels, parallel_labels_conn, ParallelLabeler};
 pub use propagate::{propagate_labels, propagate_labels_conn, PropagateLabeler};
 pub use tiled::{tiled_labels, tiled_labels_conn, SeamLevel, TiledLabeler};
 
@@ -103,8 +101,8 @@ impl TileStats {
         self.background + self.interior + self.boundary
     }
 
-    /// Accumulates another build's counts (worker aggregation in the
-    /// strip-parallel and tiled engines).
+    /// Accumulates another build's counts (worker aggregation in the tiled
+    /// engine).
     pub fn accumulate(&mut self, other: TileStats) {
         self.background += other.background;
         self.interior += other.interior;
@@ -456,9 +454,9 @@ fn scan_row_impl<const FOUR: bool>(cur: &[u64], prev: &[u64], g: RowGeom, s: Row
     }
     if !FOUR && merge {
         // The unified word-level 8-connectivity kernel — the same sweep as
-        // strip seams, tile seams, the out-of-core band merge, and the
-        // streaming engine (the per-site two-pointer join it replaced
-        // survives as a test-only reference).
+        // tile seams, the out-of-core band merge, and the streaming engine
+        // (the per-site two-pointer join it replaced survives as a
+        // test-only reference).
         let (prev_runs, cur_runs) = runs[prev_lo as usize..].split_at((prev_hi - prev_lo) as usize);
         for_each_diagonal_pair_at(
             and_buf,
@@ -494,9 +492,9 @@ impl FastLabeler {
     }
 
     /// Row-range variant of the run-building pass, the unit of work one
-    /// strip-parallel worker performs: rows `row_lo..row_hi` of `img` are
-    /// scanned in isolation (no merge against row `row_lo - 1`; the seam is
-    /// stitched later by [`parallel`]). Run bounds, `row_runs`, and
+    /// full-width tile performs: rows `row_lo..row_hi` of `img` are scanned
+    /// in isolation (no merge against row `row_lo - 1`; the seam is stitched
+    /// later by [`tiled`]). Run bounds, `row_runs`, and
     /// union–find parents are *local* to the range (indices start at 0), but
     /// each run's `min_pos` uses the **global** column-major position, so a
     /// later seam union combines minima that are already in the final label

@@ -24,10 +24,10 @@
 //! 3. **bottom exposure** — each carried run adds its uncovered span under
 //!    the band's first row to its component's perimeter (the half of the
 //!    seam accounting the previous band could not see);
-//! 4. **seam merge** — word-level `AND` (4-conn) or dilated-`AND` (8-conn,
-//!    the same [`for_each_diagonal_pair`] sweep as every other seam in the
-//!    crate) pairs carried runs with first-row runs: a band root *adopts* the
-//!    first slot it meets and unions with any further ones;
+//! 4. **seam merge** — the crate's one row-to-row adjacency sweep
+//!    ([`for_each_adjacent_pair`]) pairs carried runs with first-row runs: a
+//!    band root *adopts* the first slot it meets and unions with any further
+//!    ones;
 //! 5. **fold** — every band run folds its feature contribution (area, bbox,
 //!    centroid sums, perimeter with word-level exposure counts, minimum
 //!    column-major position at **global** row coordinates) into its root's
@@ -38,14 +38,18 @@
 //!    retired slots return to a free list, so slot storage tracks *live*
 //!    components, not total ones.
 //!
+//! Steps 3–6 drive the same live-component union–find as the row-streaming
+//! engine, one band per step instead of one row.
+//!
 //! Identities proven in the test suite: the retired-component multiset is
 //! **identical** (every field, perimeter included) to the row-streaming
 //! engine's, and label/area sets match the whole-frame engines whenever the
 //! frame fits in memory.
 
 use super::tiled::TiledLabeler;
-use crate::bitmap::{count_ones_in_span, dilate_words_into, for_each_diagonal_pair, Bitmap};
+use crate::bitmap::{count_ones_in_span, for_each_adjacent_pair, Bitmap};
 use crate::connectivity::Connectivity;
+use crate::live::{LiveComponents, NONE};
 use crate::stream::{RetiredComponent, RowSource};
 use std::io;
 
@@ -80,9 +84,10 @@ pub struct OocStats {
     /// Maximum carried frontier size (runs of one band-boundary row) — the
     /// `O(cols)` half of the carried-state bound; at most `cols / 2 + 1`.
     pub peak_carried_runs: usize,
-    /// Maximum simultaneously live union–find slots — the `O(live)` half
-    /// (live components plus the seam-merge garbage of one band boundary,
-    /// reclaimed before the next band).
+    /// Maximum simultaneously occupied union–find slots — the `O(live)`
+    /// half. Sampled once per band after its seam merge and fold, before
+    /// retirement and reclaim, so it counts the live components plus the
+    /// band's seam-merge garbage.
     pub peak_live_slots: usize,
     /// Maximum runs held by a single band arena (transient, bounded by the
     /// band area).
@@ -96,19 +101,6 @@ pub struct OocRun {
     pub components: Vec<RetiredComponent>,
     /// Frame shape and carried-state peaks.
     pub stats: OocStats,
-}
-
-/// A union–find slot over components live across a band boundary.
-/// `parent == self` marks a root owning a running feature record; forwarded
-/// slots are reclaimed at the end of the band that forwarded them.
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    parent: u32,
-    /// Stamp marking membership in the newest carried frontier.
-    touched: u64,
-    /// Stamp guarding the retirement scan against visiting a root twice.
-    scanned: u64,
-    rec: RetiredComponent,
 }
 
 /// Reusable out-of-core labeler (see the module docs for the band cycle).
@@ -137,37 +129,15 @@ pub struct OutOfCoreLabeler {
     /// Scratch for the next frontier while the previous is still readable.
     next_runs: Vec<u64>,
     next_slots: Vec<u32>,
-    /// Slot slab plus its free list.
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-    /// Slots forwarded by this band's seam unions, reclaimed at band end.
-    forwarded: Vec<u32>,
+    /// The union–find over live components, one step per band.
+    live: LiveComponents,
     /// Slots minted by this band's fold — retirement candidates alongside
     /// the old frontier (a component can be born and die within one band).
     minted: Vec<u32>,
     /// Band-root → slot map for the current band (`NONE` = unmapped).
     band_slot: Vec<u32>,
-    /// Scratch words for the 8-conn dilated seam row.
-    dilate_buf: Vec<u64>,
     /// Scratch words for seam adjacency.
     and_buf: Vec<u64>,
-    /// Band counter driving the `touched`/`scanned` stamps.
-    stamp: u64,
-}
-
-const NONE: u32 = u32::MAX;
-
-/// Path-halving find over the slot slab.
-fn resolve(slots: &mut [Slot], mut x: u32) -> u32 {
-    loop {
-        let p = slots[x as usize].parent;
-        if p == x {
-            return x;
-        }
-        let gp = slots[p as usize].parent;
-        slots[x as usize].parent = gp;
-        x = gp;
-    }
 }
 
 impl OutOfCoreLabeler {
@@ -187,14 +157,10 @@ impl OutOfCoreLabeler {
             prev_slots: Vec::new(),
             next_runs: Vec::new(),
             next_slots: Vec::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            forwarded: Vec::new(),
+            live: LiveComponents::default(),
             minted: Vec::new(),
             band_slot: Vec::new(),
-            dilate_buf: Vec::new(),
             and_buf: Vec::new(),
-            stamp: 0,
         }
     }
 
@@ -213,6 +179,7 @@ impl OutOfCoreLabeler {
     pub fn scratch_bytes(&self) -> usize {
         use std::mem::size_of;
         self.core.scratch_bytes()
+            + self.live.scratch_bytes()
             + self
                 .band
                 .as_ref()
@@ -221,17 +188,13 @@ impl OutOfCoreLabeler {
                 + self.prev_words.capacity()
                 + self.prev_runs.capacity()
                 + self.next_runs.capacity()
-                + self.dilate_buf.capacity()
                 + self.and_buf.capacity())
                 * size_of::<u64>()
             + (self.prev_slots.capacity()
                 + self.next_slots.capacity()
-                + self.free.capacity()
-                + self.forwarded.capacity()
                 + self.minted.capacity()
                 + self.band_slot.capacity())
                 * size_of::<u32>()
-            + self.slots.capacity() * size_of::<Slot>()
     }
 
     /// Drains `src` and returns every component of the frame with full
@@ -253,11 +216,8 @@ impl OutOfCoreLabeler {
         // Reset carried state from any previous frame.
         self.prev_runs.clear();
         self.prev_slots.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.forwarded.clear();
+        self.live.clear();
         self.minted.clear();
-        self.stamp = 0;
         if self
             .band
             .as_ref()
@@ -289,27 +249,20 @@ impl OutOfCoreLabeler {
             }
         }
 
-        // End of frame: first every carried run's bottom edges face the
-        // border, then every still-live component retires. Two passes — a
-        // slot can own several carried runs, and its record must not be
-        // emitted before the later runs add their exposure.
-        self.stamp += 1;
-        for q in 0..self.prev_runs.len() {
-            let sb = self.prev_runs[q];
-            let len = (sb & 0xffff_ffff) - (sb >> 32) + 1;
-            let s = resolve(&mut self.slots, self.prev_slots[q]);
-            self.prev_slots[q] = s;
-            self.slots[s as usize].rec.perimeter += len;
-        }
-        for q in 0..self.prev_slots.len() {
-            let slot = &mut self.slots[self.prev_slots[q] as usize];
-            if slot.scanned != self.stamp {
-                slot.scanned = self.stamp;
-                components.push(slot.rec);
+        // End of frame: every carried run's bottom edges face the border (an
+        // all-background row), then every still-live component retires
+        // untouched. Exposure comes first — a slot can own several carried
+        // runs, and its record must not be emitted before all of them add
+        // their edges.
+        self.words.clear();
+        self.words.resize(cols.div_ceil(64), 0);
+        self.live
+            .expose_south(&self.prev_runs, &self.prev_slots, &self.words);
+        self.live
+            .finish_step(self.prev_slots.iter().copied(), |_, rec| {
+                components.push(*rec);
                 stats.retired += 1;
-            }
-        }
-        stats.peak_carried_runs = stats.peak_carried_runs.max(self.prev_runs.len());
+            });
         Ok(OocRun { components, stats })
     }
 
@@ -347,7 +300,6 @@ impl OutOfCoreLabeler {
         stats: &mut OocStats,
     ) {
         let band = self.band.as_ref().expect("band allocated by label_source");
-        let cols = band.cols();
         self.core.build_arena(band, conn);
         let (runs, node, row_runs) = self.core.arena();
         stats.peak_band_runs = stats.peak_band_runs.max(runs.len());
@@ -359,89 +311,40 @@ impl OutOfCoreLabeler {
             // Step 3: bottom exposure of the carried frontier against the
             // band's first row.
             let row0 = band.row_words(0);
-            for q in 0..self.prev_runs.len() {
-                let sb = self.prev_runs[q];
-                let (a, b) = ((sb >> 32) as u32, (sb & 0xffff_ffff) as u32);
-                let covered = u64::from(count_ones_in_span(row0, a, b));
-                let s = resolve(&mut self.slots, self.prev_slots[q]);
-                self.prev_slots[q] = s;
-                self.slots[s as usize].rec.perimeter += u64::from(b - a + 1) - covered;
-            }
+            self.live
+                .expose_south(&self.prev_runs, &self.prev_slots, row0);
 
-            // Step 4: seam merge across the band boundary. Adjacent
-            // (first-row run, carried run) pairs come from the same
-            // word-level sweeps as every other seam; a band root adopts the
-            // first carried slot it meets and unions with the rest.
+            // Step 4: seam merge across the band boundary — a band root
+            // adopts the first carried slot it meets and unions with the
+            // rest.
             let (r0lo, r0hi) = (row_runs[0] as usize, row_runs[1] as usize);
-            let cur_runs = &runs[r0lo..r0hi];
             let OutOfCoreLabeler {
                 prev_words,
                 prev_runs,
                 prev_slots,
-                slots,
-                forwarded,
+                live,
                 band_slot,
-                dilate_buf,
                 and_buf,
                 ..
             } = self;
-            and_buf.clear();
-            match conn {
-                Connectivity::Four => {
-                    and_buf.extend(row0.iter().zip(prev_words.iter()).map(|(&a, &b)| a & b));
-                }
-                Connectivity::Eight => {
-                    dilate_words_into(prev_words, cols, dilate_buf);
-                    and_buf.extend(row0.iter().zip(dilate_buf.iter()).map(|(&a, &b)| a & b));
-                }
-            }
-            let mut join = |c: usize, q: usize| {
-                let sq = resolve(slots, prev_slots[q]);
-                prev_slots[q] = sq;
-                let rc = node[r0lo + c] as u32 as usize;
-                if band_slot[rc] == NONE {
-                    band_slot[rc] = sq;
-                    return;
-                }
-                let sk = resolve(slots, band_slot[rc]);
-                band_slot[rc] = sk;
-                if sk != sq {
-                    let rec = slots[sq as usize].rec;
-                    slots[sk as usize].rec.absorb(&rec);
-                    slots[sq as usize].parent = sk;
-                    forwarded.push(sq);
-                }
-            };
-            match conn {
-                Connectivity::Four => {
-                    // Each AND segment lies inside exactly one run on each
-                    // side, so locating the runs containing its start pairs
-                    // them; a (cur, prev) pair overlaps in at most one
-                    // segment, so no pair is reported twice.
-                    let mut c = 0usize;
-                    let mut q = 0usize;
-                    crate::bitmap::for_each_run_in_words(and_buf, cols, |s, _| {
-                        let s = u64::from(s);
-                        while (cur_runs[c] & 0xffff_ffff) < s {
-                            c += 1;
-                        }
-                        while (prev_runs[q] & 0xffff_ffff) < s {
-                            q += 1;
-                        }
-                        join(c, q);
-                    });
-                }
-                Connectivity::Eight => {
-                    for_each_diagonal_pair(and_buf, cols, cur_runs, prev_runs, join);
-                }
-            }
+            for_each_adjacent_pair(
+                conn,
+                row0,
+                prev_words,
+                &runs[r0lo..r0hi],
+                prev_runs,
+                and_buf,
+                |c, q| {
+                    let rc = node[r0lo + c] as u32 as usize;
+                    live.join(&mut band_slot[rc], &mut prev_slots[q]);
+                },
+            );
         }
 
         // Step 5: fold every band run's feature contribution into its
         // root's slot, minting slots for components born in this band.
         for lr in 0..h {
-            let gr = band_top + lr as u64;
-            let gr32 = u32::try_from(gr).expect("frame rows exceed u32");
+            let gr = u32::try_from(band_top + lr as u64).expect("frame rows exceed u32");
             let north_words = if lr > 0 {
                 Some(band.row_words(lr - 1))
             } else if first {
@@ -473,48 +376,10 @@ impl OutOfCoreLabeler {
                     Some(w) => len - u64::from(count_ones_in_span(w, a, b)),
                     None => 0,
                 };
-                let rec = RetiredComponent {
-                    min_pos_col: a,
-                    min_pos_row: gr32,
-                    area: len,
-                    min_row: gr32,
-                    max_row: gr32,
-                    min_col: a,
-                    max_col: b,
-                    sum_row: len * gr,
-                    sum_col: (u64::from(a) + u64::from(b)) * len / 2,
-                    perimeter: left + right + north + south,
-                };
-                let rc = node[k] as u32 as usize;
-                if self.band_slot[rc] == NONE {
-                    let s = match self.free.pop() {
-                        Some(s) => {
-                            self.slots[s as usize] = Slot {
-                                parent: s,
-                                touched: 0,
-                                scanned: 0,
-                                rec,
-                            };
-                            s
-                        }
-                        None => {
-                            let s = u32::try_from(self.slots.len())
-                                .expect("live components exceed u32 slots");
-                            self.slots.push(Slot {
-                                parent: s,
-                                touched: 0,
-                                scanned: 0,
-                                rec,
-                            });
-                            s
-                        }
-                    };
-                    self.band_slot[rc] = s;
-                    self.minted.push(s);
-                } else {
-                    let s = resolve(&mut self.slots, self.band_slot[rc]);
-                    self.band_slot[rc] = s;
-                    self.slots[s as usize].rec.absorb(&rec);
+                let rec = RetiredComponent::run(gr, a, b, left + right + north + south);
+                let slot = &mut self.band_slot[node[k] as u32 as usize];
+                if self.live.fold(slot, rec) {
+                    self.minted.push(*slot);
                 }
             }
         }
@@ -524,15 +389,14 @@ impl OutOfCoreLabeler {
         // maximal row runs — the seam sweeps and the `O(cols)` carried-run
         // bound both assume them — which is safe because touching runs
         // always share a component (the vertical seams unioned them).
-        self.stamp += 1;
         self.next_runs.clear();
         self.next_slots.clear();
         for k in row_runs[h - 1] as usize..row_runs[h] as usize {
             let sb = runs[k];
             let rc = node[k] as u32 as usize;
-            let s = resolve(&mut self.slots, self.band_slot[rc]);
+            let s = self.live.resolve(self.band_slot[rc]);
             self.band_slot[rc] = s;
-            self.slots[s as usize].touched = self.stamp;
+            self.live.touch(s);
             if let Some(last) = self.next_runs.last_mut() {
                 if (*last & 0xffff_ffff) + 1 == sb >> 32 {
                     debug_assert_eq!(*self.next_slots.last().unwrap(), s);
@@ -547,34 +411,19 @@ impl OutOfCoreLabeler {
         // Step 7: retire every slot live before this band — old frontier
         // or minted within it — that missed the new frontier. Such a
         // component has no pixel on the boundary row and can never grow.
-        for i in 0..self.prev_slots.len() + self.minted.len() {
-            let cand = if i < self.prev_slots.len() {
-                resolve(&mut self.slots, self.prev_slots[i])
-            } else {
-                self.minted[i - self.prev_slots.len()]
-            };
-            let slot = &mut self.slots[cand as usize];
-            if slot.scanned == self.stamp {
-                continue;
-            }
-            slot.scanned = self.stamp;
-            if slot.touched != self.stamp {
-                components.push(slot.rec);
-                stats.retired += 1;
-                self.free.push(cand);
-            }
-        }
+        let candidates = self.prev_slots.iter().chain(&self.minted).copied();
+        self.live.finish_step(candidates, |_, rec| {
+            components.push(*rec);
+            stats.retired += 1;
+        });
         self.minted.clear();
 
-        // Step 8: reclaim forwarded slots and swap in the new frontier.
-        self.free.append(&mut self.forwarded);
+        // Step 8: swap in the new frontier.
         std::mem::swap(&mut self.prev_runs, &mut self.next_runs);
         std::mem::swap(&mut self.prev_slots, &mut self.next_slots);
         self.prev_words.copy_from_slice(band.row_words(h - 1));
         stats.peak_carried_runs = stats.peak_carried_runs.max(self.prev_runs.len());
-        stats.peak_live_slots = stats
-            .peak_live_slots
-            .max(self.slots.len() - self.free.len());
+        stats.peak_live_slots = self.live.peak();
     }
 }
 

@@ -14,7 +14,8 @@
 //!   packed row words (`trailing_zeros` scans), and the run-adjacency edge
 //!   list is built by whole-word shift/AND kernels (`cur & prev` for
 //!   4-connectivity, `cur & dilate(prev)` for 8 — the same
-//!   [`crate::bitmap::dilate_words_into`] sweep every other engine shares),
+//!   [`crate::bitmap::for_each_adjacent_pair`] sweep every other engine
+//!   shares),
 //!   so no per-pixel branching happens anywhere;
 //! * **alternating relaxation sweeps** — each round relaxes every edge
 //!   forward (ascending row order) then backward, writing the smaller label
@@ -37,7 +38,7 @@
 //! [`PropagateLabeler`] keeps all arenas between calls and is
 //! allocation-free once warm, like every other engine session.
 
-use crate::bitmap::{dilate_words_into, for_each_diagonal_pair, for_each_run_in_words, Bitmap};
+use crate::bitmap::{for_each_adjacent_pair, Bitmap};
 use crate::connectivity::Connectivity;
 use crate::labels::LabelGrid;
 
@@ -76,8 +77,6 @@ pub struct PropagateLabeler {
     minpos: Vec<u32>,
     /// Whole-word adjacency scratch (`cur & prev`, possibly dilated).
     and_buf: Vec<u64>,
-    /// Dilation scratch for the 8-connectivity kernel.
-    dil_buf: Vec<u64>,
     components: usize,
     iterations: usize,
     reduction_passes: usize,
@@ -133,49 +132,22 @@ impl PropagateLabeler {
         prev_hi: usize,
         cur_hi: usize,
     ) {
-        let cur_w = img.row_words(r);
-        let prev_w = img.row_words(r - 1);
         let PropagateLabeler {
             runs,
             edges,
             and_buf,
-            dil_buf,
             ..
         } = self;
         let (prev_runs, cur_runs) = runs[prev_lo..cur_hi].split_at(prev_hi - prev_lo);
-        match conn {
-            Connectivity::Four => {
-                // Word-level exact-overlap kernel: every maximal segment of
-                // `cur & prev` lies inside exactly one run of each row, and
-                // each 4-adjacent run pair contains exactly one segment, so
-                // two forward cursors enumerate the edges with no backstep.
-                and_buf.clear();
-                and_buf.extend(cur_w.iter().zip(prev_w).map(|(&a, &b)| a & b));
-                let (mut c, mut q) = (0usize, 0usize);
-                for_each_run_in_words(and_buf, img.cols(), |s, _| {
-                    let s = u64::from(s);
-                    while (cur_runs[c] & 0xffff_ffff) < s {
-                        c += 1;
-                    }
-                    while (prev_runs[q] & 0xffff_ffff) < s {
-                        q += 1;
-                    }
-                    edges.push((((prev_hi + c) as u64) << 32) | (prev_lo + q) as u64);
-                });
-            }
-            Connectivity::Eight => {
-                // The shared dilated-AND diagonal kernel: bit `i` of the AND
-                // word is set iff row `r` has a pixel at `i` and row `r - 1`
-                // one within horizontal reach 1; the sweep reports each
-                // 8-adjacent run pair exactly once.
-                dilate_words_into(prev_w, img.cols(), dil_buf);
-                and_buf.clear();
-                and_buf.extend(cur_w.iter().zip(dil_buf.iter()).map(|(&a, &b)| a & b));
-                for_each_diagonal_pair(and_buf, img.cols(), cur_runs, prev_runs, |ci, qi| {
-                    edges.push((((prev_hi + ci) as u64) << 32) | (prev_lo + qi) as u64);
-                });
-            }
-        }
+        for_each_adjacent_pair(
+            conn,
+            img.row_words(r),
+            img.row_words(r - 1),
+            cur_runs,
+            prev_runs,
+            and_buf,
+            |c, q| edges.push((((prev_hi + c) as u64) << 32) | (prev_lo + q) as u64),
+        );
     }
 
     /// Pass 2: iterate relaxation rounds to the fixpoint. Each round is a
@@ -339,7 +311,6 @@ impl PropagateLabeler {
             + self.labels.capacity() * size_of::<u32>()
             + self.minpos.capacity() * size_of::<u32>()
             + self.and_buf.capacity() * size_of::<u64>()
-            + self.dil_buf.capacity() * size_of::<u64>()
     }
 }
 

@@ -1,35 +1,44 @@
 //! 2-D tiled run-based labeling: a grid of rectangular tiles labeled
 //! concurrently, seams merged hierarchically.
 //!
-//! The strip engine ([`super::parallel`]) stops scaling when rows are short
-//! and thread counts grow — its 1-D seams are as long as the image is wide,
-//! and there is one per worker. This engine generalizes the decomposition to
-//! a `tiles_y × tiles_x` grid, the shape Stout's optimal mesh-labeling
-//! analysis prescribes (arXiv:1502.01435): seam work then grows with the
-//! tile *perimeter*, not the image width, and the seams merge in a balanced
-//! pairwise-doubling order so each level halves the number of unmerged
-//! regions. The phases:
+//! This is the host's one decomposed engine. Its `T × 1` shape — `T` bands
+//! of full-width strips — is the strip-and-merge layout of the parallel
+//! two-pass CCL literature (Gupta et al., arXiv:1606.05973) and the host
+//! analogue of the paper's scan-line decomposition: where the SLAP gives
+//! every image *column* a PE and reconciles the per-column views with a
+//! stitch (Algorithm CC step 3, `slap_cc::stitch`), each worker here owns a
+//! band of image *rows* and the bands are reconciled with a seam pass. The
+//! registry's `parallel` engine is exactly that shape. Strips stop scaling
+//! when rows are short and thread counts grow — one full-width seam per
+//! worker — so the grid generalizes to `tiles_y × tiles_x`, the shape Stout's
+//! optimal mesh-labeling analysis prescribes (arXiv:1502.01435): seam work
+//! then grows with the tile *perimeter*, not the image width, and the seams
+//! merge in a balanced pairwise-doubling order so each level halves the
+//! number of unmerged regions. The phases:
 //!
 //! 1. **tile pass (parallel)** — each worker runs the word-parallel
 //!    run-extraction + union–find pass over its own rectangular window
-//!    ([`FastLabeler`]'s column-window variant), with *local* run indices
-//!    but **global** run bounds and minimum-position payloads;
+//!    ([`FastLabeler`]'s column-window variant, which for a full-width
+//!    window is the row-range pass itself), with *local* run indices but
+//!    **global** run bounds and minimum-position payloads;
 //! 2. **relocation (parallel per band)** — tiles are interleaved row-by-row
 //!    into one global arena laid out exactly like the sequential engine's
 //!    (runs in (row, column) order, a global per-row run table), remapping
-//!    each tile-local parent through a per-tile index map;
+//!    each tile-local parent through a per-tile index map. A band of one
+//!    tile is already in global order, so it is a straight copy with its
+//!    parents shifted by the band base;
 //! 3. **hierarchical seam merge (sequential, tiny)** — vertical seams first
 //!    (per band, runs clipped at a tile's column boundary are looked up by
 //!    binary search and unioned across it, with diagonal reach at 8-conn),
-//!    then full-width horizontal band seams (the word-level `AND` adjacency
-//!    at 4-conn, the dilated-AND sweep at 8 — both shared with the strip
-//!    engine). Boundaries are processed in pairwise-doubling order —
-//!    level ℓ merges the boundaries at odd multiples of `2^ℓ` — and each
-//!    level's seam count and union count are recorded
-//!    ([`TiledLabeler::seam_levels`]);
-//! 4. **flatten (parallel per band)** — the strip engine's scheme verbatim:
-//!    a sequential `O(seam runs)` pre-pass finalizes recorded seam losers,
-//!    then each band's ascending sweep reads only its own nodes;
+//!    then full-width horizontal band seams (the crate's row-to-row
+//!    adjacency sweep, [`for_each_adjacent_pair`]). Boundaries are processed
+//!    in pairwise-doubling order — level ℓ merges the boundaries at odd
+//!    multiples of `2^ℓ` — and each level's seam count and union count are
+//!    recorded ([`TiledLabeler::seam_levels`]);
+//! 4. **flatten (parallel per band)** — a sequential `O(seam runs)` pre-pass
+//!    finalizes the recorded seam losers (the only nodes whose parent may
+//!    cross a band), then each band's ascending sweep reads only its own
+//!    nodes;
 //! 5. **output (parallel per band)** — run-at-a-time label fills into
 //!    disjoint row bands of the [`LabelGrid`].
 //!
@@ -39,14 +48,14 @@
 //! including the four-corner point where four tiles meet — by the full-width
 //! horizontal seam. The result is **bit-identical** to
 //! [`super::fast_labels_conn`] and the BFS oracle for every image,
-//! connectivity, tile shape, and thread count.
+//! connectivity, tile shape, and thread count: labels are component minima,
+//! which no decomposition can change.
 //!
 //! The out-of-core scheduler ([`super::ooc`]) reuses phases 1–4 through
 //! `TiledLabeler::build_arena` to label one band of tiles at a time.
 
-use super::parallel::{find_pure, seam_union_eight_words, seam_union_four};
 use super::{link_roots, FastLabeler, MIN_HALF};
-use crate::bitmap::{dilate_words_into, Bitmap};
+use crate::bitmap::{for_each_adjacent_pair, Bitmap};
 use crate::connectivity::Connectivity;
 use crate::labels::LabelGrid;
 
@@ -117,8 +126,6 @@ pub struct TiledLabeler {
     row_runs: Vec<u32>,
     /// Scratch words for horizontal seam adjacency.
     seam_and: Vec<u64>,
-    /// Scratch words for the dilated upper seam row at 8-connectivity.
-    seam_dilate: Vec<u64>,
     /// Roots that lost a seam union — the nodes whose parent may cross a
     /// band, finalized by the flatten pre-pass.
     seam_losers: Vec<u32>,
@@ -150,7 +157,6 @@ impl TiledLabeler {
             node: Vec::new(),
             row_runs: Vec::new(),
             seam_and: Vec::new(),
-            seam_dilate: Vec::new(),
             seam_losers: Vec::new(),
             chase: Vec::new(),
             band_roots: Vec::new(),
@@ -214,7 +220,6 @@ impl TiledLabeler {
             + self.node.capacity() * size_of::<u64>()
             + self.row_runs.capacity() * size_of::<u32>()
             + self.seam_and.capacity() * size_of::<u64>()
-            + self.seam_dilate.capacity() * size_of::<u64>()
             + self.seam_losers.capacity() * size_of::<u32>()
             + self.chase.capacity() * size_of::<u32>()
             + self.band_roots.capacity() * size_of::<usize>()
@@ -352,8 +357,11 @@ impl TiledLabeler {
             }
             band_base.push(total);
         }
-        // Same packed-word overflow guard as the strip engine: a parent
-        // index at or above 2^32 - 1 would carry into the `min_pos` half.
+        // Relocation rewrites the parent half of packed
+        // `min_pos << 32 | parent` words; a parent index at or above
+        // 2^32 - 1 would carry into (and silently corrupt) the `min_pos`
+        // half. It can only fire if the LabelGrid pixel-count assertion is
+        // ever relaxed: the run count never exceeds the pixel count.
         assert!(
             total < u32::MAX as usize,
             "{total} runs overflow the packed u32 parent index space"
@@ -365,10 +373,13 @@ impl TiledLabeler {
         // tiles). A tile-local parent always points to a smaller local
         // index, and local index order is (row, column) order, so the
         // per-tile map entry for a parent is already written when its child
-        // is relocated.
-        for (k, map) in self.l2g[..ntiles].iter_mut().enumerate() {
-            map.clear();
-            map.resize(self.tiles[k].runs.len(), 0);
+        // is relocated. A band of one tile skips the maps: its local order
+        // is the global order.
+        if tx > 1 {
+            for (k, map) in self.l2g[..ntiles].iter_mut().enumerate() {
+                map.clear();
+                map.resize(self.tiles[k].runs.len(), 0);
+            }
         }
         self.runs.clear();
         self.runs.resize(total, 0);
@@ -389,6 +400,15 @@ impl TiledLabeler {
                 let gbase = band_base[i];
                 let band_rows = rb[i + 1] - rb[i];
                 s.spawn(move || {
+                    if let [tile] = tiles_band {
+                        // The overflow guard above makes the packed
+                        // addition touch only the parent half.
+                        runs_dst.copy_from_slice(&tile.runs);
+                        for (dst, &n) in node_dst.iter_mut().zip(&tile.node) {
+                            *dst = n + gbase as u64;
+                        }
+                        return;
+                    }
                     let mut g = 0usize;
                     for lr in 0..band_rows {
                         for (j, tile) in tiles_band.iter().enumerate() {
@@ -411,11 +431,11 @@ impl TiledLabeler {
 
         // Phase 3: hierarchical seam merge. Level ℓ of the pairwise-doubling
         // schedule merges the boundaries at odd multiples of 2^ℓ — after it,
-        // runs of 2^(ℓ+1) tiles are connected. Vertical seams go first (they
-        // stay within a band; their parents never cross band flatten
-        // domains... they do stay in-band), then the full-width horizontal
-        // band seams, which also cover every diagonal straddling a band
-        // boundary — including the four-corner points.
+        // runs of 2^(ℓ+1) tiles are connected. Vertical seams go first: they
+        // link runs of one band, so every parent they write stays inside
+        // that band's flatten domain. Then the full-width horizontal band
+        // seams, which also cover every diagonal straddling a band boundary
+        // — including the four-corner points.
         self.seam_losers.clear();
         self.levels.clear();
         let mut level = 0usize;
@@ -455,49 +475,17 @@ impl TiledLabeler {
             let (half, step) = (1usize << l, 1usize << (l + 1));
             let mut i = half;
             while i < ty {
-                let y = rb[i];
                 seams += 1;
-                let cur = self.row_runs[y] as usize..self.row_runs[y + 1] as usize;
-                let prev = self.row_runs[y - 1] as usize..self.row_runs[y] as usize;
-                match conn {
-                    Connectivity::Four => {
-                        self.seam_and.clear();
-                        self.seam_and.extend(
-                            img.row_words(y)
-                                .iter()
-                                .zip(img.row_words(y - 1))
-                                .map(|(&a, &b)| a & b),
-                        );
-                        seam_union_four(
-                            &mut self.node,
-                            &self.runs,
-                            &self.seam_and,
-                            cols,
-                            cur.start,
-                            prev.start,
-                            &mut self.seam_losers,
-                        );
-                    }
-                    Connectivity::Eight => {
-                        dilate_words_into(img.row_words(y - 1), cols, &mut self.seam_dilate);
-                        self.seam_and.clear();
-                        self.seam_and.extend(
-                            img.row_words(y)
-                                .iter()
-                                .zip(self.seam_dilate.iter())
-                                .map(|(&a, &b)| a & b),
-                        );
-                        seam_union_eight_words(
-                            &mut self.node,
-                            &self.runs,
-                            &self.seam_and,
-                            cols,
-                            cur,
-                            prev,
-                            &mut self.seam_losers,
-                        );
-                    }
-                }
+                horizontal_seam_unions(
+                    &mut self.node,
+                    &self.runs,
+                    &self.row_runs,
+                    img,
+                    rb[i],
+                    conn,
+                    &mut self.seam_and,
+                    &mut self.seam_losers,
+                );
                 i += step;
             }
             self.levels.push(SeamLevel {
@@ -509,10 +497,12 @@ impl TiledLabeler {
             level += 1;
         }
 
-        // Phase 4a: finalize the seam losers (sequential, O(seam runs)).
-        // Identical to the strip engine: chasing a loser's chain ends at a
-        // true root holding the component minimum; writing that packed value
-        // back along the path makes every cross-band parent final.
+        // Phase 4a: finalize the seam losers (sequential, O(seam runs) —
+        // independent of the band sizes). Chasing a loser's chain ends at a
+        // true root holding the component minimum (link_roots keeps minima
+        // at survivors); writing that packed value back along the path makes
+        // every cross-band parent final, so the per-band sweeps below never
+        // read another band's (concurrently mutated) nodes.
         for i in 0..self.seam_losers.len() {
             let mut x = self.seam_losers[i];
             self.chase.clear();
@@ -534,7 +524,9 @@ impl TiledLabeler {
         // order + parents-point-down means node[parent] is already flattened
         // when node[k] copies it (vertical seam links stay in-band, so
         // cross-tile parents are fine); a parent below the band base marks a
-        // phase-4a-finalized node, which is skipped.
+        // phase-4a-finalized node, which is skipped. Every node ends as
+        // `component_min << 32 | root`; roots are counted per band so
+        // `last_components` never rescans the arena.
         self.band_roots.clear();
         self.band_roots.resize(ty, 0);
         std::thread::scope(|s| {
@@ -653,16 +645,109 @@ fn run_starting_at(runs: &[u64], row_runs: &[u32], r: usize, col: u64) -> Option
     }
 }
 
-/// Finds both runs' roots (pure, like every seam find) and links them,
-/// recording the loser for the flatten pre-pass.
+/// Finds both runs' roots and links them across a seam.
 #[inline]
 fn union_pair(node: &mut [u64], a: usize, b: usize, losers: &mut Vec<u32>) {
-    let ra = find_pure(node, a as u32);
-    let rb = find_pure(node, b as u32);
+    let (ra, rb) = (find_pure(node, a as u32), find_pure(node, b as u32));
+    link_seam(node, ra, rb, losers);
+}
+
+/// Links roots `ra` and `rb` across a seam, recording the loser for the
+/// flatten pre-pass; returns the survivor.
+#[inline]
+fn link_seam(node: &mut [u64], ra: u32, rb: u32, losers: &mut Vec<u32>) -> u32 {
     if ra != rb {
         losers.push(ra.max(rb));
     }
-    link_roots(node, ra, rb);
+    link_roots(node, ra, rb)
+}
+
+/// Read-only find over the packed nodes. Seam unions deliberately do **not**
+/// path-halve: halving could rewrite a non-root node's parent onto a
+/// cross-band ancestor, breaking the phase-4a invariant that only recorded
+/// seam losers carry cross-band parents. Chains are at most a few seam links
+/// long (one per band a component spans), so pure finds stay cheap.
+fn find_pure(node: &[u64], mut x: u32) -> u32 {
+    loop {
+        let p = node[x as usize] as u32;
+        if p == x {
+            return x;
+        }
+        x = p;
+    }
+}
+
+/// Unions every pair of runs touching across the full-width seam between
+/// rows `y - 1` and `y` under `conn`. Each row was already unioned within
+/// its own band, so both sides need a find; each root that loses a link is
+/// appended to `losers` for the flatten pre-pass.
+#[allow(clippy::too_many_arguments)]
+fn horizontal_seam_unions(
+    node: &mut [u64],
+    runs: &[u64],
+    row_runs: &[u32],
+    img: &Bitmap,
+    y: usize,
+    conn: Connectivity,
+    and_buf: &mut Vec<u64>,
+    losers: &mut Vec<u32>,
+) {
+    let cur = row_runs[y] as usize..row_runs[y + 1] as usize;
+    let prev = row_runs[y - 1] as usize..row_runs[y] as usize;
+    // Cache the lower run's surviving root across its pairs: one find per
+    // run, not per pair (link_seam returns the survivor).
+    let mut last_c = usize::MAX;
+    let mut croot = 0u32;
+    for_each_adjacent_pair(
+        conn,
+        img.row_words(y),
+        img.row_words(y - 1),
+        &runs[cur.clone()],
+        &runs[prev.clone()],
+        and_buf,
+        |c, q| {
+            if c != last_c {
+                last_c = c;
+                croot = find_pure(node, (cur.start + c) as u32);
+            }
+            let rq = find_pure(node, (prev.start + q) as u32);
+            croot = link_seam(node, croot, rq, losers);
+        },
+    );
+}
+
+/// The retired 8-connectivity seam union: a two-pointer join of the facing
+/// rows' run lists with one column of diagonal reach. Kept only to
+/// cross-check [`horizontal_seam_unions`] — the word-level sweep must
+/// produce the identical unions in the identical order.
+#[cfg(test)]
+fn seam_union_eight_two_pointer(
+    node: &mut [u64],
+    runs: &[u64],
+    cur: std::ops::Range<usize>,
+    prev: std::ops::Range<usize>,
+    losers: &mut Vec<u32>,
+) {
+    let mut p = prev.start;
+    for c in cur {
+        let sb = runs[c];
+        let aw = (sb >> 32).saturating_sub(1);
+        let bw = (sb & 0xffff_ffff) + 1;
+        while p < prev.end && (runs[p] & 0xffff_ffff) < aw {
+            p += 1;
+        }
+        let mut q = p;
+        let mut root = find_pure(node, c as u32);
+        while q < prev.end && (runs[q] >> 32) <= bw {
+            root = link_seam(node, root, find_pure(node, q as u32), losers);
+            q += 1;
+        }
+        // The last overlapping run may also touch the next run of the lower
+        // row; step back so it is reconsidered.
+        if q > p {
+            p = q - 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -672,7 +757,18 @@ mod tests {
     use crate::gen;
     use crate::oracle::bfs_labels_conn;
 
-    const SHAPES: &[(usize, usize)] = &[(1, 2), (2, 1), (2, 2), (3, 3), (4, 4), (1, 8), (8, 1)];
+    /// Grid shapes, including the `T × 1` strips of the `parallel` engine.
+    const SHAPES: &[(usize, usize)] = &[
+        (1, 2),
+        (2, 1),
+        (3, 1),
+        (4, 1),
+        (2, 2),
+        (3, 3),
+        (4, 4),
+        (1, 8),
+        (8, 1),
+    ];
 
     #[test]
     fn matches_fast_engine_on_tiny_shapes() {
@@ -687,6 +783,7 @@ mod tests {
             ".#.\n###\n.#.\n",
             "#..#\n....\n#..#\n",
             "####\n....\n####\n####\n",
+            "#\n#\n#\n#\n#\n#\n#\n#\n",
         ] {
             let img = Bitmap::from_art(art);
             for conn in [Connectivity::Four, Connectivity::Eight] {
@@ -783,6 +880,23 @@ mod tests {
     }
 
     #[test]
+    fn strips_with_more_threads_than_rows_degrade_gracefully() {
+        let img = gen::uniform_random(3, 50, 0.5, 7);
+        for conn in [Connectivity::Four, Connectivity::Eight] {
+            assert_eq!(
+                tiled_labels_conn(&img, conn, 64, 1, 64),
+                fast_labels_conn(&img, conn)
+            );
+        }
+    }
+
+    #[test]
+    fn zero_threads_clamps_to_one() {
+        let labeler = TiledLabeler::new(0, 0, 0);
+        assert_eq!((labeler.tiles(), labeler.threads()), ((1, 1), 1));
+    }
+
+    #[test]
     fn more_tiles_than_pixels_degrades_gracefully() {
         let img = gen::uniform_random(3, 3, 0.5, 7);
         for conn in [Connectivity::Four, Connectivity::Eight] {
@@ -845,30 +959,129 @@ mod tests {
 
     #[test]
     fn reused_tiled_labeler_leaves_no_stale_state() {
-        let mut labeler = TiledLabeler::new(2, 2, 4);
-        let mut grid = LabelGrid::new_background(1, 1);
         let big = gen::uniform_random(80, 80, 0.6, 1);
-        labeler.label_into(&big, Connectivity::Four, &mut grid);
-        assert_eq!(grid, fast_labels_conn(&big, Connectivity::Four));
         let small = Bitmap::from_art("#.#\n###\n");
-        labeler.label_into(&small, Connectivity::Four, &mut grid);
-        assert_eq!(grid, fast_labels_conn(&small, Connectivity::Four));
-        labeler.label_into(&big, Connectivity::Eight, &mut grid);
-        assert_eq!(grid, fast_labels_conn(&big, Connectivity::Eight));
-        assert_eq!(labeler.last_components(), grid.component_count());
+        for (ty, tx) in [(2, 2), (4, 1)] {
+            let mut labeler = TiledLabeler::new(ty, tx, 4);
+            let mut grid = LabelGrid::new_background(1, 1);
+            labeler.label_into(&big, Connectivity::Four, &mut grid);
+            assert_eq!(grid, fast_labels_conn(&big, Connectivity::Four));
+            labeler.label_into(&small, Connectivity::Four, &mut grid);
+            assert_eq!(grid, fast_labels_conn(&small, Connectivity::Four));
+            labeler.label_into(&big, Connectivity::Eight, &mut grid);
+            assert_eq!(grid, fast_labels_conn(&big, Connectivity::Eight));
+            assert_eq!(labeler.last_components(), grid.component_count());
+        }
     }
 
     #[test]
     fn single_row_and_single_column_images_do_not_panic() {
-        for (rows, cols) in [(1usize, 200usize), (200, 1), (1, 1), (2, 2)] {
+        for (rows, cols) in [(1usize, 200usize), (200, 1), (1, 1), (2, 2), (1, 2)] {
             let img = gen::uniform_random(rows, cols, 0.5, 11);
             for conn in [Connectivity::Four, Connectivity::Eight] {
-                assert_eq!(
-                    tiled_labels_conn(&img, conn, 4, 4, 4),
-                    fast_labels_conn(&img, conn),
-                    "{rows}x{cols} conn={conn:?}"
-                );
+                for (ty, tx) in [(4, 4), (2, 1), (64, 1)] {
+                    assert_eq!(
+                        tiled_labels_conn(&img, conn, ty, tx, 4),
+                        fast_labels_conn(&img, conn),
+                        "{rows}x{cols} tiles {ty}x{tx} conn={conn:?}"
+                    );
+                }
             }
         }
+        // Single column, many strips: every seam is one-run-to-one-run.
+        let mut col = Bitmap::new(9, 1);
+        for r in 0..9 {
+            col.set(r, 0, r != 4);
+        }
+        for t in [2usize, 3, 4, 8] {
+            assert_eq!(
+                tiled_labels_conn(&col, Connectivity::Four, t, 1, t),
+                fast_labels_conn(&col, Connectivity::Four),
+                "strips={t}"
+            );
+        }
+    }
+
+    #[test]
+    fn word_level_eight_seam_matches_the_retired_two_pointer_path() {
+        // Build a two-row run arena directly and drive both seam-union
+        // implementations over it: the word-level dilated-AND sweep must
+        // perform the identical links in the identical order — same node
+        // array, same loser log — as the retired two-pointer join.
+        for case in 0u64..200 {
+            let density = 0.05 + 0.9 * (case % 10) as f64 / 10.0;
+            let img = gen::uniform_random(2, 131, density, case + 1);
+            let mut runs = Vec::new();
+            let mut node = Vec::new();
+            for r in 0..2 {
+                img.for_each_row_run(r, |a, b| {
+                    let min = u64::from(a) * 2 + r as u64;
+                    node.push((min << 32) | runs.len() as u64);
+                    runs.push((u64::from(a) << 32) | u64::from(b));
+                });
+            }
+            let split = runs.len() - img.count_row_runs(1);
+            let row_runs = [0, split as u32, runs.len() as u32];
+
+            let mut node_tp = node.clone();
+            let mut losers_tp = Vec::new();
+            seam_union_eight_two_pointer(
+                &mut node_tp,
+                &runs,
+                split..runs.len(),
+                0..split,
+                &mut losers_tp,
+            );
+            let mut losers = Vec::new();
+            horizontal_seam_unions(
+                &mut node,
+                &runs,
+                &row_runs,
+                &img,
+                1,
+                Connectivity::Eight,
+                &mut Vec::new(),
+                &mut losers,
+            );
+            assert_eq!(node, node_tp, "case {case}");
+            assert_eq!(losers, losers_tp, "case {case}");
+        }
+    }
+
+    #[test]
+    fn seam_eight_backstep_shares_one_upper_run_across_adjacent_lower_runs() {
+        // Regression for the `p = q - 1` backstep in the diagonal-pair
+        // enumeration (inside `for_each_diagonal_pair`): two adjacent
+        // lower-row runs each touch the single upper-row run only diagonally
+        // (through column 2), so after the first lower run consumes the
+        // upper run the cursor must step back for the second. A 2×1 grid
+        // puts the seam exactly between the two rows.
+        let img = Bitmap::from_art(
+            "..#..\n\
+             ##.##\n",
+        );
+        let l8 = tiled_labels_conn(&img, Connectivity::Eight, 2, 1, 2);
+        assert_eq!(l8, fast_labels_conn(&img, Connectivity::Eight));
+        assert_eq!(l8.component_count(), 1, "diagonals bridge all three runs");
+        let l4 = tiled_labels_conn(&img, Connectivity::Four, 2, 1, 2);
+        assert_eq!(l4, fast_labels_conn(&img, Connectivity::Four));
+        assert_eq!(l4.component_count(), 3, "no bridge under 4-connectivity");
+        // The mirrored orientation exercises the backstep from the other
+        // side, and a longer seam chains repeated backsteps.
+        let chain = Bitmap::from_art(
+            "##.##.##.##\n\
+             ..#..#..#..\n",
+        );
+        for conn in [Connectivity::Four, Connectivity::Eight] {
+            assert_eq!(
+                tiled_labels_conn(&chain, conn, 2, 1, 2),
+                fast_labels_conn(&chain, conn),
+                "chain conn={conn:?}"
+            );
+        }
+        assert_eq!(
+            tiled_labels_conn(&chain, Connectivity::Eight, 2, 1, 2).component_count(),
+            1
+        );
     }
 }

@@ -18,12 +18,11 @@
 //! * [`fast`] — the word-parallel run-based labeling engine, bit-identical
 //!   to the oracle and several times faster; the default reference the
 //!   differential suites and benchmarks compare against. Its
-//!   [`fast::parallel`] submodule labels disjoint horizontal strips on
-//!   scoped worker threads and stitches the seams over the run universe —
-//!   the first engine here that scales with cores. [`fast::tiled`]
-//!   generalizes the decomposition to a 2-D tile grid with hierarchical
-//!   seam merging, and [`fast::ooc`] streams frames taller than memory
-//!   through it one band of tiles at a time.
+//!   [`fast::tiled`] submodule is the decomposed engine that scales with
+//!   cores: a 2-D tile grid labeled on scoped worker threads, seams merged
+//!   hierarchically over the run universe (its `T × 1` shape is the
+//!   strip-parallel engine), and [`fast::ooc`] streams frames taller than
+//!   memory through it one band of tiles at a time.
 //! * [`stream`] — the **streaming** engine: rows arrive one at a time
 //!   ([`stream::StreamLabeler::push_row`]), memory stays
 //!   `O(cols + live components)` instead of `O(rows × cols)`, and finished
@@ -45,6 +44,7 @@ pub mod fast;
 pub mod framing;
 pub mod gen;
 pub mod labels;
+mod live;
 pub mod morph;
 pub mod oracle;
 pub mod pbm;
@@ -53,9 +53,9 @@ pub mod stream;
 pub use bitmap::{Bitmap, Columns};
 pub use connectivity::Connectivity;
 pub use fast::{
-    fast_component_count, fast_labels, fast_labels_conn, label_out_of_core, parallel_labels,
-    parallel_labels_conn, tiled_labels, tiled_labels_conn, FastLabeler, OocRun, OocStats,
-    OutOfCoreLabeler, ParallelLabeler, SeamLevel, TileStats, TiledLabeler,
+    fast_component_count, fast_labels, fast_labels_conn, label_out_of_core, tiled_labels,
+    tiled_labels_conn, FastLabeler, OocRun, OocStats, OutOfCoreLabeler, SeamLevel, TileStats,
+    TiledLabeler,
 };
 pub use labels::{ComponentInfo, LabelGrid};
 pub use oracle::{bfs_labels, bfs_labels_conn, BfsOracle};

@@ -30,11 +30,10 @@
 //! rows incrementally from any [`std::io::Read`] without materializing the
 //! image. [`label_stream`] drives a source to completion.
 
-use crate::bitmap::{
-    count_ones_in_span, dilate_words_into, for_each_diagonal_pair, for_each_run_in_words, Bitmap,
-};
+use crate::bitmap::{count_ones_in_span, for_each_adjacent_pair, for_each_run_in_words, Bitmap};
 use crate::connectivity::Connectivity;
 use crate::labels::LabelGrid;
+use crate::live::{LiveComponents, NONE};
 use std::io;
 
 /// The finished feature record of a retired component (every field is final:
@@ -104,9 +103,27 @@ impl RetiredComponent {
         )
     }
 
+    /// The contribution of one run — row `row`, columns `a..=b` — with
+    /// `perimeter` of its pixel edges exposed: the unit the streaming and
+    /// out-of-core folds absorb into a component's record.
+    pub(crate) fn run(row: u32, a: u32, b: u32, perimeter: u64) -> Self {
+        let len = u64::from(b - a + 1);
+        RetiredComponent {
+            min_pos_col: a,
+            min_pos_row: row,
+            area: len,
+            min_row: row,
+            max_row: row,
+            min_col: a,
+            max_col: b,
+            sum_row: len * u64::from(row),
+            sum_col: (u64::from(a) + u64::from(b)) * len / 2,
+            perimeter,
+        }
+    }
+
     /// Merges `other` into `self` (elementwise min/max/sum, the same monoid
-    /// as the core feature fold). Shared with the out-of-core band merger
-    /// ([`crate::fast::ooc`]).
+    /// as the core feature fold).
     pub(crate) fn absorb(&mut self, other: &RetiredComponent) {
         if (other.min_pos_col, other.min_pos_row) < (self.min_pos_col, self.min_pos_row) {
             self.min_pos_col = other.min_pos_col;
@@ -137,29 +154,10 @@ pub struct StreamStats {
     /// Maximum frontier size observed (runs of one row).
     pub peak_frontier_runs: usize,
     /// Maximum number of simultaneously allocated union–find slots — the
-    /// `O(cols + live components)` bound made measurable (live components
-    /// plus the merge garbage of the row being processed, reclaimed before
-    /// the next row).
+    /// `O(cols + live components)` bound made measurable. Sampled once per
+    /// row after its unions and mints, before retirement and reclaim, so it
+    /// counts the live components plus the row's merge garbage.
     pub peak_nodes: usize,
-}
-
-/// A union–find slot over live components. `parent == self` marks a root
-/// (its `rec` is the component's running feature record); a forwarded slot
-/// is garbage reclaimed at the end of the row that forwarded it; free slots
-/// sit on the labeler's free list.
-#[derive(Clone, Copy, Debug)]
-struct Node {
-    parent: u32,
-    /// Stamp of the last row whose runs merged into this set (roots only).
-    touched: u64,
-    /// Stamp guarding the retirement scan against visiting a root twice.
-    scanned: u64,
-    /// Component id under [`StreamLabeler::track_comps`] (0 otherwise).
-    /// Unlike slots, component ids are never recycled within a stream, so a
-    /// grid-producing caller can resolve which component a long-dead run
-    /// ended up in ([`StreamGridLabeler`]).
-    comp: u32,
-    rec: RetiredComponent,
 }
 
 /// Online connected-component labeler: see the module docs for the memory
@@ -171,9 +169,6 @@ pub struct StreamLabeler {
     cols: usize,
     words_per_row: usize,
     conn: Connectivity,
-    /// Stamp of the row being (or last) processed; `rows` excludes the
-    /// virtual all-background row [`StreamLabeler::finish`] appends.
-    stamp: u64,
     finished: bool,
     /// Packed words of the previous row (all zero before the first row).
     prev_words: Vec<u64>,
@@ -184,25 +179,24 @@ pub struct StreamLabeler {
     /// Scratch for the row being processed.
     cur_runs: Vec<u64>,
     cur_slots: Vec<u32>,
-    /// Union–find slab + free list.
-    nodes: Vec<Node>,
-    free: Vec<u32>,
-    /// Slots forwarded by this row's unions, reclaimed at row end.
-    forwarded: Vec<u32>,
+    /// The union–find over live components, one step per row.
+    live: LiveComponents,
     /// Retired components awaiting [`StreamLabeler::drain_retired`].
     retired: Vec<RetiredComponent>,
-    /// Scratch words for the merge sweep: `row & prev` at 4-conn,
-    /// `row & dilate(prev)` at 8.
+    /// Scratch words for the merge sweep.
     and_buf: Vec<u64>,
-    /// Scratch words for the dilated frontier row at 8-connectivity.
-    dilate_buf: Vec<u64>,
-    /// When set, every component ever created gets a stable id: a slot
-    /// allocation mints a fresh id, a union records the merge in
+    /// When set, every component ever created gets a stable id: a mint
+    /// records a fresh id in `slot_comp`, a union records the merge in
     /// `comp_parent`, and a retirement appends the root id to
     /// `retired_comps` (parallel to `retired`). Off by default — the id
     /// arena grows with the *total* component count, which would break the
     /// `O(cols + live)` bound on unbounded streams.
     track_comps: bool,
+    /// Component id of each slot's set under tracking. Unlike slots, ids are
+    /// never recycled within a stream, so a grid-producing caller can
+    /// resolve which component a long-dead run ended up in
+    /// ([`StreamGridLabeler`]).
+    slot_comp: Vec<u32>,
     /// Union–find over component ids (grows monotonically; tracking only).
     comp_parent: Vec<u32>,
     /// Root component id per retirement, parallel to `retired`.
@@ -218,20 +212,17 @@ impl StreamLabeler {
             cols,
             words_per_row: cols.div_ceil(64),
             conn,
-            stamp: 0,
             finished: false,
             prev_words: vec![0u64; cols.div_ceil(64)],
             prev_runs: Vec::new(),
             prev_slots: Vec::new(),
             cur_runs: Vec::new(),
             cur_slots: Vec::new(),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            forwarded: Vec::new(),
+            live: LiveComponents::default(),
             retired: Vec::new(),
             and_buf: Vec::new(),
-            dilate_buf: Vec::new(),
             track_comps: false,
+            slot_comp: Vec::new(),
             comp_parent: Vec::new(),
             retired_comps: Vec::new(),
             stats: StreamStats {
@@ -250,7 +241,6 @@ impl StreamLabeler {
         self.cols = cols;
         self.words_per_row = cols.div_ceil(64);
         self.conn = conn;
-        self.stamp = 0;
         self.finished = false;
         self.prev_words.clear();
         self.prev_words.resize(self.words_per_row, 0);
@@ -258,13 +248,11 @@ impl StreamLabeler {
         self.prev_slots.clear();
         self.cur_runs.clear();
         self.cur_slots.clear();
-        self.nodes.clear();
-        self.free.clear();
-        self.forwarded.clear();
+        self.live.clear();
         self.retired.clear();
         self.and_buf.clear();
-        self.dilate_buf.clear();
         self.track_comps = false;
+        self.slot_comp.clear();
         self.comp_parent.clear();
         self.retired_comps.clear();
         self.stats = StreamStats {
@@ -278,19 +266,19 @@ impl StreamLabeler {
     /// warm calls perform zero arena reallocations by watching it.
     pub fn scratch_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.prev_words.capacity() * size_of::<u64>()
-            + self.prev_runs.capacity() * size_of::<u64>()
-            + self.prev_slots.capacity() * size_of::<u32>()
-            + self.cur_runs.capacity() * size_of::<u64>()
-            + self.cur_slots.capacity() * size_of::<u32>()
-            + self.nodes.capacity() * size_of::<Node>()
-            + self.free.capacity() * size_of::<u32>()
-            + self.forwarded.capacity() * size_of::<u32>()
+        self.live.scratch_bytes()
+            + (self.prev_words.capacity()
+                + self.prev_runs.capacity()
+                + self.cur_runs.capacity()
+                + self.and_buf.capacity())
+                * size_of::<u64>()
+            + (self.prev_slots.capacity()
+                + self.cur_slots.capacity()
+                + self.slot_comp.capacity()
+                + self.comp_parent.capacity()
+                + self.retired_comps.capacity())
+                * size_of::<u32>()
             + self.retired.capacity() * size_of::<RetiredComponent>()
-            + self.and_buf.capacity() * size_of::<u64>()
-            + self.dilate_buf.capacity() * size_of::<u64>()
-            + self.comp_parent.capacity() * size_of::<u32>()
-            + self.retired_comps.capacity() * size_of::<u32>()
     }
 
     /// Row width accepted by [`StreamLabeler::push_row`].
@@ -304,14 +292,10 @@ impl StreamLabeler {
         self.stats
     }
 
-    /// Number of live (unretired) components currently tracked.
+    /// Number of live (unretired) components currently tracked. O(1):
+    /// between rows every occupied slot is a live root.
     pub fn live_components(&self) -> usize {
-        // Between rows every frontier slot is a root and every live root
-        // owns at least one frontier run; dedup by scanning.
-        let mut seen: Vec<u32> = self.prev_slots.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.len()
+        self.live.live()
     }
 
     /// Pushes the next row as packed words (bit `c % 64` of word `c / 64` is
@@ -333,8 +317,9 @@ impl StreamLabeler {
             tail == 0 || self.words_per_row == 0 || words[self.words_per_row - 1] >> tail == 0,
             "padding bits past cols must be zero"
         );
+        let row = self.stats.rows as u32;
         self.stats.rows += 1;
-        self.advance(words);
+        self.advance(words, row);
     }
 
     /// Retires every component still live and returns the final statistics.
@@ -345,7 +330,7 @@ impl StreamLabeler {
             // collects its full bottom exposure and every live root goes
             // untouched, hence retires — no special-cased teardown path.
             let zeros = vec![0u64; self.words_per_row];
-            self.advance(&zeros);
+            self.advance(&zeros, self.stats.rows as u32);
             self.finished = true;
         }
         self.stats
@@ -358,157 +343,57 @@ impl StreamLabeler {
         self.retired.drain(..)
     }
 
-    /// Sentinel for "no slot yet" in the merge sweep.
-    const NONE: u32 = u32::MAX;
-
-    /// Resolves `slot` to its current root, halving the path on the way.
-    #[inline]
-    fn resolve(nodes: &mut [Node], mut x: u32) -> u32 {
-        loop {
-            let p = nodes[x as usize].parent;
-            if p == x {
-                return x;
-            }
-            let g = nodes[p as usize].parent;
-            if g != p {
-                nodes[x as usize].parent = g;
-            }
-            x = g;
-        }
-    }
-
-    /// Processes one row's packed words (real or the virtual finish row).
-    fn advance(&mut self, words: &[u64]) {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let row = (self.stamp - 1) as u32;
-
+    /// Processes row `row`'s packed words (real or the virtual finish row) as
+    /// one step of the live-component core.
+    fn advance(&mut self, words: &[u64], row: u32) {
         // 1) Bottom exposure: pixels of each frontier run not covered by the
-        // new row leave the component through their south edge. Frontier
-        // slots are roots between rows, so no finds are needed here.
-        for (&sb, &slot) in self.prev_runs.iter().zip(&self.prev_slots) {
-            let (a, b) = ((sb >> 32) as u32, (sb & 0xffff_ffff) as u32);
-            let covered = count_ones_in_span(words, a, b);
-            self.nodes[slot as usize].rec.perimeter += u64::from(b - a + 1 - covered);
-        }
+        // new row leave the component through their south edge.
+        self.live
+            .expose_south(&self.prev_runs, &self.prev_slots, words);
 
         // 2) Extract the new row's runs.
         self.cur_runs.clear();
-        self.cur_slots.clear();
         let cur_runs = &mut self.cur_runs;
         for_each_run_in_words(words, self.cols, |a, b| {
             cur_runs.push(((a as u64) << 32) | b as u64);
         });
-        self.cur_slots.resize(self.cur_runs.len(), Self::NONE);
+        self.cur_slots.clear();
+        self.cur_slots.resize(self.cur_runs.len(), NONE);
 
-        // 3) Merge sweep: union every frontier component each new run
-        // touches, leaving the (still unresolved) surviving slot of run `i`
-        // in `cur_slots[i]` — `NONE` for runs touching no frontier run.
-        match self.conn {
-            Connectivity::Four => {
-                // Word-parallel adjacency, the fast engine's trick carried
-                // over: a maximal run of `row & prev_row` lies inside exactly
-                // one run of each row, and every 4-adjacent pair contains at
-                // least one such segment — so the AND words enumerate
-                // precisely the required unions, skipping non-overlapping
-                // runs 64 columns per test instead of comparing bounds pair
-                // by pair on run-dense rows. Unlike the fast engine's fused
-                // pass, a current-row slot can be forwarded by a *later*
-                // run's union, so slots are re-resolved in step 3b.
-                let cols = self.cols;
-                let StreamLabeler {
-                    prev_words,
-                    prev_runs,
-                    prev_slots,
-                    cur_runs,
-                    cur_slots,
-                    nodes,
-                    forwarded,
-                    and_buf,
-                    track_comps,
-                    comp_parent,
-                    ..
-                } = self;
-                and_buf.clear();
-                and_buf.extend(words.iter().zip(prev_words.iter()).map(|(&a, &b)| a & b));
-                let mut c = 0usize; // cursor over this row's runs
-                let mut q = 0usize; // cursor over the frontier runs
-                for_each_run_in_words(and_buf, cols, |s, _| {
-                    let s = s as u64;
-                    // Advance to the runs containing column `s`; both exist
-                    // because `s` is a set bit of both rows.
-                    while (cur_runs[c] & 0xffff_ffff) < s {
-                        c += 1;
+        // 3) Merge sweep: every frontier component a new run touches joins
+        // the run's set, leaving the surviving slot of run `i` in
+        // `cur_slots[i]` — `NONE` for runs touching no frontier run. A slot
+        // can be forwarded by a *later* run's union, so slots are re-resolved
+        // in step 3b.
+        let conn = self.conn;
+        let StreamLabeler {
+            prev_words,
+            prev_runs,
+            prev_slots,
+            cur_runs,
+            cur_slots,
+            live,
+            and_buf,
+            track_comps,
+            slot_comp,
+            comp_parent,
+            ..
+        } = self;
+        for_each_adjacent_pair(
+            conn,
+            words,
+            prev_words,
+            cur_runs,
+            prev_runs,
+            and_buf,
+            |c, q| {
+                if let Some((keep, lose)) = live.join(&mut cur_slots[c], &mut prev_slots[q]) {
+                    if *track_comps {
+                        comp_parent[slot_comp[lose as usize] as usize] = slot_comp[keep as usize];
                     }
-                    while (prev_runs[q] & 0xffff_ffff) < s {
-                        q += 1;
-                    }
-                    let sq = Self::resolve(nodes, prev_slots[q]);
-                    prev_slots[q] = sq;
-                    let cur = cur_slots[c];
-                    if cur == Self::NONE {
-                        cur_slots[c] = sq;
-                    } else if sq != cur {
-                        // Union: keep the run's cached root, forward the
-                        // other.
-                        let (keep, lose) = (cur as usize, sq as usize);
-                        let rec = nodes[lose].rec;
-                        nodes[keep].rec.absorb(&rec);
-                        nodes[lose].parent = cur;
-                        if *track_comps {
-                            comp_parent[nodes[lose].comp as usize] = nodes[keep].comp;
-                        }
-                        forwarded.push(sq);
-                    }
-                });
-            }
-            Connectivity::Eight => {
-                // The same word-level sweep over the *dilated* frontier row
-                // (`prev | prev<<1 | prev>>1`): segments of the dilated AND
-                // each lie inside exactly one current run and
-                // [`for_each_diagonal_pair`] enumerates exactly the
-                // 8-adjacent run pairs — the shared adjacency kernel of the
-                // strip and tile seam passes (the retired two-pointer walk
-                // survives as a test-only cross-check there).
-                let cols = self.cols;
-                let StreamLabeler {
-                    prev_words,
-                    prev_runs,
-                    prev_slots,
-                    cur_runs,
-                    cur_slots,
-                    nodes,
-                    forwarded,
-                    and_buf,
-                    dilate_buf,
-                    track_comps,
-                    comp_parent,
-                    ..
-                } = self;
-                dilate_words_into(prev_words, cols, dilate_buf);
-                and_buf.clear();
-                and_buf.extend(words.iter().zip(dilate_buf.iter()).map(|(&a, &b)| a & b));
-                for_each_diagonal_pair(and_buf, cols, cur_runs, prev_runs, |c, q| {
-                    let sq = Self::resolve(nodes, prev_slots[q]);
-                    prev_slots[q] = sq;
-                    let cur = cur_slots[c];
-                    if cur == Self::NONE {
-                        cur_slots[c] = sq;
-                    } else if sq != cur {
-                        // Union: keep the run's cached root, forward the
-                        // other.
-                        let (keep, lose) = (cur as usize, sq as usize);
-                        let rec = nodes[lose].rec;
-                        nodes[keep].rec.absorb(&rec);
-                        nodes[lose].parent = cur;
-                        if *track_comps {
-                            comp_parent[nodes[lose].comp as usize] = nodes[keep].comp;
-                        }
-                        forwarded.push(sq);
-                    }
-                });
-            }
-        }
+                }
+            },
+        );
 
         // 3b) Record pass: fold each new run's feature contribution into its
         // (resolved) surviving slot, or mint a fresh slot for runs that
@@ -517,99 +402,50 @@ impl StreamLabeler {
         // final roots for the inter-row invariant.
         for i in 0..self.cur_runs.len() {
             let sb = self.cur_runs[i];
-            let (a, b) = (sb >> 32, sb & 0xffff_ffff);
-            let len = b - a + 1;
-            let up_exposed = len as u32 - count_ones_in_span(&self.prev_words, a as u32, b as u32);
-            let rec = RetiredComponent {
-                min_pos_col: a as u32,
-                min_pos_row: row,
-                area: len,
-                min_row: row,
-                max_row: row,
-                min_col: a as u32,
-                max_col: b as u32,
-                sum_row: len * u64::from(row),
-                sum_col: (a + b) * len / 2,
-                // Both horizontal ends are exposed; north exposure is what
-                // the previous row does not cover; south exposure arrives
-                // with the next row (or the virtual finish row).
-                perimeter: 2 + u64::from(up_exposed),
-            };
-            let slot = match self.cur_slots[i] {
-                Self::NONE => {
-                    let comp = if self.track_comps {
-                        let id = u32::try_from(self.comp_parent.len())
-                            .expect("more than u32::MAX components in one tracked stream");
-                        self.comp_parent.push(id);
-                        id
-                    } else {
-                        0
-                    };
-                    match self.free.pop() {
-                        Some(s) => {
-                            self.nodes[s as usize] = Node {
-                                parent: s,
-                                touched: stamp,
-                                scanned: 0,
-                                comp,
-                                rec,
-                            };
-                            s
-                        }
-                        None => {
-                            let s = u32::try_from(self.nodes.len())
-                                .expect("more than u32::MAX live union-find slots");
-                            self.nodes.push(Node {
-                                parent: s,
-                                touched: stamp,
-                                scanned: 0,
-                                comp,
-                                rec,
-                            });
-                            s
-                        }
-                    }
+            let (a, b) = ((sb >> 32) as u32, (sb & 0xffff_ffff) as u32);
+            // Both horizontal ends are exposed; north exposure is what the
+            // previous row does not cover; south exposure arrives with the
+            // next row (or the virtual finish row).
+            let up_exposed = b - a + 1 - count_ones_in_span(&self.prev_words, a, b);
+            let rec = RetiredComponent::run(row, a, b, 2 + u64::from(up_exposed));
+            let minted = self.live.fold(&mut self.cur_slots[i], rec);
+            let s = self.cur_slots[i];
+            if minted && self.track_comps {
+                let id = u32::try_from(self.comp_parent.len())
+                    .expect("more than u32::MAX components in one tracked stream");
+                self.comp_parent.push(id);
+                if self.slot_comp.len() <= s as usize {
+                    self.slot_comp.resize(s as usize + 1, 0);
                 }
-                s => {
-                    let s = Self::resolve(&mut self.nodes, s);
-                    self.nodes[s as usize].rec.absorb(&rec);
-                    self.nodes[s as usize].touched = stamp;
-                    s
-                }
-            };
-            self.cur_slots[i] = slot;
-            self.stats.pixels += len;
+                self.slot_comp[s as usize] = id;
+            }
+            self.live.touch(s);
+            self.stats.pixels += rec.area;
         }
-        self.stats.peak_nodes = self
-            .stats
-            .peak_nodes
-            .max(self.nodes.len() - self.free.len());
 
         // 4) Retirement: frontier roots no run of this row merged into can
         // never reconnect (rows only ever arrive below them) — emit and
-        // recycle them.
-        for i in 0..self.prev_slots.len() {
-            let s = Self::resolve(&mut self.nodes, self.prev_slots[i]);
-            let node = &mut self.nodes[s as usize];
-            if node.scanned == stamp {
-                continue;
+        // recycle them, along with this row's forwarded slots.
+        let StreamLabeler {
+            prev_slots,
+            live,
+            retired,
+            track_comps,
+            slot_comp,
+            retired_comps,
+            stats,
+            ..
+        } = self;
+        live.finish_step(prev_slots.iter().copied(), |s, rec| {
+            retired.push(*rec);
+            if *track_comps {
+                retired_comps.push(slot_comp[s as usize]);
             }
-            node.scanned = stamp;
-            if node.touched != stamp {
-                self.retired.push(node.rec);
-                if self.track_comps {
-                    self.retired_comps.push(node.comp);
-                }
-                self.stats.retired += 1;
-                self.free.push(s);
-            }
-        }
+            stats.retired += 1;
+        });
+        stats.peak_nodes = live.peak();
 
-        // 5) Recycle this row's forwarded slots — after the step-3b resolves
-        // nothing points at them.
-        self.free.append(&mut self.forwarded);
-
-        // 6) The new row becomes the frontier.
+        // 5) The new row becomes the frontier.
         std::mem::swap(&mut self.prev_runs, &mut self.cur_runs);
         std::mem::swap(&mut self.prev_slots, &mut self.cur_slots);
         self.prev_words.copy_from_slice(words);
@@ -698,7 +534,7 @@ impl StreamGridLabeler {
                     .prev_runs
                     .iter()
                     .zip(&inner.prev_slots)
-                    .map(|(&sb, &slot)| (sb, inner.nodes[slot as usize].comp)),
+                    .map(|(&sb, &slot)| (sb, inner.slot_comp[slot as usize])),
             );
         }
         self.row_runs

@@ -4,28 +4,28 @@
 //! must round-trip bit-exactly).
 
 use proptest::prelude::*;
-use slap_image::bitmap::{dilate_words_into, for_each_diagonal_pair};
+use slap_image::bitmap::for_each_adjacent_pair;
 use slap_image::pbm::{FramedPbmReader, PbmRowReader};
 use slap_image::stream::{BitmapRows, RowSource, StreamGridLabeler};
 use slap_image::{
     bfs_labels, bfs_labels_conn, fast_labels_conn, gen, label_out_of_core, label_stream, morph,
-    parallel_labels_conn, pbm, tiled_labels_conn, Bitmap, Connectivity, FastLabeler, LabelGrid,
-    ParallelLabeler,
+    pbm, tiled_labels_conn, Bitmap, Connectivity, FastLabeler, LabelGrid, TiledLabeler,
 };
 
 /// The retired two-pointer diagonal join, kept as the executable
 /// specification of the word-level dilated-AND sweep that replaced it at
-/// every 8-connectivity merge site (in-strip row merge, strip/tile seams,
-/// the out-of-core band merge, and the streaming sweep): for each run of
-/// `cur`, every run of `prev` within horizontal reach 1, in column order,
-/// with the `p = q - 1` backstep so a prev run bridging two adjacent cur
-/// runs is revisited. Runs are `(start, end)` inclusive and column-sorted.
-fn two_pointer_diagonal_pairs(cur: &[(u32, u32)], prev: &[(u32, u32)]) -> Vec<(usize, usize)> {
+/// every 8-connectivity merge site (in-tile row merge, tile seams, the
+/// out-of-core band merge, and the streaming sweep): for each run of
+/// `cur`, every run of `prev` within horizontal reach `reach` (1 at
+/// 8-connectivity, 0 at 4), in column order, with the `p = q - 1` backstep
+/// so a prev run bridging two adjacent cur runs is revisited. Runs are
+/// `(start, end)` inclusive and column-sorted.
+fn two_pointer_pairs(cur: &[(u32, u32)], prev: &[(u32, u32)], reach: u32) -> Vec<(usize, usize)> {
     let mut pairs = Vec::new();
     let mut p = 0usize;
     for (c, &(a, b)) in cur.iter().enumerate() {
-        let aw = a.saturating_sub(1);
-        let bw = b + 1;
+        let aw = a.saturating_sub(reach);
+        let bw = b + reach;
         while p < prev.len() && prev[p].1 < aw {
             p += 1;
         }
@@ -41,27 +41,25 @@ fn two_pointer_diagonal_pairs(cur: &[(u32, u32)], prev: &[(u32, u32)]) -> Vec<(u
     pairs
 }
 
-/// Collects the (cur run, prev run) pairs the ported word-level kernel
+/// Collects the (cur run, prev run) pairs the shared word-level kernel
 /// enumerates for one row boundary of `bm`.
-fn dilated_and_diagonal_pairs(bm: &Bitmap, r: usize) -> Vec<(usize, usize)> {
+fn word_level_pairs(bm: &Bitmap, r: usize, conn: Connectivity) -> Vec<(usize, usize)> {
     let pack = |list: &[(u32, u32)]| -> Vec<u64> {
         list.iter()
             .map(|&(a, b)| (u64::from(a) << 32) | u64::from(b))
             .collect()
     };
-    let (cur, prev) = (row_runs(bm, r), row_runs(bm, r - 1));
-    let mut dil = Vec::new();
-    dilate_words_into(bm.row_words(r - 1), bm.cols(), &mut dil);
-    let and_words: Vec<u64> = bm
-        .row_words(r)
-        .iter()
-        .zip(&dil)
-        .map(|(&a, &b)| a & b)
-        .collect();
+    let (cur, prev) = (pack(&row_runs(bm, r)), pack(&row_runs(bm, r - 1)));
     let mut pairs = Vec::new();
-    for_each_diagonal_pair(&and_words, bm.cols(), &pack(&cur), &pack(&prev), |c, q| {
-        pairs.push((c, q));
-    });
+    for_each_adjacent_pair(
+        conn,
+        bm.row_words(r),
+        bm.row_words(r - 1),
+        &cur,
+        &prev,
+        &mut Vec::new(),
+        |c, q| pairs.push((c, q)),
+    );
     pairs
 }
 
@@ -174,14 +172,17 @@ proptest! {
         );
     }
 
+    // The `parallel` engine is the tiled engine on a `threads × 1` grid of
+    // strips, one worker each; `tiled_engine_is_bit_identical_at_any_grid`
+    // covers strip counts below 5, so this property takes the rest.
     #[test]
     fn parallel_engine_is_bit_identical_at_any_thread_count(
         bm in arb_bitmap(),
         conn in arb_conn(),
-        threads in 1usize..9,
+        threads in 5usize..9,
     ) {
         prop_assert_eq!(
-            parallel_labels_conn(&bm, conn, threads),
+            tiled_labels_conn(&bm, conn, threads, 1, threads),
             fast_labels_conn(&bm, conn)
         );
     }
@@ -193,7 +194,7 @@ proptest! {
         threads in 2usize..7,
     ) {
         prop_assert_eq!(
-            parallel_labels_conn(&bm, conn, threads),
+            tiled_labels_conn(&bm, conn, threads, 1, threads),
             bfs_labels_conn(&bm, conn)
         );
     }
@@ -206,7 +207,7 @@ proptest! {
         threads in 2usize..7,
     ) {
         // Strip scratch left by one image must never leak into the next.
-        let mut labeler = ParallelLabeler::new(threads);
+        let mut labeler = TiledLabeler::new(threads, 1, threads);
         let mut grid = LabelGrid::new_background(1, 1);
         labeler.label_into(&a, conn, &mut grid);
         prop_assert_eq!(&grid, &bfs_labels_conn(&a, conn));
@@ -304,17 +305,19 @@ proptest! {
 
     #[test]
     fn ported_diagonal_kernel_equals_the_two_pointer_join(bm in arb_wide_bitmap()) {
-        // The word-level dilated-AND sweep now drives every 8-connectivity
-        // merge — including the fast engine's in-strip row merge and the
-        // stream engine's sweep — so it must enumerate exactly the pair
-        // sequence of the two-pointer join it retired, on every row
+        // The word-level sweep drives every row-to-row merge — the stream
+        // engine, the out-of-core and tile band seams, the propagation edge
+        // list — so at both connectivities it must enumerate exactly the
+        // pair sequence of the two-pointer join it retired, on every row
         // boundary of an arbitrary bitmap.
-        for r in 1..bm.rows() {
-            prop_assert_eq!(
-                dilated_and_diagonal_pairs(&bm, r),
-                two_pointer_diagonal_pairs(&row_runs(&bm, r), &row_runs(&bm, r - 1)),
-                "row boundary {}..{}", r - 1, r
-            );
+        for (conn, reach) in [(Connectivity::Four, 0), (Connectivity::Eight, 1)] {
+            for r in 1..bm.rows() {
+                prop_assert_eq!(
+                    word_level_pairs(&bm, r, conn),
+                    two_pointer_pairs(&row_runs(&bm, r), &row_runs(&bm, r - 1), reach),
+                    "row boundary {}..{} at {:?}", r - 1, r, conn
+                );
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! Strip-parallel labeling: generate a workload, label it on several worker
-//! threads, verify bit-identity against the sequential engine, and summarize
-//! the components.
+//! threads through the `parallel` engine session (the tiled engine on a
+//! `threads × 1` grid), verify bit-identity against the sequential engine,
+//! and summarize the components.
 //!
 //! ```text
 //! cargo run --release --example parallel_label
@@ -11,7 +12,8 @@
 //! available cores). Wall-clock speedup needs real hardware parallelism;
 //! bit-identity holds everywhere.
 
-use slap_repro::image::{fast_labels_conn, gen, Connectivity, LabelGrid, ParallelLabeler};
+use slap_repro::cc::EngineKind;
+use slap_repro::image::{fast_labels_conn, gen, Connectivity, LabelGrid};
 use std::time::Instant;
 
 fn main() {
@@ -44,9 +46,9 @@ fn main() {
     let reference = fast_labels_conn(&img, Connectivity::Four);
     let seq = t0.elapsed();
 
-    // Hot-loop shape: one reusable labeler + one reusable grid, so repeated
+    // Hot-loop shape: one reusable session + one reusable grid, so repeated
     // calls are allocation-free in steady state.
-    let mut labeler = ParallelLabeler::new(threads);
+    let mut labeler = EngineKind::Parallel.session(threads);
     let mut labels = LabelGrid::new_background(1, 1);
     labeler.label_into(&img, Connectivity::Four, &mut labels); // warm-up
     let t1 = Instant::now();

@@ -1,20 +1,29 @@
-//! Engine-specific differential coverage for the strip-parallel fast
-//! engine: seam-adversarial shapes at thread counts 1/2/4/8 under both
+//! Engine-specific differential coverage for the strip-parallel engine —
+//! the `parallel` registry kind, the tiled engine on a `threads × 1` grid:
+//! seam-adversarial shapes at thread counts 1/2/4/8 under both
 //! connectivities, word-boundary widths, and a cross-check of the seam pass
-//! against `slap_cc::stitch::stitch_bands` — an independent implementation
-//! of the paper's stitch argument rotated to horizontal seams.
+//! against `slap_cc::stitch::stitch_grid` on a 2 × 1 grid — an independent
+//! implementation of the paper's stitch argument rotated to horizontal
+//! seams.
 //!
 //! The family × connectivity × thread-count bit-identity matrix (and the
 //! warm-session reuse checks) live in the registry-driven harness
 //! `tests/engine_matrix.rs`; this file keeps only what is specific to the
 //! seam machinery.
 
-use slap_repro::cc::stitch::stitch_bands;
-use slap_repro::image::{
-    bfs_labels_conn, fast_labels_conn, gen, parallel_labels_conn, Bitmap, Connectivity,
-};
+use slap_repro::cc::stitch::stitch_grid;
+use slap_repro::cc::EngineKind;
+use slap_repro::image::{bfs_labels_conn, fast_labels_conn, gen, Bitmap, Connectivity, LabelGrid};
 
 const THREADS: &[usize] = &[1, 2, 4, 8];
+
+/// Labels `img` through a fresh `parallel` session on `threads` workers.
+fn parallel_labels_conn(img: &Bitmap, conn: Connectivity, threads: usize) -> LabelGrid {
+    let mut session = EngineKind::Parallel.session(threads);
+    let mut out = LabelGrid::new_background(1, 1);
+    session.label_into(img, conn, &mut out);
+    out
+}
 
 /// Asserts the parallel engine agrees exactly with both references on `img`
 /// at every thread count.
@@ -93,16 +102,16 @@ fn band(img: &Bitmap, lo: usize, hi: usize) -> Bitmap {
 #[test]
 fn seam_logic_agrees_with_the_generalized_band_stitch() {
     // Independent cross-check of the seam pass: label the two halves of the
-    // image separately, merge them with slap_cc's band stitch (which shares
-    // no code with the run-universe seam unions), and compare against the
-    // parallel engine's two-strip output.
+    // image separately, merge them with slap_cc's grid stitch as a 2 × 1
+    // grid (which shares no code with the run-universe seam unions), and
+    // compare against the parallel engine's two-strip output.
     for name in ["random50", "blobs", "maze", "spiral", "comb"] {
         let img = gen::by_name(name, 26, 3).unwrap();
         let split = img.rows() / 2;
         for conn in [Connectivity::Four, Connectivity::Eight] {
             let top = fast_labels_conn(&band(&img, 0, split), conn);
             let bottom = fast_labels_conn(&band(&img, split, img.rows()), conn);
-            let stitched = stitch_bands(&top, &bottom, conn);
+            let (stitched, _) = stitch_grid(&[vec![top], vec![bottom]], conn);
             assert_eq!(
                 parallel_labels_conn(&img, conn, 2),
                 stitched,
