@@ -48,6 +48,8 @@ use crate::connectivity::Connectivity;
 use crate::labels::LabelGrid;
 
 pub mod ooc;
+#[cfg(test)]
+mod parallel;
 pub mod propagate;
 pub mod tiled;
 

@@ -1,547 +1,24 @@
-//! Strip-parallel run-based labeling: disjoint horizontal bands labeled
-//! concurrently, seams stitched over the run universe.
-//!
-//! This is the multi-core counterpart of the sequential [`super`] engine and
-//! the host-side analogue of the paper's scan-line decomposition: where the
-//! SLAP gives every image *column* its own PE and reconciles the per-column
-//! views with a stitch (Algorithm CC step 3, `slap_cc::stitch`), this engine
-//! gives every worker thread a band of image *rows* and reconciles the bands
-//! with a seam pass — the strip/merge shape of the parallel two-pass CCL
-//! literature (Gupta et al., arXiv:1606.05973; coarse-to-fine variants,
-//! arXiv:1712.09789). The phases:
-//!
-//! 1. **strip pass (parallel)** — each worker runs the word-parallel
-//!    run-extraction + union–find pass ([`FastLabeler`]'s pass 1) over its
-//!    own rows, with *local* run indices but **global** minimum-position
-//!    payloads;
-//! 2. **relocation (parallel)** — workers copy their run tables and
-//!    union–find nodes into one global arena at precomputed offsets, so a
-//!    strip-local parent pointer becomes a global one by adding the strip's
-//!    base index;
-//! 3. **seam pass (sequential, tiny)** — for each of the `T − 1` seams, runs
-//!    of the two facing rows are unioned under the requested connectivity
-//!    (word-level `AND` adjacency for 4-connectivity; for 8, the same sweep
-//!    over the *dilated* upper row, `upper | upper<<1 | upper>>1` — see
-//!    [`crate::bitmap::for_each_diagonal_pair`]);
-//! 4. **flatten (parallel)** — a tiny sequential pre-pass (`O(seam runs)`)
-//!    finalizes the recorded seam-loser chains, after which each strip's
-//!    ascending sweep only ever reads its own nodes (every remaining parent
-//!    points down *within* the strip), so the workers flatten concurrently;
-//! 5. **output (parallel)** — workers fill disjoint row bands of the
-//!    [`LabelGrid`] ([`LabelGrid::strip_rows_mut`]) with run-at-a-time label
-//!    fills.
-//!
-//! The result is **bit-identical** to [`super::fast_labels_conn`] and to the
-//! BFS oracle for every image, connectivity, and thread count: labels are
-//! component minima, which no decomposition can change.
-
-use super::{link_roots, FastLabeler};
-use crate::bitmap::{dilate_words_into, for_each_diagonal_pair, for_each_run_in_words, Bitmap};
-use crate::connectivity::Connectivity;
-use crate::labels::LabelGrid;
-
-/// Labels `img` under 4-connectivity on `threads` worker threads.
-/// Convenience wrapper allocating a fresh grid and labeler; hot loops should
-/// hold a [`ParallelLabeler`] instead.
-pub fn parallel_labels(img: &Bitmap, threads: usize) -> LabelGrid {
-    parallel_labels_conn(img, Connectivity::Four, threads)
-}
-
-/// Labels `img` under an arbitrary adjacency convention on `threads` worker
-/// threads. Output is bit-identical to [`super::fast_labels_conn`] and
-/// [`crate::oracle::bfs_labels_conn`] for every thread count.
-pub fn parallel_labels_conn(img: &Bitmap, conn: Connectivity, threads: usize) -> LabelGrid {
-    let mut out = LabelGrid::new_background(img.rows(), img.cols());
-    ParallelLabeler::new(threads).label_into(img, conn, &mut out);
-    out
-}
-
-/// Reusable strip-parallel labeler (see the module docs for the phases).
-///
-/// Every scratch structure — one [`FastLabeler`] per strip, the global run
-/// and union–find arenas — is kept between calls, so labeling a stream of
-/// images allocates only when an image exceeds all previous highs.
-#[derive(Debug)]
-pub struct ParallelLabeler {
-    /// Worker count requested at construction (≥ 1). The effective strip
-    /// count of a call is `threads.min(rows)`.
-    threads: usize,
-    /// Per-strip scratch labelers; `strips[t]` is owned by worker `t` during
-    /// the parallel phases.
-    strips: Vec<FastLabeler>,
-    /// Global run bounds, strips concatenated (same packing as
-    /// [`FastLabeler`]: `start << 32 | end`, inclusive columns).
-    runs: Vec<u64>,
-    /// Global union–find arena, packed `min_pos << 32 | parent` with
-    /// *global* parent indices.
-    node: Vec<u64>,
-    /// Global index of the first run of each image row, plus one trailing
-    /// sentinel.
-    row_runs: Vec<u32>,
-    /// Scratch words for seam adjacency: `row[s] & row[s-1]` at 4-conn,
-    /// `row[s] & dilate(row[s-1])` at 8.
-    seam_and: Vec<u64>,
-    /// Scratch words for the dilated upper seam row at 8-connectivity.
-    seam_dilate: Vec<u64>,
-    /// Roots that lost a seam union (their parent may cross a strip
-    /// boundary) — the only nodes the cross-strip flatten pre-pass must
-    /// finalize before the per-strip sweeps run independently.
-    seam_losers: Vec<u32>,
-    /// Scratch path for the pre-pass root chases.
-    chase: Vec<u32>,
-    /// Root count each flatten worker observed in its strip (summed by
-    /// [`ParallelLabeler::last_components`]).
-    strip_roots: Vec<usize>,
-    /// Whether the most recent call took the multi-strip path (`false`: the
-    /// sequential delegate in `strips[0]` holds the run/node state).
-    last_parallel: bool,
-    /// Strip count of the most recent call (stale strips beyond it hold
-    /// tile/run state from older, larger calls).
-    last_strips: usize,
-}
-
-impl ParallelLabeler {
-    /// Creates a labeler that will use `threads` workers (clamped to ≥ 1).
-    pub fn new(threads: usize) -> Self {
-        ParallelLabeler {
-            threads: threads.max(1),
-            strips: Vec::new(),
-            runs: Vec::new(),
-            node: Vec::new(),
-            row_runs: Vec::new(),
-            seam_and: Vec::new(),
-            seam_dilate: Vec::new(),
-            seam_losers: Vec::new(),
-            chase: Vec::new(),
-            strip_roots: Vec::new(),
-            last_parallel: false,
-            last_strips: 0,
-        }
-    }
-
-    /// Number of runs extracted by the most recent labeling call.
-    pub fn last_runs(&self) -> usize {
-        if self.last_parallel {
-            self.runs.len()
-        } else {
-            self.strips.first().map_or(0, FastLabeler::last_runs)
-        }
-    }
-
-    /// Number of components found by the most recent labeling call. O(strip
-    /// count): each flatten worker counts its own roots as it sweeps.
-    pub fn last_components(&self) -> usize {
-        if self.last_parallel {
-            self.strip_roots.iter().sum()
-        } else {
-            self.strips.first().map_or(0, FastLabeler::last_components)
-        }
-    }
-
-    /// Tile classification counts of the most recent labeling call, summed
-    /// over the strips that participated (see [`super::TileStats`]; seam
-    /// stitching classifies no tiles of its own).
-    pub fn last_tile_stats(&self) -> super::TileStats {
-        let mut total = super::TileStats::default();
-        for lab in &self.strips[..self.last_strips.min(self.strips.len())] {
-            total.accumulate(lab.last_tile_stats());
-        }
-        total
-    }
-
-    /// Total bytes of scratch capacity currently reserved across the global
-    /// arenas and every per-strip labeler — the session's high-water mark.
-    pub fn scratch_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.runs.capacity() * size_of::<u64>()
-            + self.node.capacity() * size_of::<u64>()
-            + self.row_runs.capacity() * size_of::<u32>()
-            + self.seam_and.capacity() * size_of::<u64>()
-            + self.seam_dilate.capacity() * size_of::<u64>()
-            + self.seam_losers.capacity() * size_of::<u32>()
-            + self.chase.capacity() * size_of::<u32>()
-            + self.strip_roots.capacity() * size_of::<usize>()
-            + self
-                .strips
-                .iter()
-                .map(FastLabeler::scratch_bytes)
-                .sum::<usize>()
-    }
-
-    /// The worker count requested at construction.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Labels `img` into `out` (re-dimensioned; every cell is written exactly
-    /// once). With one thread — or an image of fewer rows than threads — this
-    /// delegates to the sequential [`FastLabeler`] hot path.
-    pub fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) {
-        let rows = img.rows();
-        let cols = img.cols();
-        let t = self.threads.min(rows);
-        if self.strips.is_empty() {
-            self.strips.push(FastLabeler::new());
-        }
-        if t <= 1 {
-            self.last_parallel = false;
-            self.last_strips = 1;
-            self.strips[0].label_into(img, conn, out);
-            return;
-        }
-        self.last_parallel = true;
-        self.last_strips = t;
-        while self.strips.len() < t {
-            self.strips.push(FastLabeler::new());
-        }
-        // Even row split; t <= rows guarantees every strip is non-empty.
-        let bounds: Vec<usize> = (0..=t).map(|i| i * rows / t).collect();
-
-        // Phase 1: per-strip run extraction + intra-strip unions, parallel.
-        std::thread::scope(|s| {
-            for (i, lab) in self.strips[..t].iter_mut().enumerate() {
-                let (lo, hi) = (bounds[i], bounds[i + 1]);
-                s.spawn(move || {
-                    lab.build_runs_rows(img, conn, lo, hi);
-                });
-            }
-        });
-
-        // Strip base offsets in the global run index space.
-        let mut base = Vec::with_capacity(t + 1);
-        base.push(0usize);
-        for lab in &self.strips[..t] {
-            base.push(base.last().unwrap() + lab.runs.len());
-        }
-        let total = base[t];
-        // Phase 2 adds each strip's base to packed `min_pos << 32 | parent`
-        // words; a parent index at or above 2^32 - 1 would carry into (and
-        // silently corrupt) the `min_pos` half, so the invariant is enforced
-        // here — an explicit error path, not a comment. It can only fire if
-        // the LabelGrid pixel-count assertion is ever relaxed: the run count
-        // never exceeds the pixel count.
-        assert!(
-            total < u32::MAX as usize,
-            "{total} runs overflow the packed u32 parent index space"
-        );
-
-        // Global row → run-range table (local tables shifted by the base).
-        self.row_runs.clear();
-        self.row_runs.reserve(rows + 1);
-        for (i, lab) in self.strips[..t].iter().enumerate() {
-            let b = u32::try_from(base[i]).expect("strip base exceeds u32");
-            // Drop each local sentinel; the next strip's first entry (or the
-            // final global sentinel) takes its place.
-            for &rr in &lab.row_runs[..lab.row_runs.len() - 1] {
-                self.row_runs.push(b + rr);
-            }
-        }
-        self.row_runs.push(total as u32);
-
-        // Phase 2: relocate strips into the global arenas, parallel. The
-        // guard above makes the packed addition safe: `n + b` only touches
-        // the parent half.
-        self.runs.clear();
-        self.runs.resize(total, 0);
-        self.node.clear();
-        self.node.resize(total, 0);
-        std::thread::scope(|s| {
-            let mut runs_rest = &mut self.runs[..];
-            let mut node_rest = &mut self.node[..];
-            for (i, lab) in self.strips[..t].iter().enumerate() {
-                let (runs_dst, rr) = runs_rest.split_at_mut(lab.runs.len());
-                let (node_dst, nr) = node_rest.split_at_mut(lab.node.len());
-                (runs_rest, node_rest) = (rr, nr);
-                let b = base[i] as u64;
-                s.spawn(move || {
-                    runs_dst.copy_from_slice(&lab.runs);
-                    for (dst, &n) in node_dst.iter_mut().zip(&lab.node) {
-                        *dst = n + b;
-                    }
-                });
-            }
-        });
-
-        // Phase 3: seam unions. Each seam joins the last row of strip i-1
-        // with the first row of strip i; O(words + seam runs) per seam, so
-        // the sequential pass is negligible next to the strip work. Every
-        // root that loses a union is recorded: those are exactly the nodes
-        // whose parent may cross a strip boundary, which phase 4a must
-        // finalize before the strips can flatten independently.
-        self.seam_losers.clear();
-        for &seam in &bounds[1..t] {
-            let cur = self.row_runs[seam] as usize..self.row_runs[seam + 1] as usize;
-            let prev = self.row_runs[seam - 1] as usize..self.row_runs[seam] as usize;
-            match conn {
-                Connectivity::Four => {
-                    self.seam_and.clear();
-                    self.seam_and.extend(
-                        img.row_words(seam)
-                            .iter()
-                            .zip(img.row_words(seam - 1))
-                            .map(|(&a, &b)| a & b),
-                    );
-                    seam_union_four(
-                        &mut self.node,
-                        &self.runs,
-                        &self.seam_and,
-                        cols,
-                        cur.start,
-                        prev.start,
-                        &mut self.seam_losers,
-                    );
-                }
-                Connectivity::Eight => {
-                    // The same word-level sweep, over the dilated upper row:
-                    // segments of `row[s] & dilate(row[s-1])` enumerate every
-                    // 8-adjacent run pair (the old two-pointer walk survives
-                    // only as a test cross-check).
-                    dilate_words_into(img.row_words(seam - 1), cols, &mut self.seam_dilate);
-                    self.seam_and.clear();
-                    self.seam_and.extend(
-                        img.row_words(seam)
-                            .iter()
-                            .zip(self.seam_dilate.iter())
-                            .map(|(&a, &b)| a & b),
-                    );
-                    seam_union_eight_words(
-                        &mut self.node,
-                        &self.runs,
-                        &self.seam_and,
-                        cols,
-                        cur,
-                        prev,
-                        &mut self.seam_losers,
-                    );
-                }
-            }
-        }
-
-        // Phase 4a: finalize the seam losers (sequential, O(seam runs) —
-        // independent of the strip sizes). Chasing a loser's parent chain
-        // ends at a true root holding the component minimum (link_roots
-        // keeps minima at survivors); writing that packed `min << 32 | root`
-        // back along the path makes every node with a cross-strip parent
-        // final, so the per-strip sweeps below never have to read another
-        // strip's (concurrently mutated) nodes.
-        for i in 0..self.seam_losers.len() {
-            let mut x = self.seam_losers[i];
-            self.chase.clear();
-            loop {
-                let p = self.node[x as usize] as u32;
-                if p == x {
-                    break;
-                }
-                self.chase.push(x);
-                x = p;
-            }
-            let final_val = self.node[x as usize];
-            for &y in &self.chase {
-                self.node[y as usize] = final_val;
-            }
-        }
-
-        // Phase 4b: flatten, parallel over strips. Within a strip, ascending
-        // order + parents-point-down means node[parent] is already flattened
-        // when node[k] copies it; a parent below the strip base marks a
-        // phase-4a-finalized node, which is skipped. Every node ends as
-        // `component_min << 32 | root` (roots self-copy — counted here per
-        // strip so `last_components` never rescans the arena).
-        self.strip_roots.clear();
-        self.strip_roots.resize(t, 0);
-        std::thread::scope(|s| {
-            let mut rest = &mut self.node[..];
-            for (i, roots) in self.strip_roots.iter_mut().enumerate() {
-                let (lo, hi) = (base[i], base[i + 1]);
-                let (strip, tail) = rest.split_at_mut(hi - lo);
-                rest = tail;
-                s.spawn(move || {
-                    let mut count = 0usize;
-                    for k in 0..strip.len() {
-                        let p = strip[k] as u32 as usize;
-                        if let Some(pl) = p.checked_sub(lo) {
-                            if pl == k {
-                                count += 1; // root: the copy would be a no-op
-                            } else {
-                                strip[k] = strip[pl];
-                            }
-                        }
-                    }
-                    *roots = count;
-                });
-            }
-        });
-
-        // Phase 5: write labels, parallel over disjoint row bands.
-        out.reset_dims(rows, cols);
-        let bands = out.strip_rows_mut(&bounds);
-        std::thread::scope(|s| {
-            for (i, band) in bands.into_iter().enumerate() {
-                let (lo, hi) = (bounds[i], bounds[i + 1]);
-                let (runs, node, row_runs) = (&self.runs, &self.node, &self.row_runs);
-                s.spawn(move || {
-                    for r in lo..hi {
-                        let row = &mut band[(r - lo) * cols..(r - lo + 1) * cols];
-                        row.fill(LabelGrid::BACKGROUND);
-                        for k in row_runs[r] as usize..row_runs[r + 1] as usize {
-                            let label = (node[k] >> 32) as u32;
-                            let sb = runs[k];
-                            let (a, b) = ((sb >> 32) as usize, (sb & 0xffff_ffff) as usize);
-                            row[a] = label;
-                            row[b] = label;
-                            if b - a > 1 {
-                                row[a + 1..b].fill(label);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-    }
-}
-
-/// Read-only find over the packed nodes. The seam pass deliberately does
-/// **not** path-halve: halving could rewrite a non-root node's parent onto a
-/// cross-strip ancestor, breaking the phase-4a invariant that only recorded
-/// seam losers carry cross-strip parents. Chains are at most a few seam
-/// links long (one per strip a component spans), so pure finds stay cheap.
-pub(crate) fn find_pure(node: &[u64], mut x: u32) -> u32 {
-    loop {
-        let p = node[x as usize] as u32;
-        if p == x {
-            return x;
-        }
-        x = p;
-    }
-}
-
-/// 4-connectivity seam union: every maximal run of `and_words`
-/// (`seam_row & row_above`) marks one required union between a run of the
-/// lower seam row (runs start at global index `cur_lo`) and one of the upper
-/// row (starting at `prev_lo`). Unlike the fused in-strip merge, *both*
-/// sides need a find — each row has already been unioned into its strip.
-/// Each root that loses a link is appended to `losers` for the flatten
-/// pre-pass. Shared by the strip seams here and the tile seams of
-/// [`super::tiled`].
-pub(crate) fn seam_union_four(
-    node: &mut [u64],
-    runs: &[u64],
-    and_words: &[u64],
-    cols: usize,
-    cur_lo: usize,
-    prev_lo: usize,
-    losers: &mut Vec<u32>,
-) {
-    let mut c = cur_lo; // cursor over the lower row's runs
-    let mut q = prev_lo; // cursor over the upper row's runs
-    let mut root = u32::MAX; // cached surviving root of run `c`'s set
-    for_each_run_in_words(and_words, cols, |s, _| {
-        let s = s as u64;
-        // Advance to the runs containing column `s`; both exist because `s`
-        // is a set bit of both rows.
-        if root == u32::MAX || (runs[c] & 0xffff_ffff) < s {
-            while (runs[c] & 0xffff_ffff) < s {
-                c += 1;
-            }
-            root = find_pure(node, c as u32);
-        }
-        while (runs[q] & 0xffff_ffff) < s {
-            q += 1;
-        }
-        let rq = find_pure(node, q as u32);
-        if rq != root {
-            losers.push(root.max(rq));
-        }
-        root = link_roots(node, root, rq);
-    });
-}
-
-/// 8-connectivity seam union over the word-level dilated-AND adjacency:
-/// `and_words` holds `lower_row & dilate(upper_row)` and
-/// [`for_each_diagonal_pair`] enumerates exactly the 8-adjacent run pairs
-/// across the seam, finding on both sides (each row was already unioned into
-/// its strip/tile). Each root that loses a link is appended to `losers` for
-/// the flatten pre-pass. Shared by the strip seams here and the tile seams
-/// of [`super::tiled`]; the retired two-pointer walk it replaces survives as
-/// [`seam_union_eight_two_pointer`], a test-only cross-check.
-pub(crate) fn seam_union_eight_words(
-    node: &mut [u64],
-    runs: &[u64],
-    and_words: &[u64],
-    cols: usize,
-    cur: std::ops::Range<usize>,
-    prev: std::ops::Range<usize>,
-    losers: &mut Vec<u32>,
-) {
-    let mut last_c = usize::MAX;
-    let mut croot = 0u32;
-    for_each_diagonal_pair(
-        and_words,
-        cols,
-        &runs[cur.clone()],
-        &runs[prev.clone()],
-        |c, q| {
-            // Cache the lower run's surviving root across its pairs: one find
-            // per run, not per pair (link_roots returns the survivor).
-            if c != last_c {
-                last_c = c;
-                croot = find_pure(node, (cur.start + c) as u32);
-            }
-            let rq = find_pure(node, (prev.start + q) as u32);
-            if rq != croot {
-                losers.push(croot.max(rq));
-            }
-            croot = link_roots(node, croot, rq);
-        },
-    );
-}
-
-/// The retired 8-connectivity seam union: a two-pointer join of the facing
-/// rows' run lists with one column of diagonal reach. Kept only to
-/// cross-check [`seam_union_eight_words`] — the word-level sweep must
-/// produce the identical unions in the identical order.
-#[cfg(test)]
-fn seam_union_eight_two_pointer(
-    node: &mut [u64],
-    runs: &[u64],
-    cur: std::ops::Range<usize>,
-    prev: std::ops::Range<usize>,
-    losers: &mut Vec<u32>,
-) {
-    let mut p = prev.start;
-    for c in cur {
-        let sb = runs[c];
-        let aw = (sb >> 32).saturating_sub(1);
-        let bw = (sb & 0xffff_ffff) + 1;
-        while p < prev.end && (runs[p] & 0xffff_ffff) < aw {
-            p += 1;
-        }
-        let mut q = p;
-        let mut root = find_pure(node, c as u32);
-        while q < prev.end && (runs[q] >> 32) <= bw {
-            let rq = find_pure(node, q as u32);
-            if rq != root {
-                losers.push(root.max(rq));
-            }
-            root = link_roots(node, root, rq);
-            q += 1;
-        }
-        // The last overlapping run may also touch the next run of the lower
-        // row; step back so it is reconsidered.
-        if q > p {
-            p = q - 1;
-        }
-    }
-}
+//! Regressions for the strip-parallel shape: the tiled engine on a
+//! `threads × 1` grid, which is what the `parallel` engine kind runs. Each
+//! strip is one full-width band, so every boundary is a horizontal seam and
+//! the band relocation is the straight-copy path.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::bitmap::Bitmap;
+    use crate::connectivity::Connectivity;
     use crate::fast::fast_labels_conn;
+    use crate::fast::tiled::{tiled_labels_conn, TiledLabeler};
     use crate::gen;
+    use crate::labels::LabelGrid;
     use crate::oracle::bfs_labels_conn;
 
     const THREADS: &[usize] = &[1, 2, 3, 4, 8];
+
+    /// Labels `img` on `threads` full-width strips with one worker each.
+    fn strip_labels_conn(img: &Bitmap, conn: Connectivity, threads: usize) -> LabelGrid {
+        tiled_labels_conn(img, conn, threads, 1, threads)
+    }
 
     #[test]
     fn matches_fast_engine_on_tiny_shapes() {
@@ -561,7 +38,7 @@ mod tests {
             for conn in [Connectivity::Four, Connectivity::Eight] {
                 for &t in THREADS {
                     assert_eq!(
-                        parallel_labels_conn(&img, conn, t),
+                        strip_labels_conn(&img, conn, t),
                         fast_labels_conn(&img, conn),
                         "threads={t} conn={conn:?} art:\n{art}"
                     );
@@ -578,7 +55,7 @@ mod tests {
                 let reference = fast_labels_conn(&img, conn);
                 for &t in THREADS {
                     assert_eq!(
-                        parallel_labels_conn(&img, conn, t),
+                        strip_labels_conn(&img, conn, t),
                         reference,
                         "workload {name} threads={t} conn={conn:?}"
                     );
@@ -593,7 +70,7 @@ mod tests {
             let img = gen::uniform_random(37, cols, 0.5, cols as u64);
             for &t in THREADS {
                 assert_eq!(
-                    parallel_labels(&img, t),
+                    strip_labels_conn(&img, Connectivity::Four, t),
                     bfs_labels_conn(&img, Connectivity::Four),
                     "cols={cols} threads={t}"
                 );
@@ -604,31 +81,19 @@ mod tests {
     #[test]
     fn seam_components_spanning_every_strip_collapse_to_one_label() {
         // A full column through many strips: every seam must union it.
-        let img = gen::uniform_random(64, 9, 0.0, 0); // start empty
-        let mut bm = img.clone();
+        let mut bm = Bitmap::new(64, 9);
         for r in 0..64 {
             bm.set(r, 4, true);
         }
         for &t in THREADS {
-            let l = parallel_labels(&bm, t);
+            let l = strip_labels_conn(&bm, Connectivity::Four, t);
             assert_eq!(l.component_count(), 1, "threads={t}");
         }
     }
 
     #[test]
-    fn more_threads_than_rows_degrades_gracefully() {
-        let img = gen::uniform_random(3, 50, 0.5, 7);
-        for conn in [Connectivity::Four, Connectivity::Eight] {
-            assert_eq!(
-                parallel_labels_conn(&img, conn, 64),
-                fast_labels_conn(&img, conn)
-            );
-        }
-    }
-
-    #[test]
     fn reused_parallel_labeler_leaves_no_stale_state() {
-        let mut labeler = ParallelLabeler::new(4);
+        let mut labeler = TiledLabeler::new(4, 1, 4);
         let mut grid = LabelGrid::new_background(1, 1);
         let big = gen::uniform_random(80, 80, 0.6, 1);
         labeler.label_into(&big, Connectivity::Four, &mut grid);
@@ -638,24 +103,19 @@ mod tests {
         assert_eq!(grid, fast_labels_conn(&small, Connectivity::Four));
         labeler.label_into(&big, Connectivity::Eight, &mut grid);
         assert_eq!(grid, fast_labels_conn(&big, Connectivity::Eight));
-    }
-
-    #[test]
-    fn zero_threads_clamps_to_one() {
-        let labeler = ParallelLabeler::new(0);
-        assert_eq!(labeler.threads(), 1);
+        assert_eq!(labeler.last_components(), grid.component_count());
     }
 
     #[test]
     fn one_by_one_and_single_row_images_do_not_panic() {
-        // Degenerate dimensions through every phase: bounds construction,
-        // seam loops, strip_rows_mut, and the output bands.
+        // Degenerate dimensions through every phase: grid clamping, seam
+        // loops, band relocation, and the output bands.
         for art in ["#", ".", "#\n", "##"] {
             let img = Bitmap::from_art(art);
             for conn in [Connectivity::Four, Connectivity::Eight] {
                 for &t in &[1usize, 2, 4, 64] {
                     assert_eq!(
-                        parallel_labels_conn(&img, conn, t),
+                        strip_labels_conn(&img, conn, t),
                         fast_labels_conn(&img, conn),
                         "art {art:?} conn={conn:?} threads={t}"
                     );
@@ -669,101 +129,10 @@ mod tests {
         }
         for &t in THREADS {
             assert_eq!(
-                parallel_labels_conn(&col, Connectivity::Four, t),
+                strip_labels_conn(&col, Connectivity::Four, t),
                 fast_labels_conn(&col, Connectivity::Four),
                 "threads={t}"
             );
         }
-    }
-
-    #[test]
-    fn word_level_eight_seam_matches_the_retired_two_pointer_path() {
-        // Build a two-row run arena directly and drive both seam-union
-        // implementations over it: the word-level dilated-AND sweep must
-        // perform the identical links in the identical order — same node
-        // array, same loser log — as the retired two-pointer join.
-        for case in 0u64..200 {
-            let density = 0.05 + 0.9 * (case % 10) as f64 / 10.0;
-            let img = gen::uniform_random(2, 131, density, case + 1);
-            let mut runs = Vec::new();
-            let mut node = Vec::new();
-            for r in 0..2 {
-                img.for_each_row_run(r, |a, b| {
-                    let min = u64::from(a) * 2 + r as u64;
-                    node.push((min << 32) | runs.len() as u64);
-                    runs.push((u64::from(a) << 32) | u64::from(b));
-                });
-            }
-            let split = runs.len() - img.count_row_runs(1);
-            let (prev, cur) = (0..split, split..runs.len());
-
-            let mut node_tp = node.clone();
-            let mut losers_tp = Vec::new();
-            seam_union_eight_two_pointer(
-                &mut node_tp,
-                &runs,
-                cur.clone(),
-                prev.clone(),
-                &mut losers_tp,
-            );
-
-            let mut dilated = Vec::new();
-            dilate_words_into(img.row_words(0), img.cols(), &mut dilated);
-            let and_words: Vec<u64> = img
-                .row_words(1)
-                .iter()
-                .zip(dilated.iter())
-                .map(|(&a, &b)| a & b)
-                .collect();
-            let mut losers = Vec::new();
-            seam_union_eight_words(
-                &mut node,
-                &runs,
-                &and_words,
-                img.cols(),
-                cur,
-                prev,
-                &mut losers,
-            );
-            assert_eq!(node, node_tp, "case {case}");
-            assert_eq!(losers, losers_tp, "case {case}");
-        }
-    }
-
-    #[test]
-    fn seam_eight_backstep_shares_one_upper_run_across_adjacent_lower_runs() {
-        // Regression for the `p = q - 1` backstep in the diagonal-pair
-        // enumeration (now inside `for_each_diagonal_pair`): two
-        // adjacent lower-row runs each touch the single upper-row run only
-        // diagonally (through column 2), so after the first lower run
-        // consumes the upper run the cursor must step back for the second.
-        // threads = 2 puts the seam exactly between the two rows.
-        let img = Bitmap::from_art(
-            "..#..\n\
-             ##.##\n",
-        );
-        let l8 = parallel_labels_conn(&img, Connectivity::Eight, 2);
-        assert_eq!(l8, fast_labels_conn(&img, Connectivity::Eight));
-        assert_eq!(l8.component_count(), 1, "diagonals bridge all three runs");
-        let l4 = parallel_labels_conn(&img, Connectivity::Four, 2);
-        assert_eq!(l4, fast_labels_conn(&img, Connectivity::Four));
-        assert_eq!(l4.component_count(), 3, "no bridge under 4-connectivity");
-        // The mirrored orientation exercises the backstep from the other
-        // side, and a longer seam chains repeated backsteps.
-        let chain = Bitmap::from_art(
-            "##.##.##.##\n\
-             ..#..#..#..\n",
-        );
-        for conn in [Connectivity::Four, Connectivity::Eight] {
-            assert_eq!(
-                parallel_labels_conn(&chain, conn, 2),
-                fast_labels_conn(&chain, conn),
-                "chain conn={conn:?}"
-            );
-        }
-        assert_eq!(
-            parallel_labels_conn(&chain, Connectivity::Eight, 2).component_count(),
-            1
-        );
     }
 }
