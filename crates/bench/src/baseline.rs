@@ -1,566 +1,212 @@
-//! The `slap-bench baseline` wall-clock sweep and its JSON schema.
+//! The `slap-bench baseline` sweep: the BFS oracle vs. the word-parallel
+//! fast engine vs. the simulated SLAP run-based Algorithm CC, across image
+//! families, sizes and both connectivities, recorded to
+//! `BENCH_baseline.json`.
 //!
-//! Where the criterion benches give per-operation microtimings, the baseline
-//! sweep records the end-to-end wall-clock trajectory the ROADMAP asks for:
-//! the BFS oracle vs. the word-parallel fast engine vs. the simulated SLAP
-//! run-based Algorithm CC, across image families and sizes, serialized to
-//! `BENCH_baseline.json` at the repository root. Each recorded point is the
-//! best and mean of several repetitions on deterministic workloads, and the
-//! fast/simulated entries assert bit-identical labels against the oracle
-//! while they are being timed.
-//!
-//! The schema is validated by [`validate`] — a small hand-rolled JSON reader
-//! (the workspace's `serde` is an offline stub with no real serialization) —
-//! which CI runs against both a fresh `--quick` sweep and the committed
-//! baseline file.
+//! Each point is the best and mean of several repetitions on deterministic
+//! workloads; the fast and simulated entries record whether their labels
+//! were bit-identical to the oracle's, and fast entries carry the word × 2-row
+//! tile classification of the coarse-to-fine first pass. [`spec`] holds the
+//! criteria: tile counters covering every word-tile, and at full scale fast
+//! ≥ 5× the oracle plus fast 8-conn ≤ 2.2× its 4-conn time on
+//! `random50` @ 2048².
 
-use crate::json;
-use crate::sweep::{self, conn_id, CONNS, SEED};
+use crate::record::{Bound, Cmp, Cover, Entry, Gate, Op, Ratio, Report, Rhs, Sel, Spec, TIMED};
+use crate::sweep;
 use slap_cc::engine::EngineKind;
 use slap_cc::{label_components_runs, CcOptions};
-use slap_image::{LabelGrid, TileStats};
+use slap_image::LabelGrid;
 use slap_unionfind::RankHalvingUf;
-use std::fmt::Write as _;
 
-/// Schema identifier stamped into (and required from) every baseline file.
-/// `v3` added the coarse-to-fine block-classification counters
-/// (`tiles_background` / `tiles_interior` / `tiles_boundary` on fast-engine
-/// entries) and raised the headline gate to the ROADMAP target (≥ 5× the
-/// oracle on `random50` @ 2048², 4-connectivity, plus the
-/// [`EIGHT_OVER_FOUR_BOUND`] regression bound); `v2` added the connectivity
-/// column. Older files no longer validate.
-pub const SCHEMA: &str = "slap-bench-baseline/v3";
-
-/// Regression bound on the fast engine's 8-over-4-connectivity wall-clock
-/// ratio at the headline point (`random50` @ 2048²). The v3 regeneration
-/// recorded ≈ 1.7× (the popcount row merge made 4-connectivity much faster
-/// while the shared diagonal kernel held 8-connectivity level); the bound
-/// leaves noise headroom but fails the sweep if the 8-connectivity path
-/// ever falls off the word-level kernel onto a per-run slow path again.
-pub const EIGHT_OVER_FOUR_BOUND: f64 = 2.2;
-
-/// Engine identifiers, in sweep order.
-pub const ENGINES: &[&str] = &["oracle-bfs", "fast", "slap-sim-runs"];
-
-/// The registry engines the baseline sweep times, with the legacy ids the
-/// schema records (the simulated Algorithm CC rides along as the third,
-/// non-registry column — it is a paper simulation, not a host engine).
+/// The registry engines the sweep times, with the ids the files record (the
+/// simulated Algorithm CC rides along as a third, non-registry column — it
+/// is a paper simulation, not a host engine).
 const HOST_ENGINES: &[(EngineKind, &str)] =
     &[(EngineKind::Bfs, "oracle-bfs"), (EngineKind::Fast, "fast")];
 
-/// One timed (family, size, connectivity, engine) point.
-#[derive(Clone, Debug)]
-pub struct Entry {
-    /// Workload family name (a `gen::by_name` key).
-    pub family: String,
-    /// Image side (the image is `n × n`).
-    pub n: usize,
-    /// Adjacency convention: `4` or `8`.
-    pub conn: u32,
-    /// Engine id (one of [`ENGINES`]).
-    pub engine: String,
-    /// Best wall-clock nanoseconds over the repetitions.
-    pub best_ns: u64,
-    /// Mean wall-clock nanoseconds over the repetitions.
-    pub mean_ns: u64,
-    /// Number of timed repetitions.
-    pub reps: usize,
-    /// For non-oracle engines: labels were bit-identical to the oracle.
-    pub bit_identical: Option<bool>,
-    /// For engines with a coarse-to-fine first pass: the word × 2-row tile
-    /// classification counts of the timed call.
-    pub tiles: Option<TileStats>,
-}
+const FAMILIES: &[&str] = &["random50", "blobs", "checker", "fig3a"];
 
-/// A finished sweep, ready to serialize.
-#[derive(Clone, Debug)]
-pub struct BaselineReport {
-    /// `"quick"` or `"full"`.
-    pub scale: String,
-    /// Families swept.
-    pub families: Vec<String>,
-    /// Sides swept.
-    pub sides: Vec<usize>,
-    /// All timed points.
-    pub entries: Vec<Entry>,
-}
+const TILES: &[&str] = &["tiles_background", "tiles_interior", "tiles_boundary"];
 
-/// Sweep parameters per scale.
-fn sweep_params(quick: bool) -> (&'static [&'static str], &'static [usize]) {
-    const FAMILIES: &[&str] = &["random50", "blobs", "checker", "fig3a"];
-    if quick {
-        (FAMILIES, &[64, 128, 256])
-    } else {
-        (FAMILIES, &[256, 512, 1024, 2048])
-    }
-}
-
-/// Runs the sweep. `progress` receives one line per timed point. The host
-/// engines are warm registry sessions ([`EngineKind::session`]); the first
+/// Runs the sweep. The host engines are warm registry sessions; the first
 /// ([`EngineKind::Bfs`]) doubles as the bit-identity reference.
-pub fn run_baseline(quick: bool, mut progress: impl FnMut(&str)) -> BaselineReport {
-    let (families, sides) = sweep_params(quick);
+pub fn run(quick: bool, progress: &mut dyn FnMut(&str)) -> Report {
+    let sides: &[usize] = if quick {
+        &[64, 128, 256]
+    } else {
+        &[256, 512, 1024, 2048]
+    };
     let mut entries = Vec::new();
     let mut sessions: Vec<_> = HOST_ENGINES
         .iter()
         .map(|&(kind, id)| (kind.session(1), id, LabelGrid::new_background(1, 1)))
         .collect();
-    sweep::drive(families, sides, quick, |p| {
-        let (family, n, conn, cid, img, reps) = (p.family, p.n, p.conn, p.cid, p.img, p.reps);
-        // Host engines from the registry; the oracle comes first and
-        // its (final) grid is the identity reference for the rest.
+    sweep::drive(FAMILIES, sides, quick, |p| {
         let mut truth = LabelGrid::new_background(1, 1);
         for (session, id, grid) in &mut sessions {
             let mut stats = None;
-            let (best, mean) = sweep::time_reps(reps, || {
-                stats = Some(session.label_into(std::hint::black_box(img), conn, grid));
+            let times = sweep::time_reps(p.reps, || {
+                stats = Some(session.label_into(std::hint::black_box(p.img), p.conn, grid));
             });
-            let identical = if session.kind() == EngineKind::Bfs {
+            let mut e = Entry::at(p, id, "", 1).timed(times, p.reps);
+            if session.kind() == EngineKind::Bfs {
                 std::mem::swap(&mut truth, grid);
-                None
             } else {
-                Some(*grid == truth)
-            };
-            let tiles = stats.map(|s| s.tiles).filter(|t: &TileStats| t.total() > 0);
-            progress(&format!(
-                "{family}/{n}/{cid}-conn {id}: {:.3} ms",
-                best as f64 / 1e6
-            ));
-            entries.push(Entry {
-                family: family.to_string(),
-                n,
-                conn: cid,
-                engine: id.to_string(),
-                best_ns: best,
-                mean_ns: mean,
-                reps,
-                bit_identical: identical,
-                tiles,
-            });
+                e = e.matching(*grid == truth);
+            }
+            if let Some(t) = stats.map(|s| s.tiles).filter(|t| t.total() > 0) {
+                e = e
+                    .count(TILES[0], t.background)
+                    .count(TILES[1], t.interior)
+                    .count(TILES[2], t.boundary);
+            }
+            progress(&e.line());
+            entries.push(e);
         }
-        // Simulated SLAP (run-based Algorithm CC). The identity
-        // check runs on the kept labels *outside* the timed region,
-        // same as the fast engine's.
-        let sim_reps = reps.min(3);
+        // Simulated SLAP (run-based Algorithm CC). The identity check runs
+        // on the kept labels *outside* the timed region, same as the fast
+        // engine's.
+        let sim_reps = p.reps.min(3);
         let opts = CcOptions {
-            connectivity: conn,
+            connectivity: p.conn,
             ..CcOptions::default()
         };
         let mut sim_labels = None;
-        let (best, mean) = sweep::time_reps(sim_reps, || {
-            let run = label_components_runs::<RankHalvingUf>(std::hint::black_box(img), &opts);
+        let times = sweep::time_reps(sim_reps, || {
+            let run = label_components_runs::<RankHalvingUf>(std::hint::black_box(p.img), &opts);
             sim_labels = Some(run.labels);
         });
-        let sim_ok = sim_labels.as_ref() == Some(&truth);
-        progress(&format!(
-            "{family}/{n}/{cid}-conn slap-sim-runs: {:.3} ms",
-            best as f64 / 1e6
-        ));
-        entries.push(Entry {
-            family: family.to_string(),
-            n,
-            conn: cid,
-            engine: "slap-sim-runs".to_string(),
-            best_ns: best,
-            mean_ns: mean,
-            reps: sim_reps,
-            bit_identical: Some(sim_ok),
-            tiles: None,
-        });
+        let e = Entry::at(p, "slap-sim-runs", "", 1)
+            .timed(times, sim_reps)
+            .matching(sim_labels.as_ref() == Some(&truth));
+        progress(&e.line());
+        entries.push(e);
     });
-    BaselineReport {
-        scale: if quick { "quick" } else { "full" }.to_string(),
-        families: families.iter().map(|s| s.to_string()).collect(),
-        sides: sides.to_vec(),
-        entries,
-    }
+    Report::new("baseline", quick, FAMILIES, sides, entries)
 }
 
-impl BaselineReport {
-    /// The speedup of `num` over `den` on one (family, n, conn), by best
-    /// time.
-    fn speedup(&self, family: &str, n: usize, conn: u32, num: &str, den: &str) -> Option<f64> {
-        let find = |engine: &str| {
-            self.entries
-                .iter()
-                .find(|e| e.family == family && e.n == n && e.conn == conn && e.engine == engine)
-        };
-        let (a, b) = (find(num)?, find(den)?);
-        Some(a.best_ns as f64 / b.best_ns.max(1) as f64)
+/// The baseline criteria.
+pub fn spec() -> Spec {
+    let (oracle, fast, sim) = (
+        Sel("oracle-bfs", ""),
+        Sel("fast", ""),
+        Sel("slap-sim-runs", ""),
+    );
+    Spec {
+        need: vec![(Sel::ANY, TIMED), (fast, TILES)],
+        reference: vec![fast, sim],
+        bounds: vec![Bound {
+            sel: fast,
+            lhs: TILES,
+            op: Op::Eq,
+            rhs: Rhs::N(|n| n.saturating_mul(n.div_ceil(64)), "n·⌈n/64⌉"),
+            why: "tile counters must cover the frame's word-tiles",
+        }],
+        cover: vec![Cover {
+            pairs: vec![oracle, fast, sim],
+            min_families: 3,
+            min_sides: 3,
+            families: &[],
+        }],
+        ratios: vec![
+            Ratio::new(oracle, fast).gated(Gate::headline(
+                "fast-engine headline",
+                Cmp::AtLeast(5.0),
+                &[4],
+            )),
+            Ratio::new(sim, fast),
+            Ratio {
+                conns: Some((8, 4)),
+                ..Ratio::new(fast, fast).gated(Gate::headline(
+                    "8-connectivity regression bound",
+                    Cmp::AtMost(2.2),
+                    &[4],
+                ))
+            },
+        ],
     }
-
-    /// Serializes the report. Hand-rolled (the workspace `serde` is a
-    /// no-op stub); [`validate`] checks the inverse direction.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {},", json::quote(SCHEMA));
-        let _ = writeln!(s, "  \"scale\": {},", json::quote(&self.scale));
-        let _ = writeln!(s, "  \"seed\": {SEED},");
-        let fams: Vec<String> = self.families.iter().map(|f| json::quote(f)).collect();
-        let _ = writeln!(s, "  \"families\": [{}],", fams.join(", "));
-        let sides: Vec<String> = self.sides.iter().map(|n| n.to_string()).collect();
-        let _ = writeln!(s, "  \"sides\": [{}],", sides.join(", "));
-        let conns: Vec<String> = CONNS.iter().map(|&c| conn_id(c).to_string()).collect();
-        let _ = writeln!(s, "  \"conns\": [{}],", conns.join(", "));
-        s.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"family\": {}, \"n\": {}, \"conn\": {}, \"engine\": {}, \"best_ns\": {}, \"mean_ns\": {}, \"reps\": {}",
-                json::quote(&e.family),
-                e.n,
-                e.conn,
-                json::quote(&e.engine),
-                e.best_ns,
-                e.mean_ns,
-                e.reps
-            );
-            if let Some(ok) = e.bit_identical {
-                let _ = write!(s, ", \"bit_identical\": {ok}");
-            }
-            if let Some(t) = e.tiles {
-                let _ = write!(
-                    s,
-                    ", \"tiles_background\": {}, \"tiles_interior\": {}, \"tiles_boundary\": {}",
-                    t.background, t.interior, t.boundary
-                );
-            }
-            s.push('}');
-            if i + 1 < self.entries.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-        // Derived headline ratios, one per (family, n, conn).
-        s.push_str("  \"speedups\": [\n");
-        let mut lines = Vec::new();
-        for family in &self.families {
-            for &n in &self.sides {
-                for &conn in CONNS {
-                    let cid = conn_id(conn);
-                    let fo = self.speedup(family, n, cid, "oracle-bfs", "fast");
-                    let so = self.speedup(family, n, cid, "slap-sim-runs", "fast");
-                    if let (Some(fo), Some(so)) = (fo, so) {
-                        lines.push(format!(
-                            "    {{\"family\": {}, \"n\": {}, \"conn\": {}, \"fast_over_oracle\": {:.3}, \"sim_over_fast\": {:.3}}}",
-                            json::quote(family),
-                            n,
-                            cid,
-                            fo,
-                            so
-                        ));
-                    }
-                }
-            }
-        }
-        s.push_str(&lines.join(",\n"));
-        s.push_str("\n  ]\n}\n");
-        s
-    }
-}
-
-/// Validates a baseline JSON document against the schema. With
-/// `require_full` the file must also be a full-scale sweep containing the
-/// headline criterion: the fast engine ≥ 3× faster than the oracle on
-/// `random50` at 2048², with bit-identical labels.
-pub fn validate(text: &str, require_full: bool) -> Result<(), String> {
-    let doc = json::parse(text)?;
-    let obj = doc.as_object().ok_or("top level is not an object")?;
-    let get = |key: &str| {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing key {key:?}"))
-    };
-    let schema = get("schema")?.as_str().ok_or("schema is not a string")?;
-    if schema != SCHEMA {
-        return Err(format!("schema {schema:?}, expected {SCHEMA:?}"));
-    }
-    let scale = get("scale")?.as_str().ok_or("scale is not a string")?;
-    if scale != "quick" && scale != "full" {
-        return Err(format!("scale {scale:?} is neither quick nor full"));
-    }
-    if require_full && scale != "full" {
-        return Err("a full-scale baseline is required".to_string());
-    }
-    let entries = get("entries")?
-        .as_array()
-        .ok_or("entries is not an array")?;
-    if entries.is_empty() {
-        return Err("entries is empty".to_string());
-    }
-    // Per-entry shape, plus the (family, n, conn) → engine coverage map.
-    let mut coverage: Vec<(String, u64, u64, [bool; 3])> = Vec::new();
-    for (i, e) in entries.iter().enumerate() {
-        let ctx = |msg: &str| format!("entry {i}: {msg}");
-        let eo = e.as_object().ok_or_else(|| ctx("not an object"))?;
-        let field = |key: &str| {
-            eo.iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| ctx(&format!("missing {key:?}")))
-        };
-        let family = field("family")?
-            .as_str()
-            .ok_or_else(|| ctx("family is not a string"))?
-            .to_string();
-        let n = field("n")?
-            .as_u64()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| ctx("n is not a positive integer"))?;
-        let conn = field("conn")?
-            .as_u64()
-            .filter(|&c| c == 4 || c == 8)
-            .ok_or_else(|| ctx("conn is not 4 or 8"))?;
-        let engine = field("engine")?
-            .as_str()
-            .ok_or_else(|| ctx("engine is not a string"))?;
-        let ei = ENGINES
-            .iter()
-            .position(|&k| k == engine)
-            .ok_or_else(|| ctx(&format!("unknown engine {engine:?}")))?;
-        let best = field("best_ns")?
-            .as_u64()
-            .filter(|&v| v > 0)
-            .ok_or_else(|| ctx("best_ns is not a positive integer"))?;
-        let mean = field("mean_ns")?
-            .as_u64()
-            .ok_or_else(|| ctx("mean_ns is not an integer"))?;
-        if mean < best {
-            return Err(ctx("mean_ns is below best_ns"));
-        }
-        field("reps")?
-            .as_u64()
-            .filter(|&v| v > 0)
-            .ok_or_else(|| ctx("reps is not a positive integer"))?;
-        if engine != "oracle-bfs" {
-            let ok = eo
-                .iter()
-                .find(|(k, _)| k == "bit_identical")
-                .and_then(|(_, v)| v.as_bool())
-                .ok_or_else(|| ctx("non-oracle entry lacks bit_identical"))?;
-            if !ok {
-                return Err(ctx("labels were not bit-identical to the oracle"));
-            }
-        }
-        if engine == "fast" {
-            // v3: fast entries carry the coarse-to-fine classification, and
-            // the counters must cover the n × n frame's word-tiles exactly —
-            // `background + interior + boundary == words_per_row × rows`.
-            let tile = |key: &str| {
-                field(key)?
-                    .as_u64()
-                    .ok_or_else(|| ctx(&format!("{key} is not an integer")))
-            };
-            let total =
-                tile("tiles_background")? + tile("tiles_interior")? + tile("tiles_boundary")?;
-            let expect = (n.div_ceil(64)) * n;
-            if total != expect {
-                return Err(ctx(&format!(
-                    "tile counters cover {total} word-tiles, frame has {expect}"
-                )));
-            }
-        }
-        match coverage
-            .iter_mut()
-            .find(|(f, m, c, _)| *f == family && *m == n && *c == conn)
-        {
-            Some((_, _, _, seen)) => seen[ei] = true,
-            None => {
-                let mut seen = [false; 3];
-                seen[ei] = true;
-                coverage.push((family, n, conn, seen));
-            }
-        }
-    }
-    // Coverage: for each connectivity, ≥ 3 families × ≥ 3 sizes with all
-    // three engines present.
-    for want in [4u64, 8] {
-        let full_points: Vec<&(String, u64, u64, [bool; 3])> = coverage
-            .iter()
-            .filter(|(_, _, c, seen)| *c == want && seen.iter().all(|&s| s))
-            .collect();
-        let mut fams: Vec<&str> = full_points.iter().map(|(f, _, _, _)| f.as_str()).collect();
-        fams.sort_unstable();
-        fams.dedup();
-        let mut ns: Vec<u64> = full_points.iter().map(|(_, n, _, _)| *n).collect();
-        ns.sort_unstable();
-        ns.dedup();
-        if fams.len() < 3 || ns.len() < 3 {
-            return Err(format!(
-                "coverage too thin at {want}-connectivity: {} families × {} sizes \
-                 with all engines (need ≥ 3 × ≥ 3)",
-                fams.len(),
-                ns.len()
-            ));
-        }
-    }
-    if require_full {
-        let best_of = |engine: &str, conn: u64| {
-            entries.iter().find_map(|e| {
-                let eo = e.as_object()?;
-                let s = |k: &str| eo.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-                (s("family")?.as_str()? == "random50"
-                    && s("n")?.as_u64()? == 2048
-                    && s("conn")?.as_u64()? == conn
-                    && s("engine")?.as_str()? == engine)
-                    .then(|| s("best_ns")?.as_u64())
-                    .flatten()
-            })
-        };
-        let oracle = best_of("oracle-bfs", 4).ok_or("no oracle-bfs entry for random50 @ 2048")?;
-        let fast = best_of("fast", 4).ok_or("no fast entry for random50 @ 2048")?;
-        let ratio = oracle as f64 / fast.max(1) as f64;
-        if ratio < 5.0 {
-            return Err(format!(
-                "fast engine is only {ratio:.2}× the oracle on random50 @ 2048 (need ≥ 5×)"
-            ));
-        }
-        let fast8 = best_of("fast", 8).ok_or("no 8-conn fast entry for random50 @ 2048")?;
-        let gap = fast8 as f64 / fast.max(1) as f64;
-        if gap > EIGHT_OVER_FOUR_BOUND {
-            return Err(format!(
-                "fast 8-connectivity is {gap:.2}× its 4-connectivity time on random50 @ 2048 \
-                 (bound {EIGHT_OVER_FOUR_BOUND})"
-            ));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::table::{rejects_wrong_schema, roundtrips};
 
-    fn tiny_report() -> BaselineReport {
+    fn fixture() -> Report {
         let mut entries = Vec::new();
         for family in ["random50", "blobs", "checker"] {
             for n in [64usize, 128, 256, 2048] {
                 for conn in [4u32, 8] {
-                    for engine in ENGINES {
-                        entries.push(Entry {
-                            family: family.to_string(),
-                            n,
-                            conn,
-                            engine: engine.to_string(),
-                            best_ns: if *engine == "oracle-bfs" { 8000 } else { 1000 },
-                            mean_ns: 8500,
-                            reps: 3,
-                            bit_identical: (*engine != "oracle-bfs").then_some(true),
-                            tiles: (*engine == "fast").then_some(TileStats {
-                                background: 1,
-                                interior: 1,
-                                boundary: (n.div_ceil(64) * n) as u64 - 2,
-                            }),
-                        });
-                    }
+                    let at = |engine, best| {
+                        Entry::new(family, n, conn, engine, "", 1).timed((best, 8500), 3)
+                    };
+                    entries.push(at("oracle-bfs", 8000));
+                    entries.push(
+                        at("fast", 1000)
+                            .matching(true)
+                            .count(TILES[0], 1)
+                            .count(TILES[1], 1)
+                            .count(TILES[2], (n.div_ceil(64) * n) as u64 - 2),
+                    );
+                    entries.push(at("slap-sim-runs", 1000).matching(true));
                 }
             }
         }
-        BaselineReport {
-            scale: "full".to_string(),
-            families: vec![
-                "random50".to_string(),
-                "blobs".to_string(),
-                "checker".to_string(),
-            ],
-            sides: vec![64, 128, 256, 2048],
-            entries,
+        let mut r = Report::new("baseline", false, FAMILIES, &[64, 128, 256, 2048], entries);
+        r.host_threads = 1;
+        r
+    }
+
+    /// Sets `counter` on every entry `pick` selects.
+    fn set(r: &mut Report, pick: impl Fn(&Entry) -> bool, counter: &str, value: u64) {
+        for e in r.entries.iter_mut().filter(|e| pick(e)) {
+            e.counters.iter_mut().find(|(k, _)| k == counter).unwrap().1 = value;
         }
     }
 
     #[test]
     fn report_roundtrips_through_validation() {
-        let report = tiny_report();
-        let text = report.to_json();
-        validate(&text, false).expect("quick validation");
-        validate(&text, true).expect("full validation");
+        roundtrips(fixture());
     }
 
     #[test]
     fn validation_rejects_wrong_schema() {
-        let text = tiny_report().to_json().replace(SCHEMA, "bogus/v0");
-        assert!(validate(&text, false).is_err());
+        rejects_wrong_schema(fixture());
     }
 
-    #[test]
-    fn validation_rejects_non_identical_labels() {
-        let mut report = tiny_report();
-        for e in &mut report.entries {
-            if e.engine == "fast" {
-                e.bit_identical = Some(false);
-            }
-        }
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("bit-identical"), "{err}");
-    }
-
-    #[test]
-    fn validation_rejects_thin_coverage() {
-        let mut report = tiny_report();
-        report.entries.retain(|e| e.family == "random50");
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("coverage"), "{err}");
-    }
-
-    #[test]
-    fn full_validation_enforces_the_headline_speedup() {
-        let mut report = tiny_report();
-        for e in &mut report.entries {
-            if e.engine == "fast" && e.family == "random50" && e.n == 2048 {
-                e.best_ns = 2000; // only 4× the oracle's 8000
-            }
-        }
-        let text = report.to_json();
-        validate(&text, false).expect("quick validation ignores the ratio");
-        let err = validate(&text, true).unwrap_err();
-        assert!(err.contains("5×"), "{err}");
-    }
-
-    #[test]
-    fn full_validation_bounds_the_eight_over_four_gap() {
-        let mut report = tiny_report();
-        for e in &mut report.entries {
-            if e.engine == "fast" && e.family == "random50" && e.n == 2048 && e.conn == 8 {
-                e.best_ns = 2500; // 2.5× the 4-conn entry's 1000 — past the bound
-            }
-        }
-        let text = report.to_json();
-        validate(&text, false).expect("quick validation ignores the gap");
-        let err = validate(&text, true).unwrap_err();
-        assert!(err.contains("8-connectivity"), "{err}");
-    }
-
-    #[test]
-    fn validation_rejects_missing_or_short_tile_counters() {
-        let mut report = tiny_report();
-        for e in &mut report.entries {
-            if e.engine == "fast" {
-                e.tiles = None;
-            }
-        }
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("tiles_background"), "{err}");
-
-        let mut report = tiny_report();
-        for e in &mut report.entries {
-            if e.engine == "fast" {
-                if let Some(t) = &mut e.tiles {
-                    t.boundary -= 1; // counters no longer cover the frame
-                }
-            }
-        }
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("word-tiles"), "{err}");
+    crate::record::rows! { fixture();
+        validation_rejects_non_identical_labels: false, |r| {
+            r.entries.iter_mut().filter(|e| e.engine == "fast").for_each(|e| e.matches_reference = Some(false));
+        } => Err("does not match the reference");
+        validation_rejects_thin_coverage: false, |r| r.entries.retain(|e| e.family == "random50")
+            => Err("coverage too thin");
+        full_validation_enforces_the_headline_speedup: true, |r| {
+            // only 4× the oracle's 8000
+            set(r, |e| e.engine == "fast" && e.family == "random50" && e.n == 2048, "best_ns", 2000);
+        } => Err("need ≥ 5×");
+        full_validation_bounds_the_eight_over_four_gap: true, |r| {
+            // 2.5× the 4-conn entry's 1000
+            set(r, |e| e.engine == "fast" && e.family == "random50" && e.n == 2048 && e.conn == 8, "best_ns", 2500);
+        } => Err("8-connectivity regression bound");
+        full_validation_requires_the_headline_point: true, |r| {
+            r.entries.retain(|e| !(e.family == "random50" && e.n == 2048));
+        } => Err("fast-engine headline: no oracle-bfs/fast ratio at random50 @ 2048 (4-conn)");
+        quick_validation_ignores_the_headline_gates: false, |r| {
+            set(r, |e| e.engine == "fast" && e.family == "random50" && e.n == 2048, "best_ns", 7000);
+        } => Ok(());
+        validation_rejects_missing_tile_counters: false, |r| {
+            r.entries.iter_mut().for_each(|e| e.counters.retain(|(k, _)| k != "tiles_background"));
+        } => Err("missing counter \"tiles_background\"");
+        validation_rejects_missing_or_short_tile_counters: false, |r| {
+            set(r, |e| e.engine == "fast" && e.n == 64, "tiles_boundary", 61);
+        } => Err("word-tiles");
     }
 
     #[test]
     fn quick_sweep_smoke() {
         // A real (tiny) sweep must validate. Keep the sizes minuscule: this
         // runs in `cargo test`.
-        let report = run_baseline(true, |_| {});
-        validate(&report.to_json(), false).expect("fresh quick sweep validates");
+        let text = run(true, &mut |_| {}).to_json();
+        crate::record::check(&text, false).expect("fresh quick sweep validates");
     }
 }

@@ -1,197 +1,77 @@
-//! `slap-bench` — wall-clock perf baselines for the SLAP reproduction.
+//! `slap-bench` — the recorders behind the committed `BENCH_*.json` files.
 //!
 //! ```text
-//! slap-bench baseline                    # full sweep -> BENCH_baseline.json
-//! slap-bench baseline --quick --out F    # small sweep (CI smoke), custom path
-//! slap-bench parallel                    # thread sweep -> BENCH_parallel.json
-//! slap-bench parallel --quick --out F    # small sweep (CI smoke), custom path
-//! slap-bench stream                      # streaming sweep -> BENCH_stream.json
-//! slap-bench stream --quick --out F      # small sweep (CI smoke), custom path
-//! slap-bench reuse                       # cold-vs-warm sweep over the engine
-//!                                        #   registry -> BENCH_reuse.json
-//! slap-bench reuse --quick --out F       # small sweep (CI smoke), custom path
-//! slap-bench tiled                       # tile-shape + out-of-core sweep
-//!                                        #   -> BENCH_tiled.json
-//! slap-bench tiled --quick --out F       # small sweep (CI smoke), custom path
-//! slap-bench serve                       # slapd sustained jobs/sec at
-//!                                        #   1/4/16 concurrent clients
-//!                                        #   -> BENCH_serve.json
-//! slap-bench serve --quick --out F       # small sweep (CI smoke), custom path
-//! slap-bench propagate                   # label-equivalence engine vs oracle
-//!                                        #   + lock-step pipeline-vs-iteration
-//!                                        #   step counts -> BENCH_propagate.json
-//! slap-bench propagate --quick --out F   # small sweep (CI smoke), custom path
-//! slap-bench check FILE                  # schema-validate a recorded file
-//! slap-bench check FILE --require-full   # + full scale and the headline criteria
+//! slap-bench RECORDER                    # full sweep -> BENCH_<RECORDER>.json
+//! slap-bench RECORDER --quick --out F    # small sweep (CI smoke), custom path
+//! slap-bench check FILE                  # validate a recorded file
+//! slap-bench check FILE --require-full   # + full scale and the headline gates
 //! ```
 //!
-//! The criterion microbenches remain under `cargo bench`; this binary records
-//! the end-to-end trajectory points — oracle vs. fast engine vs. simulated
-//! Algorithm CC (`baseline`, both connectivities), sequential vs.
-//! strip-parallel engine across thread counts (`parallel`), the
-//! bounded-memory streaming engine with its frontier peaks (`stream`), and
-//! cold-call vs. warm-session throughput for every engine in
-//! `slap_cc::engine::registry()` (`reuse`), the 2-D tiled engine across
-//! tile shapes plus the out-of-core band scheduler (`tiled`), and the
-//! iterative label-equivalence engine vs. the oracle plus the lock-step
-//! pipeline-vs-iteration step-count comparison (`propagate`) — that the
-//! `BENCH_*.json` files
-//! commit to the repository. `check` dispatches on the file's `schema`
-//! field.
+//! The recorders are the rows of [`slap_bench::record::RECORDERS`]:
+//! `baseline` (oracle vs. fast engine vs. simulated Algorithm CC), `tiled`
+//! (tile grids, `T × 1` strips, and the out-of-core band scheduler),
+//! `stream` (the bounded-memory streaming engine and its frontier peaks),
+//! `reuse` (cold-call vs. warm-session for every registry engine), `serve`
+//! (`slapd` jobs at 1/4/16 clients per response mode), and `propagate` (the
+//! label-equivalence engine vs. the oracle, plus lock-step step counts).
+//! Every file has the one `slap-bench/v1` shape; `check` validates it
+//! against the spec of the recorder its header names. The criterion
+//! microbenches remain under `cargo bench`.
 
-use slap_bench::{baseline, json, parallel, propagate, reuse, serve, stream, tiled};
+use slap_bench::record::{check, recorder, RECORDERS};
 
 fn usage() -> ! {
+    let names: Vec<&str> = RECORDERS.iter().map(|r| r.name).collect();
     eprintln!(
-        "usage: slap-bench baseline [--quick] [--out PATH]\n       \
-         slap-bench parallel [--quick] [--out PATH]\n       \
-         slap-bench stream [--quick] [--out PATH]\n       \
-         slap-bench reuse [--quick] [--out PATH]\n       \
-         slap-bench tiled [--quick] [--out PATH]\n       \
-         slap-bench serve [--quick] [--out PATH]\n       \
-         slap-bench propagate [--quick] [--out PATH]\n       \
-         slap-bench check PATH [--require-full]"
+        "usage: slap-bench {{{}}} [--quick] [--out PATH]\n       \
+         slap-bench check PATH [--require-full]",
+        names.join("|")
     );
     std::process::exit(2);
 }
 
-/// Parses the shared `--quick` / `--out` flags of the sweep subcommands.
-fn sweep_flags(args: &[String], default_out: &str) -> (bool, String) {
-    let mut quick = false;
-    let mut out = default_out.to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" | "-q" => quick = true,
-            "--out" | "-o" => match it.next() {
-                Some(path) => out = path.clone(),
-                None => usage(),
-            },
-            _ => usage(),
-        }
-    }
-    (quick, out)
-}
-
-/// Validates `text` (against its own validator), writes it to `out`.
-fn write_validated(
-    text: &str,
-    out: &str,
-    entries: usize,
-    validate: impl Fn(&str) -> Result<(), String>,
-) {
-    validate(text).unwrap_or_else(|e| {
-        eprintln!("generated sweep failed its own validation: {e}");
-        std::process::exit(1);
-    });
-    std::fs::write(out, text).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("wrote {out} ({entries} entries)");
+/// Exits with `msg` on stderr.
+fn fail(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("baseline") => {
-            let (quick, out) = sweep_flags(&args[1..], "BENCH_baseline.json");
-            let report = baseline::run_baseline(quick, |line| eprintln!("  {line}"));
-            let text = report.to_json();
-            write_validated(&text, &out, report.entries.len(), |t| {
-                baseline::validate(t, !quick)
-            });
-        }
-        Some("parallel") => {
-            let (quick, out) = sweep_flags(&args[1..], "BENCH_parallel.json");
-            let report = parallel::run_parallel(quick, |line| eprintln!("  {line}"));
-            let text = report.to_json();
-            write_validated(&text, &out, report.entries.len(), |t| {
-                parallel::validate(t, !quick)
-            });
-        }
-        Some("stream") => {
-            let (quick, out) = sweep_flags(&args[1..], "BENCH_stream.json");
-            let report = stream::run_stream(quick, |line| eprintln!("  {line}"));
-            let text = report.to_json();
-            write_validated(&text, &out, report.entries.len(), |t| {
-                stream::validate(t, !quick)
-            });
-        }
-        Some("reuse") => {
-            let (quick, out) = sweep_flags(&args[1..], "BENCH_reuse.json");
-            let report = reuse::run_reuse(quick, |line| eprintln!("  {line}"));
-            let text = report.to_json();
-            write_validated(&text, &out, report.entries.len(), |t| {
-                reuse::validate(t, !quick)
-            });
-        }
-        Some("tiled") => {
-            let (quick, out) = sweep_flags(&args[1..], "BENCH_tiled.json");
-            let report = tiled::run_tiled(quick, |line| eprintln!("  {line}"));
-            let text = report.to_json();
-            write_validated(&text, &out, report.entries.len(), |t| {
-                tiled::validate(t, !quick)
-            });
-        }
-        Some("serve") => {
-            let (quick, out) = sweep_flags(&args[1..], "BENCH_serve.json");
-            let report = serve::run_serve(quick, |line| eprintln!("  {line}"));
-            let text = report.to_json();
-            write_validated(&text, &out, report.entries.len(), |t| {
-                serve::validate(t, !quick)
-            });
-        }
-        Some("propagate") => {
-            let (quick, out) = sweep_flags(&args[1..], "BENCH_propagate.json");
-            let report = propagate::run_propagate(quick, |line| eprintln!("  {line}"));
-            let text = report.to_json();
-            write_validated(&text, &out, report.entries.len(), |t| {
-                propagate::validate(t, !quick)
-            });
-        }
-        Some("check") => {
-            let mut path: Option<&str> = None;
-            let mut require_full = false;
-            for a in &args[1..] {
-                match a.as_str() {
-                    "--require-full" => require_full = true,
-                    p if path.is_none() => path = Some(p),
-                    _ => usage(),
-                }
-            }
-            let Some(path) = path else { usage() };
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            // Dispatch on the recorded schema id.
-            let schema = json::parse(&text)
-                .ok()
-                .and_then(|doc| {
-                    doc.as_object()?
-                        .iter()
-                        .find(|(k, _)| k == "schema")
-                        .and_then(|(_, v)| v.as_str().map(str::to_string))
-                })
-                .unwrap_or_default();
-            let result = match schema.as_str() {
-                parallel::SCHEMA => parallel::validate(&text, require_full),
-                stream::SCHEMA => stream::validate(&text, require_full),
-                tiled::SCHEMA => tiled::validate(&text, require_full),
-                reuse::SCHEMA => reuse::validate(&text, require_full),
-                serve::SCHEMA => serve::validate(&text, require_full),
-                propagate::SCHEMA => propagate::validate(&text, require_full),
-                _ => baseline::validate(&text, require_full),
-            };
-            match result {
-                Ok(()) => println!("{path}: ok"),
-                Err(e) => {
-                    eprintln!("{path}: INVALID: {e}");
-                    std::process::exit(1);
-                }
+    let Some(cmd) = args.first() else { usage() };
+    if cmd == "check" {
+        let (mut path, mut require_full) = (None, false);
+        for a in &args[1..] {
+            match a.as_str() {
+                "--require-full" => require_full = true,
+                p if path.is_none() => path = Some(p),
+                _ => usage(),
             }
         }
-        _ => usage(),
+        let Some(path) = path else { usage() };
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+        match check(&text, require_full) {
+            Ok(()) => println!("{path}: ok"),
+            Err(e) => fail(format!("{path}: INVALID: {e}")),
+        }
+        return;
     }
+    let Some(rec) = recorder(cmd) else { usage() };
+    let (mut quick, mut out) = (false, format!("BENCH_{}.json", rec.name));
+    let mut it = args[1..].iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--quick" | "-q" => quick = true,
+            "--out" | "-o" => out = it.next().cloned().unwrap_or_else(|| usage()),
+            _ => usage(),
+        }
+    }
+    let report = (rec.run)(quick, &mut |line| eprintln!("  {line}"));
+    let text = report.to_json();
+    if let Err(e) = check(&text, !quick) {
+        fail(format!("generated sweep failed its own validation: {e}"));
+    }
+    std::fs::write(&out, text).unwrap_or_else(|e| fail(format!("cannot write {out}: {e}")));
+    eprintln!("wrote {out} ({} entries)", report.entries.len());
 }

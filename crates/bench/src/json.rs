@@ -1,10 +1,10 @@
-//! A minimal JSON reader/writer for the baseline schema.
+//! A minimal JSON reader/writer for the `slap-bench` file shape.
 //!
-//! The workspace's `serde` is an offline no-op stub, so the baseline file is
-//! written by hand ([`crate::baseline::BaselineReport::to_json`]) and read
-//! back by this small recursive-descent parser — just enough JSON (objects,
-//! arrays, strings with the common escapes, numbers, booleans, null) for
-//! `slap-bench check` to validate the schema without any dependency.
+//! The workspace's `serde` is an offline no-op stub, so bench files are
+//! written by hand ([`crate::record::Report::to_json`]) and read back by this
+//! small recursive-descent parser — just enough JSON (objects, arrays,
+//! strings with the common escapes, numbers, booleans, null) for
+//! `slap-bench check` to validate a file without any dependency.
 
 /// A parsed JSON value. Numbers keep their `f64` value; [`Json::as_u64`]
 /// reports integers only when exactly representable.
@@ -72,9 +72,17 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The first member named `key`, if this is an object that has one.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        self.as_object()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
 }
 
-/// Quotes a string as a JSON literal (escaping the characters the baseline
+/// Quotes a string as a JSON literal (escaping the characters the bench
 /// writer can produce).
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);

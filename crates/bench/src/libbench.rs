@@ -17,8 +17,10 @@
 pub mod baseline;
 pub mod experiments;
 pub mod json;
-pub mod parallel;
+#[cfg(test)]
+mod parallel;
 pub mod propagate;
+pub mod record;
 pub mod reuse;
 pub mod serve;
 pub mod stream;

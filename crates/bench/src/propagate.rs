@@ -1,716 +1,280 @@
 //! The `slap-bench propagate` sweep: the iterative label-equivalence engine
 //! vs. the BFS oracle on the host, and the GPU-style propagation kernel vs.
-//! the paper's pipeline Algorithm CC on the lock-step machine, serialized to
+//! the paper's pipeline Algorithm CC on the lock-step machine, recorded to
 //! `BENCH_propagate.json`.
 //!
-//! The host section times [`EngineKind::Propagate`] against
+//! The host entries time [`EngineKind::Propagate`] against
 //! [`EngineKind::Bfs`] on every point — including the adversarial
 //! `spiral` / `serpentine` / `hilbert` families, whose long snaking
-//! components are the worst case for naive neighbor relaxation — asserting
-//! bit-identical labels while timing and recording the engine's convergence
-//! counters (`iterations`, `reduction_passes`). The lock-step section runs
-//! the paper's pipeline ([`label_components_lockstep`]) and the iterative
+//! components are the worst case for naive neighbor relaxation — recording
+//! bit-identity while timing and the engine's convergence counters
+//! (`iterations`, `reduction_passes`). The `lockstep` entries run the
+//! paper's pipeline ([`label_components_lockstep`]) and the iterative
 //! propagation kernel ([`propagate_components_lockstep`]) on identical
 //! generated inputs, recording exact machine rounds for both — the
 //! PRAM-style step-count comparison behind ARCHITECTURE.md's
-//! pipeline-vs-label-equivalence discussion. [`validate`] enforces
+//! pipeline-vs-label-equivalence discussion. [`spec`] enforces
 //! bit-identity, per-entry convergence counters, lock-step coverage under
-//! both adjacency conventions, and (with `require_full`) the headline
-//! criterion: host propagate ≥ [`REQUIRED_SPEEDUP`]× the BFS oracle on
-//! `random50` @ 2048² under both connectivities.
+//! both adjacency conventions, and at full scale the headline criterion:
+//! host propagate ≥ 2× the BFS oracle on `random50` @ 2048² under both
+//! connectivities.
 
-use crate::json;
-use crate::sweep::{self, conn_id, CONNS, SEED};
+use crate::record::{Bound, Cmp, Cover, Entry, Gate, Op, Ratio, Report, Rhs, Sel, Spec, TIMED};
+use crate::sweep;
 use slap_cc::engine::EngineKind;
 use slap_cc::lockstep_cc::label_components_lockstep;
 use slap_cc::lockstep_propagate::propagate_components_lockstep;
 use slap_cc::CcOptions;
 use slap_image::LabelGrid;
 use slap_unionfind::RankHalvingUf;
-use std::fmt::Write as _;
-
-/// Schema identifier stamped into (and required from) every propagate file.
-pub const SCHEMA: &str = "slap-bench-propagate/v1";
-
-/// The headline speedup `validate` demands from the propagate engine over
-/// the BFS oracle on `random50` @ 2048², under **both** connectivities.
-pub const REQUIRED_SPEEDUP: f64 = 2.0;
 
 /// Adversarial workload families the sweep must cover: long snaking
 /// components that maximize label-travel distance for naive relaxation.
 pub const ADVERSARIAL_FAMILIES: &[&str] = &["spiral", "serpentine", "hilbert"];
 
-/// One timed host (family, size, connectivity, engine) point.
-#[derive(Clone, Debug)]
-pub struct Entry {
-    /// Workload family name (a `gen::by_name` key).
-    pub family: String,
-    /// Image side (the image is `n × n`).
-    pub n: usize,
-    /// Adjacency convention: `4` or `8`.
-    pub conn: u32,
-    /// `"oracle-bfs"` (identity reference) or `"propagate"`.
-    pub engine: String,
-    /// Best wall-clock nanoseconds over the repetitions.
-    pub best_ns: u64,
-    /// Mean wall-clock nanoseconds over the repetitions.
-    pub mean_ns: u64,
-    /// Number of timed repetitions.
-    pub reps: usize,
-    /// For `"propagate"` entries: labels were bit-identical to the oracle.
-    pub bit_identical: Option<bool>,
-    /// For `"propagate"` entries: relaxation sweep iterations to converge
-    /// (including the final no-change sweep).
-    pub iterations: Option<usize>,
-    /// For `"propagate"` entries: pointer-jumping label-reduction passes.
-    pub reduction_passes: Option<usize>,
-}
+const FAMILIES: &[&str] = &["random50", "blobs", "spiral", "serpentine", "hilbert"];
 
-/// One lock-step machine comparison point: the paper's pipeline and the
-/// iterative propagation kernel on the same generated input.
-#[derive(Clone, Debug)]
-pub struct LockstepEntry {
-    /// Workload family name.
-    pub family: String,
-    /// Image side.
-    pub n: usize,
-    /// Adjacency convention: `4` or `8`.
-    pub conn: u32,
-    /// Total simulated rounds of the pipeline Algorithm CC run.
-    pub pipeline_rounds: u64,
-    /// Total simulated rounds of the propagation run.
-    pub propagate_rounds: u64,
-    /// Total PE ticks of the propagation run (the PRAM-style work).
-    pub propagate_ticks: u64,
-    /// Jacobi iterations of the propagation run (including the final
-    /// no-change iteration proving convergence).
-    pub propagate_iterations: u64,
-    /// Both kernels produced the same labeling on this input.
-    pub labels_match: bool,
-}
-
-/// A finished sweep, ready to serialize.
-#[derive(Clone, Debug)]
-pub struct PropagateReport {
-    /// `"quick"` or `"full"`.
-    pub scale: String,
-    /// Families swept by the host section.
-    pub families: Vec<String>,
-    /// Sides swept by the host section.
-    pub sides: Vec<usize>,
-    /// All timed host points.
-    pub entries: Vec<Entry>,
-    /// All lock-step comparison points.
-    pub lockstep: Vec<LockstepEntry>,
-}
-
-/// Host sweep parameters per scale.
-fn sweep_params(quick: bool) -> (&'static [&'static str], &'static [usize]) {
-    const FAMILIES: &[&str] = &["random50", "blobs", "spiral", "serpentine", "hilbert"];
-    if quick {
-        (FAMILIES, &[64, 128, 256])
-    } else {
-        (FAMILIES, &[256, 512, 1024, 2048])
-    }
-}
-
-/// Lock-step sweep parameters per scale: small frames (the simulator pays
+/// Lock-step comparison families: small frames (the simulator pays
 /// `O(rounds × PEs)` host work, and the propagation kernel's rounds grow
 /// with label-travel distance).
-fn lockstep_params(quick: bool) -> (&'static [&'static str], &'static [usize]) {
-    const FAMILIES: &[&str] = &["random50", "blobs", "spiral"];
-    if quick {
-        (FAMILIES, &[16])
-    } else {
-        (FAMILIES, &[32])
-    }
-}
+const LOCKSTEP_FAMILIES: &[&str] = &["random50", "blobs", "spiral"];
 
-/// Runs the sweep. `progress` receives one line per timed point. The host
-/// engines are warm registry sessions; the oracle doubles as the
-/// bit-identity reference.
-pub fn run_propagate(quick: bool, mut progress: impl FnMut(&str)) -> PropagateReport {
-    let (families, sides) = sweep_params(quick);
+const LOCKSTEP: &[&str] = &[
+    "pipeline_rounds",
+    "propagate_rounds",
+    "propagate_ticks",
+    "propagate_iterations",
+];
+
+/// Runs the sweep. The host engines are warm registry sessions; the oracle
+/// doubles as the bit-identity reference.
+pub fn run(quick: bool, progress: &mut dyn FnMut(&str)) -> Report {
+    let (ls_side, sides): (usize, &[usize]) = if quick {
+        (16, &[64, 128, 256])
+    } else {
+        (32, &[256, 512, 1024, 2048])
+    };
     let mut entries = Vec::new();
     let mut oracle = EngineKind::Bfs.session(1);
     let mut prop = EngineKind::Propagate.session(1);
     let mut oracle_grid = LabelGrid::new_background(1, 1);
     let mut prop_grid = LabelGrid::new_background(1, 1);
-    sweep::drive(families, sides, quick, |p| {
-        let (family, n, conn, cid, img, reps) = (p.family, p.n, p.conn, p.cid, p.img, p.reps);
-        let (best, mean) = sweep::time_reps(reps, || {
+    let mut push = |e: Entry| {
+        progress(&e.line());
+        entries.push(e);
+    };
+    sweep::drive(FAMILIES, sides, quick, |p| {
+        let (conn, img, reps) = (p.conn, p.img, p.reps);
+        let times = sweep::time_reps(reps, || {
             oracle.label_into(std::hint::black_box(img), conn, &mut oracle_grid);
         });
-        progress(&format!(
-            "{family}/{n}/{cid}-conn oracle-bfs: {:.3} ms",
-            best as f64 / 1e6
-        ));
-        entries.push(Entry {
-            family: family.to_string(),
-            n,
-            conn: cid,
-            engine: "oracle-bfs".to_string(),
-            best_ns: best,
-            mean_ns: mean,
-            reps,
-            bit_identical: None,
-            iterations: None,
-            reduction_passes: None,
-        });
+        push(Entry::at(p, "oracle-bfs", "", 1).timed(times, reps));
         let mut stats = None;
-        let (best, mean) = sweep::time_reps(reps, || {
+        let times = sweep::time_reps(reps, || {
             stats = Some(prop.label_into(std::hint::black_box(img), conn, &mut prop_grid));
         });
         let stats = stats.expect("at least one timed repetition ran");
-        let ok = prop_grid == oracle_grid;
-        progress(&format!(
-            "{family}/{n}/{cid}-conn propagate: {:.3} ms ({} iterations, {} reductions)",
-            best as f64 / 1e6,
-            stats.iterations,
-            stats.reduction_passes
-        ));
-        entries.push(Entry {
-            family: family.to_string(),
-            n,
-            conn: cid,
-            engine: "propagate".to_string(),
-            best_ns: best,
-            mean_ns: mean,
-            reps,
-            bit_identical: Some(ok),
-            iterations: Some(stats.iterations),
-            reduction_passes: Some(stats.reduction_passes),
-        });
+        push(
+            Entry::at(p, "propagate", "", 1)
+                .timed(times, reps)
+                .matching(prop_grid == oracle_grid)
+                .count("iterations", stats.iterations as u64)
+                .count("reduction_passes", stats.reduction_passes as u64),
+        );
     });
     // Lock-step machine comparison: the pipeline and the propagation kernel
     // on identical inputs, exact rounds for both.
-    let (ls_families, ls_sides) = lockstep_params(quick);
-    let mut lockstep = Vec::new();
-    sweep::drive(ls_families, ls_sides, quick, |p| {
+    sweep::drive(LOCKSTEP_FAMILIES, &[ls_side], quick, |p| {
         let opts = CcOptions {
             connectivity: p.conn,
             ..CcOptions::default()
         };
         let (cc_run, cc_report) = label_components_lockstep::<RankHalvingUf>(p.img, &opts, 1);
         let (prop_grid, prop_report) = propagate_components_lockstep(p.img, p.conn, 1);
-        let labels_match = cc_run.labels == prop_grid;
-        progress(&format!(
-            "{}/{}/{}-conn lockstep: pipeline {} rounds, propagate {} rounds \
-             ({} iterations)",
-            p.family,
-            p.n,
-            p.cid,
-            cc_report.total_rounds,
-            prop_report.rounds,
-            prop_report.iterations
-        ));
-        lockstep.push(LockstepEntry {
-            family: p.family.to_string(),
-            n: p.n,
-            conn: p.cid,
-            pipeline_rounds: cc_report.total_rounds,
-            propagate_rounds: prop_report.rounds,
-            propagate_ticks: prop_report.ticks,
-            propagate_iterations: prop_report.iterations,
-            labels_match,
-        });
+        push(
+            Entry::at(p, "lockstep", "", 1)
+                .matching(cc_run.labels == prop_grid)
+                .count(LOCKSTEP[0], cc_report.total_rounds)
+                .count(LOCKSTEP[1], prop_report.rounds)
+                .count(LOCKSTEP[2], prop_report.ticks)
+                .count(LOCKSTEP[3], prop_report.iterations),
+        );
     });
-    PropagateReport {
-        scale: if quick { "quick" } else { "full" }.to_string(),
-        families: families.iter().map(|s| s.to_string()).collect(),
-        sides: sides.to_vec(),
-        entries,
-        lockstep,
-    }
+    let all_sides: Vec<usize> = std::iter::once(ls_side)
+        .chain(sides.iter().copied())
+        .collect();
+    Report::new("propagate", quick, FAMILIES, &all_sides, entries)
 }
 
-impl PropagateReport {
-    /// Best time of one recorded host point.
-    fn best_of(&self, family: &str, n: usize, conn: u32, engine: &str) -> Option<u64> {
-        self.entries
-            .iter()
-            .find(|e| e.family == family && e.n == n && e.conn == conn && e.engine == engine)
-            .map(|e| e.best_ns)
-    }
-
-    /// Serializes the report. Hand-rolled (the workspace `serde` is a no-op
-    /// stub); [`validate`] checks the inverse direction.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {},", json::quote(SCHEMA));
-        let _ = writeln!(s, "  \"scale\": {},", json::quote(&self.scale));
-        let _ = writeln!(s, "  \"seed\": {SEED},");
-        let fams: Vec<String> = self.families.iter().map(|f| json::quote(f)).collect();
-        let _ = writeln!(s, "  \"families\": [{}],", fams.join(", "));
-        let sides: Vec<String> = self.sides.iter().map(|n| n.to_string()).collect();
-        let _ = writeln!(s, "  \"sides\": [{}],", sides.join(", "));
-        s.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"family\": {}, \"n\": {}, \"conn\": {}, \"engine\": {}, \
-                 \"best_ns\": {}, \"mean_ns\": {}, \"reps\": {}",
-                json::quote(&e.family),
-                e.n,
-                e.conn,
-                json::quote(&e.engine),
-                e.best_ns,
-                e.mean_ns,
-                e.reps
-            );
-            if let Some(ok) = e.bit_identical {
-                let _ = write!(s, ", \"bit_identical\": {ok}");
-            }
-            if let Some(it) = e.iterations {
-                let _ = write!(s, ", \"iterations\": {it}");
-            }
-            if let Some(rp) = e.reduction_passes {
-                let _ = write!(s, ", \"reduction_passes\": {rp}");
-            }
-            s.push('}');
-            if i + 1 < self.entries.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"lockstep\": [\n");
-        for (i, e) in self.lockstep.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"family\": {}, \"n\": {}, \"conn\": {}, \"pipeline_rounds\": {}, \
-                 \"propagate_rounds\": {}, \"propagate_ticks\": {}, \
-                 \"propagate_iterations\": {}, \"labels_match\": {}}}",
-                json::quote(&e.family),
-                e.n,
-                e.conn,
-                e.pipeline_rounds,
-                e.propagate_rounds,
-                e.propagate_ticks,
-                e.propagate_iterations,
-                e.labels_match
-            );
-            if i + 1 < self.lockstep.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-        // Derived headline ratios: propagate vs the oracle per point.
-        s.push_str("  \"speedups\": [\n");
-        let mut lines = Vec::new();
-        for family in &self.families {
-            for &n in &self.sides {
-                for &conn in CONNS {
-                    let cid = conn_id(conn);
-                    let (Some(oracle), Some(prop)) = (
-                        self.best_of(family, n, cid, "oracle-bfs"),
-                        self.best_of(family, n, cid, "propagate"),
-                    ) else {
-                        continue;
-                    };
-                    lines.push(format!(
-                        "    {{\"family\": {}, \"n\": {}, \"conn\": {}, \
-                         \"over_oracle\": {:.3}}}",
-                        json::quote(family),
-                        n,
-                        cid,
-                        oracle as f64 / prop.max(1) as f64
-                    ));
-                }
-            }
-        }
-        s.push_str(&lines.join(",\n"));
-        s.push_str("\n  ]\n}\n");
-        s
-    }
-}
-
-/// Validates a propagate-sweep JSON document against the schema. Always
-/// enforced: every propagate entry is bit-identical to the oracle and
-/// records its convergence counters (`iterations ≥ 1`), host coverage is ≥ 3
-/// families × ≥ 3 sizes per connectivity including every adversarial family
-/// in [`ADVERSARIAL_FAMILIES`], and the lock-step section compares both
-/// kernels (matching labels, `propagate_rounds ≥ propagate_iterations ≥ 1`)
-/// under both connectivities. With `require_full` the file must be a
-/// full-scale sweep meeting the [`REQUIRED_SPEEDUP`] headline on `random50`
-/// @ 2048² under both connectivities.
-pub fn validate(text: &str, require_full: bool) -> Result<(), String> {
-    let doc = json::parse(text)?;
-    let obj = doc.as_object().ok_or("top level is not an object")?;
-    let get = |key: &str| {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing key {key:?}"))
+/// The propagate criteria: bit-identity and `iterations ≥ 1` on every
+/// propagate entry; ≥ 3 families × ≥ 3 sizes of oracle + propagate points
+/// per connectivity, including every adversarial family; lock-step entries
+/// at both connectivities with matching labels and `ticks ≥ rounds ≥
+/// iterations ≥ 1`; and at full scale propagate ≥ 2× the oracle on
+/// `random50` @ 2048² at both connectivities.
+pub fn spec() -> Spec {
+    let (oracle, prop, lockstep) = (
+        Sel("oracle-bfs", ""),
+        Sel("propagate", ""),
+        Sel("lockstep", ""),
+    );
+    let at_least = |lhs, rhs, why| Bound {
+        sel: lockstep,
+        lhs,
+        op: Op::Ge,
+        rhs,
+        why,
     };
-    let schema = get("schema")?.as_str().ok_or("schema is not a string")?;
-    if schema != SCHEMA {
-        return Err(format!("schema {schema:?}, expected {SCHEMA:?}"));
+    Spec {
+        need: vec![
+            (oracle, TIMED),
+            (prop, TIMED),
+            (prop, &["iterations", "reduction_passes"]),
+            (lockstep, LOCKSTEP),
+        ],
+        reference: vec![prop, lockstep],
+        bounds: vec![
+            Bound {
+                sel: prop,
+                lhs: &["iterations"],
+                op: Op::Ge,
+                rhs: Rhs::Const(1),
+                why: "propagate iterations must be at least 1",
+            },
+            at_least(
+                &["pipeline_rounds"],
+                Rhs::Const(1),
+                "lock-step pipeline ran",
+            ),
+            at_least(
+                &["propagate_iterations"],
+                Rhs::Const(1),
+                "lock-step propagation ran",
+            ),
+            at_least(
+                &["propagate_rounds"],
+                Rhs::Of("propagate_iterations"),
+                "rounds ≥ iterations",
+            ),
+            at_least(
+                &["propagate_ticks"],
+                Rhs::Of("propagate_rounds"),
+                "ticks ≥ rounds",
+            ),
+        ],
+        cover: vec![
+            Cover {
+                pairs: vec![oracle, prop],
+                min_families: 3,
+                min_sides: 3,
+                families: ADVERSARIAL_FAMILIES,
+            },
+            Cover {
+                pairs: vec![lockstep],
+                min_families: 1,
+                min_sides: 1,
+                families: &[],
+            },
+        ],
+        ratios: vec![Ratio::new(oracle, prop).gated(Gate::headline(
+            "propagate headline",
+            Cmp::AtLeast(2.0),
+            &[4, 8],
+        ))],
     }
-    let scale = get("scale")?.as_str().ok_or("scale is not a string")?;
-    if scale != "quick" && scale != "full" {
-        return Err(format!("scale {scale:?} is neither quick nor full"));
-    }
-    if require_full && scale != "full" {
-        return Err("a full-scale propagate sweep is required".to_string());
-    }
-    let entries = get("entries")?
-        .as_array()
-        .ok_or("entries is not an array")?;
-    if entries.is_empty() {
-        return Err("entries is empty".to_string());
-    }
-    // (family, n, conn) → {oracle seen, propagate seen}.
-    let mut coverage: Vec<(String, u64, u64, bool, bool)> = Vec::new();
-    for (i, e) in entries.iter().enumerate() {
-        let ctx = |msg: &str| format!("entry {i}: {msg}");
-        let eo = e.as_object().ok_or_else(|| ctx("not an object"))?;
-        let field = |key: &str| {
-            eo.iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| ctx(&format!("missing {key:?}")))
-        };
-        let family = field("family")?
-            .as_str()
-            .ok_or_else(|| ctx("family is not a string"))?
-            .to_string();
-        let n = field("n")?
-            .as_u64()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| ctx("n is not a positive integer"))?;
-        let conn = field("conn")?
-            .as_u64()
-            .filter(|&c| c == 4 || c == 8)
-            .ok_or_else(|| ctx("conn is not 4 or 8"))?;
-        let engine = field("engine")?
-            .as_str()
-            .ok_or_else(|| ctx("engine is not a string"))?
-            .to_string();
-        let best = field("best_ns")?
-            .as_u64()
-            .filter(|&v| v > 0)
-            .ok_or_else(|| ctx("best_ns is not a positive integer"))?;
-        let mean = field("mean_ns")?
-            .as_u64()
-            .ok_or_else(|| ctx("mean_ns is not an integer"))?;
-        if mean < best {
-            return Err(ctx("mean_ns is below best_ns"));
-        }
-        field("reps")?
-            .as_u64()
-            .filter(|&v| v > 0)
-            .ok_or_else(|| ctx("reps is not a positive integer"))?;
-        match engine.as_str() {
-            "oracle-bfs" => {}
-            "propagate" => {
-                let ok = eo
-                    .iter()
-                    .find(|(k, _)| k == "bit_identical")
-                    .and_then(|(_, v)| v.as_bool())
-                    .ok_or_else(|| ctx("propagate entry lacks bit_identical"))?;
-                if !ok {
-                    return Err(ctx("labels were not bit-identical to the oracle"));
-                }
-                let iters = eo
-                    .iter()
-                    .find(|(k, _)| k == "iterations")
-                    .and_then(|(_, v)| v.as_u64())
-                    .ok_or_else(|| ctx("propagate entry lacks iterations"))?;
-                if iters == 0 {
-                    return Err(ctx("propagate iterations must be at least 1"));
-                }
-                eo.iter()
-                    .find(|(k, _)| k == "reduction_passes")
-                    .and_then(|(_, v)| v.as_u64())
-                    .ok_or_else(|| ctx("propagate entry lacks reduction_passes"))?;
-            }
-            other => return Err(ctx(&format!("unknown engine {other:?}"))),
-        }
-        match coverage
-            .iter_mut()
-            .find(|(f, m, c, ..)| *f == family && *m == n && *c == conn)
-        {
-            Some((.., oracle_seen, prop_seen)) => {
-                if engine == "oracle-bfs" {
-                    *oracle_seen = true;
-                } else {
-                    *prop_seen = true;
-                }
-            }
-            None => coverage.push((
-                family,
-                n,
-                conn,
-                engine == "oracle-bfs",
-                engine != "oracle-bfs",
-            )),
-        }
-    }
-    // Host coverage: each connectivity needs ≥ 3 families × ≥ 3 sizes of
-    // points with both engines, and every adversarial family among them.
-    for want in [4u64, 8] {
-        let full_points: Vec<_> = coverage
-            .iter()
-            .filter(|(_, _, c, oracle, prop)| *c == want && *oracle && *prop)
-            .collect();
-        let mut fams: Vec<&str> = full_points.iter().map(|(f, ..)| f.as_str()).collect();
-        fams.sort_unstable();
-        fams.dedup();
-        let mut ns: Vec<u64> = full_points.iter().map(|(_, n, ..)| *n).collect();
-        ns.sort_unstable();
-        ns.dedup();
-        if fams.len() < 3 || ns.len() < 3 {
-            return Err(format!(
-                "coverage too thin at {want}-connectivity: {} families × {} sizes \
-                 with both engines (need ≥ 3 × ≥ 3)",
-                fams.len(),
-                ns.len()
-            ));
-        }
-        for adv in ADVERSARIAL_FAMILIES {
-            if !fams.contains(adv) {
-                return Err(format!(
-                    "adversarial family {adv:?} is not covered at {want}-connectivity"
-                ));
-            }
-        }
-    }
-    // Lock-step section: both kernels on identical inputs, both
-    // connectivities, matching labels, sane counters.
-    let lockstep = get("lockstep")?
-        .as_array()
-        .ok_or("lockstep is not an array")?;
-    if lockstep.is_empty() {
-        return Err("lockstep is empty".to_string());
-    }
-    let mut ls_conns: Vec<u64> = Vec::new();
-    for (i, e) in lockstep.iter().enumerate() {
-        let ctx = |msg: &str| format!("lockstep entry {i}: {msg}");
-        let eo = e.as_object().ok_or_else(|| ctx("not an object"))?;
-        let num = |key: &str| {
-            eo.iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.as_u64())
-                .ok_or_else(|| ctx(&format!("missing integer {key:?}")))
-        };
-        let conn = num("conn")?;
-        if conn != 4 && conn != 8 {
-            return Err(ctx("conn is not 4 or 8"));
-        }
-        ls_conns.push(conn);
-        let pipeline = num("pipeline_rounds")?;
-        let rounds = num("propagate_rounds")?;
-        let ticks = num("propagate_ticks")?;
-        let iterations = num("propagate_iterations")?;
-        if pipeline == 0 {
-            return Err(ctx("pipeline_rounds must be at least 1"));
-        }
-        if iterations == 0 {
-            return Err(ctx("propagate_iterations must be at least 1"));
-        }
-        if rounds < iterations {
-            return Err(ctx("propagate_rounds is below propagate_iterations"));
-        }
-        if ticks < rounds {
-            return Err(ctx("propagate_ticks is below propagate_rounds"));
-        }
-        let ok = eo
-            .iter()
-            .find(|(k, _)| k == "labels_match")
-            .and_then(|(_, v)| v.as_bool())
-            .ok_or_else(|| ctx("missing labels_match"))?;
-        if !ok {
-            return Err(ctx("the two kernels disagreed on the labeling"));
-        }
-    }
-    for want in [4u64, 8] {
-        if !ls_conns.contains(&want) {
-            return Err(format!("no lockstep comparison at {want}-connectivity"));
-        }
-    }
-    if require_full {
-        for want in [4u64, 8] {
-            let best_of = |engine: &str| {
-                entries.iter().find_map(|e| {
-                    let eo = e.as_object()?;
-                    let s = |k: &str| eo.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-                    (s("family")?.as_str()? == "random50"
-                        && s("n")?.as_u64()? == 2048
-                        && s("conn")?.as_u64()? == want
-                        && s("engine")?.as_str()? == engine)
-                        .then(|| s("best_ns")?.as_u64())
-                        .flatten()
-                })
-            };
-            let oracle = best_of("oracle-bfs")
-                .ok_or_else(|| format!("no oracle entry for random50 @ 2048 ({want}-conn)"))?;
-            let prop = best_of("propagate")
-                .ok_or_else(|| format!("no propagate entry for random50 @ 2048 ({want}-conn)"))?;
-            let ratio = oracle as f64 / prop.max(1) as f64;
-            if ratio < REQUIRED_SPEEDUP {
-                return Err(format!(
-                    "propagate is only {ratio:.2}× the oracle on random50 @ 2048 \
-                     ({want}-conn; need ≥ {REQUIRED_SPEEDUP}×)"
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::table::{rejects_wrong_schema, roundtrips};
 
-    fn tiny_report() -> PropagateReport {
+    const FIXTURE_FAMILIES: &[&str] = &["random50", "spiral", "serpentine", "hilbert"];
+
+    fn fixture() -> Report {
         let mut entries = Vec::new();
-        for family in ["random50", "spiral", "serpentine", "hilbert"] {
+        for family in FIXTURE_FAMILIES {
             for n in [512usize, 1024, 2048] {
                 for conn in [4u32, 8] {
-                    entries.push(Entry {
-                        family: family.to_string(),
-                        n,
-                        conn,
-                        engine: "oracle-bfs".to_string(),
-                        best_ns: 9000,
-                        mean_ns: 9500,
-                        reps: 3,
-                        bit_identical: None,
-                        iterations: None,
-                        reduction_passes: None,
-                    });
-                    entries.push(Entry {
-                        family: family.to_string(),
-                        n,
-                        conn,
-                        engine: "propagate".to_string(),
-                        best_ns: 3000, // 3× the oracle
-                        mean_ns: 3300,
-                        reps: 3,
-                        bit_identical: Some(true),
-                        iterations: Some(4),
-                        reduction_passes: Some(2),
-                    });
+                    let at = |engine| Entry::new(family, n, conn, engine, "", 1);
+                    entries.push(at("oracle-bfs").timed((9000, 9500), 3));
+                    // 3× the oracle
+                    entries.push(
+                        at("propagate")
+                            .timed((3000, 3300), 3)
+                            .matching(true)
+                            .count("iterations", 4)
+                            .count("reduction_passes", 2),
+                    );
                 }
             }
         }
-        let lockstep = [4u32, 8]
-            .iter()
-            .map(|&conn| LockstepEntry {
-                family: "random50".to_string(),
-                n: 32,
-                conn,
-                pipeline_rounds: 400,
-                propagate_rounds: 2600,
-                propagate_ticks: 80_000,
-                propagate_iterations: 9,
-                labels_match: true,
-            })
-            .collect();
-        PropagateReport {
-            scale: "full".to_string(),
-            families: ["random50", "spiral", "serpentine", "hilbert"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            sides: vec![512, 1024, 2048],
-            entries,
-            lockstep,
+        for conn in [4u32, 8] {
+            entries.push(
+                Entry::new("random50", 32, conn, "lockstep", "", 1)
+                    .matching(true)
+                    .count(LOCKSTEP[0], 400)
+                    .count(LOCKSTEP[1], 2600)
+                    .count(LOCKSTEP[2], 80_000)
+                    .count(LOCKSTEP[3], 9),
+            );
         }
+        Report::new(
+            "propagate",
+            false,
+            FIXTURE_FAMILIES,
+            &[32, 512, 1024, 2048],
+            entries,
+        )
+    }
+
+    fn propagate_entries(r: &mut Report) -> impl Iterator<Item = &mut Entry> {
+        r.entries.iter_mut().filter(|e| e.engine == "propagate")
     }
 
     #[test]
     fn report_roundtrips_through_validation() {
-        let text = tiny_report().to_json();
-        validate(&text, false).expect("quick validation");
-        validate(&text, true).expect("full validation");
+        roundtrips(fixture());
     }
 
     #[test]
     fn validation_rejects_wrong_schema() {
-        let text = tiny_report().to_json().replace(SCHEMA, "bogus/v0");
-        assert!(validate(&text, false).is_err());
+        rejects_wrong_schema(fixture());
     }
 
-    #[test]
-    fn validation_rejects_non_identical_labels() {
-        let mut report = tiny_report();
-        for e in &mut report.entries {
-            if e.engine == "propagate" {
-                e.bit_identical = Some(false);
-            }
-        }
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("bit-identical"), "{err}");
-    }
-
-    #[test]
-    fn validation_requires_convergence_counters() {
-        let mut report = tiny_report();
-        for e in &mut report.entries {
-            if e.engine == "propagate" {
-                e.iterations = None;
-            }
-        }
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("iterations"), "{err}");
-    }
-
-    #[test]
-    fn validation_requires_the_adversarial_families() {
-        let mut report = tiny_report();
-        report.entries.retain(|e| e.family != "hilbert");
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("hilbert"), "{err}");
-    }
-
-    #[test]
-    fn validation_requires_lockstep_coverage_of_both_conns() {
-        let mut report = tiny_report();
-        report.lockstep.retain(|e| e.conn != 8);
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("8-connectivity"), "{err}");
-    }
-
-    #[test]
-    fn validation_rejects_disagreeing_lockstep_kernels() {
-        let mut report = tiny_report();
-        report.lockstep[0].labels_match = false;
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("disagreed"), "{err}");
-    }
-
-    #[test]
-    fn full_validation_enforces_the_headline_speedup() {
-        let mut report = tiny_report();
-        for e in &mut report.entries {
-            if e.engine == "propagate" {
-                e.best_ns = 9000; // no speedup
-                e.mean_ns = 9500;
-            }
-        }
-        let text = report.to_json();
-        validate(&text, false).expect("quick validation ignores the ratio");
-        let err = validate(&text, true).unwrap_err();
-        assert!(err.contains("2×") || err.contains("need ≥ 2"), "{err}");
-    }
-
-    #[test]
-    fn validation_rejects_thin_coverage() {
-        let mut report = tiny_report();
-        report
-            .entries
-            .retain(|e| e.family == "random50" || e.family == "spiral");
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("coverage"), "{err}");
+    crate::record::rows! { fixture();
+        validation_rejects_non_identical_labels: false, |r| {
+            propagate_entries(r).for_each(|e| e.matches_reference = Some(false));
+        } => Err("propagate): output does not match the reference");
+        validation_requires_convergence_counters: false, |r| {
+            propagate_entries(r).for_each(|e| e.counters.retain(|(k, _)| k != "iterations"));
+        } => Err("missing counter \"iterations\"");
+        validation_rejects_zero_iterations: false, |r| {
+            propagate_entries(r).for_each(|e| e.counters[3].1 = 0);
+        } => Err("propagate iterations must be at least 1");
+        validation_requires_the_adversarial_families: false, |r| r.entries.retain(|e| e.family != "hilbert")
+            => Err("family \"hilbert\" is not covered");
+        validation_requires_lockstep_coverage_of_both_conns: false, |r| {
+            r.entries.retain(|e| !(e.engine == "lockstep" && e.conn == 8));
+        } => Err("coverage too thin at 8-connectivity: 0 families × 0 sizes carry [lockstep]");
+        validation_rejects_disagreeing_lockstep_kernels: false, |r| {
+            r.entries.iter_mut().find(|e| e.engine == "lockstep").unwrap().matches_reference = Some(false);
+        } => Err("lockstep): output does not match the reference");
+        validation_rejects_inconsistent_lockstep_counters: false, |r| {
+            r.entries.iter_mut().find(|e| e.engine == "lockstep").unwrap().counters[2].1 = 100;
+        } => Err("ticks ≥ rounds");
+        full_validation_enforces_the_headline_speedup: true, |r| {
+            // no speedup
+            propagate_entries(r).for_each(|e| (e.counters[0].1, e.counters[1].1) = (9000, 9500));
+        } => Err("need ≥ 2×");
+        validation_rejects_thin_coverage: false, |r| {
+            r.entries.retain(|e| e.family == "random50" || e.family == "spiral");
+        } => Err("coverage too thin");
     }
 
     #[test]
     fn quick_sweep_smoke() {
-        let report = run_propagate(true, |_| {});
-        validate(&report.to_json(), false).expect("fresh quick sweep validates");
+        let text = run(true, &mut |_| {}).to_json();
+        crate::record::check(&text, false).expect("fresh quick sweep validates");
     }
 }

@@ -1,107 +1,48 @@
 //! The `slap-bench reuse` sweep: cold-call vs. warm-session throughput for
-//! **every registered engine**, serialized to `BENCH_reuse.json`.
+//! **every registered engine**, recorded to `BENCH_reuse.json`.
 //!
 //! This is the measurement behind the engine layer's core promise: a
 //! [`slap_cc::engine::LabelEngine`] session owns its scratch arenas and
 //! relabels allocation-free once warm. For each (engine, family, size,
-//! connectivity) point the sweep times
+//! connectivity) point the sweep records two entries:
 //!
 //! * **cold** — a fresh session *and* a fresh label grid constructed inside
 //!   every call (the allocation churn a registry-less caller pays), and
 //! * **warm** — one persistent session + grid reused across calls, warmed to
-//!   its arena high-water mark first,
+//!   its arena high-water mark first, recording bit-identity against the BFS
+//!   oracle.
 //!
-//! asserting bit-identity against the BFS oracle while timing. The sweep
-//! iterates [`slap_cc::engine::registry`] — adding an engine to the registry
-//! adds it to this file with no bench-side changes — and [`validate`]
-//! enforces that **warm throughput ≥ cold throughput on every entry**, so a
-//! session type that silently loses its reuse property fails CI.
+//! The sweep iterates [`slap_cc::engine::registry`] — adding an engine to
+//! the registry adds it to this file with no bench-side changes — and
+//! [`spec`] gates **cold/warm ≥ 1 (warm ≤ cold) on every engine at every
+//! point**, so a session type that silently loses its reuse property fails.
 
-use crate::json;
-use crate::sweep::{self, conn_id, SEED};
+use crate::record::{Cmp, Cover, Entry, Gate, Ratio, Report, Sel, Spec, TIMED};
+use crate::sweep;
 use slap_cc::engine::{registry, EngineKind};
-use slap_image::{bfs_labels_conn, Bitmap, Connectivity, LabelGrid};
-use std::fmt::Write as _;
-
-/// Schema identifier stamped into (and required from) every reuse file.
-pub const SCHEMA: &str = "slap-bench-reuse/v1";
+use slap_image::{bfs_labels_conn, LabelGrid};
 
 /// Worker threads handed to multithreaded engines (sequential engines
 /// record `1`).
 pub const THREADS: usize = 2;
 
-/// One timed (engine, family, size, connectivity) point.
-#[derive(Clone, Debug)]
-pub struct Entry {
-    /// Registered engine name ([`EngineKind::name`]).
-    pub engine: String,
-    /// Workload family name (a `gen::by_name` key).
-    pub family: String,
-    /// Image side (the image is `n × n`).
-    pub n: usize,
-    /// Adjacency convention: `4` or `8`.
-    pub conn: u32,
-    /// Worker threads the session used.
-    pub threads: usize,
-    /// Best cold-call wall-clock nanoseconds (fresh session + grid per call).
-    pub cold_best_ns: u64,
-    /// Mean cold-call wall-clock nanoseconds.
-    pub cold_mean_ns: u64,
-    /// Best warm-session wall-clock nanoseconds (persistent session + grid).
-    pub warm_best_ns: u64,
-    /// Mean warm-session wall-clock nanoseconds.
-    pub warm_mean_ns: u64,
-    /// Number of timed repetitions per mode.
-    pub reps: usize,
-    /// The warm session's labels were bit-identical to the BFS oracle.
-    pub bit_identical: bool,
-}
+const FAMILIES: &[&str] = &["random50", "blobs", "checker"];
 
-/// A finished sweep, ready to serialize.
-#[derive(Clone, Debug)]
-pub struct ReuseReport {
-    /// `"quick"` or `"full"`.
-    pub scale: String,
-    /// Engines swept (the full registry).
-    pub engines: Vec<String>,
-    /// Families swept.
-    pub families: Vec<String>,
-    /// Sides swept.
-    pub sides: Vec<usize>,
-    /// All timed points.
-    pub entries: Vec<Entry>,
-}
-
-/// Sweep parameters per scale.
-fn sweep_params(quick: bool) -> (&'static [&'static str], &'static [usize]) {
-    const FAMILIES: &[&str] = &["random50", "blobs", "checker"];
-    if quick {
-        (FAMILIES, &[64, 128])
-    } else {
-        (FAMILIES, &[256, 512, 1024])
-    }
-}
-
-/// Times one (engine, image, connectivity) point: cold then warm. A warm
-/// call does strictly less work than a cold one (same labeling, none of the
-/// allocation), so its true floor is below cold's — but on a loaded host one
-/// best-of-N sample can invert. Retries accumulate the running minimum of
-/// both modes (more samples only tighten each floor) until the ordering
-/// settles, instead of discarding earlier measurements.
-fn time_point(
-    kind: EngineKind,
-    img: &Bitmap,
-    conn: Connectivity,
-    truth: &LabelGrid,
-    base_reps: usize,
-) -> Entry {
+/// Times one (engine, point): cold then warm. A warm call does strictly less
+/// work than a cold one (same labeling, none of the allocation), so its true
+/// floor is below cold's — but on a loaded host one best-of-N sample can
+/// invert. Retries accumulate the running minimum of both modes (more
+/// samples only tighten each floor) until the ordering settles, instead of
+/// discarding earlier measurements.
+fn time_point(kind: EngineKind, p: &sweep::Point, truth: &LabelGrid) -> [Entry; 2] {
+    let (img, conn) = (p.img, p.conn);
     let (mut cold_best, mut cold_total_ns) = (u64::MAX, 0u128);
     let (mut warm_best, mut warm_total_ns) = (u64::MAX, 0u128);
     let mut threads = 1;
     let mut bit_identical = false;
     let mut reps_total = 0usize;
     for attempt in 0..6 {
-        let reps = base_reps << attempt.min(3);
+        let reps = p.reps << attempt.min(3);
         reps_total += reps;
         let (best, mean) = sweep::time_reps(reps, || {
             let mut session = kind.session(THREADS);
@@ -129,374 +70,125 @@ fn time_point(
             break;
         }
     }
-    Entry {
-        engine: kind.name().to_string(),
-        family: String::new(), // filled by the caller
-        n: 0,
-        conn: conn_id(conn),
-        threads,
-        cold_best_ns: cold_best,
-        // Weighted across attempts, so mean and reps stay consistent (every
-        // attempt's mean ≥ its best ≥ the global best, so mean ≥ best holds).
-        cold_mean_ns: (cold_total_ns / reps_total as u128) as u64,
-        warm_best_ns: warm_best,
-        warm_mean_ns: (warm_total_ns / reps_total as u128) as u64,
-        reps: reps_total,
-        bit_identical,
-    }
+    // Means are weighted across attempts, so mean and reps stay consistent
+    // (every attempt's mean ≥ its best ≥ the global best, so mean ≥ best).
+    let mean = |total: u128| (total / reps_total as u128) as u64;
+    [
+        Entry::at(p, kind.name(), "cold", threads)
+            .timed((cold_best, mean(cold_total_ns)), reps_total),
+        Entry::at(p, kind.name(), "warm", threads)
+            .timed((warm_best, mean(warm_total_ns)), reps_total)
+            .matching(bit_identical),
+    ]
 }
 
-/// Runs the sweep over the full engine registry. `progress` receives one
-/// line per timed point.
-pub fn run_reuse(quick: bool, mut progress: impl FnMut(&str)) -> ReuseReport {
-    let (families, sides) = sweep_params(quick);
+/// Runs the sweep over the full engine registry.
+pub fn run(quick: bool, progress: &mut dyn FnMut(&str)) -> Report {
+    let sides: &[usize] = if quick { &[64, 128] } else { &[256, 512, 1024] };
     let mut entries = Vec::new();
-    sweep::drive(families, sides, quick, |p| {
+    sweep::drive(FAMILIES, sides, quick, |p| {
         let truth = bfs_labels_conn(p.img, p.conn);
         for info in registry() {
-            let mut entry = time_point(info.kind, p.img, p.conn, &truth, p.reps);
-            entry.family = p.family.to_string();
-            entry.n = p.n;
-            progress(&format!(
-                "{}/{}/{}-conn {}: cold {:.3} ms, warm {:.3} ms ({:.2}x)",
-                p.family,
-                p.n,
-                entry.conn,
-                entry.engine,
-                entry.cold_best_ns as f64 / 1e6,
-                entry.warm_best_ns as f64 / 1e6,
-                entry.cold_best_ns as f64 / entry.warm_best_ns.max(1) as f64
-            ));
-            entries.push(entry);
+            for e in time_point(info.kind, p, &truth) {
+                progress(&e.line());
+                entries.push(e);
+            }
         }
     });
-    ReuseReport {
-        scale: if quick { "quick" } else { "full" }.to_string(),
-        engines: registry()
-            .iter()
-            .map(|e| e.kind.name().to_string())
-            .collect(),
-        families: families.iter().map(|s| s.to_string()).collect(),
-        sides: sides.to_vec(),
-        entries,
-    }
+    Report::new("reuse", quick, FAMILIES, sides, entries)
 }
 
-impl ReuseReport {
-    /// Serializes the report. Hand-rolled (the workspace `serde` is a no-op
-    /// stub); [`validate`] checks the inverse direction.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {},", json::quote(SCHEMA));
-        let _ = writeln!(s, "  \"scale\": {},", json::quote(&self.scale));
-        let _ = writeln!(s, "  \"seed\": {SEED},");
-        let engines: Vec<String> = self.engines.iter().map(|e| json::quote(e)).collect();
-        let _ = writeln!(s, "  \"engines\": [{}],", engines.join(", "));
-        let fams: Vec<String> = self.families.iter().map(|f| json::quote(f)).collect();
-        let _ = writeln!(s, "  \"families\": [{}],", fams.join(", "));
-        let sides: Vec<String> = self.sides.iter().map(|n| n.to_string()).collect();
-        let _ = writeln!(s, "  \"sides\": [{}],", sides.join(", "));
-        s.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"engine\": {}, \"family\": {}, \"n\": {}, \"conn\": {}, \
-                 \"threads\": {}, \"cold_best_ns\": {}, \"cold_mean_ns\": {}, \
-                 \"warm_best_ns\": {}, \"warm_mean_ns\": {}, \"reps\": {}, \
-                 \"bit_identical\": {}}}",
-                json::quote(&e.engine),
-                json::quote(&e.family),
-                e.n,
-                e.conn,
-                e.threads,
-                e.cold_best_ns,
-                e.cold_mean_ns,
-                e.warm_best_ns,
-                e.warm_mean_ns,
-                e.reps,
-                e.bit_identical
-            );
-            if i + 1 < self.entries.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-        // Derived headline ratios: warm-over-cold throughput per point.
-        s.push_str("  \"speedups\": [\n");
-        let lines: Vec<String> = self
-            .entries
-            .iter()
-            .map(|e| {
-                format!(
-                    "    {{\"engine\": {}, \"family\": {}, \"n\": {}, \"conn\": {}, \
-                     \"warm_over_cold\": {:.3}}}",
-                    json::quote(&e.engine),
-                    json::quote(&e.family),
-                    e.n,
-                    e.conn,
-                    e.cold_best_ns as f64 / e.warm_best_ns.max(1) as f64
-                )
-            })
-            .collect();
-        s.push_str(&lines.join(",\n"));
-        s.push_str("\n  ]\n}\n");
-        s
+/// The reuse criteria: warm entries bit-identical to the oracle, every
+/// registered engine cold and warm at every point of ≥ 3 families × ≥ 2
+/// sizes per connectivity, and warm ≤ cold everywhere — at every scale.
+pub fn spec() -> Spec {
+    Spec {
+        need: vec![(Sel::ANY, TIMED)],
+        reference: vec![Sel("*", "warm")],
+        bounds: Vec::new(),
+        cover: vec![Cover {
+            pairs: registry()
+                .iter()
+                .flat_map(|i| [Sel(i.kind.name(), "cold"), Sel(i.kind.name(), "warm")])
+                .collect(),
+            min_families: 3,
+            min_sides: 2,
+            families: &[],
+        }],
+        ratios: vec![Ratio::new(Sel("*", "cold"), Sel("*", "warm")).gated(Gate {
+            why: "reuse criterion (warm ≤ cold)",
+            at: None,
+            conns: &[],
+            bound: Cmp::AtLeast(1.0),
+            full_only: false,
+            min_host_threads: 1,
+        })],
     }
-}
-
-/// Validates a reuse-sweep JSON document against the schema. Every entry
-/// must be bit-identical to the oracle and must satisfy the reuse
-/// criterion — **warm-session throughput ≥ cold-call throughput**
-/// (`warm_best_ns ≤ cold_best_ns`) — and every engine in the current
-/// registry must be covered on ≥ 3 families × ≥ 2 sizes per connectivity.
-/// With `require_full` the file must also record a full-scale sweep.
-pub fn validate(text: &str, require_full: bool) -> Result<(), String> {
-    let doc = json::parse(text)?;
-    let obj = doc.as_object().ok_or("top level is not an object")?;
-    let get = |key: &str| {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing key {key:?}"))
-    };
-    let schema = get("schema")?.as_str().ok_or("schema is not a string")?;
-    if schema != SCHEMA {
-        return Err(format!("schema {schema:?}, expected {SCHEMA:?}"));
-    }
-    let scale = get("scale")?.as_str().ok_or("scale is not a string")?;
-    if scale != "quick" && scale != "full" {
-        return Err(format!("scale {scale:?} is neither quick nor full"));
-    }
-    if require_full && scale != "full" {
-        return Err("a full-scale reuse sweep is required".to_string());
-    }
-    let entries = get("entries")?
-        .as_array()
-        .ok_or("entries is not an array")?;
-    if entries.is_empty() {
-        return Err("entries is empty".to_string());
-    }
-    // (engine, conn) → families and sizes covered.
-    let mut coverage: Vec<(String, u64, Vec<String>, Vec<u64>)> = Vec::new();
-    for (i, e) in entries.iter().enumerate() {
-        let ctx = |msg: &str| format!("entry {i}: {msg}");
-        let eo = e.as_object().ok_or_else(|| ctx("not an object"))?;
-        let field = |key: &str| {
-            eo.iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| ctx(&format!("missing {key:?}")))
-        };
-        let engine = field("engine")?
-            .as_str()
-            .ok_or_else(|| ctx("engine is not a string"))?
-            .to_string();
-        if EngineKind::parse(&engine).is_none() {
-            return Err(ctx(&format!("engine {engine:?} is not in the registry")));
-        }
-        let family = field("family")?
-            .as_str()
-            .ok_or_else(|| ctx("family is not a string"))?
-            .to_string();
-        let n = field("n")?
-            .as_u64()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| ctx("n is not a positive integer"))?;
-        let conn = field("conn")?
-            .as_u64()
-            .filter(|&c| c == 4 || c == 8)
-            .ok_or_else(|| ctx("conn is not 4 or 8"))?;
-        field("threads")?
-            .as_u64()
-            .filter(|&t| t > 0)
-            .ok_or_else(|| ctx("threads is not a positive integer"))?;
-        let cold_best = field("cold_best_ns")?
-            .as_u64()
-            .filter(|&v| v > 0)
-            .ok_or_else(|| ctx("cold_best_ns is not a positive integer"))?;
-        let cold_mean = field("cold_mean_ns")?
-            .as_u64()
-            .ok_or_else(|| ctx("cold_mean_ns is not an integer"))?;
-        if cold_mean < cold_best {
-            return Err(ctx("cold_mean_ns is below cold_best_ns"));
-        }
-        let warm_best = field("warm_best_ns")?
-            .as_u64()
-            .filter(|&v| v > 0)
-            .ok_or_else(|| ctx("warm_best_ns is not a positive integer"))?;
-        let warm_mean = field("warm_mean_ns")?
-            .as_u64()
-            .ok_or_else(|| ctx("warm_mean_ns is not an integer"))?;
-        if warm_mean < warm_best {
-            return Err(ctx("warm_mean_ns is below warm_best_ns"));
-        }
-        if warm_best > cold_best {
-            return Err(ctx(&format!(
-                "reuse criterion violated: warm {warm_best} ns > cold {cold_best} ns \
-                 ({engine} on {family} @ {n})"
-            )));
-        }
-        field("reps")?
-            .as_u64()
-            .filter(|&v| v > 0)
-            .ok_or_else(|| ctx("reps is not a positive integer"))?;
-        let ok = field("bit_identical")?
-            .as_bool()
-            .ok_or_else(|| ctx("bit_identical is not a boolean"))?;
-        if !ok {
-            return Err(ctx("labels were not bit-identical to the oracle"));
-        }
-        match coverage
-            .iter_mut()
-            .find(|(e2, c2, _, _)| *e2 == engine && *c2 == conn)
-        {
-            Some((_, _, fams, ns)) => {
-                fams.push(family);
-                ns.push(n);
-            }
-            None => coverage.push((engine, conn, vec![family], vec![n])),
-        }
-    }
-    // Every registered engine must be covered under both connectivities.
-    for info in registry() {
-        for want in [4u64, 8] {
-            let Some((_, _, fams, ns)) = coverage
-                .iter_mut()
-                .find(|(e, c, _, _)| e == info.kind.name() && *c == want)
-            else {
-                return Err(format!(
-                    "registered engine {:?} has no {want}-connectivity entries",
-                    info.kind.name()
-                ));
-            };
-            fams.sort_unstable();
-            fams.dedup();
-            ns.sort_unstable();
-            ns.dedup();
-            if fams.len() < 3 || ns.len() < 2 {
-                return Err(format!(
-                    "coverage too thin for engine {:?} at {want}-connectivity: \
-                     {} families × {} sizes (need ≥ 3 × ≥ 2)",
-                    info.kind.name(),
-                    fams.len(),
-                    ns.len()
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::table::{rejects_wrong_schema, roundtrips};
 
-    fn tiny_report() -> ReuseReport {
+    fn fixture() -> Report {
         let mut entries = Vec::new();
         for info in registry() {
-            for family in ["random50", "blobs", "checker"] {
+            let threads = if info.multithreaded { THREADS } else { 1 };
+            for family in FAMILIES {
                 for n in [64usize, 128] {
                     for conn in [4u32, 8] {
-                        entries.push(Entry {
-                            engine: info.kind.name().to_string(),
-                            family: family.to_string(),
-                            n,
-                            conn,
-                            threads: if info.multithreaded { THREADS } else { 1 },
-                            cold_best_ns: 5000,
-                            cold_mean_ns: 5600,
-                            warm_best_ns: 4000,
-                            warm_mean_ns: 4400,
-                            reps: 3,
-                            bit_identical: true,
-                        });
+                        let at =
+                            |config| Entry::new(family, n, conn, info.kind.name(), config, threads);
+                        entries.push(at("cold").timed((5000, 5600), 3));
+                        entries.push(at("warm").timed((4000, 4400), 3).matching(true));
                     }
                 }
             }
         }
-        ReuseReport {
-            scale: "full".to_string(),
-            engines: registry()
-                .iter()
-                .map(|e| e.kind.name().to_string())
-                .collect(),
-            families: vec![
-                "random50".to_string(),
-                "blobs".to_string(),
-                "checker".to_string(),
-            ],
-            sides: vec![64, 128],
-            entries,
-        }
+        Report::new("reuse", false, FAMILIES, &[64, 128], entries)
     }
 
     #[test]
     fn report_roundtrips_through_validation() {
-        let text = tiny_report().to_json();
-        validate(&text, false).expect("quick validation");
-        validate(&text, true).expect("full validation");
+        roundtrips(fixture());
     }
 
     #[test]
     fn validation_rejects_wrong_schema() {
-        let text = tiny_report().to_json().replace(SCHEMA, "bogus/v0");
-        assert!(validate(&text, false).is_err());
+        rejects_wrong_schema(fixture());
     }
 
-    #[test]
-    fn validation_enforces_warm_at_least_cold() {
-        let mut report = tiny_report();
-        report.entries[5].warm_best_ns = report.entries[5].cold_best_ns + 1;
-        report.entries[5].warm_mean_ns = report.entries[5].cold_best_ns + 2;
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("reuse criterion"), "{err}");
-    }
-
-    #[test]
-    fn validation_rejects_non_identical_labels() {
-        let mut report = tiny_report();
-        report.entries[0].bit_identical = false;
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("bit-identical"), "{err}");
-    }
-
-    #[test]
-    fn validation_requires_every_registered_engine() {
-        let mut report = tiny_report();
-        report.entries.retain(|e| e.engine != "stream");
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("stream"), "{err}");
-    }
-
-    #[test]
-    fn validation_rejects_unregistered_engines() {
-        let mut report = tiny_report();
-        report.entries[0].engine = "warp-drive".to_string();
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("not in the registry"), "{err}");
-    }
-
-    #[test]
-    fn validation_rejects_thin_coverage() {
-        let mut report = tiny_report();
-        report.entries.retain(|e| e.family == "random50");
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("coverage"), "{err}");
+    crate::record::rows! { fixture();
+        validation_enforces_warm_at_least_cold: false, |r| {
+            let warm = &mut r.entries[11];
+            assert_eq!(warm.config, "warm");
+            warm.counters = vec![("best_ns".into(), 5001), ("mean_ns".into(), 5002), ("reps".into(), 3)];
+        } => Err("reuse criterion (warm ≤ cold): bfs cold/bfs warm is 1.000× on blobs @ 64 (8-conn)");
+        validation_rejects_non_identical_labels: false, |r| r.entries[1].matches_reference = Some(false)
+            => Err("does not match the reference");
+        validation_requires_every_registered_engine: false, |r| r.entries.retain(|e| e.engine != "stream")
+            => Err("lacks stream cold");
+        validation_rejects_unregistered_engines: false, |r| r.entries[0].engine = "warp-drive".into()
+            => Err("unknown engine/config \"warp-drive\" \"cold\"");
+        validation_rejects_thin_coverage: false, |r| r.entries.retain(|e| e.family == "random50")
+            => Err("coverage too thin");
     }
 
     #[test]
     fn quick_sweep_smoke() {
-        // A real (tiny) sweep must produce a schema-valid file with
-        // bit-identical labels. The warm ≥ cold *timing* criterion is
-        // enforced by CI's dedicated sequential bench-smoke step (`slap-bench
-        // reuse --quick` + `check`); under `cargo test` every suite shares
-        // the host concurrently, so a pure timing inversion here is noise,
-        // not a bug — any other validation failure still fails the test.
-        let report = run_reuse(true, |_| {});
-        assert!(report.entries.iter().all(|e| e.bit_identical));
-        if let Err(e) = validate(&report.to_json(), false) {
+        // A real (tiny) sweep must produce a valid file with bit-identical
+        // labels. The warm ≤ cold *timing* criterion is enforced by CI's
+        // dedicated sequential bench-smoke step (`slap-bench reuse --quick`
+        // + `check`); under `cargo test` every suite shares the host
+        // concurrently, so a pure timing inversion here is noise, not a bug
+        // — any other validation failure still fails the test.
+        let report = run(true, &mut |_| {});
+        assert!(report
+            .entries
+            .iter()
+            .all(|e| e.config == "cold" || e.matches_reference == Some(true)));
+        if let Err(e) = crate::record::check(&report.to_json(), false) {
             assert!(
                 e.contains("reuse criterion"),
                 "non-timing validation failure: {e}"

@@ -1,127 +1,63 @@
 //! The `slap-bench serve` sweep: sustained `slapd` throughput under
-//! concurrent clients, serialized to `BENCH_serve.json`.
+//! concurrent clients, recorded to `BENCH_serve.json`.
 //!
 //! For each (family, size, connectivity, mode) workload the sweep binds a
 //! real [`slap_serve::Server`] on an ephemeral port and drives it with 1,
 //! 4, and 16 concurrent [`slap_serve::Client`]s for a fixed wall-clock
-//! window, recording sustained jobs/sec, retries, and the server's own
-//! rejection ledger. Three response modes are measured per point: `grid`
-//! (v1 whole-grid payloads), `stream` (protocol-v2 feature records,
-//! in-core), and `ooc` (stream mode against a server whose routing
-//! threshold forces every job out-of-core). Every client retries
-//! transient rejections (`queue-full`, `deadline`) per its policy, so the
-//! headline criterion is loss-free service: **zero failed jobs at every
-//! concurrency level**, with [`validate`] also enforcing full coverage —
-//! every client count of [`CLIENT_COUNTS`] in every mode of [`MODES`] on
-//! every swept workload — and the paper's carried-state bound on the
-//! streaming paths: `peak_carried_runs ≤ n/2 + 1`, i.e. `O(cols + live)`
-//! server memory per out-of-core job rather than `O(n²)`.
+//! window, recording jobs answered, retries, and the server's own rejection
+//! ledger. Three response modes are measured per point: `grid` (v1
+//! whole-grid payloads), `stream` (protocol-v2 feature records, in-core),
+//! and `ooc` (stream mode against a server whose routing threshold forces
+//! every job out-of-core). Every client retries transient rejections
+//! (`queue-full`, `deadline`) per its policy, so the headline criterion is
+//! loss-free service: **zero failed jobs at every concurrency level**, with
+//! [`spec`] also enforcing full coverage — every client count of
+//! [`CLIENTS`] in every mode of [`MODES`] on every swept workload — and the
+//! paper's carried-state bound on the streaming paths:
+//! `peak_carried_runs ≤ n/2 + 1`, i.e. `O(cols + live)` server memory per
+//! out-of-core job rather than `O(n²)`.
 //!
-//! The recorded `host_threads` keeps single-core hosts honest: on one CPU
-//! the 16-client point measures queueing discipline, not parallel
-//! speedup, and the validator deliberately demands no scaling curve.
+//! The recorded `host_threads` keeps narrow hosts honest: on one or two
+//! CPUs the 16-client point measures queueing discipline, not parallel
+//! speedup, and the spec deliberately demands no scaling curve.
 
-use crate::json;
+use crate::record::{Bound, Cover, Entry, Op, Report, Rhs, Sel, Spec};
 use crate::sweep::{conn_id, CONNS, SEED};
 use slap_image::{gen, Connectivity};
 use slap_serve::{Client, RetryPolicy, ServeConfig, Server};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Schema identifier stamped into (and required from) every serve file.
-pub const SCHEMA: &str = "slap-bench-serve/v2";
+/// Concurrency levels every sweep covers, with their entry configs.
+pub const CLIENTS: &[(usize, &str)] = &[(1, "clients=1"), (4, "clients=4"), (16, "clients=16")];
 
-/// Concurrency levels every sweep must cover.
-pub const CLIENT_COUNTS: &[usize] = &[1, 4, 16];
-
-/// Response modes every sweep must cover. `ooc` is stream mode against a
-/// server whose `max_pixels` routing threshold (set to `n²/4`) pushes
-/// every benched job through the out-of-core band scheduler.
+/// Response modes (entry engines) every sweep covers. `ooc` is stream mode
+/// against a server whose `max_pixels` routing threshold (set to `n²/4`)
+/// pushes every benched job through the out-of-core band scheduler.
 pub const MODES: &[&str] = &["grid", "stream", "ooc"];
 
-/// Worker threads the benched server runs.
+/// Worker threads the benched server runs (the entries' `threads`).
 pub const WORKERS: usize = 2;
 
-/// One measured (family, size, connectivity, mode, clients) point.
-#[derive(Clone, Debug)]
-pub struct Entry {
-    /// Workload family name (a `gen::by_name` key).
-    pub family: String,
-    /// Image side (jobs are `n × n`).
-    pub n: usize,
-    /// Adjacency convention: `4` or `8`.
-    pub conn: u32,
-    /// Response mode measured: one of [`MODES`].
-    pub mode: String,
-    /// Concurrent clients driving the server.
-    pub clients: usize,
-    /// Measurement window actually elapsed, nanoseconds.
-    pub elapsed_ns: u64,
-    /// Jobs answered `OK` across all clients inside the window.
-    pub jobs_ok: u64,
-    /// Jobs that exhausted their retries (the loss-free criterion demands
-    /// zero).
-    pub failures: u64,
-    /// Client-side retries (reconnect + resubmit events).
-    pub retries: u64,
-    /// Server-side typed rejections during the window (each later retried
-    /// into an `OK` by some client, or counted as a failure).
-    pub rejected: u64,
-    /// Jobs the server routed through the out-of-core band scheduler.
-    pub ooc_jobs: u64,
-    /// The server's peak carried runs across all streamed jobs — the
-    /// paper's `O(cols + live)` state, which the validator bounds by
-    /// `n/2 + 1` on the streaming paths.
-    pub peak_carried_runs: u64,
-    /// Server worker threads.
-    pub workers: usize,
-}
+const COUNTERS: &[&str] = &[
+    "elapsed_ns",
+    "jobs_ok",
+    "failures",
+    "retries",
+    "rejected",
+    "ooc_jobs",
+    "peak_carried_runs",
+];
 
-impl Entry {
-    /// Sustained throughput over the measured window.
-    pub fn jobs_per_sec(&self) -> f64 {
-        self.jobs_ok as f64 / (self.elapsed_ns as f64 / 1e9).max(1e-9)
-    }
-}
-
-/// A finished sweep, ready to serialize.
-#[derive(Clone, Debug)]
-pub struct ServeReport {
-    /// `"quick"` or `"full"`.
-    pub scale: String,
-    /// Host hardware threads at measurement time.
-    pub host_threads: usize,
-    /// Families swept.
-    pub families: Vec<String>,
-    /// Sides swept.
-    pub sides: Vec<usize>,
-    /// All measured points.
-    pub entries: Vec<Entry>,
-}
-
-/// Sweep parameters per scale: (families, sides, window per point).
-fn sweep_params(quick: bool) -> (&'static [&'static str], &'static [usize], Duration) {
-    if quick {
-        (&["random50"], &[128], Duration::from_millis(250))
-    } else {
-        (
-            &["random50", "blobs"],
-            &[128, 256],
-            Duration::from_millis(1000),
-        )
-    }
-}
-
-/// Measures one (image, connectivity, mode, clients) point against a
-/// fresh server.
+/// Measures one (image, connectivity, mode, clients) point against a fresh
+/// server.
 fn time_point(
     family: &str,
     n: usize,
     conn: Connectivity,
     mode: &str,
-    clients: usize,
+    (clients, config): (usize, &str),
     window: Duration,
 ) -> Entry {
     let server = Server::bind(
@@ -188,422 +124,188 @@ fn time_point(
     }
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
     let stats = server.shutdown();
-    Entry {
-        family: family.to_string(),
-        n,
-        conn: conn_id(conn),
-        mode: mode.to_string(),
-        clients,
-        elapsed_ns,
-        jobs_ok,
-        failures,
-        retries,
-        rejected: stats.rejected(),
-        ooc_jobs: stats.jobs_ooc,
-        peak_carried_runs: stats.peak_carried_runs,
-        workers: WORKERS,
-    }
+    Entry::new(family, n, conn_id(conn), mode, config, WORKERS)
+        .count(COUNTERS[0], elapsed_ns)
+        .count(COUNTERS[1], jobs_ok)
+        .count(COUNTERS[2], failures)
+        .count(COUNTERS[3], retries)
+        .count(COUNTERS[4], stats.rejected())
+        .count(COUNTERS[5], stats.jobs_ooc)
+        .count(COUNTERS[6], stats.peak_carried_runs)
 }
 
-/// Runs the sweep. `progress` receives one line per measured point.
-pub fn run_serve(quick: bool, mut progress: impl FnMut(&str)) -> ServeReport {
-    let (families, sides, window) = sweep_params(quick);
+/// Runs the sweep.
+pub fn run(quick: bool, progress: &mut dyn FnMut(&str)) -> Report {
+    let (families, sides, window): (&[&str], &[usize], _) = if quick {
+        (&["random50"], &[128], Duration::from_millis(250))
+    } else {
+        (
+            &["random50", "blobs"],
+            &[128, 256],
+            Duration::from_millis(1000),
+        )
+    };
     let mut entries = Vec::new();
     for &family in families {
         for &n in sides {
             for &conn in CONNS {
                 for &mode in MODES {
-                    for &clients in CLIENT_COUNTS {
-                        let entry = time_point(family, n, conn, mode, clients, window);
-                        progress(&format!(
-                            "{family}/{n}/{}-conn/{mode} x{clients}: {:.0} jobs/s \
-                             ({} ok, {} retries, {} rejected, {} failed, \
-                             {} ooc, peak {} runs)",
-                            entry.conn,
-                            entry.jobs_per_sec(),
-                            entry.jobs_ok,
-                            entry.retries,
-                            entry.rejected,
-                            entry.failures,
-                            entry.ooc_jobs,
-                            entry.peak_carried_runs,
-                        ));
-                        entries.push(entry);
+                    for &clients in CLIENTS {
+                        let e = time_point(family, n, conn, mode, clients, window);
+                        progress(&e.line());
+                        entries.push(e);
                     }
                 }
             }
         }
     }
-    ServeReport {
-        scale: if quick { "quick" } else { "full" }.to_string(),
-        host_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        families: families.iter().map(|s| s.to_string()).collect(),
-        sides: sides.to_vec(),
-        entries,
-    }
+    Report::new("serve", quick, families, sides, entries)
 }
 
-impl ServeReport {
-    /// Serializes the report. Hand-rolled (the workspace `serde` is a no-op
-    /// stub); [`validate`] checks the inverse direction.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {},", json::quote(SCHEMA));
-        let _ = writeln!(s, "  \"scale\": {},", json::quote(&self.scale));
-        let _ = writeln!(s, "  \"seed\": {SEED},");
-        let _ = writeln!(s, "  \"host_threads\": {},", self.host_threads);
-        let _ = writeln!(s, "  \"workers\": {WORKERS},");
-        let fams: Vec<String> = self.families.iter().map(|f| json::quote(f)).collect();
-        let _ = writeln!(s, "  \"families\": [{}],", fams.join(", "));
-        let sides: Vec<String> = self.sides.iter().map(|n| n.to_string()).collect();
-        let _ = writeln!(s, "  \"sides\": [{}],", sides.join(", "));
-        let counts: Vec<String> = CLIENT_COUNTS.iter().map(|c| c.to_string()).collect();
-        let _ = writeln!(s, "  \"client_counts\": [{}],", counts.join(", "));
-        let modes: Vec<String> = MODES.iter().map(|m| json::quote(m)).collect();
-        let _ = writeln!(s, "  \"modes\": [{}],", modes.join(", "));
-        s.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"family\": {}, \"n\": {}, \"conn\": {}, \"mode\": {}, \
-                 \"clients\": {}, \
-                 \"elapsed_ns\": {}, \"jobs_ok\": {}, \"failures\": {}, \
-                 \"retries\": {}, \"rejected\": {}, \"ooc_jobs\": {}, \
-                 \"peak_carried_runs\": {}, \"workers\": {}, \
-                 \"jobs_per_sec\": {:.1}}}",
-                json::quote(&e.family),
-                e.n,
-                e.conn,
-                json::quote(&e.mode),
-                e.clients,
-                e.elapsed_ns,
-                e.jobs_ok,
-                e.failures,
-                e.retries,
-                e.rejected,
-                e.ooc_jobs,
-                e.peak_carried_runs,
-                e.workers,
-                e.jobs_per_sec(),
-            );
-            if i + 1 < self.entries.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-}
-
-/// Validates a serve-sweep JSON document against the schema. Headline
-/// criteria: every entry served at least one job with **zero failures**
-/// (loss-free service under retry); coverage is full — every client
-/// count in [`CLIENT_COUNTS`] appears for every swept (family, size,
-/// connectivity, mode) workload; and the streaming paths honored the
-/// paper's memory bound — `peak_carried_runs ≤ n/2 + 1`, with every `ooc`
-/// job actually routed out-of-core and grid entries carrying no stream
-/// state at all. With `require_full` the file must also record a
-/// full-scale sweep.
-pub fn validate(text: &str, require_full: bool) -> Result<(), String> {
-    let doc = json::parse(text)?;
-    let obj = doc.as_object().ok_or("top level is not an object")?;
-    let get = |key: &str| {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing key {key:?}"))
+/// The serve criteria: every entry served at least one job with **zero
+/// failures** (loss-free service under retry); every measured workload
+/// covers every client count in every mode; grid entries carry no stream
+/// state; the streaming paths honor `peak_carried_runs ≤ n/2 + 1`, in-core
+/// stream jobs never route out-of-core, and every `ooc` job does.
+pub fn spec() -> Spec {
+    let carried = |mode| Bound {
+        sel: Sel(mode, "*"),
+        lhs: &["peak_carried_runs"],
+        op: Op::Le,
+        rhs: Rhs::N(|n| n / 2 + 1, "n/2+1"),
+        why: "carried-state bound",
     };
-    let schema = get("schema")?.as_str().ok_or("schema is not a string")?;
-    if schema != SCHEMA {
-        return Err(format!("schema {schema:?}, expected {SCHEMA:?}"));
+    let every = |lhs, op, rhs, why| Bound {
+        sel: Sel::ANY,
+        lhs,
+        op,
+        rhs,
+        why,
+    };
+    Spec {
+        need: vec![(Sel::ANY, COUNTERS)],
+        reference: Vec::new(),
+        bounds: vec![
+            every(&["elapsed_ns"], Op::Ge, Rhs::Const(1), "empty window"),
+            every(
+                &["jobs_ok"],
+                Op::Ge,
+                Rhs::Const(1),
+                "no jobs completed inside the window",
+            ),
+            every(&["failures"], Op::Eq, Rhs::Const(0), "loss-free criterion"),
+            Bound {
+                sel: Sel("grid", "*"),
+                lhs: &["ooc_jobs", "peak_carried_runs"],
+                op: Op::Eq,
+                rhs: Rhs::Const(0),
+                why: "grid entries must carry no stream state",
+            },
+            Bound {
+                sel: Sel("stream", "*"),
+                lhs: &["ooc_jobs"],
+                op: Op::Eq,
+                rhs: Rhs::Const(0),
+                why: "in-core stream entries must not route ooc",
+            },
+            Bound {
+                sel: Sel("ooc", "*"),
+                lhs: &["ooc_jobs"],
+                op: Op::Eq,
+                rhs: Rhs::Of("jobs_ok"),
+                why: "ooc routing hole",
+            },
+            carried("stream"),
+            carried("ooc"),
+        ],
+        cover: vec![Cover {
+            pairs: MODES
+                .iter()
+                .flat_map(|&m| CLIENTS.iter().map(move |c| Sel(m, c.1)))
+                .collect(),
+            min_families: 1,
+            min_sides: 1,
+            families: &[],
+        }],
+        ratios: Vec::new(),
     }
-    let scale = get("scale")?.as_str().ok_or("scale is not a string")?;
-    if scale != "quick" && scale != "full" {
-        return Err(format!("scale {scale:?} is neither quick nor full"));
-    }
-    if require_full && scale != "full" {
-        return Err("a full-scale serve sweep is required".to_string());
-    }
-    get("host_threads")?
-        .as_u64()
-        .filter(|&t| t > 0)
-        .ok_or("host_threads is not a positive integer")?;
-    let entries = get("entries")?
-        .as_array()
-        .ok_or("entries is not an array")?;
-    if entries.is_empty() {
-        return Err("entries is empty".to_string());
-    }
-    // (family, n, conn, mode) → client counts covered.
-    type PointKey = (String, u64, u64, String);
-    let mut coverage: Vec<(PointKey, Vec<u64>)> = Vec::new();
-    for (i, e) in entries.iter().enumerate() {
-        let ctx = |msg: &str| format!("entry {i}: {msg}");
-        let eo = e.as_object().ok_or_else(|| ctx("not an object"))?;
-        let field = |key: &str| {
-            eo.iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| ctx(&format!("missing {key:?}")))
-        };
-        let family = field("family")?
-            .as_str()
-            .ok_or_else(|| ctx("family is not a string"))?
-            .to_string();
-        let n = field("n")?
-            .as_u64()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| ctx("n is not a positive integer"))?;
-        let conn = field("conn")?
-            .as_u64()
-            .filter(|&c| c == 4 || c == 8)
-            .ok_or_else(|| ctx("conn is not 4 or 8"))?;
-        let mode = field("mode")?
-            .as_str()
-            .filter(|m| MODES.contains(m))
-            .ok_or_else(|| ctx("mode is not one of the swept modes"))?
-            .to_string();
-        let clients = field("clients")?
-            .as_u64()
-            .filter(|&c| CLIENT_COUNTS.contains(&(c as usize)))
-            .ok_or_else(|| ctx("clients is not one of the swept counts"))?;
-        field("elapsed_ns")?
-            .as_u64()
-            .filter(|&v| v > 0)
-            .ok_or_else(|| ctx("elapsed_ns is not a positive integer"))?;
-        let jobs_ok = field("jobs_ok")?
-            .as_u64()
-            .ok_or_else(|| ctx("jobs_ok is not an integer"))?;
-        if jobs_ok == 0 {
-            return Err(ctx("no jobs completed inside the window"));
-        }
-        let failures = field("failures")?
-            .as_u64()
-            .ok_or_else(|| ctx("failures is not an integer"))?;
-        if failures > 0 {
-            return Err(ctx(&format!(
-                "loss-free criterion violated: {failures} job(s) exhausted \
-                 their retries ({family}/{n} @ {clients} clients)"
-            )));
-        }
-        field("retries")?
-            .as_u64()
-            .ok_or_else(|| ctx("retries is not an integer"))?;
-        field("rejected")?
-            .as_u64()
-            .ok_or_else(|| ctx("rejected is not an integer"))?;
-        let ooc_jobs = field("ooc_jobs")?
-            .as_u64()
-            .ok_or_else(|| ctx("ooc_jobs is not an integer"))?;
-        let peak_carried = field("peak_carried_runs")?
-            .as_u64()
-            .ok_or_else(|| ctx("peak_carried_runs is not an integer"))?;
-        field("workers")?
-            .as_u64()
-            .filter(|&w| w > 0)
-            .ok_or_else(|| ctx("workers is not a positive integer"))?;
-        match mode.as_str() {
-            // Grid jobs never touch the streaming engines.
-            "grid" => {
-                if ooc_jobs != 0 || peak_carried != 0 {
-                    return Err(ctx("grid entries must carry no stream state"));
-                }
-            }
-            // Streaming paths honor the paper's O(cols + live) bound.
-            _ => {
-                if peak_carried > n / 2 + 1 {
-                    return Err(ctx(&format!(
-                        "carried-state bound violated: peak {peak_carried} \
-                         runs > n/2+1 = {} ({family}/{n}/{mode})",
-                        n / 2 + 1
-                    )));
-                }
-                match mode.as_str() {
-                    // Every admitted job must actually have routed
-                    // out-of-core (loss-free admission through the
-                    // threshold).
-                    "ooc" if ooc_jobs != jobs_ok => {
-                        return Err(ctx(&format!(
-                            "ooc routing hole: {jobs_ok} jobs ok but only \
-                             {ooc_jobs} routed out-of-core"
-                        )));
-                    }
-                    "stream" if ooc_jobs != 0 => {
-                        return Err(ctx("in-core stream entries must not route ooc"));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let key = (family, n, conn, mode);
-        match coverage.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, counts)) => counts.push(clients),
-            None => coverage.push((key, vec![clients])),
-        }
-    }
-    // Full coverage: every swept workload measured at every client count
-    // in every mode.
-    let mode_count = coverage
-        .iter()
-        .map(|((f, n, c, _), _)| (f.clone(), *n, *c))
-        .collect::<std::collections::BTreeSet<_>>()
-        .len()
-        * MODES.len();
-    if coverage.len() != mode_count {
-        return Err(format!(
-            "coverage hole: {} (family, n, conn, mode) groups, expected {}",
-            coverage.len(),
-            mode_count
-        ));
-    }
-    for ((family, n, conn, mode), mut counts) in coverage {
-        counts.sort_unstable();
-        counts.dedup();
-        let want: Vec<u64> = CLIENT_COUNTS.iter().map(|&c| c as u64).collect();
-        if counts != want {
-            return Err(format!(
-                "coverage hole: {family}/{n}/{conn}-conn/{mode} measured at \
-                 client counts {counts:?}, need exactly {want:?}"
-            ));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::table::{rejects_wrong_schema, roundtrips};
 
-    fn tiny_report() -> ServeReport {
+    fn fixture() -> Report {
         let mut entries = Vec::new();
         for family in ["random50", "blobs"] {
             for n in [128usize, 256] {
                 for conn in [4u32, 8] {
-                    for mode in MODES {
-                        for &clients in CLIENT_COUNTS {
-                            let streaming = *mode != "grid";
-                            entries.push(Entry {
-                                family: family.to_string(),
-                                n,
-                                conn,
-                                mode: mode.to_string(),
-                                clients,
-                                elapsed_ns: 1_000_000_000,
-                                jobs_ok: 100 * clients as u64,
-                                failures: 0,
-                                retries: 3,
-                                rejected: 3,
-                                ooc_jobs: if *mode == "ooc" {
-                                    100 * clients as u64
-                                } else {
-                                    0
-                                },
-                                peak_carried_runs: if streaming { (n / 2) as u64 } else { 0 },
-                                workers: WORKERS,
-                            });
+                    for &mode in MODES {
+                        for &(clients, config) in CLIENTS {
+                            let jobs = 100 * clients as u64;
+                            let streaming = mode != "grid";
+                            entries.push(
+                                Entry::new(family, n, conn, mode, config, WORKERS)
+                                    .count(COUNTERS[0], 1_000_000_000)
+                                    .count(COUNTERS[1], jobs)
+                                    .count(COUNTERS[2], 0)
+                                    .count(COUNTERS[3], 3)
+                                    .count(COUNTERS[4], 3)
+                                    .count(COUNTERS[5], if mode == "ooc" { jobs } else { 0 })
+                                    .count(COUNTERS[6], if streaming { n as u64 / 2 } else { 0 }),
+                            );
                         }
                     }
                 }
             }
         }
-        ServeReport {
-            scale: "full".to_string(),
-            host_threads: 1,
-            families: vec!["random50".to_string(), "blobs".to_string()],
-            sides: vec![128, 256],
-            entries,
-        }
+        let mut r = Report::new("serve", false, &["random50", "blobs"], &[128, 256], entries);
+        r.host_threads = 1;
+        r
+    }
+
+    /// Sets `counter` on the first entry of `mode`.
+    fn set(r: &mut Report, mode: &str, counter: &str, value: impl Fn(&Entry) -> u64) {
+        let e = r.entries.iter_mut().find(|e| e.engine == mode).unwrap();
+        let v = value(e);
+        e.counters.iter_mut().find(|(k, _)| k == counter).unwrap().1 = v;
     }
 
     #[test]
     fn report_roundtrips_through_validation() {
-        let text = tiny_report().to_json();
-        validate(&text, false).expect("quick validation");
-        validate(&text, true).expect("full validation");
+        roundtrips(fixture());
     }
 
     #[test]
     fn validation_rejects_wrong_schema() {
-        let text = tiny_report().to_json().replace(SCHEMA, "bogus/v0");
-        assert!(validate(&text, false).is_err());
+        rejects_wrong_schema(fixture());
     }
 
-    #[test]
-    fn validation_enforces_loss_free_service() {
-        let mut report = tiny_report();
-        report.entries[2].failures = 1;
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("loss-free"), "{err}");
-    }
-
-    #[test]
-    fn validation_enforces_full_client_coverage() {
-        let mut report = tiny_report();
-        report
-            .entries
-            .retain(|e| !(e.family == "blobs" && e.n == 256 && e.conn == 8 && e.clients == 16));
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("coverage hole"), "{err}");
-    }
-
-    #[test]
-    fn validation_enforces_full_mode_coverage() {
-        let mut report = tiny_report();
-        report
-            .entries
-            .retain(|e| !(e.family == "blobs" && e.n == 256 && e.conn == 8 && e.mode == "ooc"));
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("coverage hole"), "{err}");
-    }
-
-    #[test]
-    fn validation_enforces_the_carried_state_bound() {
-        let mut report = tiny_report();
-        let e = report.entries.iter_mut().find(|e| e.mode == "ooc").unwrap();
-        e.peak_carried_runs = (e.n * e.n) as u64; // O(n²): the bug the bound catches
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("carried-state bound"), "{err}");
-    }
-
-    #[test]
-    fn validation_enforces_ooc_routing() {
-        let mut report = tiny_report();
-        let e = report.entries.iter_mut().find(|e| e.mode == "ooc").unwrap();
-        e.ooc_jobs = e.jobs_ok - 1;
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("ooc routing hole"), "{err}");
-    }
-
-    #[test]
-    fn validation_rejects_stream_state_on_grid_entries() {
-        let mut report = tiny_report();
-        let e = report
-            .entries
-            .iter_mut()
-            .find(|e| e.mode == "grid")
-            .unwrap();
-        e.peak_carried_runs = 7;
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("no stream state"), "{err}");
-    }
-
-    #[test]
-    fn validation_rejects_idle_windows() {
-        let mut report = tiny_report();
-        report.entries[0].jobs_ok = 0;
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("no jobs"), "{err}");
-    }
-
-    #[test]
-    fn validation_requires_full_scale_when_asked() {
-        let mut report = tiny_report();
-        report.scale = "quick".to_string();
-        assert!(validate(&report.to_json(), false).is_ok());
-        let err = validate(&report.to_json(), true).unwrap_err();
-        assert!(err.contains("full-scale"), "{err}");
+    crate::record::rows! { fixture();
+        validation_enforces_loss_free_service: false, |r| set(r, "grid", "failures", |_| 1)
+            => Err("loss-free criterion");
+        validation_enforces_full_client_coverage: false, |r| {
+            r.entries.retain(|e| !(e.family == "blobs" && e.n == 256 && e.conn == 8 && e.config == "clients=16"));
+        } => Err("coverage hole: blobs/256/8-conn lacks grid clients=16");
+        validation_enforces_full_mode_coverage: false, |r| {
+            r.entries.retain(|e| !(e.family == "blobs" && e.n == 256 && e.conn == 8 && e.engine == "ooc"));
+        } => Err("coverage hole: blobs/256/8-conn lacks ooc clients=1");
+        validation_enforces_the_carried_state_bound: false, |r| set(r, "ooc", "peak_carried_runs", |e| e.n * e.n)
+            => Err("carried-state bound");
+        validation_enforces_the_stream_carried_state_bound: false, |r| set(r, "stream", "peak_carried_runs", |e| e.n)
+            => Err("carried-state bound");
+        validation_enforces_ooc_routing: false, |r| set(r, "ooc", "ooc_jobs", |e| e.counter("jobs_ok").unwrap() - 1)
+            => Err("ooc routing hole");
+        validation_rejects_ooc_routing_of_stream_jobs: false, |r| set(r, "stream", "ooc_jobs", |_| 1)
+            => Err("in-core stream entries must not route ooc");
+        validation_rejects_stream_state_on_grid_entries: false, |r| set(r, "grid", "peak_carried_runs", |_| 7)
+            => Err("no stream state");
+        validation_rejects_idle_windows: false, |r| set(r, "grid", "jobs_ok", |_| 0)
+            => Err("no jobs");
+        validation_requires_full_scale_when_asked: true, |r| r.scale = "quick".into()
+            => Err("full-scale");
+        quick_scale_passes_without_require_full: false, |r| r.scale = "quick".into() => Ok(());
     }
 
     #[test]
@@ -612,22 +314,23 @@ mod tests {
         // client, a short window — loss-free, and the ooc point actually
         // routes out-of-core with bounded carried state.
         for &mode in MODES {
-            let entry = time_point(
+            let e = time_point(
                 "random50",
                 64,
-                slap_image::Connectivity::Four,
+                Connectivity::Four,
                 mode,
-                1,
+                CLIENTS[0],
                 Duration::from_millis(50),
             );
-            assert!(entry.jobs_ok > 0, "{mode}");
-            assert_eq!(entry.failures, 0, "{mode}");
+            let c = |k| e.counter(k).unwrap();
+            assert!(c("jobs_ok") > 0, "{mode}");
+            assert_eq!(c("failures"), 0, "{mode}");
             match mode {
-                "grid" => assert_eq!(entry.peak_carried_runs, 0),
-                "stream" => assert_eq!(entry.ooc_jobs, 0),
+                "grid" => assert_eq!(c("peak_carried_runs"), 0),
+                "stream" => assert_eq!(c("ooc_jobs"), 0),
                 _ => {
-                    assert_eq!(entry.ooc_jobs, entry.jobs_ok);
-                    assert!(entry.peak_carried_runs <= 64 / 2 + 1);
+                    assert_eq!(c("ooc_jobs"), c("jobs_ok"));
+                    assert!(c("peak_carried_runs") <= 64 / 2 + 1);
                 }
             }
         }

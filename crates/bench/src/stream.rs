@@ -1,74 +1,25 @@
 //! The `slap-bench stream` sweep: the bounded-memory streaming engine's
-//! wall-clock trajectory and frontier peaks, serialized to
-//! `BENCH_stream.json`.
+//! wall-clock trajectory and frontier peaks, recorded to `BENCH_stream.json`.
 //!
 //! For each (family, size, connectivity) point the sweep replays the image
-//! row by row through a fresh [`StreamLabeler`] and records best/mean
+//! row by row through a warm [`StreamLabeler`] and records best/mean
 //! wall-clock, rows per second, and the observed memory peaks
 //! (`peak_frontier_runs`, `peak_nodes`). Before timing, the retired feature
 //! multiset is checked against the whole-frame reference
 //! ([`slap_cc::features::component_features`] over
-//! [`slap_image::fast_labels_conn`] labels) and the result travels with the
-//! file as `feature_equivalent`; [`validate`] rejects any file where a point
-//! was not equivalent **or** where a peak exceeds the `O(cols)` frontier
-//! bound — the schema itself enforces the engine's memory contract.
+//! [`slap_image::fast_labels_conn`] labels) and recorded as
+//! `matches_reference`; [`spec`] rejects any point that was not equivalent
+//! **or** whose peaks exceed the `O(cols)` frontier bound — the file itself
+//! witnesses the engine's memory contract.
 
-use crate::json;
-use crate::sweep::{self, SEED};
+use crate::record::{Bound, Cover, Entry, Op, Report, Rhs, Sel, Spec, TIMED};
+use crate::sweep;
 use slap_cc::features::{component_features, streamed_features};
 use slap_image::{fast_labels_conn, stream::StreamLabeler, Bitmap, Connectivity};
-use std::fmt::Write as _;
 
-/// Schema identifier stamped into (and required from) every stream file.
-pub const SCHEMA: &str = "slap-bench-stream/v1";
+const FAMILIES: &[&str] = &["random50", "blobs", "checker"];
 
-/// One timed (family, size, connectivity) point.
-#[derive(Clone, Debug)]
-pub struct Entry {
-    /// Workload family name (a `gen::by_name` key).
-    pub family: String,
-    /// Image side (the image is `n × n`).
-    pub n: usize,
-    /// Adjacency convention: `4` or `8`.
-    pub conn: u32,
-    /// Best wall-clock nanoseconds over the repetitions.
-    pub best_ns: u64,
-    /// Mean wall-clock nanoseconds over the repetitions.
-    pub mean_ns: u64,
-    /// Number of timed repetitions.
-    pub reps: usize,
-    /// Rows ingested per second at the best repetition.
-    pub rows_per_s: u64,
-    /// Maximum frontier size observed (runs of one row).
-    pub peak_frontier_runs: usize,
-    /// Maximum live union–find slab occupancy observed.
-    pub peak_nodes: usize,
-    /// The retired feature multiset matched the whole-frame reference.
-    pub feature_equivalent: bool,
-}
-
-/// A finished sweep, ready to serialize.
-#[derive(Clone, Debug)]
-pub struct StreamReport {
-    /// `"quick"` or `"full"`.
-    pub scale: String,
-    /// Families swept.
-    pub families: Vec<String>,
-    /// Sides swept.
-    pub sides: Vec<usize>,
-    /// All timed points.
-    pub entries: Vec<Entry>,
-}
-
-/// Sweep parameters per scale.
-fn sweep_params(quick: bool) -> (&'static [&'static str], &'static [usize]) {
-    const FAMILIES: &[&str] = &["random50", "blobs", "checker"];
-    if quick {
-        (FAMILIES, &[64, 128, 256])
-    } else {
-        (FAMILIES, &[256, 512, 1024, 2048])
-    }
-}
+const COUNTERS: &[&str] = &["rows_per_s", "peak_frontier_runs", "peak_nodes"];
 
 /// One full streaming pass over `img` through a **warm session**: the
 /// labeler is rewound ([`StreamLabeler::reset`]) instead of reconstructed,
@@ -83,292 +34,150 @@ fn stream_once(labeler: &mut StreamLabeler, img: &Bitmap, conn: Connectivity) {
     labeler.finish();
 }
 
-/// Runs the sweep. `progress` receives one line per timed point.
-pub fn run_stream(quick: bool, mut progress: impl FnMut(&str)) -> StreamReport {
-    let (families, sides) = sweep_params(quick);
+/// Runs the sweep.
+pub fn run(quick: bool, progress: &mut dyn FnMut(&str)) -> Report {
+    let sides: &[usize] = if quick {
+        &[64, 128, 256]
+    } else {
+        &[256, 512, 1024, 2048]
+    };
     let mut entries = Vec::new();
-    sweep::drive(families, sides, quick, |p| {
-        let (family, n, conn, cid, img, reps) = (p.family, p.n, p.conn, p.cid, p.img, p.reps);
-        // Untimed pass: memory peaks + feature equivalence against
-        // the whole-frame engine (exercising the core's retirement
-        // hook end to end).
+    sweep::drive(FAMILIES, sides, quick, |p| {
+        let (n, conn, img, reps) = (p.n, p.conn, p.img, p.reps);
+        // Untimed pass: memory peaks + feature equivalence against the
+        // whole-frame engine (exercising the core's retirement hook end to
+        // end).
         let mut labeler = StreamLabeler::new(img.cols(), conn);
-        let stats = {
-            stream_once(&mut labeler, img, conn);
-            labeler.drain_retired();
-            labeler.stats()
-        };
+        stream_once(&mut labeler, img, conn);
+        labeler.drain_retired();
+        let stats = labeler.stats();
         let reference = component_features(img, &fast_labels_conn(img, conn), conn);
         let equivalent = streamed_features(img, conn) == reference.per_component;
-        let (best, mean) = sweep::time_reps(reps, || {
+        let times = sweep::time_reps(reps, || {
             stream_once(&mut labeler, std::hint::black_box(img), conn);
             std::hint::black_box(labeler.drain_retired().count());
         });
-        progress(&format!(
-            "{family}/{n}/{cid}-conn stream: {:.3} ms, frontier peak {}",
-            best as f64 / 1e6,
-            stats.peak_frontier_runs
-        ));
-        entries.push(Entry {
-            family: family.to_string(),
-            n,
-            conn: cid,
-            best_ns: best,
-            mean_ns: mean,
-            reps,
-            rows_per_s: ((n as u128 * 1_000_000_000) / best.max(1) as u128) as u64,
-            peak_frontier_runs: stats.peak_frontier_runs,
-            peak_nodes: stats.peak_nodes,
-            feature_equivalent: equivalent,
-        });
+        let e = Entry::at(p, "stream", "", 1)
+            .timed(times, reps)
+            .matching(equivalent)
+            .count(
+                COUNTERS[0],
+                ((n as u128 * 1_000_000_000) / times.0.max(1) as u128) as u64,
+            )
+            .count(COUNTERS[1], stats.peak_frontier_runs as u64)
+            .count(COUNTERS[2], stats.peak_nodes as u64);
+        progress(&e.line());
+        entries.push(e);
     });
-    StreamReport {
-        scale: if quick { "quick" } else { "full" }.to_string(),
-        families: families.iter().map(|s| s.to_string()).collect(),
-        sides: sides.to_vec(),
-        entries,
-    }
+    Report::new("stream", quick, FAMILIES, sides, entries)
 }
 
-impl StreamReport {
-    /// Serializes the report. Hand-rolled (the workspace `serde` is a no-op
-    /// stub); [`validate`] checks the inverse direction.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {},", json::quote(SCHEMA));
-        let _ = writeln!(s, "  \"scale\": {},", json::quote(&self.scale));
-        let _ = writeln!(s, "  \"seed\": {SEED},");
-        let fams: Vec<String> = self.families.iter().map(|f| json::quote(f)).collect();
-        let _ = writeln!(s, "  \"families\": [{}],", fams.join(", "));
-        let sides: Vec<String> = self.sides.iter().map(|n| n.to_string()).collect();
-        let _ = writeln!(s, "  \"sides\": [{}],", sides.join(", "));
-        s.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"family\": {}, \"n\": {}, \"conn\": {}, \"best_ns\": {}, \
-                 \"mean_ns\": {}, \"reps\": {}, \"rows_per_s\": {}, \
-                 \"peak_frontier_runs\": {}, \"peak_nodes\": {}, \"feature_equivalent\": {}}}",
-                json::quote(&e.family),
-                e.n,
-                e.conn,
-                e.best_ns,
-                e.mean_ns,
-                e.reps,
-                e.rows_per_s,
-                e.peak_frontier_runs,
-                e.peak_nodes,
-                e.feature_equivalent
-            );
-            if i + 1 < self.entries.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ]\n}\n");
-        s
+/// The stream criteria: feature equivalence, the `O(cols)` frontier bound
+/// (`peak_frontier_runs ≤ n/2 + 1`, `peak_nodes ≤ n + 1` for an `n × n`
+/// image), and ≥ 2 families × ≥ 3 sizes per connectivity.
+pub fn spec() -> Spec {
+    let stream = Sel("stream", "");
+    Spec {
+        need: vec![(Sel::ANY, TIMED), (Sel::ANY, COUNTERS)],
+        reference: vec![stream],
+        bounds: vec![
+            Bound {
+                sel: stream,
+                lhs: &["rows_per_s"],
+                op: Op::Ge,
+                rhs: Rhs::Const(1),
+                why: "rows_per_s must be positive",
+            },
+            Bound {
+                sel: stream,
+                lhs: &["peak_frontier_runs"],
+                op: Op::Le,
+                rhs: Rhs::N(|n| n / 2 + 1, "n/2+1"),
+                why: "the O(cols) frontier bound",
+            },
+            Bound {
+                sel: stream,
+                lhs: &["peak_nodes"],
+                op: Op::Le,
+                rhs: Rhs::N(|n| n + 1, "n+1"),
+                why: "the O(cols + live) node bound",
+            },
+        ],
+        cover: vec![Cover {
+            pairs: vec![stream],
+            min_families: 2,
+            min_sides: 3,
+            families: &[],
+        }],
+        ratios: Vec::new(),
     }
-}
-
-/// Validates a stream-sweep JSON document against the schema. Every entry
-/// must have been feature-equivalent to the whole-frame reference and must
-/// respect the frontier memory bound (`peak_frontier_runs ≤ n/2 + 1`,
-/// `peak_nodes ≤ n + 1` for an `n × n` image). With `require_full` the file
-/// must also record a full-scale sweep.
-pub fn validate(text: &str, require_full: bool) -> Result<(), String> {
-    let doc = json::parse(text)?;
-    let obj = doc.as_object().ok_or("top level is not an object")?;
-    let get = |key: &str| {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing key {key:?}"))
-    };
-    let schema = get("schema")?.as_str().ok_or("schema is not a string")?;
-    if schema != SCHEMA {
-        return Err(format!("schema {schema:?}, expected {SCHEMA:?}"));
-    }
-    let scale = get("scale")?.as_str().ok_or("scale is not a string")?;
-    if scale != "quick" && scale != "full" {
-        return Err(format!("scale {scale:?} is neither quick nor full"));
-    }
-    if require_full && scale != "full" {
-        return Err("a full-scale stream sweep is required".to_string());
-    }
-    let entries = get("entries")?
-        .as_array()
-        .ok_or("entries is not an array")?;
-    if entries.is_empty() {
-        return Err("entries is empty".to_string());
-    }
-    // (family, n, conn) coverage while the per-entry shape is checked.
-    let mut coverage: Vec<(String, u64, u64)> = Vec::new();
-    for (i, e) in entries.iter().enumerate() {
-        let ctx = |msg: &str| format!("entry {i}: {msg}");
-        let eo = e.as_object().ok_or_else(|| ctx("not an object"))?;
-        let field = |key: &str| {
-            eo.iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| ctx(&format!("missing {key:?}")))
-        };
-        let family = field("family")?
-            .as_str()
-            .ok_or_else(|| ctx("family is not a string"))?
-            .to_string();
-        let n = field("n")?
-            .as_u64()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| ctx("n is not a positive integer"))?;
-        let conn = field("conn")?
-            .as_u64()
-            .filter(|&c| c == 4 || c == 8)
-            .ok_or_else(|| ctx("conn is not 4 or 8"))?;
-        let best = field("best_ns")?
-            .as_u64()
-            .filter(|&v| v > 0)
-            .ok_or_else(|| ctx("best_ns is not a positive integer"))?;
-        let mean = field("mean_ns")?
-            .as_u64()
-            .ok_or_else(|| ctx("mean_ns is not an integer"))?;
-        if mean < best {
-            return Err(ctx("mean_ns is below best_ns"));
-        }
-        field("reps")?
-            .as_u64()
-            .filter(|&v| v > 0)
-            .ok_or_else(|| ctx("reps is not a positive integer"))?;
-        field("rows_per_s")?
-            .as_u64()
-            .filter(|&v| v > 0)
-            .ok_or_else(|| ctx("rows_per_s is not a positive integer"))?;
-        let frontier = field("peak_frontier_runs")?
-            .as_u64()
-            .ok_or_else(|| ctx("peak_frontier_runs is not an integer"))?;
-        let nodes = field("peak_nodes")?
-            .as_u64()
-            .ok_or_else(|| ctx("peak_nodes is not an integer"))?;
-        if frontier > n / 2 + 1 {
-            return Err(ctx(&format!(
-                "peak_frontier_runs {frontier} violates the O(cols) bound for n = {n}"
-            )));
-        }
-        if nodes > n + 1 {
-            return Err(ctx(&format!(
-                "peak_nodes {nodes} violates the O(cols + live) bound for n = {n}"
-            )));
-        }
-        let equivalent = field("feature_equivalent")?
-            .as_bool()
-            .ok_or_else(|| ctx("feature_equivalent is not a boolean"))?;
-        if !equivalent {
-            return Err(ctx(
-                "retired features were not equivalent to the whole-frame reference",
-            ));
-        }
-        if !coverage.iter().any(|c| *c == (family.clone(), n, conn)) {
-            coverage.push((family, n, conn));
-        }
-    }
-    // Coverage: each connectivity needs ≥ 2 families × ≥ 3 sizes.
-    for want in [4u64, 8] {
-        let points: Vec<_> = coverage.iter().filter(|(_, _, c)| *c == want).collect();
-        let mut fams: Vec<&str> = points.iter().map(|(f, ..)| f.as_str()).collect();
-        fams.sort_unstable();
-        fams.dedup();
-        let mut ns: Vec<u64> = points.iter().map(|(_, n, _)| *n).collect();
-        ns.sort_unstable();
-        ns.dedup();
-        if fams.len() < 2 || ns.len() < 3 {
-            return Err(format!(
-                "coverage too thin at {want}-connectivity: {} families × {} sizes \
-                 (need ≥ 2 × ≥ 3)",
-                fams.len(),
-                ns.len()
-            ));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::table::{rejects_wrong_schema, roundtrips};
 
-    fn tiny_report() -> StreamReport {
+    fn fixture() -> Report {
         let mut entries = Vec::new();
         for family in ["random50", "blobs"] {
             for n in [256usize, 512, 1024] {
                 for conn in [4u32, 8] {
-                    entries.push(Entry {
-                        family: family.to_string(),
-                        n,
-                        conn,
-                        best_ns: 5000,
-                        mean_ns: 5600,
-                        reps: 3,
-                        rows_per_s: 1_000_000,
-                        peak_frontier_runs: n / 2,
-                        peak_nodes: n,
-                        feature_equivalent: true,
-                    });
+                    entries.push(
+                        Entry::new(family, n, conn, "stream", "", 1)
+                            .timed((5000, 5600), 3)
+                            .matching(true)
+                            .count(COUNTERS[0], 1_000_000)
+                            .count(COUNTERS[1], n as u64 / 2)
+                            .count(COUNTERS[2], n as u64),
+                    );
                 }
             }
         }
-        StreamReport {
-            scale: "full".to_string(),
-            families: vec!["random50".to_string(), "blobs".to_string()],
-            sides: vec![256, 512, 1024],
+        Report::new(
+            "stream",
+            false,
+            &["random50", "blobs"],
+            &[256, 512, 1024],
             entries,
-        }
+        )
+    }
+
+    /// Sets `counter` on the first entry from its side.
+    fn set(r: &mut Report, counter: &str, value: impl Fn(u64) -> u64) {
+        let e = &mut r.entries[0];
+        let n = e.n;
+        e.counters.iter_mut().find(|(k, _)| k == counter).unwrap().1 = value(n);
     }
 
     #[test]
     fn report_roundtrips_through_validation() {
-        let text = tiny_report().to_json();
-        validate(&text, false).expect("quick validation");
-        validate(&text, true).expect("full validation");
+        roundtrips(fixture());
     }
 
     #[test]
     fn validation_rejects_wrong_schema() {
-        let text = tiny_report().to_json().replace(SCHEMA, "bogus/v0");
-        assert!(validate(&text, false).is_err());
+        rejects_wrong_schema(fixture());
     }
 
-    #[test]
-    fn validation_rejects_non_equivalent_features() {
-        let mut report = tiny_report();
-        report.entries[0].feature_equivalent = false;
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("equivalent"), "{err}");
-    }
-
-    #[test]
-    fn validation_enforces_the_memory_bound() {
-        let mut report = tiny_report();
-        report.entries[0].peak_frontier_runs = report.entries[0].n; // > n/2 + 1
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("O(cols)"), "{err}");
-        let mut report = tiny_report();
-        report.entries[0].peak_nodes = 2 * report.entries[0].n;
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("O(cols + live)"), "{err}");
-    }
-
-    #[test]
-    fn validation_rejects_thin_coverage() {
-        let mut report = tiny_report();
-        report.entries.retain(|e| e.family == "random50");
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("coverage"), "{err}");
+    crate::record::rows! { fixture();
+        validation_rejects_non_equivalent_features: false, |r| r.entries[0].matches_reference = Some(false)
+            => Err("does not match the reference");
+        validation_enforces_the_memory_bound: false, |r| set(r, "peak_frontier_runs", |n| n)
+            => Err("O(cols) frontier bound");
+        validation_enforces_the_node_bound: false, |r| set(r, "peak_nodes", |n| 2 * n)
+            => Err("O(cols + live) node bound");
+        validation_rejects_thin_coverage: false, |r| r.entries.retain(|e| e.family == "random50")
+            => Err("coverage too thin");
     }
 
     #[test]
     fn quick_sweep_smoke() {
-        let report = run_stream(true, |_| {});
-        validate(&report.to_json(), false).expect("fresh quick sweep validates");
-        assert!(report.entries.iter().all(|e| e.feature_equivalent));
+        let report = run(true, &mut |_| {});
+        assert!(report
+            .entries
+            .iter()
+            .all(|e| e.matches_reference == Some(true)));
+        crate::record::check(&report.to_json(), false).expect("fresh quick sweep validates");
     }
 }

@@ -1,12 +1,13 @@
 //! The shared sweep harness: one family × size × connectivity driver and
 //! one timing protocol for every `slap-bench` recorder.
 //!
-//! The baseline, parallel, tiled, reuse, and propagate sweeps all walk the
+//! The baseline, tiled, stream, reuse, and propagate sweeps all walk the
 //! same grid — deterministic workload families at a ladder of sizes, both
 //! adjacency conventions, repetitions scaled to the image — and differ only
 //! in what they time at each point. [`drive`] owns the walk (and the
 //! workload generation and rep policy); recorders own just their per-point
-//! closure. Keeping the protocol in one place means every committed
+//! closure, which turns each [`Point`] into [`crate::record::Entry`]s of the
+//! one file shape. Keeping the protocol in one place means every committed
 //! `BENCH_*.json` is comparable: same seed, same generator calls, same
 //! best/mean-of-N discipline.
 

@@ -1,170 +1,86 @@
-//! The `slap-bench tiled` sweep: 2-D tiled engine across tile shapes plus
-//! the out-of-core band scheduler, serialized to `BENCH_tiled.json`.
+//! The `slap-bench tiled` sweep: the decomposed engine at 2-D tile grids and
+//! at the `T × 1` strip grids, plus the out-of-core band scheduler, recorded
+//! to `BENCH_tiled.json`.
 //!
 //! For each (family, size, connectivity) point the sweep times the
-//! sequential fast engine once (the identity baseline), the tiled engine at
-//! every shape in [`TILE_SHAPES`] — asserting bit-identical labels while
-//! timing — and the out-of-core scheduler at a band budget of a quarter
-//! frame, recording its carried-state peak and checking its retired labels
-//! against the whole-frame engine. As with the parallel sweep, the recorded
-//! `host_threads` travels with the file: the [`validate`] headline speedup
-//! (tiled 2×2 @ 4 threads ≥ [`REQUIRED_SPEEDUP`]× the fast engine on
-//! `random50` @ 2048² under 4-connectivity) is only enforceable when the
-//! recording host actually has ≥ [`MIN_HOST_THREADS`] hardware threads; the
-//! bit-identity, carried-state, and coverage checks apply everywhere.
+//! sequential fast engine once (the identity reference), the tiled engine at
+//! every grid in [`SHAPES`] — the strip grids `T × 1` at `T` threads are what
+//! `slap label --threads T` runs — recording bit-identity while timing, and
+//! the out-of-core scheduler at a quarter-frame band budget, recording its
+//! carried-state peak and checking its retired labels against the
+//! whole-frame engine. Wall-clock speedup is a property of the recording
+//! host, so the [`HEADLINES`] gates apply only when the file's
+//! `host_threads` is at least 4; the bit-identity, carried-state and
+//! coverage checks apply everywhere.
 
-use crate::json;
-use crate::sweep::{self, conn_id, CONNS, SEED};
+use crate::record::{Bound, Cmp, Cover, Entry, Gate, Op, Ratio, Report, Rhs, Sel, Spec, TIMED};
+use crate::sweep;
 use slap_cc::engine::EngineKind;
 use slap_image::{label_out_of_core, BitmapRows, LabelGrid};
-use std::fmt::Write as _;
 
-/// Schema identifier stamped into (and required from) every tiled file.
-pub const SCHEMA: &str = "slap-bench-tiled/v1";
+/// Grids timed at every point: `(tiles_y, tiles_x, threads, config)`. The
+/// 2-D shapes run at 4 threads; the `T × 1` strips at `T` threads.
+pub const SHAPES: &[(usize, usize, usize, &str)] = &[
+    (1, 2, 4, "1x2@4"),
+    (2, 1, 4, "2x1@4"),
+    (2, 2, 4, "2x2@4"),
+    (4, 4, 4, "4x4@4"),
+    (1, 1, 1, "1x1@1"),
+    (2, 1, 2, "2x1@2"),
+    (4, 1, 4, "4x1@4"),
+    (8, 1, 8, "8x1@8"),
+];
 
-/// Tile grids swept, as `(tiles_y, tiles_x)`: the two degenerate
-/// single-axis cuts, the canonical quad, and a deeper hierarchy.
-pub const TILE_SHAPES: &[(usize, usize)] = &[(1, 2), (2, 1), (2, 2), (4, 4)];
+/// Headline speedups over the fast engine on `random50` @ 2048² (4-conn),
+/// enforced on hosts with at least 4 hardware threads.
+pub const HEADLINES: &[(&str, f64)] = &[("4x1@4", 1.8), ("2x2@4", 1.5)];
 
-/// Worker threads given to every tiled entry.
-pub const TILE_THREADS: usize = 4;
+/// Out-of-core column tiles (and worker threads).
+const OOC_TILES_X: usize = 2;
 
-/// The headline speedup `validate` demands from tiled 2×2 @ 4 threads over
-/// the sequential engine on `random50` @ 2048² (4-connectivity), on hosts
-/// with at least [`MIN_HOST_THREADS`] hardware threads.
-pub const REQUIRED_SPEEDUP: f64 = 1.5;
+const OOC: Sel = Sel("ooc", "1x2@2");
 
-/// Minimum recorded host parallelism for the speedup criterion to apply.
-pub const MIN_HOST_THREADS: u64 = 4;
+const FAMILIES: &[&str] = &["random50", "blobs", "checker"];
 
-/// One timed (family, size, connectivity, engine) point.
-#[derive(Clone, Debug)]
-pub struct Entry {
-    /// Workload family name (a `gen::by_name` key).
-    pub family: String,
-    /// Image side (the image is `n × n`).
-    pub n: usize,
-    /// Adjacency convention: `4` or `8`.
-    pub conn: u32,
-    /// `"fast"` (sequential reference), `"tiled"`, or `"ooc"`.
-    pub engine: String,
-    /// Tile grid, `(tiles_y, tiles_x)`; `(1, 1)` for the fast reference and
-    /// `(1, tiles_x)` for out-of-core bands.
-    pub tiles: (usize, usize),
-    /// Worker threads.
-    pub threads: usize,
-    /// Best wall-clock nanoseconds over the repetitions.
-    pub best_ns: u64,
-    /// Mean wall-clock nanoseconds over the repetitions.
-    pub mean_ns: u64,
-    /// Number of timed repetitions.
-    pub reps: usize,
-    /// For `"tiled"` entries: labels were bit-identical to the sequential
-    /// engine's.
-    pub bit_identical: Option<bool>,
-    /// For `"ooc"` entries: rows resident per band (strictly below `n`, so
-    /// the frame genuinely exceeded the band budget).
-    pub band_rows: Option<usize>,
-    /// For `"ooc"` entries: peak carried seam runs across band boundaries —
-    /// the `O(cols + live)` witness, at most `n/2 + 1`.
-    pub peak_carried_runs: Option<usize>,
-    /// For `"ooc"` entries: the retired label set matched the whole-frame
-    /// engine's component labels exactly.
-    pub components_match: Option<bool>,
-}
-
-/// A finished sweep, ready to serialize.
-#[derive(Clone, Debug)]
-pub struct TiledReport {
-    /// `"quick"` or `"full"`.
-    pub scale: String,
-    /// `std::thread::available_parallelism()` on the recording host.
-    pub host_threads: usize,
-    /// Families swept.
-    pub families: Vec<String>,
-    /// Sides swept.
-    pub sides: Vec<usize>,
-    /// All timed points.
-    pub entries: Vec<Entry>,
-}
-
-/// Sweep parameters per scale.
-fn sweep_params(quick: bool) -> (&'static [&'static str], &'static [usize]) {
-    const FAMILIES: &[&str] = &["random50", "blobs", "checker"];
-    if quick {
-        (FAMILIES, &[64, 128, 256])
+/// Runs the sweep. The fast reference and every grid run as warm registry
+/// sessions; the out-of-core point re-streams the frame from memory through
+/// [`BitmapRows`].
+pub fn run(quick: bool, progress: &mut dyn FnMut(&str)) -> Report {
+    let sides: &[usize] = if quick {
+        &[64, 128, 256]
     } else {
-        (FAMILIES, &[512, 1024, 2048])
-    }
-}
-
-/// Runs the sweep. `progress` receives one line per timed point. The fast
-/// reference and every tiled shape run as warm registry sessions; the
-/// out-of-core point re-streams the frame from memory through
-/// [`BitmapRows`] with a quarter-frame band budget.
-pub fn run_tiled(quick: bool, mut progress: impl FnMut(&str)) -> TiledReport {
-    let (families, sides) = sweep_params(quick);
-    let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+        &[512, 1024, 2048]
+    };
     let mut entries = Vec::new();
     let mut fast = EngineKind::Fast.session(1);
     let mut fast_grid = LabelGrid::new_background(1, 1);
     let mut tiled_grid = LabelGrid::new_background(1, 1);
-    sweep::drive(families, sides, quick, |p| {
-        let (family, n, conn, cid, img, reps) = (p.family, p.n, p.conn, p.cid, p.img, p.reps);
-        let (best, mean) = sweep::time_reps(reps, || {
+    let mut push = |e: Entry| {
+        progress(&e.line());
+        entries.push(e);
+    };
+    sweep::drive(FAMILIES, sides, quick, |p| {
+        let (n, conn, img, reps) = (p.n, p.conn, p.img, p.reps);
+        let times = sweep::time_reps(reps, || {
             fast.label_into(std::hint::black_box(img), conn, &mut fast_grid);
         });
-        progress(&format!(
-            "{family}/{n}/{cid}-conn fast: {:.3} ms",
-            best as f64 / 1e6
-        ));
-        entries.push(Entry {
-            family: family.to_string(),
-            n,
-            conn: cid,
-            engine: "fast".to_string(),
-            tiles: (1, 1),
-            threads: 1,
-            best_ns: best,
-            mean_ns: mean,
-            reps,
-            bit_identical: None,
-            band_rows: None,
-            peak_carried_runs: None,
-            components_match: None,
-        });
-        for &(tiles_y, tiles_x) in TILE_SHAPES {
-            let mut session = EngineKind::Tiled { tiles_x, tiles_y }.session(TILE_THREADS);
-            let (best, mean) = sweep::time_reps(reps, || {
+        push(Entry::at(p, "fast", "", 1).timed(times, reps));
+        for &(tiles_y, tiles_x, threads, config) in SHAPES {
+            let mut session = EngineKind::Tiled { tiles_x, tiles_y }.session(threads);
+            let times = sweep::time_reps(reps, || {
                 session.label_into(std::hint::black_box(img), conn, &mut tiled_grid);
             });
-            let ok = tiled_grid == fast_grid;
-            progress(&format!(
-                "{family}/{n}/{cid}-conn tiled {tiles_y}x{tiles_x}: {:.3} ms",
-                best as f64 / 1e6
-            ));
-            entries.push(Entry {
-                family: family.to_string(),
-                n,
-                conn: cid,
-                engine: "tiled".to_string(),
-                tiles: (tiles_y, tiles_x),
-                threads: TILE_THREADS,
-                best_ns: best,
-                mean_ns: mean,
-                reps,
-                bit_identical: Some(ok),
-                band_rows: None,
-                peak_carried_runs: None,
-                components_match: None,
-            });
+            push(
+                Entry::at(p, "tiled", config, threads)
+                    .timed(times, reps)
+                    .matching(tiled_grid == fast_grid),
+            );
         }
-        // Out-of-core: a quarter-frame band budget forces ≥ 4 band
-        // seams; correctness = the retired label set equals the
-        // whole-frame component labels.
+        // Out-of-core: a quarter-frame band budget forces ≥ 4 band seams;
+        // correctness = the retired label set equals the whole-frame
+        // component labels.
         let band_rows = (n / 4).max(1);
-        let tiles_x = 2usize;
-        let run = label_out_of_core(&mut BitmapRows::new(img), conn, band_rows, tiles_x)
+        let run = label_out_of_core(&mut BitmapRows::new(img), conn, band_rows, OOC_TILES_X)
             .expect("in-memory rows cannot fail");
         let mut retired: Vec<u64> = run
             .components
@@ -178,523 +94,193 @@ pub fn run_tiled(quick: bool, mut progress: impl FnMut(&str)) -> TiledReport {
             .map(|s| u64::from(s.label))
             .collect();
         want.sort_unstable();
-        let ok = retired == want;
-        let (best, mean) = sweep::time_reps(reps, || {
+        let times = sweep::time_reps(reps, || {
             let mut rows = BitmapRows::new(std::hint::black_box(img));
-            label_out_of_core(&mut rows, conn, band_rows, tiles_x).unwrap();
+            label_out_of_core(&mut rows, conn, band_rows, OOC_TILES_X).unwrap();
         });
-        progress(&format!(
-            "{family}/{n}/{cid}-conn ooc@{band_rows} rows: {:.3} ms \
-             (peak carried {})",
-            best as f64 / 1e6,
-            run.stats.peak_carried_runs
-        ));
-        entries.push(Entry {
-            family: family.to_string(),
-            n,
-            conn: cid,
-            engine: "ooc".to_string(),
-            tiles: (1, tiles_x),
-            threads: tiles_x,
-            best_ns: best,
-            mean_ns: mean,
-            reps,
-            bit_identical: None,
-            band_rows: Some(band_rows),
-            peak_carried_runs: Some(run.stats.peak_carried_runs),
-            components_match: Some(ok),
-        });
+        push(
+            Entry::at(p, OOC.0, OOC.1, OOC_TILES_X)
+                .timed(times, reps)
+                .matching(retired == want)
+                .count("band_rows", band_rows as u64)
+                .count("peak_carried_runs", run.stats.peak_carried_runs as u64),
+        );
     });
-    TiledReport {
-        scale: if quick { "quick" } else { "full" }.to_string(),
-        host_threads,
-        families: families.iter().map(|s| s.to_string()).collect(),
-        sides: sides.to_vec(),
-        entries,
-    }
+    Report::new("tiled", quick, FAMILIES, sides, entries)
 }
 
-impl TiledReport {
-    /// Best time of one recorded point.
-    fn best_of(
-        &self,
-        family: &str,
-        n: usize,
-        conn: u32,
-        engine: &str,
-        tiles: (usize, usize),
-    ) -> Option<u64> {
-        self.entries
-            .iter()
-            .find(|e| {
-                e.family == family
-                    && e.n == n
-                    && e.conn == conn
-                    && e.engine == engine
-                    && e.tiles == tiles
-            })
-            .map(|e| e.best_ns)
-    }
-
-    /// Serializes the report. Hand-rolled (the workspace `serde` is a
-    /// no-op stub); [`validate`] checks the inverse direction.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {},", json::quote(SCHEMA));
-        let _ = writeln!(s, "  \"scale\": {},", json::quote(&self.scale));
-        let _ = writeln!(s, "  \"seed\": {SEED},");
-        let _ = writeln!(s, "  \"host_threads\": {},", self.host_threads);
-        let fams: Vec<String> = self.families.iter().map(|f| json::quote(f)).collect();
-        let _ = writeln!(s, "  \"families\": [{}],", fams.join(", "));
-        let sides: Vec<String> = self.sides.iter().map(|n| n.to_string()).collect();
-        let _ = writeln!(s, "  \"sides\": [{}],", sides.join(", "));
-        let shapes: Vec<String> = TILE_SHAPES
-            .iter()
-            .map(|&(y, x)| format!("[{y}, {x}]"))
-            .collect();
-        let _ = writeln!(s, "  \"tile_shapes\": [{}],", shapes.join(", "));
-        s.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"family\": {}, \"n\": {}, \"conn\": {}, \"engine\": {}, \
-                 \"tiles_y\": {}, \"tiles_x\": {}, \"threads\": {}, \
-                 \"best_ns\": {}, \"mean_ns\": {}, \"reps\": {}",
-                json::quote(&e.family),
-                e.n,
-                e.conn,
-                json::quote(&e.engine),
-                e.tiles.0,
-                e.tiles.1,
-                e.threads,
-                e.best_ns,
-                e.mean_ns,
-                e.reps
-            );
-            if let Some(ok) = e.bit_identical {
-                let _ = write!(s, ", \"bit_identical\": {ok}");
-            }
-            if let Some(b) = e.band_rows {
-                let _ = write!(s, ", \"band_rows\": {b}");
-            }
-            if let Some(p) = e.peak_carried_runs {
-                let _ = write!(s, ", \"peak_carried_runs\": {p}");
-            }
-            if let Some(ok) = e.components_match {
-                let _ = write!(s, ", \"components_match\": {ok}");
-            }
-            s.push('}');
-            if i + 1 < self.entries.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-        // Derived scaling ratios: tiled shape vs the sequential engine.
-        s.push_str("  \"speedups\": [\n");
-        let mut lines = Vec::new();
-        for family in &self.families {
-            for &n in &self.sides {
-                for &conn in CONNS {
-                    let cid = conn_id(conn);
-                    let Some(fast) = self.best_of(family, n, cid, "fast", (1, 1)) else {
-                        continue;
-                    };
-                    let ratios: Vec<String> = TILE_SHAPES
-                        .iter()
-                        .filter_map(|&shape| {
-                            let tiled = self.best_of(family, n, cid, "tiled", shape)?;
-                            Some(format!(
-                                "\"{}x{}\": {:.3}",
-                                shape.0,
-                                shape.1,
-                                fast as f64 / tiled.max(1) as f64
-                            ))
-                        })
-                        .collect();
-                    lines.push(format!(
-                        "    {{\"family\": {}, \"n\": {}, \"conn\": {}, {}}}",
-                        json::quote(family),
-                        n,
-                        cid,
-                        ratios.join(", ")
-                    ));
-                }
-            }
-        }
-        s.push_str(&lines.join(",\n"));
-        s.push_str("\n  ]\n}\n");
-        s
-    }
-}
-
-/// Validates a tiled-sweep JSON document against the schema. Always
-/// enforced: every tiled entry is bit-identical, every out-of-core entry
-/// labeled a frame strictly taller than its band budget with the retired
-/// set matching the whole-frame engine and carried state within the
-/// `n/2 + 1` row bound, and each connectivity is covered by ≥ 2 families ×
-/// ≥ 3 sizes × ≥ 3 tile shapes plus at least one out-of-core point. With
-/// `require_full` the file must be a full-scale sweep and — when the
-/// recording host had ≥ [`MIN_HOST_THREADS`] hardware threads — meet the
-/// [`REQUIRED_SPEEDUP`] headline; on narrower hosts (a 1-core CI container
-/// cannot exhibit wall-clock speedup) everything else still applies.
-pub fn validate(text: &str, require_full: bool) -> Result<(), String> {
-    let doc = json::parse(text)?;
-    let obj = doc.as_object().ok_or("top level is not an object")?;
-    let get = |key: &str| {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing key {key:?}"))
-    };
-    let schema = get("schema")?.as_str().ok_or("schema is not a string")?;
-    if schema != SCHEMA {
-        return Err(format!("schema {schema:?}, expected {SCHEMA:?}"));
-    }
-    let scale = get("scale")?.as_str().ok_or("scale is not a string")?;
-    if scale != "quick" && scale != "full" {
-        return Err(format!("scale {scale:?} is neither quick nor full"));
-    }
-    if require_full && scale != "full" {
-        return Err("a full-scale tiled sweep is required".to_string());
-    }
-    let host_threads = get("host_threads")?
-        .as_u64()
-        .filter(|&v| v > 0)
-        .ok_or("host_threads is not a positive integer")?;
-    let entries = get("entries")?
-        .as_array()
-        .ok_or("entries is not an array")?;
-    if entries.is_empty() {
-        return Err("entries is empty".to_string());
-    }
-    // (family, n, conn) → {fast seen, tiled shapes seen, ooc seen}.
-    type Point = (String, u64, u64, bool, Vec<(u64, u64)>, bool);
-    let mut coverage: Vec<Point> = Vec::new();
-    for (i, e) in entries.iter().enumerate() {
-        let ctx = |msg: &str| format!("entry {i}: {msg}");
-        let eo = e.as_object().ok_or_else(|| ctx("not an object"))?;
-        let field = |key: &str| {
-            eo.iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| ctx(&format!("missing {key:?}")))
-        };
-        let family = field("family")?
-            .as_str()
-            .ok_or_else(|| ctx("family is not a string"))?
-            .to_string();
-        let n = field("n")?
-            .as_u64()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| ctx("n is not a positive integer"))?;
-        let conn = field("conn")?
-            .as_u64()
-            .filter(|&c| c == 4 || c == 8)
-            .ok_or_else(|| ctx("conn is not 4 or 8"))?;
-        let engine = field("engine")?
-            .as_str()
-            .ok_or_else(|| ctx("engine is not a string"))?
-            .to_string();
-        let tiles_y = field("tiles_y")?
-            .as_u64()
-            .filter(|&t| t > 0)
-            .ok_or_else(|| ctx("tiles_y is not a positive integer"))?;
-        let tiles_x = field("tiles_x")?
-            .as_u64()
-            .filter(|&t| t > 0)
-            .ok_or_else(|| ctx("tiles_x is not a positive integer"))?;
-        field("threads")?
-            .as_u64()
-            .filter(|&t| t > 0)
-            .ok_or_else(|| ctx("threads is not a positive integer"))?;
-        let best = field("best_ns")?
-            .as_u64()
-            .filter(|&v| v > 0)
-            .ok_or_else(|| ctx("best_ns is not a positive integer"))?;
-        let mean = field("mean_ns")?
-            .as_u64()
-            .ok_or_else(|| ctx("mean_ns is not an integer"))?;
-        if mean < best {
-            return Err(ctx("mean_ns is below best_ns"));
-        }
-        field("reps")?
-            .as_u64()
-            .filter(|&v| v > 0)
-            .ok_or_else(|| ctx("reps is not a positive integer"))?;
-        let opt_bool = |key: &str| {
-            eo.iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.as_bool())
-        };
-        match engine.as_str() {
-            "fast" => {
-                if (tiles_y, tiles_x) != (1, 1) {
-                    return Err(ctx("fast entries must record a 1x1 grid"));
-                }
-            }
-            "tiled" => {
-                let ok = opt_bool("bit_identical")
-                    .ok_or_else(|| ctx("tiled entry lacks bit_identical"))?;
-                if !ok {
-                    return Err(ctx("labels were not bit-identical to the fast engine"));
-                }
-            }
-            "ooc" => {
-                let band = eo
-                    .iter()
-                    .find(|(k, _)| k == "band_rows")
-                    .and_then(|(_, v)| v.as_u64())
-                    .ok_or_else(|| ctx("ooc entry lacks band_rows"))?;
-                if band >= n {
-                    return Err(ctx("ooc band budget must be below the frame height"));
-                }
-                let peak = eo
-                    .iter()
-                    .find(|(k, _)| k == "peak_carried_runs")
-                    .and_then(|(_, v)| v.as_u64())
-                    .ok_or_else(|| ctx("ooc entry lacks peak_carried_runs"))?;
-                if peak > n / 2 + 1 {
-                    return Err(ctx(&format!(
-                        "peak carried runs {peak} exceeds the one-row bound {}",
-                        n / 2 + 1
-                    )));
-                }
-                let ok = opt_bool("components_match")
-                    .ok_or_else(|| ctx("ooc entry lacks components_match"))?;
-                if !ok {
-                    return Err(ctx("retired labels did not match the whole-frame engine"));
-                }
-            }
-            other => return Err(ctx(&format!("unknown engine {other:?}"))),
-        }
-        match coverage
-            .iter_mut()
-            .find(|(f, m, c, ..)| *f == family && *m == n && *c == conn)
-        {
-            Some((.., fast_seen, shapes, ooc_seen)) => match engine.as_str() {
-                "fast" => *fast_seen = true,
-                "tiled" => shapes.push((tiles_y, tiles_x)),
-                _ => *ooc_seen = true,
+/// The tiled criteria.
+pub fn spec() -> Spec {
+    let fast = Sel("fast", "");
+    let mut grid = vec![fast];
+    grid.extend(SHAPES.iter().map(|s| Sel("tiled", s.3)));
+    Spec {
+        need: vec![
+            (Sel::ANY, TIMED),
+            (OOC, &["band_rows", "peak_carried_runs"]),
+        ],
+        reference: vec![Sel("tiled", "*"), OOC],
+        bounds: vec![
+            Bound {
+                sel: fast,
+                lhs: &["threads"],
+                op: Op::Eq,
+                rhs: Rhs::Const(1),
+                why: "the fast reference is sequential",
             },
-            None => coverage.push((
-                family,
-                n,
-                conn,
-                engine == "fast",
-                if engine == "tiled" {
-                    vec![(tiles_y, tiles_x)]
-                } else {
-                    Vec::new()
-                },
-                engine == "ooc",
-            )),
-        }
-    }
-    // Coverage: every counted point needs the sequential reference plus ≥ 3
-    // distinct tile shapes; each connectivity needs ≥ 2 families × ≥ 3
-    // sizes of such points and at least one out-of-core point.
-    for want in [4u64, 8] {
-        let full_points: Vec<_> = coverage
+            Bound {
+                sel: OOC,
+                lhs: &["band_rows"],
+                op: Op::Lt,
+                rhs: Rhs::N(|n| n, "n"),
+                why: "the out-of-core band budget must be below the frame height",
+            },
+            Bound {
+                sel: OOC,
+                lhs: &["peak_carried_runs"],
+                op: Op::Le,
+                rhs: Rhs::N(|n| n / 2 + 1, "n/2+1"),
+                why: "carried state exceeds the one-row bound",
+            },
+        ],
+        cover: vec![
+            Cover {
+                pairs: grid,
+                min_families: 2,
+                min_sides: 3,
+                families: &[],
+            },
+            Cover {
+                pairs: vec![OOC],
+                min_families: 1,
+                min_sides: 1,
+                families: &[],
+            },
+        ],
+        ratios: SHAPES
             .iter()
-            .filter(|(_, _, c, fast_seen, shapes, _)| {
-                *c == want && *fast_seen && {
-                    let mut t = shapes.clone();
-                    t.sort_unstable();
-                    t.dedup();
-                    t.len() >= 3
+            .map(|s| {
+                let ratio = Ratio::new(fast, Sel("tiled", s.3));
+                match HEADLINES.iter().find(|h| h.0 == s.3) {
+                    Some(&(_, x)) => ratio.gated(Gate {
+                        min_host_threads: 4,
+                        ..Gate::headline("tiled speedup", Cmp::AtLeast(x), &[4])
+                    }),
+                    None => ratio,
                 }
             })
-            .collect();
-        let mut fams: Vec<&str> = full_points.iter().map(|(f, ..)| f.as_str()).collect();
-        fams.sort_unstable();
-        fams.dedup();
-        let mut ns: Vec<u64> = full_points.iter().map(|(_, n, ..)| *n).collect();
-        ns.sort_unstable();
-        ns.dedup();
-        if fams.len() < 2 || ns.len() < 3 {
-            return Err(format!(
-                "coverage too thin at {want}-connectivity: {} families × {} sizes \
-                 with fast + ≥3 tile shapes (need ≥ 2 × ≥ 3)",
-                fams.len(),
-                ns.len()
-            ));
-        }
-        if !coverage.iter().any(|(_, _, c, .., ooc)| *c == want && *ooc) {
-            return Err(format!("no out-of-core point at {want}-connectivity"));
-        }
+            .collect(),
     }
-    if require_full && host_threads >= MIN_HOST_THREADS {
-        let best_of = |engine: &str, ty: u64, tx: u64| {
-            entries.iter().find_map(|e| {
-                let eo = e.as_object()?;
-                let s = |k: &str| eo.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-                (s("family")?.as_str()? == "random50"
-                    && s("n")?.as_u64()? == 2048
-                    && s("conn")?.as_u64()? == 4
-                    && s("engine")?.as_str()? == engine
-                    && s("tiles_y")?.as_u64()? == ty
-                    && s("tiles_x")?.as_u64()? == tx)
-                    .then(|| s("best_ns")?.as_u64())
-                    .flatten()
-            })
-        };
-        let fast = best_of("fast", 1, 1).ok_or("no fast entry for random50 @ 2048 (4-conn)")?;
-        let tiled =
-            best_of("tiled", 2, 2).ok_or("no tiled 2x2 entry for random50 @ 2048 (4-conn)")?;
-        let ratio = fast as f64 / tiled.max(1) as f64;
-        if ratio < REQUIRED_SPEEDUP {
-            return Err(format!(
-                "tiled 2x2 is only {ratio:.2}× the fast engine on random50 @ 2048 \
-                 (need ≥ {REQUIRED_SPEEDUP}× on a host with ≥ {MIN_HOST_THREADS} threads)"
-            ));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::record::table::{rejects_wrong_schema, roundtrips, row};
 
-    fn tiny_report(host_threads: usize) -> TiledReport {
+    /// Every grid at every point, a 2× speedup on each, recorded on a host
+    /// with `host_threads` hardware threads.
+    pub(crate) fn fixture(host_threads: u64) -> Report {
         let mut entries = Vec::new();
         for family in ["random50", "blobs"] {
             for n in [512usize, 1024, 2048] {
                 for conn in [4u32, 8] {
-                    let point = |engine: &str, tiles, threads, best_ns| Entry {
-                        family: family.to_string(),
-                        n,
-                        conn,
-                        engine: engine.to_string(),
-                        tiles,
-                        threads,
-                        best_ns,
-                        mean_ns: 4500,
-                        reps: 3,
-                        bit_identical: (engine == "tiled").then_some(true),
-                        band_rows: (engine == "ooc").then_some(n / 4),
-                        peak_carried_runs: (engine == "ooc").then_some(n / 8),
-                        components_match: (engine == "ooc").then_some(true),
-                    };
-                    entries.push(point("fast", (1, 1), 1, 4000));
-                    for &shape in TILE_SHAPES {
-                        entries.push(point("tiled", shape, TILE_THREADS, 2000));
+                    entries.push(Entry::new(family, n, conn, "fast", "", 1).timed((4000, 4500), 3));
+                    for &(_, _, threads, config) in SHAPES {
                         // 2× speedup
+                        entries.push(
+                            Entry::new(family, n, conn, "tiled", config, threads)
+                                .timed((2000, 4500), 3)
+                                .matching(true),
+                        );
                     }
-                    entries.push(point("ooc", (1, 2), 2, 4400));
+                    entries.push(
+                        Entry::new(family, n, conn, OOC.0, OOC.1, OOC_TILES_X)
+                            .timed((4400, 4500), 3)
+                            .matching(true)
+                            .count("band_rows", n as u64 / 4)
+                            .count("peak_carried_runs", n as u64 / 8),
+                    );
                 }
             }
         }
-        TiledReport {
-            scale: "full".to_string(),
-            host_threads,
-            families: vec!["random50".to_string(), "blobs".to_string()],
-            sides: vec![512, 1024, 2048],
+        let mut r = Report::new(
+            "tiled",
+            false,
+            &["random50", "blobs"],
+            &[512, 1024, 2048],
             entries,
+        );
+        r.host_threads = host_threads;
+        r
+    }
+
+    /// Sets `counter` on every entry of `engine` (and `config`, unless `*`).
+    pub(crate) fn set(r: &mut Report, sel: Sel, counter: &str, value: impl Fn(u64) -> u64) {
+        for e in r
+            .entries
+            .iter_mut()
+            .filter(|e| e.engine == sel.0 && (sel.1 == "*" || e.config == sel.1))
+        {
+            let n = e.n;
+            e.counters.iter_mut().find(|(k, _)| k == counter).unwrap().1 = value(n);
         }
     }
 
     #[test]
     fn report_roundtrips_through_validation() {
-        let text = tiny_report(8).to_json();
-        validate(&text, false).expect("quick validation");
-        validate(&text, true).expect("full validation");
+        roundtrips(fixture(8));
     }
 
     #[test]
     fn validation_rejects_wrong_schema() {
-        let text = tiny_report(8).to_json().replace(SCHEMA, "bogus/v0");
-        assert!(validate(&text, false).is_err());
+        rejects_wrong_schema(fixture(8));
     }
 
-    #[test]
-    fn validation_rejects_non_identical_labels() {
-        let mut report = tiny_report(8);
-        for e in &mut report.entries {
-            if e.engine == "tiled" {
-                e.bit_identical = Some(false);
-            }
-        }
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("bit-identical"), "{err}");
-    }
-
-    #[test]
-    fn validation_rejects_mismatched_ooc_components() {
-        let mut report = tiny_report(8);
-        for e in &mut report.entries {
-            if e.engine == "ooc" {
-                e.components_match = Some(false);
-            }
-        }
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("retired"), "{err}");
-    }
-
-    #[test]
-    fn validation_rejects_unbounded_carried_state() {
-        let mut report = tiny_report(8);
-        for e in &mut report.entries {
-            if e.engine == "ooc" {
-                e.peak_carried_runs = Some(e.n); // a full frame of state
-            }
-        }
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("one-row bound"), "{err}");
-    }
-
-    #[test]
-    fn validation_rejects_in_core_band_budgets() {
-        let mut report = tiny_report(8);
-        for e in &mut report.entries {
-            if e.engine == "ooc" {
-                e.band_rows = Some(e.n); // whole frame resident: not OOC
-            }
-        }
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("band budget"), "{err}");
-    }
-
-    #[test]
-    fn full_validation_enforces_the_speedup_on_wide_hosts() {
-        let mut report = tiny_report(8);
-        for e in &mut report.entries {
-            if e.engine == "tiled" {
-                e.best_ns = 4000; // no speedup at any shape
-            }
-        }
-        let text = report.to_json();
-        validate(&text, false).expect("quick validation ignores the ratio");
-        let err = validate(&text, true).unwrap_err();
-        assert!(err.contains("1.5"), "{err}");
+    crate::record::rows! { fixture(8);
+        validation_rejects_non_identical_labels: false, |r| {
+            r.entries.iter_mut().filter(|e| e.engine == "tiled").for_each(|e| e.matches_reference = Some(false));
+        } => Err("does not match the reference");
+        validation_rejects_non_identical_strip_labels: false, |r| {
+            r.entries.iter_mut().filter(|e| e.config == "4x1@4").for_each(|e| e.matches_reference = Some(false));
+        } => Err("tiled 4x1@4): output does not match");
+        validation_rejects_mismatched_ooc_components: false, |r| {
+            r.entries.iter_mut().filter(|e| e.engine == "ooc").for_each(|e| e.matches_reference = Some(false));
+        } => Err("ooc 1x2@2): output does not match");
+        validation_rejects_unbounded_carried_state: false, |r| set(r, OOC, "peak_carried_runs", |n| n)
+            => Err("one-row bound");
+        validation_rejects_in_core_band_budgets: false, |r| set(r, OOC, "band_rows", |n| n)
+            => Err("band budget");
+        full_validation_enforces_the_speedup_on_wide_hosts: true, |r| {
+            set(r, Sel("tiled", "2x2@4"), "best_ns", |_| 4000);
+        } => Err("fast/tiled 2x2@4 is 1.000× on random50 @ 2048 (4-conn); need ≥ 1.5×");
+        full_validation_enforces_the_strip_speedup_on_wide_hosts: true, |r| {
+            set(r, Sel("tiled", "4x1@4"), "best_ns", |_| 4000);
+        } => Err("fast/tiled 4x1@4 is 1.000× on random50 @ 2048 (4-conn); need ≥ 1.8×");
+        quick_validation_ignores_the_speedups: false, |r| set(r, Sel("tiled", "*"), "best_ns", |_| 4000)
+            => Ok(());
+        validation_rejects_thin_coverage: false, |r| r.entries.retain(|e| e.family == "random50")
+            => Err("coverage too thin");
+        validation_requires_every_grid_at_every_point: false, |r| {
+            r.entries.retain(|e| !(e.config == "8x1@8" && e.n == 1024));
+        } => Err("coverage hole");
     }
 
     #[test]
     fn full_validation_waives_the_speedup_on_narrow_hosts() {
-        // Same no-speedup numbers, but recorded on a 1-thread host: the
-        // ratio criterion cannot apply there.
-        let mut report = tiny_report(1);
-        for e in &mut report.entries {
-            if e.engine == "tiled" {
-                e.best_ns = 4000;
-            }
-        }
-        validate(&report.to_json(), true).expect("narrow-host full validation");
-    }
-
-    #[test]
-    fn validation_rejects_thin_coverage() {
-        let mut report = tiny_report(8);
-        report.entries.retain(|e| e.family == "random50");
-        let err = validate(&report.to_json(), false).unwrap_err();
-        assert!(err.contains("coverage"), "{err}");
+        // No speedup at any grid, but recorded on a 1-thread host: the
+        // ratio criteria cannot apply there.
+        row(
+            fixture(1),
+            |r| set(r, Sel("tiled", "*"), "best_ns", |_| 4000),
+            true,
+            Ok(()),
+        );
     }
 
     #[test]
     fn quick_sweep_smoke() {
-        let report = run_tiled(true, |_| {});
-        validate(&report.to_json(), false).expect("fresh quick sweep validates");
+        let text = run(true, &mut |_| {}).to_json();
+        crate::record::check(&text, false).expect("fresh quick sweep validates");
     }
 }
