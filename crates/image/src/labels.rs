@@ -2,6 +2,7 @@
 
 use crate::bitmap::Bitmap;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Per-pixel component labels, row-major.
 ///
@@ -144,17 +145,10 @@ impl LabelGrid {
         self.labels.resize(rows * cols, Self::BACKGROUND);
     }
 
-    /// Number of distinct components (distinct foreground labels).
+    /// Number of distinct components (distinct foreground labels), counted
+    /// by the run fold of [`LabelGrid::component_stats`].
     pub fn component_count(&self) -> usize {
-        let mut seen: Vec<u32> = self
-            .labels
-            .iter()
-            .copied()
-            .filter(|&l| l != Self::BACKGROUND)
-            .collect();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.len()
+        self.fold_runs().len()
     }
 
     /// Relabels each component with the minimum column-major position of its
@@ -207,32 +201,93 @@ impl LabelGrid {
     }
 
     /// Per-component statistics, sorted by label.
+    ///
+    /// Folds maximal runs of one label rather than pixels: each row is
+    /// walked 64 pixels at a time, each run costs one probe of a
+    /// label-to-slot index, and the slots are ordered by one sort of packed
+    /// `label << 32 | slot` keys. The cost is
+    /// `O(pixels/64 + runs + components·log components)`. Nothing is
+    /// assumed about the labels themselves: any labeling, canonical or not
+    /// and with a label's pixels in any rows, gets one record per distinct
+    /// foreground label.
     pub fn component_stats(&self) -> Vec<ComponentInfo> {
-        let mut map: HashMap<u32, ComponentInfo> = HashMap::new();
+        self.fold_runs()
+            .into_iter()
+            .map(|s| ComponentInfo {
+                label: s.label,
+                pixels: s.pixels as usize,
+                min_row: s.min_row as usize,
+                max_row: s.max_row as usize,
+                min_col: s.min_col as usize,
+                max_col: s.max_col as usize,
+            })
+            .collect()
+    }
+
+    /// The run fold behind [`LabelGrid::component_stats`]: one [`Slot`] per
+    /// distinct foreground label, sorted by label.
+    ///
+    /// A slot leaves the index after the first row that misses it, so the
+    /// index holds only the labels of the last two rows. A component's rows
+    /// form an interval, so under a real labeling no label comes back; when
+    /// one does (`set` and `row_mut` can write anything), it opens a second
+    /// slot, and the two merge after the sort.
+    fn fold_runs(&self) -> Vec<Slot> {
+        let mut index = LabelIndex::default();
+        let mut slots: Vec<Slot> = Vec::new();
+        // Slots seen in the previous row and in this one.
+        let (mut prev, mut cur): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
         for r in 0..self.rows {
-            for c in 0..self.cols {
-                let l = self.get(r, c);
-                if l == Self::BACKGROUND {
-                    continue;
+            let row = r as u32;
+            for_each_label_run(self.row(r), |start, end, label| {
+                let (start, end) = (start as u32, end as u32);
+                let next = slots.len() as u32;
+                let s = *index.entry(label).or_insert(next);
+                if s == next {
+                    slots.push(Slot {
+                        label,
+                        pixels: 0,
+                        min_row: row,
+                        max_row: row,
+                        min_col: start,
+                        max_col: end - 1,
+                    });
+                    cur.push(s);
                 }
-                let e = map.entry(l).or_insert(ComponentInfo {
-                    label: l,
-                    pixels: 0,
-                    min_row: r,
-                    max_row: r,
-                    min_col: c,
-                    max_col: c,
-                });
-                e.pixels += 1;
-                e.min_row = e.min_row.min(r);
-                e.max_row = e.max_row.max(r);
-                e.min_col = e.min_col.min(c);
-                e.max_col = e.max_col.max(c);
+                let slot = &mut slots[s as usize];
+                if slot.max_row != row {
+                    slot.max_row = row;
+                    cur.push(s);
+                }
+                slot.pixels += end - start;
+                slot.min_col = slot.min_col.min(start);
+                slot.max_col = slot.max_col.max(end - 1);
+            });
+            for &s in &prev {
+                let slot = &slots[s as usize];
+                if slot.max_row != row {
+                    index.remove(&slot.label);
+                }
+            }
+            std::mem::swap(&mut prev, &mut cur);
+            cur.clear();
+        }
+        let mut keys: Vec<u64> = slots
+            .iter()
+            .enumerate()
+            .map(|(s, slot)| (u64::from(slot.label) << 32) | s as u64)
+            .collect();
+        // Slots of one label sort in the order they were opened.
+        keys.sort_unstable();
+        let mut out: Vec<Slot> = Vec::with_capacity(keys.len());
+        for k in keys {
+            let s = &slots[k as u32 as usize];
+            match out.last_mut() {
+                Some(last) if last.label == s.label => last.merge(s),
+                _ => out.push(s.clone()),
             }
         }
-        let mut v: Vec<ComponentInfo> = map.into_values().collect();
-        v.sort_unstable_by_key(|i| i.label);
-        v
+        out
     }
 
     /// Renders the labeling as ASCII art: each component gets a letter
@@ -318,6 +373,107 @@ impl std::fmt::Debug for LabelGrid {
     }
 }
 
+/// Label-to-slot index of the run folds.
+type LabelIndex = HashMap<u32, u32, BuildHasherDefault<LabelHasher>>;
+
+/// Multiplicative hash for `u32` labels, folded so the high product bits
+/// reach the low ones. Canonical labels are `col * rows + row`, so the
+/// labels met along one row share their low bits; the table picks buckets
+/// with the low hash bits, and a bare product would leave them shared.
+///
+/// The hash is unseeded, so an image can be drawn to make labels collide.
+/// The fold's index holds only the labels of two rows, so a collision
+/// chain, and with it the extra cost of a probe, stays below `cols`.
+#[derive(Default)]
+struct LabelHasher(u64);
+
+impl Hasher for LabelHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b) ^ (self.0 as u32));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        let h = u64::from(x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// One component's accumulators in a run fold (`rows * cols < u32::MAX`,
+/// so every field fits).
+#[derive(Clone)]
+struct Slot {
+    label: u32,
+    pixels: u32,
+    min_row: u32,
+    max_row: u32,
+    min_col: u32,
+    max_col: u32,
+}
+
+impl Slot {
+    /// Folds `later`, a slot of the same label opened after `self` was
+    /// retired (so in rows below all of `self`'s), into `self`.
+    fn merge(&mut self, later: &Slot) {
+        self.pixels += later.pixels;
+        self.max_row = later.max_row;
+        self.min_col = self.min_col.min(later.min_col);
+        self.max_col = self.max_col.max(later.max_col);
+    }
+}
+
+/// Invokes `f(start, end, label)` for every maximal run `start..end` of one
+/// foreground label in `row`, left to right.
+///
+/// Each 64-pixel chunk becomes a mask of the positions where the label
+/// changes (`row[c] != row[c - 1]`), and the change points are visited with
+/// `trailing_zeros`, the way the bitmap walks its words: a chunk costs a
+/// branch-free compare pass (one vector pass when it holds no change) plus
+/// one step per run.
+#[inline]
+fn for_each_label_run(row: &[u32], mut f: impl FnMut(usize, usize, u32)) {
+    let mut start = 0;
+    let mut emit = |start: usize, end: usize| {
+        let label = row[start];
+        if label != LabelGrid::BACKGROUND {
+            f(start, end, label);
+        }
+    };
+    for base in (0..row.len()).step_by(64) {
+        // Position 0 starts the first run, so it is never a change point.
+        let lo = base.max(1);
+        let hi = row.len().min(base + 64);
+        let mut mask = change_mask(&row[lo..hi], &row[lo - 1..hi - 1]) << (lo - base);
+        while mask != 0 {
+            let c = base + mask.trailing_zeros() as usize;
+            emit(start, c);
+            start = c;
+            mask &= mask - 1;
+        }
+    }
+    emit(start, row.len());
+}
+
+/// Bit `i` set when `cur[i] != prev[i]` (at most 64 pixels).
+#[inline]
+fn change_mask(cur: &[u32], prev: &[u32]) -> u64 {
+    // Most chunks of a frame with large regions hold one label; an OR of
+    // XORs (which vectorizes) settles those without building the mask.
+    if cur.iter().zip(prev).fold(0, |acc, (a, b)| acc | (a ^ b)) == 0 {
+        return 0;
+    }
+    cur.iter()
+        .zip(prev)
+        .enumerate()
+        .fold(0, |m, (i, (a, b))| m | (u64::from(a != b) << i))
+}
+
 /// Summary of one labeled component.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ComponentInfo {
@@ -350,6 +506,54 @@ impl ComponentInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{gen, Connectivity, FastLabeler};
+
+    /// The per-pixel fold the run walk replaced, kept as the reference:
+    /// one map entry per distinct label, widened pixel by pixel.
+    fn reference_stats(g: &LabelGrid) -> Vec<ComponentInfo> {
+        let mut map: HashMap<u32, ComponentInfo> = HashMap::new();
+        for r in 0..g.rows() {
+            for c in 0..g.cols() {
+                let l = g.get(r, c);
+                if l == LabelGrid::BACKGROUND {
+                    continue;
+                }
+                let e = map.entry(l).or_insert(ComponentInfo {
+                    label: l,
+                    pixels: 0,
+                    min_row: r,
+                    max_row: r,
+                    min_col: c,
+                    max_col: c,
+                });
+                e.pixels += 1;
+                e.min_row = e.min_row.min(r);
+                e.max_row = e.max_row.max(r);
+                e.min_col = e.min_col.min(c);
+                e.max_col = e.max_col.max(c);
+            }
+        }
+        let mut v: Vec<ComponentInfo> = map.into_values().collect();
+        v.sort_unstable_by_key(|i| i.label);
+        v
+    }
+
+    /// Asserts both run folds against the reference on `g`.
+    fn assert_matches_reference(g: &LabelGrid, what: &str) {
+        let want = reference_stats(g);
+        assert_eq!(g.component_stats(), want, "{what}: component_stats");
+        assert_eq!(g.component_count(), want.len(), "{what}: component_count");
+    }
+
+    /// A grid of `rows × cols` whose pixel `i` (row-major) holds
+    /// `label(i)`.
+    fn grid_from(rows: usize, cols: usize, label: impl Fn(usize) -> u32) -> LabelGrid {
+        let mut g = LabelGrid::new_background(rows, cols);
+        for (i, l) in g.labels.iter_mut().enumerate() {
+            *l = label(i);
+        }
+        g
+    }
 
     fn tiny() -> LabelGrid {
         // Two components: left column pair (label 7) and bottom-right (label 9).
@@ -448,6 +652,125 @@ mod tests {
         assert_eq!(stats[0].width(), 1);
         assert_eq!(stats[1].label, 9);
         assert_eq!(stats[1].pixels, 1);
+    }
+
+    #[test]
+    fn run_fold_matches_reference_on_every_family() {
+        let mut labeler = FastLabeler::new();
+        let mut g = LabelGrid::new_background(1, 1);
+        for name in gen::WORKLOADS {
+            let img = gen::by_name(name, 37, 5).unwrap();
+            for conn in [Connectivity::Four, Connectivity::Eight] {
+                labeler.label_into(&img, conn, &mut g);
+                assert_matches_reference(&g, &format!("{name} {conn:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn run_fold_matches_reference_on_non_canonical_labels() {
+        // Labels 0 and u32::MAX - 1 sit next to the sentinel; 0 is a label,
+        // not background.
+        let extremes = [0, u32::MAX - 1, 7, 0, LabelGrid::BACKGROUND];
+        for cols in [1, 5, 63, 64, 65, 129] {
+            let g = grid_from(4, cols, |i| extremes[(i * 7 + i / 3) % extremes.len()]);
+            assert_matches_reference(&g, &format!("extremes, width {cols}"));
+        }
+        // Few labels scattered at random repeat non-contiguously, in rows
+        // that do not form intervals.
+        for cols in [1, 63, 64, 65, 129] {
+            for seed in 0..4u64 {
+                let g = grid_from(9, cols, |i| {
+                    let h = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15 ^ seed) >> 59;
+                    if h < 4 {
+                        LabelGrid::BACKGROUND
+                    } else {
+                        h as u32 % 5
+                    }
+                });
+                assert_matches_reference(&g, &format!("scatter {seed}, width {cols}"));
+            }
+        }
+    }
+
+    #[test]
+    fn label_missing_from_a_row_still_gives_one_record() {
+        // Label 3 in rows 0 and 2 but not row 1: the fold retires it after
+        // row 1 and must merge its two slots back into one record.
+        let mut g = LabelGrid::new_background(3, 4);
+        for c in 0..4 {
+            g.set(0, c, 3);
+            g.set(2, c, 3);
+        }
+        g.set(1, 2, 8);
+        g.set(2, 1, 8); // and label 8 comes back too, inside 3's run
+        assert_matches_reference(&g, "split label");
+        let stats = g.component_stats();
+        assert_eq!(stats.len(), 2);
+        assert_eq!(
+            stats[0],
+            ComponentInfo {
+                label: 3,
+                pixels: 7,
+                min_row: 0,
+                max_row: 2,
+                min_col: 0,
+                max_col: 3,
+            }
+        );
+    }
+
+    #[test]
+    fn run_fold_matches_reference_on_word_boundary_widths_and_thin_grids() {
+        let mut labeler = FastLabeler::new();
+        let mut g = LabelGrid::new_background(1, 1);
+        let shapes = [
+            (5, 1),
+            (5, 63),
+            (5, 64),
+            (5, 65),
+            (5, 129),
+            (1, 200),
+            (200, 1),
+        ];
+        for (rows, cols) in shapes {
+            for density in [0.3, 0.7, 1.0] {
+                let img = gen::uniform_random(rows, cols, density, (rows * cols) as u64);
+                for conn in [Connectivity::Four, Connectivity::Eight] {
+                    labeler.label_into(&img, conn, &mut g);
+                    assert_matches_reference(&g, &format!("{rows}x{cols} p={density}"));
+                }
+            }
+            // One label across the whole grid: a run that spans every word.
+            assert_matches_reference(&grid_from(rows, cols, |_| 42), "one label");
+        }
+    }
+
+    #[test]
+    fn label_runs_split_at_every_change() {
+        for cols in [1, 2, 63, 64, 65, 128, 129] {
+            // Runs of 1 and 2 pixels, background gaps, and equal labels on
+            // both sides of a gap.
+            let row: Vec<u32> = (0..cols as u32)
+                .map(|c| match c % 4 {
+                    3 => LabelGrid::BACKGROUND,
+                    k => [5, 5, 9][k as usize] + c / 8,
+                })
+                .collect();
+            let mut runs = Vec::new();
+            for_each_label_run(&row, |s, e, l| runs.push((s, e, l)));
+            let mut want = Vec::new();
+            let mut s = 0;
+            for c in 1..=cols {
+                if c == cols || row[c] != row[s] {
+                    if row[s] != LabelGrid::BACKGROUND {
+                        want.push((s, c, row[s]));
+                    }
+                    s = c;
+                }
+            }
+            assert_eq!(runs, want, "width {cols}");
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@ use slap_image::pbm::{FramedPbmReader, PbmRowReader};
 use slap_image::stream::{BitmapRows, RowSource, StreamGridLabeler};
 use slap_image::{
     bfs_labels, bfs_labels_conn, fast_labels_conn, gen, label_out_of_core, label_stream, morph,
-    pbm, tiled_labels_conn, Bitmap, Connectivity, FastLabeler, LabelGrid, TiledLabeler,
+    pbm, tiled_labels_conn, Bitmap, ComponentInfo, Connectivity, FastLabeler, LabelGrid,
+    TiledLabeler,
 };
 
 /// The retired two-pointer diagonal join, kept as the executable
@@ -81,6 +82,56 @@ fn arb_wide_bitmap() -> impl Strategy<Value = Bitmap> {
         .prop_map(|(r, c, d, s)| gen::uniform_random(r, c, d, s))
 }
 
+/// A label grid drawn from at most `palette` labels plus background, so
+/// labels repeat in runs that are neither contiguous nor row intervals.
+/// Labels come from a small pool that includes `0` and `u32::MAX - 1`.
+fn arb_label_grid() -> impl Strategy<Value = LabelGrid> {
+    (1usize..12, 1usize..136, 1usize..6, 0u64..10_000).prop_map(|(rows, cols, palette, seed)| {
+        let pool = [0, u32::MAX - 1, 17, 4096, 3];
+        let bm = gen::uniform_random(rows, cols, 0.6, seed);
+        let mut g = LabelGrid::new_background(rows, cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                if bm.get(r, c) {
+                    g.set(
+                        r,
+                        c,
+                        pool[(r * 7 + c * 3 + (c >> 2) + seed as usize) % palette],
+                    );
+                }
+            }
+        }
+        g
+    })
+}
+
+/// The per-pixel statistics fold, the specification of the run fold.
+fn pixel_stats(g: &LabelGrid) -> Vec<ComponentInfo> {
+    let mut map = std::collections::BTreeMap::<u32, ComponentInfo>::new();
+    for r in 0..g.rows() {
+        for c in 0..g.cols() {
+            let label = g.get(r, c);
+            if label == LabelGrid::BACKGROUND {
+                continue;
+            }
+            let e = map.entry(label).or_insert(ComponentInfo {
+                label,
+                pixels: 0,
+                min_row: r,
+                max_row: r,
+                min_col: c,
+                max_col: c,
+            });
+            e.pixels += 1;
+            e.min_row = e.min_row.min(r);
+            e.max_row = e.max_row.max(r);
+            e.min_col = e.min_col.min(c);
+            e.max_col = e.max_col.max(c);
+        }
+    }
+    map.into_values().collect()
+}
+
 fn arb_conn() -> impl Strategy<Value = Connectivity> {
     prop::sample::select(vec![Connectivity::Four, Connectivity::Eight])
 }
@@ -131,6 +182,13 @@ proptest! {
         for (l, first_pos) in seen_min {
             prop_assert_eq!(l, first_pos);
         }
+    }
+
+    #[test]
+    fn component_stats_fold_runs_like_pixels(g in arb_label_grid()) {
+        let want = pixel_stats(&g);
+        prop_assert_eq!(g.component_count(), want.len());
+        prop_assert_eq!(g.component_stats(), want);
     }
 
     #[test]

@@ -592,7 +592,9 @@ fn host_report(img: &Bitmap, conn: Connectivity, mut session: Box<dyn LabelEngin
     let t0 = std::time::Instant::now();
     let engine_stats = session.label_into(img, conn, &mut labels);
     let elapsed = t0.elapsed();
+    let t1 = std::time::Instant::now();
     let stats = labels.component_stats();
+    let stats_elapsed = t1.elapsed();
     println!(
         "{}x{} image, {:.1}% foreground, {} component(s) under {}",
         img.rows(),
@@ -611,10 +613,11 @@ fn host_report(img: &Bitmap, conn: Connectivity, mut session: Box<dyn LabelEngin
         );
     }
     print!(
-        "host/{}: {} thread(s), {:.3} ms",
+        "host/{}: {} thread(s), {:.3} ms, stats {:.3} ms",
         session.kind(),
         engine_stats.threads,
-        elapsed.as_secs_f64() * 1e3
+        elapsed.as_secs_f64() * 1e3,
+        stats_elapsed.as_secs_f64() * 1e3
     );
     if engine_stats.runs > 0 {
         print!(", {} run(s)", engine_stats.runs);

@@ -133,6 +133,16 @@ fn label_and_features_dispatch_every_registered_engine() {
             report.contains(&format!("host/{engine}:")),
             "--engine {engine} must route to that engine: {report:?}"
         );
+        // The stats-fold time is printed beside the labeling time.
+        let stats_ms = report
+            .split(", stats ")
+            .nth(1)
+            .and_then(|rest| rest.split(" ms").next())
+            .and_then(|ms| ms.parse::<f64>().ok());
+        assert!(
+            stats_ms.is_some(),
+            "--engine {engine} must report the stats fold time: {report:?}"
+        );
         // The component line is engine-independent (bit-identity).
         reports.push(report.lines().next().unwrap_or_default().to_string());
 

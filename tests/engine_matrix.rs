@@ -11,15 +11,44 @@
 
 use slap_repro::cc::engine::{registry, EngineKind, LabelEngine};
 use slap_repro::image::pbm::{PbmError, PbmRowReader};
-use slap_repro::image::{gen, BfsOracle, Bitmap, Connectivity, LabelGrid};
+use slap_repro::image::{gen, BfsOracle, Bitmap, ComponentInfo, Connectivity, LabelGrid};
 use slap_repro::serve::WireError;
 
 /// Thread counts exercised for multithreaded engines (sequential engines run
 /// once, at their implicit 1).
 const THREADS: &[usize] = &[1, 2, 4, 8];
 
+/// The per-pixel statistics fold, the specification of
+/// `LabelGrid::component_stats`' run fold.
+fn pixel_stats(g: &LabelGrid) -> Vec<ComponentInfo> {
+    let mut map = std::collections::BTreeMap::<u32, ComponentInfo>::new();
+    for r in 0..g.rows() {
+        for c in 0..g.cols() {
+            let label = g.get(r, c);
+            if label == LabelGrid::BACKGROUND {
+                continue;
+            }
+            let e = map.entry(label).or_insert(ComponentInfo {
+                label,
+                pixels: 0,
+                min_row: r,
+                max_row: r,
+                min_col: c,
+                max_col: c,
+            });
+            e.pixels += 1;
+            e.min_row = e.min_row.min(r);
+            e.max_row = e.max_row.max(r);
+            e.min_col = e.min_col.min(c);
+            e.max_col = e.max_col.max(c);
+        }
+    }
+    map.into_values().collect()
+}
+
 /// Drives `session` over every family × connectivity at `side`, asserting
-/// bit-identity against the oracle and the statistics' self-consistency.
+/// bit-identity against the oracle, the statistics' self-consistency, and
+/// the run-folded component statistics against the per-pixel fold.
 fn drive_matrix(session: &mut dyn LabelEngine, side: usize, what: &str) {
     let mut oracle = BfsOracle::new();
     let mut truth = LabelGrid::new_background(1, 1);
@@ -34,6 +63,12 @@ fn drive_matrix(session: &mut dyn LabelEngine, side: usize, what: &str) {
                 stats.components, want,
                 "{what}: component count on {name} conn={conn:?}"
             );
+            assert_eq!(
+                grid.component_stats(),
+                pixel_stats(&grid),
+                "{what}: component stats on {name} conn={conn:?}"
+            );
+            assert_eq!(grid.component_count(), want, "{what}: {name} conn={conn:?}");
         }
     }
 }
