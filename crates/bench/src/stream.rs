@@ -1,12 +1,14 @@
 //! The `slap-bench stream` sweep: the bounded-memory streaming engine's
 //! wall-clock trajectory and frontier peaks, recorded to `BENCH_stream.json`.
 //!
-//! For each (family, size, connectivity) point the sweep replays the image
-//! row by row through a warm [`StreamLabeler`] and records best/mean
-//! wall-clock, rows per second, and the observed memory peaks
-//! (`peak_frontier_runs`, `peak_nodes`). Before timing, the retired feature
-//! multiset is checked against the whole-frame reference
-//! ([`slap_cc::features::component_features`] over
+//! For each (family, size, connectivity) point the sweep streams the image
+//! through a warm band labeler ([`OutOfCoreLabeler`] at
+//! [`STREAM_BAND_ROWS`] rows per band, one tile column — the configuration
+//! [`label_stream`] runs), handing every record to a sink, and records
+//! best/mean wall-clock, rows per second, and the observed memory peaks
+//! (`peak_frontier_runs`, `peak_nodes`, from [`label_stream`]'s statistics).
+//! Before timing, the retired feature multiset is checked against the
+//! whole-frame reference ([`slap_cc::features::component_features`] over
 //! [`slap_image::fast_labels_conn`] labels) and recorded as
 //! `matches_reference`; [`spec`] rejects any point that was not equivalent
 //! **or** whose peaks exceed the `O(cols)` frontier bound — the file itself
@@ -15,24 +17,11 @@
 use crate::record::{Bound, Cover, Entry, Op, Report, Rhs, Sel, Spec, TIMED};
 use crate::sweep;
 use slap_cc::features::{component_features, streamed_features};
-use slap_image::{fast_labels_conn, stream::StreamLabeler, Bitmap, Connectivity};
+use slap_image::{fast_labels_conn, label_stream, BitmapRows, OutOfCoreLabeler, STREAM_BAND_ROWS};
 
 const FAMILIES: &[&str] = &["random50", "blobs", "checker"];
 
 const COUNTERS: &[&str] = &["rows_per_s", "peak_frontier_runs", "peak_nodes"];
-
-/// One full streaming pass over `img` through a **warm session**: the
-/// labeler is rewound ([`StreamLabeler::reset`]) instead of reconstructed,
-/// so repeated passes reuse every arena — the same steady state the engine
-/// layer's sessions guarantee (cold-vs-warm deltas are what `slap-bench
-/// reuse` records).
-fn stream_once(labeler: &mut StreamLabeler, img: &Bitmap, conn: Connectivity) {
-    labeler.reset(img.cols(), conn);
-    for r in 0..img.rows() {
-        labeler.push_row(img.row_words(r));
-    }
-    labeler.finish();
-}
 
 /// Runs the sweep.
 pub fn run(quick: bool, progress: &mut dyn FnMut(&str)) -> Report {
@@ -42,20 +31,28 @@ pub fn run(quick: bool, progress: &mut dyn FnMut(&str)) -> Report {
         &[256, 512, 1024, 2048]
     };
     let mut entries = Vec::new();
+    // One warm session for the whole sweep: repeated passes reuse every
+    // arena — the steady state the engine layer's sessions guarantee
+    // (cold-vs-warm deltas are what `slap-bench reuse` records).
+    let mut labeler = OutOfCoreLabeler::new(STREAM_BAND_ROWS, 1);
     sweep::drive(FAMILIES, sides, quick, |p| {
         let (n, conn, img, reps) = (p.n, p.conn, p.img, p.reps);
         // Untimed pass: memory peaks + feature equivalence against the
         // whole-frame engine (exercising the core's retirement hook end to
         // end).
-        let mut labeler = StreamLabeler::new(img.cols(), conn);
-        stream_once(&mut labeler, img, conn);
-        labeler.drain_retired();
-        let stats = labeler.stats();
+        let stats = label_stream(&mut BitmapRows::new(img), conn)
+            .expect("in-memory rows")
+            .stats;
         let reference = component_features(img, &fast_labels_conn(img, conn), conn);
         let equivalent = streamed_features(img, conn) == reference.per_component;
         let times = sweep::time_reps(reps, || {
-            stream_once(&mut labeler, std::hint::black_box(img), conn);
-            std::hint::black_box(labeler.drain_retired().count());
+            let mut rows = BitmapRows::new(std::hint::black_box(img));
+            let stats = labeler
+                .label_source_with(&mut rows, conn, |rec| {
+                    std::hint::black_box(rec);
+                })
+                .expect("in-memory rows");
+            std::hint::black_box(stats);
         });
         let e = Entry::at(p, "stream", "", 1)
             .timed(times, reps)

@@ -56,8 +56,9 @@ pub struct EngineStats {
     pub peak_carried_runs: usize,
     /// Coarse word × 2-row tile classification counts from the block-based
     /// first pass (run-based engines only; all-zero for the pixel-probing
-    /// oracle and the streaming engine, which scan no tiles). For the
-    /// engines that do, `tiles.total() == words_per_row × rows`.
+    /// oracle, which scans no tiles, and for the streaming engine, which does
+    /// not report its band core's). For the engines that do,
+    /// `tiles.total() == words_per_row × rows`.
     pub tiles: TileStats,
     /// Relaxation rounds an iterative engine needed to reach its fixpoint,
     /// including the final no-change round that proves convergence
@@ -232,11 +233,12 @@ impl LabelEngine for TiledSession {
     }
 }
 
-/// Session over the streaming engine ([`StreamGridLabeler`]): rows replayed
-/// one at a time through the bounded-frontier labeler, with a run log that
-/// turns the retirement records into a whole grid. The grid output costs
-/// `O(rows × cols)` like every other engine here; the union–find itself
-/// stays in the `O(cols + live)` frontier regime.
+/// Session over the streaming engine ([`StreamGridLabeler`]): rows streamed
+/// a band at a time through the out-of-core band labeler with component
+/// tracking on, whose run log turns the retirement records into a whole
+/// grid. The grid output costs `O(rows × cols)` like every other engine
+/// here; the live-component union–find stays in the `O(cols + live)`
+/// frontier regime.
 #[derive(Debug, Default)]
 pub struct StreamSession {
     labeler: StreamGridLabeler,
@@ -333,7 +335,7 @@ pub enum EngineKind {
         /// Tile rows.
         tiles_y: usize,
     },
-    /// Streaming run-based labeler (one row per beat, bounded frontier).
+    /// Streaming run-based labeler (band-at-a-time input, bounded frontier).
     Stream,
     /// Iterative label-equivalence propagation (GPU-style relaxation rounds
     /// with pointer-jumping reduction).
@@ -488,7 +490,7 @@ const REGISTRY_ROWS: [EngineInfo; 6] = [
     },
     EngineInfo {
         kind: EngineKind::Stream,
-        description: "streaming scan-line labeler — O(cols + live) frontier, row-at-a-time input",
+        description: "streaming scan-line labeler — O(cols + live) frontier, band-at-a-time input",
         connectivities: &[Connectivity::Four, Connectivity::Eight],
         multithreaded: false,
         memory: MemoryClass::BoundedFrontier,

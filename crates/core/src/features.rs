@@ -117,7 +117,7 @@ impl Features {
 }
 
 /// The streaming engine's retirement hook: a component retired by
-/// [`slap_image::stream::StreamLabeler`] carries exactly the [`Features`]
+/// [`slap_image::label_stream`] carries exactly the [`Features`]
 /// fields (the labeler maintains the same monoid online), so the conversion
 /// is a field-for-field repack — no second pass over the image.
 impl From<RetiredComponent> for Features {
@@ -135,8 +135,8 @@ impl From<RetiredComponent> for Features {
     }
 }
 
-/// Per-component features via the **streaming** engine: `img` is replayed
-/// one row at a time and every retired record is converted through the
+/// Per-component features via the **streaming** engine: `img` is streamed
+/// a band of rows at a time and every retired record is converted through the
 /// [`From<RetiredComponent>`] hook. Returns `(label, features)` pairs sorted
 /// by the paper label — the same keying as
 /// [`component_features`]`.per_component`, but computed in

@@ -29,9 +29,9 @@
 //! The crate also re-exports the *host-side* engines as [`fast`]
 //! ([`fast::fast_labels`] sequential, [`fast::tiled_labels`] decomposed
 //! over a tile grid whose `T × 1` shape is the strip-parallel engine) and
-//! [`stream`] ([`stream::StreamLabeler`], the one-row-per-beat
-//! bounded-memory engine whose retirement records feed the [`features`]
-//! hook) — the wall-clock counterparts the simulation is measured against —
+//! [`stream`] ([`stream::label_stream`], the bounded-memory streaming
+//! engine on the out-of-core band core, whose retirement records feed the
+//! [`features`] hook) — the wall-clock counterparts the simulation is measured against —
 //! and generalizes the stitch argument to 2-D tile grids with hierarchical
 //! pairwise-doubling seam merging in [`stitch::stitch_grid`] (a grid of one
 //! column is a stack of horizontal band seams), the specification behind

@@ -75,7 +75,7 @@ pub fn count_runs_in_words(words: &[u64]) -> usize {
 
 /// Number of set bits among bit positions `start..=end` of `words` (same
 /// bit-to-position packing as [`for_each_run_in_words`]): a masked popcount
-/// touching only the words the span crosses. The streaming engine uses it to
+/// touching only the words the span crosses. The out-of-core band fold uses it to
 /// attribute per-run overlap and exposure counts without per-pixel probes.
 #[inline]
 pub fn count_ones_in_span(words: &[u64], start: u32, end: u32) -> u32 {
@@ -200,8 +200,8 @@ pub fn for_each_diagonal_pair_at(
 /// overlaps in exactly one segment, so two forward cursors report every pair
 /// once. At 8-connectivity they are `lower & dilate(upper)` and the segments
 /// go through [`for_each_diagonal_pair`]. This is the one row-to-row merge
-/// of the streaming engine, the out-of-core band seam, the tile engine's band
-/// seams, and the propagation engine's edge list.
+/// of the out-of-core band seam (which every streaming path runs on), the
+/// tile engine's band seams, and the propagation engine's edge list.
 #[inline]
 pub fn for_each_adjacent_pair(
     conn: Connectivity,
@@ -282,6 +282,21 @@ impl Bitmap {
             words_per_row,
             bits: vec![0u64; rows * words_per_row],
         }
+    }
+
+    /// Re-dimensions the image to an all-zero `rows × cols`, keeping the
+    /// word storage's capacity (a reused band buffer never shrinks).
+    pub(crate) fn reset_dims(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.words_per_row = cols.div_ceil(64);
+        self.bits.clear();
+        self.bits.resize(rows * self.words_per_row, 0);
+    }
+
+    /// Bytes of word storage reserved.
+    pub(crate) fn scratch_bytes(&self) -> usize {
+        self.bits.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Number of rows.

@@ -23,9 +23,9 @@
 //!   itself;
 //! * **one unified 8-connectivity kernel** — the diagonal merge is the same
 //!   word-level dilated-AND sweep ([`crate::bitmap::for_each_diagonal_pair`])
-//!   used by tile seams, the out-of-core band merge, and the streaming
-//!   engine; the retired two-pointer join survives only as a test-only
-//!   reference;
+//!   used by tile seams and the out-of-core band merge that every
+//!   streaming path runs on; the retired two-pointer join survives only as
+//!   a test-only reference;
 //! * **two-pass union–find over the run universe** — union by minimum run
 //!   index, path halving, and per-root minimum-position maintenance;
 //! * **bulk output** — labels are written a run at a time with slice fills,

@@ -1,17 +1,18 @@
-//! Out-of-core gigaframe labeling: a band-of-tiles scheduler that streams an
-//! arbitrarily tall frame through the tiled engine one band at a time.
+//! Out-of-core labeling: a band-of-tiles scheduler that streams an
+//! arbitrarily tall frame through the tiled engine one band at a time. It
+//! is the crate's one streaming labeler — [`crate::stream::label_stream`],
+//! the registry `stream` engine and `slapd`'s stream jobs all run on it.
 //!
-//! The streaming engine ([`crate::stream`]) already labels unbounded frames
-//! in `O(cols + live)` memory, but it advances one *row* per step — every row
-//! pays the frontier bookkeeping. This scheduler moves the same carried-state
-//! idea up one level: read `band_rows` rows from a [`RowSource`] into a
+//! The paper's SLAP reads the image one scan line per beat and keeps only
+//! the frontier. This scheduler keeps the same carried state but advances a
+//! *band* per step: read `band_rows` rows from a [`RowSource`] into a
 //! reusable band bitmap, label the whole band with the 2-D tiled engine
 //! (`TiledLabeler::build_arena`, whose tile pass parallelizes across
 //! `tiles_x` columns), then reconcile the band against a carried frontier —
 //! the runs of the previous band's last row, each pointing at a union–find
 //! slot holding its component's running feature record. The carried state is
-//! one row of runs plus one slot per live component: `O(cols + live)`, made
-//! measurable by [`OocStats::peak_carried_runs`] and
+//! one row of runs plus one slot per component that reaches it:
+//! `O(cols + live)`, made measurable by [`OocStats::peak_carried_runs`] and
 //! [`OocStats::peak_live_slots`], while the transient band arena is
 //! `O(band_rows × cols)` by construction.
 //!
@@ -20,37 +21,39 @@
 //! 1. **ingest** — `band_rows` packed rows (fewer for the final band; the
 //!    tail is zeroed so the band bitmap can be labeled whole);
 //! 2. **band label** — the tiled engine's phases 1–4 leave every band run
-//!    flattened to its band-local root;
-//! 3. **bottom exposure** — each carried run adds its uncovered span under
+//!    flattened to its band root, the component's first run in arena order;
+//! 3. **band fold** — every band run folds its feature contribution (area,
+//!    bbox, centroid sums, perimeter with word-level exposure counts,
+//!    minimum column-major position at **global** row coordinates) into a
+//!    band-local record indexed by its band root;
+//! 4. **bottom exposure** — each carried run adds its uncovered span under
 //!    the band's first row to its component's perimeter (the half of the
 //!    seam accounting the previous band could not see);
-//! 4. **seam merge** — the crate's one row-to-row adjacency sweep
+//! 5. **seam merge** — the crate's one row-to-row adjacency sweep
 //!    ([`for_each_adjacent_pair`]) pairs carried runs with first-row runs: a
-//!    band root *adopts* the first slot it meets and unions with any further
-//!    ones;
-//! 5. **fold** — every band run folds its feature contribution (area, bbox,
-//!    centroid sums, perimeter with word-level exposure counts, minimum
-//!    column-major position at **global** row coordinates) into its root's
-//!    slot, minting slots for components born in this band;
+//!    band component *adopts* the first carried slot it meets and unions
+//!    with any further ones, and its band record folds into that slot;
 //! 6. **carry + retire** — the band's last real row becomes the new carried
-//!    frontier; every slot live before the band that did not make it into
-//!    the frontier retires its finished [`RetiredComponent`]. Forwarded and
-//!    retired slots return to a free list, so slot storage tracks *live*
-//!    components, not total ones.
+//!    frontier, minting a slot for each component born in this band that
+//!    reaches it. A component that touches neither the carried row nor the
+//!    last row never takes a slot: its band record is already final and is
+//!    emitted at once. Every carried slot that missed the new frontier
+//!    retires its finished [`RetiredComponent`]. Forwarded and retired slots
+//!    return to a free list, so slot storage tracks *live* components, not
+//!    total ones.
 //!
-//! Steps 3–6 drive the same live-component union–find as the row-streaming
-//! engine, one band per step instead of one row.
-//!
-//! Identities proven in the test suite: the retired-component multiset is
-//! **identical** (every field, perimeter included) to the row-streaming
-//! engine's, and label/area sets match the whole-frame engines whenever the
-//! frame fits in memory.
+//! Steps 4–6 drive the live-component union–find of `crate::live`, one band
+//! per step. Retired records reach the caller through
+//! [`OutOfCoreLabeler::label_source_with`] as their band retires them.
+//! The test suites compare every record — perimeter included — with a
+//! per-pixel fold over the whole-frame engine's labels, for every band
+//! height and tile-column count.
 
 use super::tiled::TiledLabeler;
 use crate::bitmap::{count_ones_in_span, for_each_adjacent_pair, Bitmap};
 use crate::connectivity::Connectivity;
 use crate::live::{LiveComponents, NONE};
-use crate::stream::{RetiredComponent, RowSource};
+use crate::stream::{RetiredComponent, RowSource, StreamStats};
 use std::io;
 
 /// Streams `src` through a fresh [`OutOfCoreLabeler`] with the given band
@@ -85,9 +88,11 @@ pub struct OocStats {
     /// `O(cols)` half of the carried-state bound; at most `cols / 2 + 1`.
     pub peak_carried_runs: usize,
     /// Maximum simultaneously occupied union–find slots — the `O(live)`
-    /// half. Sampled once per band after its seam merge and fold, before
-    /// retirement and reclaim, so it counts the live components plus the
-    /// band's seam-merge garbage.
+    /// half. Sampled once per band after its seam merge and mints, before
+    /// retirement and reclaim, so it counts the components on the old and
+    /// the new frontier plus the band's seam-merge garbage: at most
+    /// `cols + 1`, because a component confined to one band never takes a
+    /// slot.
     pub peak_live_slots: usize,
     /// Maximum runs held by a single band arena (transient, bounded by the
     /// band area).
@@ -103,6 +108,31 @@ pub struct OocRun {
     pub stats: OocStats,
 }
 
+/// One component of the band being folded: its band record and the live
+/// slot it joined ([`NONE`] while it is band-local).
+#[derive(Clone, Copy, Debug)]
+struct BandComp {
+    rec: RetiredComponent,
+    slot: u32,
+}
+
+/// The run log of a tracked frame, which lets
+/// [`crate::stream::StreamGridLabeler`] turn retirements back into a label
+/// grid: every run with the slot of its component. While a log is kept the
+/// live core recycles no slot, so a slot names its component for the whole
+/// frame and [`OutOfCoreLabeler::labeled_log`] can resolve any logged run.
+/// Only the grid labeler keeps one: the slab then grows with the frame's
+/// total component count.
+#[derive(Debug, Default)]
+pub(crate) struct RunLog {
+    /// Every run of the frame (packed `start << 32 | end`) with its
+    /// component's slot — or, after [`OutOfCoreLabeler::labeled_log`], its
+    /// paper label — rows concatenated.
+    pub(crate) runs: Vec<(u64, u32)>,
+    /// Index of the first logged run of each row, plus a sentinel.
+    pub(crate) row_runs: Vec<u32>,
+}
+
 /// Reusable out-of-core labeler (see the module docs for the band cycle).
 /// The band bitmap, the tiled core, and every carried vector persist across
 /// calls, so a stream of frames with equal widths reallocates nothing.
@@ -115,9 +145,9 @@ pub struct OutOfCoreLabeler {
     /// The band-labeling core: a 1 × `tiles_x` tiled engine driven through
     /// its arena-building phases only.
     core: TiledLabeler,
-    /// The reusable band bitmap (`None` until the first band reveals the
-    /// width; reallocated only when the width changes).
-    band: Option<Bitmap>,
+    /// The reusable band bitmap (re-dimensioned when the width changes; its
+    /// storage only ever grows).
+    band: Bitmap,
     /// Row read buffer handed to the source.
     words: Vec<u64>,
     /// Packed words of the previous band's last real row.
@@ -131,13 +161,17 @@ pub struct OutOfCoreLabeler {
     next_slots: Vec<u32>,
     /// The union–find over live components, one step per band.
     live: LiveComponents,
-    /// Slots minted by this band's fold — retirement candidates alongside
-    /// the old frontier (a component can be born and die within one band).
-    minted: Vec<u32>,
-    /// Band-root → slot map for the current band (`NONE` = unmapped).
-    band_slot: Vec<u32>,
+    /// Band root (arena index) → index into `comps`; written when the fold
+    /// reaches the root, which is always its component's first run.
+    comp_ix: Vec<u32>,
+    /// The current band's components, in band-root order.
+    comps: Vec<BandComp>,
     /// Scratch words for seam adjacency.
     and_buf: Vec<u64>,
+    /// Most arena runs in one row of the current frame.
+    peak_row_runs: usize,
+    /// The grid labeler's run log; `None` everywhere else.
+    pub(crate) log: Option<RunLog>,
 }
 
 impl OutOfCoreLabeler {
@@ -150,7 +184,7 @@ impl OutOfCoreLabeler {
             band_rows: band_rows.max(1),
             tiles_x,
             core: TiledLabeler::new(1, tiles_x, tiles_x),
-            band: None,
+            band: Bitmap::new(1, 1),
             words: Vec::new(),
             prev_words: Vec::new(),
             prev_runs: Vec::new(),
@@ -158,9 +192,11 @@ impl OutOfCoreLabeler {
             next_runs: Vec::new(),
             next_slots: Vec::new(),
             live: LiveComponents::default(),
-            minted: Vec::new(),
-            band_slot: Vec::new(),
+            comp_ix: Vec::new(),
+            comps: Vec::new(),
             and_buf: Vec::new(),
+            peak_row_runs: 0,
+            log: None,
         }
     }
 
@@ -180,21 +216,20 @@ impl OutOfCoreLabeler {
         use std::mem::size_of;
         self.core.scratch_bytes()
             + self.live.scratch_bytes()
-            + self
-                .band
-                .as_ref()
-                .map_or(0, |b| b.rows() * b.words_per_row() * size_of::<u64>())
+            + self.band.scratch_bytes()
             + (self.words.capacity()
                 + self.prev_words.capacity()
                 + self.prev_runs.capacity()
                 + self.next_runs.capacity()
                 + self.and_buf.capacity())
                 * size_of::<u64>()
-            + (self.prev_slots.capacity()
-                + self.next_slots.capacity()
-                + self.minted.capacity()
-                + self.band_slot.capacity())
+            + (self.prev_slots.capacity() + self.next_slots.capacity() + self.comp_ix.capacity())
                 * size_of::<u32>()
+            + self.comps.capacity() * size_of::<BandComp>()
+            + self.log.as_ref().map_or(0, |log| {
+                log.runs.capacity() * size_of::<(u64, u32)>()
+                    + log.row_runs.capacity() * size_of::<u32>()
+            })
     }
 
     /// Drains `src` and returns every component of the frame with full
@@ -207,41 +242,60 @@ impl OutOfCoreLabeler {
         src: &mut S,
         conn: Connectivity,
     ) -> io::Result<OocRun> {
-        let cols = src.cols();
-        assert!(cols > 0, "out-of-core source must have positive width");
-        assert!(
-            (self.band_rows as u64) * (cols as u64) < u32::MAX as u64,
-            "band must fit the u32 run-index space; lower --band-rows"
-        );
-        // Reset carried state from any previous frame.
-        self.prev_runs.clear();
-        self.prev_slots.clear();
-        self.live.clear();
-        self.minted.clear();
-        if self
-            .band
-            .as_ref()
-            .is_none_or(|b| b.rows() != self.band_rows || b.cols() != cols)
-        {
-            self.band = None; // drop the old allocation before the new one
-            self.band = Some(Bitmap::new(self.band_rows, cols));
-        }
-        self.prev_words.clear();
-        self.prev_words.resize(cols.div_ceil(64), 0);
-
         let mut components = Vec::new();
+        let stats = self.label_source_with(src, conn, |rec| components.push(rec))?;
+        Ok(OocRun { components, stats })
+    }
+
+    /// [`Self::label_source`] without collecting: hands every record to
+    /// `sink` as its band retires it, so a caller that keeps only a summary
+    /// holds one band plus `O(cols + live)` state whatever the component
+    /// count.
+    pub fn label_source_with<S: RowSource>(
+        &mut self,
+        src: &mut S,
+        conn: Connectivity,
+        mut sink: impl FnMut(RetiredComponent),
+    ) -> io::Result<OocStats> {
+        let cols = src.cols();
         let mut stats = OocStats {
             cols,
             band_rows: self.band_rows,
             ..OocStats::default()
         };
+        // Reset carried state from any previous frame.
+        self.prev_runs.clear();
+        self.prev_slots.clear();
+        self.live.clear(self.log.is_some());
+        self.peak_row_runs = 0;
+        if let Some(log) = &mut self.log {
+            log.runs.clear();
+            log.row_runs.clear();
+            log.row_runs.push(0);
+        }
+        if cols == 0 {
+            // Every row is empty: count them, emit nothing.
+            while src.next_row(&mut self.words)? {
+                stats.rows += 1;
+            }
+            return Ok(stats);
+        }
+        assert!(
+            (self.band_rows as u64) * (cols as u64) < u32::MAX as u64,
+            "band must fit the u32 run-index space; lower --band-rows"
+        );
+        if (self.band.rows(), self.band.cols()) != (self.band_rows, cols) {
+            self.band.reset_dims(self.band_rows, cols);
+        }
+        self.prev_words.clear();
+        self.prev_words.resize(cols.div_ceil(64), 0);
 
         loop {
             let h = self.read_band(src)?;
             if h == 0 {
                 break;
             }
-            self.process_band(conn, stats.rows, h, &mut components, &mut stats);
+            self.process_band(conn, stats.rows, h, &mut sink, &mut stats);
             stats.rows += h as u64;
             stats.bands += 1;
             if h < self.band_rows {
@@ -259,17 +313,42 @@ impl OutOfCoreLabeler {
         self.live
             .expose_south(&self.prev_runs, &self.prev_slots, &self.words);
         self.live
-            .finish_step(self.prev_slots.iter().copied(), |_, rec| {
-                components.push(*rec);
+            .finish_step(self.prev_slots.iter().copied(), |rec| {
+                sink(*rec);
                 stats.retired += 1;
             });
-        Ok(OocRun { components, stats })
+        Ok(stats)
+    }
+
+    /// After a tracked frame of `rows` rows is drained: rewrites each logged
+    /// run's slot as its component's paper label and returns the log.
+    pub(crate) fn labeled_log(&mut self, rows: usize) -> &RunLog {
+        let log = self.log.as_mut().expect("labeler keeps a run log");
+        for entry in &mut log.runs {
+            // A Bitmap's positions fit u32, so its labels do too.
+            entry.1 = self.live.record(entry.1).label(rows) as u32;
+        }
+        log
+    }
+
+    /// The [`StreamStats`] view of the frame `stats` came from:
+    /// `peak_frontier_runs` is the most arena runs in one row (maximal runs
+    /// at `tiles_x = 1`), `peak_nodes` the peak live-slot occupancy.
+    pub(crate) fn stream_stats(&self, stats: &OocStats) -> StreamStats {
+        StreamStats {
+            rows: stats.rows,
+            cols: stats.cols,
+            pixels: stats.pixels,
+            retired: stats.retired,
+            peak_frontier_runs: self.peak_row_runs,
+            peak_nodes: stats.peak_live_slots,
+        }
     }
 
     /// Reads up to `band_rows` rows into the band bitmap, zeroing the unused
     /// tail, and returns how many real rows arrived.
     fn read_band<S: RowSource>(&mut self, src: &mut S) -> io::Result<usize> {
-        let band = self.band.as_mut().expect("band allocated by label_source");
+        let band = &mut self.band;
         let mut h = 0usize;
         while h < self.band_rows {
             if !src.next_row(&mut self.words)? {
@@ -296,53 +375,23 @@ impl OutOfCoreLabeler {
         conn: Connectivity,
         band_top: u64,
         h: usize,
-        components: &mut Vec<RetiredComponent>,
+        sink: &mut impl FnMut(RetiredComponent),
         stats: &mut OocStats,
     ) {
-        let band = self.band.as_ref().expect("band allocated by label_source");
+        let band = &self.band;
         self.core.build_arena(band, conn);
         let (runs, node, row_runs) = self.core.arena();
         stats.peak_band_runs = stats.peak_band_runs.max(runs.len());
-        self.band_slot.clear();
-        self.band_slot.resize(runs.len(), NONE);
-
-        let first = band_top == 0;
-        if !first {
-            // Step 3: bottom exposure of the carried frontier against the
-            // band's first row.
-            let row0 = band.row_words(0);
-            self.live
-                .expose_south(&self.prev_runs, &self.prev_slots, row0);
-
-            // Step 4: seam merge across the band boundary — a band root
-            // adopts the first carried slot it meets and unions with the
-            // rest.
-            let (r0lo, r0hi) = (row_runs[0] as usize, row_runs[1] as usize);
-            let OutOfCoreLabeler {
-                prev_words,
-                prev_runs,
-                prev_slots,
-                live,
-                band_slot,
-                and_buf,
-                ..
-            } = self;
-            for_each_adjacent_pair(
-                conn,
-                row0,
-                prev_words,
-                &runs[r0lo..r0hi],
-                prev_runs,
-                and_buf,
-                |c, q| {
-                    let rc = node[r0lo + c] as u32 as usize;
-                    live.join(&mut band_slot[rc], &mut prev_slots[q]);
-                },
-            );
+        if self.comp_ix.len() < runs.len() {
+            self.comp_ix.resize(runs.len(), 0);
         }
+        self.comps.clear();
+        let first = band_top == 0;
 
-        // Step 5: fold every band run's feature contribution into its
-        // root's slot, minting slots for components born in this band.
+        // Step 3: fold every band run into its band component's record. A
+        // root is its component's smallest arena index (parents always
+        // point down), so the fold meets it before any other run of its
+        // component and opens the record there.
         for lr in 0..h {
             let gr = u32::try_from(band_top + lr as u64).expect("frame rows exceed u32");
             let north_words = if lr > 0 {
@@ -354,6 +403,7 @@ impl OutOfCoreLabeler {
             };
             let south_words = (lr + 1 < h).then(|| band.row_words(lr + 1));
             let (row_lo, row_hi) = (row_runs[lr] as usize, row_runs[lr + 1] as usize);
+            self.peak_row_runs = self.peak_row_runs.max(row_hi - row_lo);
             for k in row_lo..row_hi {
                 let sb = runs[k];
                 let (a, b) = ((sb >> 32) as u32, (sb & 0xffff_ffff) as u32);
@@ -377,25 +427,72 @@ impl OutOfCoreLabeler {
                     None => 0,
                 };
                 let rec = RetiredComponent::run(gr, a, b, left + right + north + south);
-                let slot = &mut self.band_slot[node[k] as u32 as usize];
-                if self.live.fold(slot, rec) {
-                    self.minted.push(*slot);
+                let root = node[k] as u32 as usize;
+                if root == k {
+                    self.comp_ix[k] = self.comps.len() as u32;
+                    self.comps.push(BandComp { rec, slot: NONE });
+                } else {
+                    debug_assert!(root < k, "band roots are their components' first runs");
+                    self.comps[self.comp_ix[root] as usize].rec.absorb(&rec);
                 }
             }
         }
 
+        if !first {
+            // Step 4: bottom exposure of the carried frontier against the
+            // band's first row.
+            let row0 = band.row_words(0);
+            self.live
+                .expose_south(&self.prev_runs, &self.prev_slots, row0);
+
+            // Step 5: seam merge across the band boundary — a band component
+            // adopts the first carried slot it meets and unions with the
+            // rest — then each joined component's band record folds into
+            // its slot.
+            let (r0lo, r0hi) = (row_runs[0] as usize, row_runs[1] as usize);
+            let OutOfCoreLabeler {
+                prev_words,
+                prev_runs,
+                prev_slots,
+                live,
+                comp_ix,
+                comps,
+                and_buf,
+                ..
+            } = self;
+            for_each_adjacent_pair(
+                conn,
+                row0,
+                prev_words,
+                &runs[r0lo..r0hi],
+                prev_runs,
+                and_buf,
+                |c, q| {
+                    let comp = &mut comps[comp_ix[node[r0lo + c] as u32 as usize] as usize];
+                    live.join(&mut comp.slot, &mut prev_slots[q]);
+                },
+            );
+            for comp in comps.iter_mut().filter(|comp| comp.slot != NONE) {
+                comp.slot = live.absorb(comp.slot, &comp.rec);
+            }
+        }
+
         // Step 6: the band's last real row becomes the new carried frontier.
-        // Arena runs clipped at tile boundaries are coalesced back into
-        // maximal row runs — the seam sweeps and the `O(cols)` carried-run
-        // bound both assume them — which is safe because touching runs
-        // always share a component (the vertical seams unioned them).
+        // A component born in this band that reaches it takes a slot now,
+        // with its whole band record. Arena runs clipped at tile boundaries
+        // are coalesced back into maximal row runs — the seam sweeps and the
+        // `O(cols)` carried-run bound both assume them — which is safe
+        // because touching runs always share a component (the vertical seams
+        // unioned them).
         self.next_runs.clear();
         self.next_slots.clear();
         for k in row_runs[h - 1] as usize..row_runs[h] as usize {
             let sb = runs[k];
-            let rc = node[k] as u32 as usize;
-            let s = self.live.resolve(self.band_slot[rc]);
-            self.band_slot[rc] = s;
+            let comp = &mut self.comps[self.comp_ix[node[k] as u32 as usize] as usize];
+            if comp.slot == NONE {
+                comp.slot = self.live.mint(comp.rec);
+            }
+            let s = comp.slot;
             self.live.touch(s);
             if let Some(last) = self.next_runs.last_mut() {
                 if (*last & 0xffff_ffff) + 1 == sb >> 32 {
@@ -408,17 +505,36 @@ impl OutOfCoreLabeler {
             self.next_slots.push(s);
         }
 
-        // Step 7: retire every slot live before this band — old frontier
-        // or minted within it — that missed the new frontier. Such a
-        // component has no pixel on the boundary row and can never grow.
-        let candidates = self.prev_slots.iter().chain(&self.minted).copied();
-        self.live.finish_step(candidates, |_, rec| {
-            components.push(*rec);
+        // A component that never took a slot is confined to this band: its
+        // record is final. A run log still needs a slot to name it by.
+        for comp in self.comps.iter_mut().filter(|comp| comp.slot == NONE) {
+            sink(comp.rec);
             stats.retired += 1;
-        });
-        self.minted.clear();
+            if self.log.is_some() {
+                comp.slot = self.live.mint(comp.rec);
+            }
+        }
+        if let Some(log) = &mut self.log {
+            for lr in 0..h {
+                for k in row_runs[lr] as usize..row_runs[lr + 1] as usize {
+                    let comp = &self.comps[self.comp_ix[node[k] as u32 as usize] as usize];
+                    log.runs.push((runs[k], comp.slot));
+                }
+                let logged = u32::try_from(log.runs.len()).expect("run count exceeds u32");
+                log.row_runs.push(logged);
+            }
+        }
 
-        // Step 8: swap in the new frontier.
+        // Still step 6: retire every carried slot that missed the new
+        // frontier. Such a component has no pixel on the boundary row and
+        // can never grow.
+        self.live
+            .finish_step(self.prev_slots.iter().copied(), |rec| {
+                sink(*rec);
+                stats.retired += 1;
+            });
+
+        // Swap in the new frontier.
         std::mem::swap(&mut self.prev_runs, &mut self.next_runs);
         std::mem::swap(&mut self.prev_slots, &mut self.next_slots);
         self.prev_words.copy_from_slice(band.row_words(h - 1));
@@ -432,7 +548,7 @@ mod tests {
     use super::*;
     use crate::fast::fast_labels_conn;
     use crate::gen;
-    use crate::stream::{label_stream, BitmapRows};
+    use crate::stream::{label_stream, reference_records, BitmapRows, STREAM_BAND_ROWS};
 
     const CONNS: [Connectivity; 2] = [Connectivity::Four, Connectivity::Eight];
 
@@ -443,16 +559,14 @@ mod tests {
 
     /// The strongest identity available: every retired feature record —
     /// perimeter, centroid sums, bounding box, minimum position — must match
-    /// the row-streaming engine's, for every band height.
+    /// a per-pixel fold over the whole-frame engine's labels, for every band
+    /// height and tile-column count.
     #[test]
-    fn retired_records_match_the_streaming_engine_exactly() {
+    fn retired_records_match_the_per_pixel_reference_exactly() {
         for name in ["random50", "blobs", "checker", "maze", "spiral"] {
             let img = gen::by_name(name, 53, 9).unwrap();
             for conn in CONNS {
-                let mut want = label_stream(&mut BitmapRows::new(&img), conn)
-                    .unwrap()
-                    .components;
-                want.sort_unstable();
+                let want = reference_records(&img, conn);
                 for band_rows in [1usize, 2, 7, 16, 53, 64, 100] {
                     for tiles_x in [1usize, 2, 4] {
                         let mut got = ooc_on(&img, conn, band_rows, tiles_x).components;
@@ -464,6 +578,27 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn tall_run_dense_frames_keep_slots_bounded_by_cols() {
+        // Components confined to one band never take a live slot, so the
+        // slab stays within both band frontiers however many components a
+        // band holds; the stream view reports the true densest row.
+        let cols = 64usize;
+        let img = gen::uniform_random(4096, cols, 0.5, 11);
+        for conn in CONNS {
+            let run = ooc_on(&img, conn, STREAM_BAND_ROWS, 1);
+            assert!(
+                run.stats.peak_live_slots <= cols + 1,
+                "{} live slots for {cols} cols (conn={conn:?})",
+                run.stats.peak_live_slots
+            );
+            let stream = label_stream(&mut BitmapRows::new(&img), conn).unwrap();
+            let densest = (0..img.rows()).map(|r| img.count_row_runs(r)).max();
+            assert_eq!(Some(stream.stats.peak_frontier_runs), densest);
+            assert_eq!(stream.stats.peak_nodes, run.stats.peak_live_slots);
         }
     }
 
@@ -562,11 +697,7 @@ mod tests {
                 .unwrap();
             let mut got = run.components;
             got.sort_unstable();
-            let mut want = label_stream(&mut BitmapRows::new(img), Connectivity::Eight)
-                .unwrap()
-                .components;
-            want.sort_unstable();
-            assert_eq!(got, want);
+            assert_eq!(got, reference_records(img, Connectivity::Eight));
         }
         // Width change reallocates the band bitmap.
         let c = gen::uniform_random(10, 70, 0.5, 3);

@@ -260,26 +260,22 @@ impl TiledLabeler {
         let rb: Vec<usize> = (0..=ty).map(|i| i * rows / ty).collect();
         out.reset_dims(rows, cols);
         let bands = out.strip_rows_mut(&rb);
-        std::thread::scope(|s| {
-            for (i, band) in bands.into_iter().enumerate() {
-                let (lo, hi) = (rb[i], rb[i + 1]);
-                let (runs, node, row_runs) = (&self.runs, &self.node, &self.row_runs);
-                s.spawn(move || {
-                    for r in lo..hi {
-                        let row = &mut band[(r - lo) * cols..(r - lo + 1) * cols];
-                        row.fill(LabelGrid::BACKGROUND);
-                        for k in row_runs[r] as usize..row_runs[r + 1] as usize {
-                            let label = (node[k] >> 32) as u32;
-                            let sb = runs[k];
-                            let (a, b) = ((sb >> 32) as usize, (sb & 0xffff_ffff) as usize);
-                            row[a] = label;
-                            row[b] = label;
-                            if b - a > 1 {
-                                row[a + 1..b].fill(label);
-                            }
-                        }
+        let (runs, node, row_runs) = (&self.runs, &self.node, &self.row_runs);
+        run_jobs(bands.into_iter().enumerate(), |(i, band)| {
+            let (lo, hi) = (rb[i], rb[i + 1]);
+            for r in lo..hi {
+                let row = &mut band[(r - lo) * cols..(r - lo + 1) * cols];
+                row.fill(LabelGrid::BACKGROUND);
+                for k in row_runs[r] as usize..row_runs[r + 1] as usize {
+                    let label = (node[k] >> 32) as u32;
+                    let sb = runs[k];
+                    let (a, b) = ((sb >> 32) as usize, (sb & 0xffff_ffff) as usize);
+                    row[a] = label;
+                    row[b] = label;
+                    if b - a > 1 {
+                        row[a + 1..b].fill(label);
                     }
-                });
+                }
             }
         });
     }
@@ -317,23 +313,22 @@ impl TiledLabeler {
         // Tiles are handed out in contiguous chunks (their areas are within
         // one row/column of equal, so chunks balance).
         let workers = self.threads.min(ntiles);
-        std::thread::scope(|s| {
-            let (rb, cb) = (&rb, &cb);
-            let mut rest = &mut self.tiles[..ntiles];
-            let mut k0 = 0usize;
-            for w in 0..workers {
-                let take = (ntiles - k0) / (workers - w);
-                let (chunk, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let base_k = k0;
-                s.spawn(move || {
-                    for (off, lab) in chunk.iter_mut().enumerate() {
-                        let k = base_k + off;
-                        let (i, j) = (k / tx, k % tx);
-                        lab.build_runs_window(img, conn, rb[i], rb[i + 1], cb[j], cb[j + 1]);
-                    }
-                });
-                k0 += take;
+        let mut chunks = Vec::with_capacity(workers);
+        let mut rest = &mut self.tiles[..ntiles];
+        let mut k0 = 0usize;
+        for w in 0..workers {
+            let take = (ntiles - k0) / (workers - w);
+            let (chunk, tail) = rest.split_at_mut(take);
+            rest = tail;
+            chunks.push((k0, chunk));
+            k0 += take;
+        }
+        let (rb, cb) = (&rb, &cb);
+        run_jobs(chunks, |(base_k, chunk)| {
+            for (off, lab) in chunk.iter_mut().enumerate() {
+                let k = base_k + off;
+                let (i, j) = (k / tx, k % tx);
+                lab.build_runs_window(img, conn, rb[i], rb[i + 1], cb[j], cb[j + 1]);
             }
         });
 
@@ -385,48 +380,45 @@ impl TiledLabeler {
         self.runs.resize(total, 0);
         self.node.clear();
         self.node.resize(total, 0);
-        std::thread::scope(|s| {
-            let mut runs_rest = &mut self.runs[..];
-            let mut node_rest = &mut self.node[..];
-            let mut l2g_rest = &mut self.l2g[..ntiles];
-            let mut tiles_rest = &self.tiles[..ntiles];
-            for i in 0..ty {
-                let band_len = band_base[i + 1] - band_base[i];
-                let (runs_dst, rr) = runs_rest.split_at_mut(band_len);
-                let (node_dst, nr) = node_rest.split_at_mut(band_len);
-                let (l2g_band, lr2) = l2g_rest.split_at_mut(tx);
-                let (tiles_band, tr2) = tiles_rest.split_at(tx);
-                (runs_rest, node_rest, l2g_rest, tiles_rest) = (rr, nr, lr2, tr2);
-                let gbase = band_base[i];
-                let band_rows = rb[i + 1] - rb[i];
-                s.spawn(move || {
-                    if let [tile] = tiles_band {
-                        // The overflow guard above makes the packed
-                        // addition touch only the parent half.
-                        runs_dst.copy_from_slice(&tile.runs);
-                        for (dst, &n) in node_dst.iter_mut().zip(&tile.node) {
-                            *dst = n + gbase as u64;
-                        }
-                        return;
-                    }
-                    let mut g = 0usize;
-                    for lr in 0..band_rows {
-                        for (j, tile) in tiles_band.iter().enumerate() {
-                            let (klo, khi) =
-                                (tile.row_runs[lr] as usize, tile.row_runs[lr + 1] as usize);
-                            for k in klo..khi {
-                                l2g_band[j][k] = (gbase + g) as u32;
-                                runs_dst[g] = tile.runs[k];
-                                let n = tile.node[k];
-                                node_dst[g] =
-                                    (n & MIN_HALF) | u64::from(l2g_band[j][n as u32 as usize]);
-                                g += 1;
-                            }
-                        }
-                    }
-                    debug_assert_eq!(g, band_len);
-                });
+        let mut bands = Vec::with_capacity(ty);
+        let mut runs_rest = &mut self.runs[..];
+        let mut node_rest = &mut self.node[..];
+        let mut l2g_rest = &mut self.l2g[..ntiles];
+        let mut tiles_rest = &self.tiles[..ntiles];
+        for i in 0..ty {
+            let band_len = band_base[i + 1] - band_base[i];
+            let (runs_dst, rr) = runs_rest.split_at_mut(band_len);
+            let (node_dst, nr) = node_rest.split_at_mut(band_len);
+            let (l2g_band, lr2) = l2g_rest.split_at_mut(tx);
+            let (tiles_band, tr2) = tiles_rest.split_at(tx);
+            (runs_rest, node_rest, l2g_rest, tiles_rest) = (rr, nr, lr2, tr2);
+            bands.push((i, runs_dst, node_dst, l2g_band, tiles_band));
+        }
+        run_jobs(bands, |(i, runs_dst, node_dst, l2g_band, tiles_band)| {
+            let gbase = band_base[i];
+            if let [tile] = tiles_band {
+                // The overflow guard above makes the packed addition touch
+                // only the parent half.
+                runs_dst.copy_from_slice(&tile.runs);
+                for (dst, &n) in node_dst.iter_mut().zip(&tile.node) {
+                    *dst = n + gbase as u64;
+                }
+                return;
             }
+            let mut g = 0usize;
+            for lr in 0..rb[i + 1] - rb[i] {
+                for (j, tile) in tiles_band.iter().enumerate() {
+                    let (klo, khi) = (tile.row_runs[lr] as usize, tile.row_runs[lr + 1] as usize);
+                    for k in klo..khi {
+                        l2g_band[j][k] = (gbase + g) as u32;
+                        runs_dst[g] = tile.runs[k];
+                        let n = tile.node[k];
+                        node_dst[g] = (n & MIN_HALF) | u64::from(l2g_band[j][n as u32 as usize]);
+                        g += 1;
+                    }
+                }
+            }
+            debug_assert_eq!(g, runs_dst.len());
         });
 
         // Phase 3: hierarchical seam merge. Level ℓ of the pairwise-doubling
@@ -529,27 +521,26 @@ impl TiledLabeler {
         // `last_components` never rescans the arena.
         self.band_roots.clear();
         self.band_roots.resize(ty, 0);
-        std::thread::scope(|s| {
-            let mut rest = &mut self.node[..];
-            for (i, roots) in self.band_roots.iter_mut().enumerate() {
-                let (lo, hi) = (band_base[i], band_base[i + 1]);
-                let (band, tail) = rest.split_at_mut(hi - lo);
-                rest = tail;
-                s.spawn(move || {
-                    let mut count = 0usize;
-                    for k in 0..band.len() {
-                        let p = band[k] as u32 as usize;
-                        if let Some(pl) = p.checked_sub(lo) {
-                            if pl == k {
-                                count += 1;
-                            } else {
-                                band[k] = band[pl];
-                            }
-                        }
+        let mut bands = Vec::with_capacity(ty);
+        let mut rest = &mut self.node[..];
+        for (i, roots) in self.band_roots.iter_mut().enumerate() {
+            let (band, tail) = rest.split_at_mut(band_base[i + 1] - band_base[i]);
+            rest = tail;
+            bands.push((band_base[i], band, roots));
+        }
+        run_jobs(bands, |(lo, band, roots)| {
+            let mut count = 0usize;
+            for k in 0..band.len() {
+                let p = band[k] as u32 as usize;
+                if let Some(pl) = p.checked_sub(lo) {
+                    if pl == k {
+                        count += 1;
+                    } else {
+                        band[k] = band[pl];
                     }
-                    *roots = count;
-                });
+                }
             }
+            *roots = count;
         });
     }
 
@@ -559,6 +550,29 @@ impl TiledLabeler {
     pub(crate) fn arena(&self) -> (&[u64], &[u64], &[u32]) {
         (&self.runs, &self.node, &self.row_runs)
     }
+}
+
+/// Runs `work` over `jobs`: a phase of one job runs on the calling thread,
+/// so a one-worker call — the out-of-core scheduler's 1 × 1 band, once per
+/// band — spawns nothing; several jobs each get a scoped thread. None of
+/// several runs on the caller: a tile labeled there grows its arenas in the
+/// caller's malloc arena, where they were measured to make the caller's
+/// later large allocations (a fast-engine frame's component statistics)
+/// fault in fresh pages on every call.
+fn run_jobs<T: Send>(jobs: impl IntoIterator<Item = T>, work: impl Fn(T) + Sync) {
+    let mut jobs = jobs.into_iter().peekable();
+    let Some(first) = jobs.next() else {
+        return;
+    };
+    if jobs.peek().is_none() {
+        return work(first);
+    }
+    let work = &work;
+    std::thread::scope(|s| {
+        for job in std::iter::once(first).chain(jobs) {
+            s.spawn(move || work(job));
+        }
+    });
 }
 
 /// Number of pairwise-doubling levels needed to merge `n` regions: the

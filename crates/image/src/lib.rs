@@ -23,12 +23,12 @@
 //!   hierarchically over the run universe (its `T × 1` shape is the
 //!   strip-parallel engine), and [`fast::ooc`] streams frames taller than
 //!   memory through it one band of tiles at a time.
-//! * [`stream`] — the **streaming** engine: rows arrive one at a time
-//!   ([`stream::StreamLabeler::push_row`]), memory stays
-//!   `O(cols + live components)` instead of `O(rows × cols)`, and finished
-//!   components retire with their feature records the moment they
-//!   disconnect — the host-side mirror of the paper's one-scan-line-per-beat
-//!   input discipline.
+//! * [`stream`] — the **streaming** API over that band core: rows arrive
+//!   from a [`RowSource`] ([`label_stream`]), memory stays
+//!   `O(band × cols + live components)` instead of `O(rows × cols)`, and
+//!   finished components retire with their feature records at the end of
+//!   the first band they no longer touch — the host-side mirror of the
+//!   paper's one-scan-line-per-beat input discipline.
 //! * [`gen`] — deterministic workload generators covering the benign, typical
 //!   and adversarial image families the paper reasons about (including the
 //!   Figure 3(a)/(b) patterns and the Theorem 5 even-rows family).
@@ -60,5 +60,5 @@ pub use fast::{
 pub use labels::{ComponentInfo, LabelGrid};
 pub use oracle::{bfs_labels, bfs_labels_conn, BfsOracle};
 pub use stream::{
-    label_stream, BitmapRows, RetiredComponent, RowSource, StreamGridLabeler, StreamLabeler,
+    label_stream, BitmapRows, RetiredComponent, RowSource, StreamGridLabeler, STREAM_BAND_ROWS,
 };

@@ -1,22 +1,24 @@
-//! The live-component core shared by the row-streaming engine
-//! ([`crate::stream`]) and the out-of-core band scheduler
-//! ([`crate::fast::ooc`]): a union–find over the components that can still
-//! grow, each root holding the component's running [`RetiredComponent`].
+//! The live-component core of the out-of-core band scheduler
+//! ([`crate::fast::ooc`], the crate's one streaming labeler): a union–find
+//! over the components that can still grow, each root holding the
+//! component's running [`RetiredComponent`].
 //!
-//! Both engines advance in *steps* — one row, or one band — with the paper's
-//! scan-line discipline: hold the frontier, retire a component the first
-//! step it stops growing. A step drives the core in this order:
+//! The scheduler advances one band per *step* with the paper's scan-line
+//! discipline: hold the frontier, retire a component the first step it
+//! stops growing. A step drives the core in this order:
 //!
 //! 1. [`LiveComponents::join`] for every adjacency between the old frontier
 //!    and the new input (absorbing unions forward the loser);
-//! 2. [`LiveComponents::fold`] to fold each new run's contribution into its
-//!    root, minting a component for a run that joined none;
+//! 2. [`LiveComponents::absorb`] to fold the new input's contribution into a
+//!    joined root, and [`LiveComponents::mint`] to open a component that
+//!    joined none but reaches the new frontier;
 //! 3. [`LiveComponents::touch`] on every root that reaches the new frontier;
 //! 4. [`LiveComponents::finish_step`] over the retirement candidates: every
 //!    untouched one retires, and the step's forwarded slots are reclaimed.
 //!
 //! Retired and forwarded slots return to a free list, so the slab tracks
-//! *live* components, not total ones.
+//! *live* components, not total ones — unless the core keeps ids (see
+//! [`LiveComponents::clear`]).
 
 use crate::bitmap::count_ones_in_span;
 use crate::stream::RetiredComponent;
@@ -48,16 +50,23 @@ pub(crate) struct LiveComponents {
     stamp: u64,
     /// Peak slab occupancy (see [`LiveComponents::peak`]).
     peak: usize,
+    /// Never recycle a slot (see [`LiveComponents::clear`]).
+    keep_ids: bool,
 }
 
 impl LiveComponents {
-    /// Forgets every component, keeping the allocations.
-    pub(crate) fn clear(&mut self) {
+    /// Forgets every component, keeping the allocations. With `keep_ids`
+    /// no slot is recycled until the next clear, so a slot names its
+    /// component for the whole run: [`LiveComponents::record`] resolves any
+    /// slot ever handed out, at the price of a slab that grows with the
+    /// total component count.
+    pub(crate) fn clear(&mut self, keep_ids: bool) {
         self.slots.clear();
         self.free.clear();
         self.forwarded.clear();
         self.stamp = 0;
         self.peak = 0;
+        self.keep_ids = keep_ids;
     }
 
     /// Live components. Exact between steps, when every occupied slot is a
@@ -83,7 +92,7 @@ impl LiveComponents {
 
     /// The root of `x`'s set, halving the path on the way.
     #[inline]
-    pub(crate) fn resolve(&mut self, mut x: u32) -> u32 {
+    fn resolve(&mut self, mut x: u32) -> u32 {
         loop {
             let p = self.slots[x as usize].parent;
             if p == x {
@@ -106,25 +115,24 @@ impl LiveComponents {
         }
     }
 
-    /// Folds `rec` into the set of `*slot` and leaves `*slot` resolved, or,
-    /// when `*slot` is [`NONE`], mints a component whose first contribution
-    /// is `rec`. Returns whether it minted.
-    #[inline]
-    pub(crate) fn fold(&mut self, slot: &mut u32, rec: RetiredComponent) -> bool {
-        if *slot == NONE {
-            *slot = self.mint(rec);
-            return true;
-        }
-        let s = self.resolve(*slot);
-        self.slots[s as usize].rec.absorb(&rec);
-        *slot = s;
-        false
+    /// The running (or, once retired, final) record of `slot`'s set.
+    pub(crate) fn record(&mut self, slot: u32) -> &RetiredComponent {
+        let s = self.resolve(slot);
+        &self.slots[s as usize].rec
     }
 
-    /// Opens a slot for a new component whose first contribution is `rec`.
-    /// Its stamps start at `u64::MAX`, which no step reaches: untouched and
+    /// Folds `rec` into the set of `slot` and returns the set's root.
+    #[inline]
+    pub(crate) fn absorb(&mut self, slot: u32, rec: &RetiredComponent) -> u32 {
+        let s = self.resolve(slot);
+        self.slots[s as usize].rec.absorb(rec);
+        s
+    }
+
+    /// Opens a slot for a new component whose record so far is `rec`. Its
+    /// stamps start at `u64::MAX`, which no step reaches: untouched and
     /// unscanned.
-    fn mint(&mut self, rec: RetiredComponent) -> u32 {
+    pub(crate) fn mint(&mut self, rec: RetiredComponent) -> u32 {
         let slot = |parent| Slot {
             parent,
             touched: u64::MAX,
@@ -176,13 +184,13 @@ impl LiveComponents {
     }
 
     /// Ends the step: samples [`LiveComponents::peak`], retires every
-    /// candidate whose root the step did not touch — calling `emit(slot,
-    /// record)` once per retired root, in candidate order — and reclaims the
-    /// step's forwarded slots.
+    /// candidate whose root the step did not touch — calling `emit(record)`
+    /// once per retired root, in candidate order — and reclaims the step's
+    /// forwarded slots.
     pub(crate) fn finish_step(
         &mut self,
         candidates: impl IntoIterator<Item = u32>,
-        mut emit: impl FnMut(u32, &RetiredComponent),
+        mut emit: impl FnMut(&RetiredComponent),
     ) {
         self.peak = self.peak.max(self.live());
         for cand in candidates {
@@ -193,11 +201,17 @@ impl LiveComponents {
             }
             slot.scanned = self.stamp;
             if slot.touched != self.stamp {
-                emit(s, &slot.rec);
-                self.free.push(s);
+                emit(&slot.rec);
+                if !self.keep_ids {
+                    self.free.push(s);
+                }
             }
         }
-        self.free.append(&mut self.forwarded);
+        if self.keep_ids {
+            self.forwarded.clear();
+        } else {
+            self.free.append(&mut self.forwarded);
+        }
         self.stamp += 1;
     }
 }

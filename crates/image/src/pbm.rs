@@ -326,7 +326,8 @@ fn read_header<R: BufRead>(r: &mut R) -> Result<(Magic, usize, usize), PbmError>
 
 /// Incremental PBM reader: parses the header eagerly, then yields one packed
 /// row per [`RowSource::next_row`] call — the adapter that feeds
-/// [`crate::stream::StreamLabeler`] from a file or pipe in `O(cols)` memory.
+/// [`crate::stream::label_stream`] and the out-of-core band labeler from a
+/// file or pipe without materializing the image.
 #[derive(Debug)]
 pub struct PbmRowReader<R: Read> {
     reader: io::BufReader<R>,

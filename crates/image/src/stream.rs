@@ -2,39 +2,58 @@
 //!
 //! The paper's whole architecture consumes the image *one scan line per
 //! beat*: the SLAP never holds the full frame, only each PE's running view
-//! of its column. This module is the host-side mirror of that discipline —
-//! an online labeler that accepts rows one at a time
-//! ([`StreamLabeler::push_row`] over packed words), keeps only
+//! of its column. This module is the host-side API for that discipline.
+//! [`label_stream`] drains a [`RowSource`] through the out-of-core band
+//! scheduler ([`crate::fast::ooc`], [`STREAM_BAND_ROWS`] rows per band),
+//! which keeps only
 //!
-//! * the **active-run frontier** (the previous row's maximal runs and the
-//!   live component each belongs to), and
+//! * one band of rows and the **carried frontier** (the runs of the last
+//!   row read and the live component each belongs to), and
 //! * a **compact union–find over live components** (slab slots recycled
 //!   through a free list the moment a component dies),
 //!
-//! and **retires** a component the first time a row arrives that no longer
+//! and **retires** a component at the end of the first band that no longer
 //! touches it — emitting its finished feature record ([`RetiredComponent`]:
 //! area, bounding box, centroid sums, 4-neighbor perimeter, and the paper's
-//! minimum column-major position). Memory is `O(cols + live components)`
-//! (plus whatever retired records the caller has not drained), never
+//! minimum column-major position). Memory is `O(band × cols + live
+//! components)` (plus whatever retired records the caller keeps), never
 //! `O(rows × cols)`: frames taller than memory, piped PBM, and unbounded
-//! ingest all stream through at a constant footprint.
+//! ingest all stream through at a constant footprint. A caller that keeps
+//! only a summary hands records to a sink instead
+//! ([`crate::fast::OutOfCoreLabeler::label_source_with`]).
 //!
 //! The retired multiset is **exactly** what [`crate::fast::fast_labels_conn`]
 //! plus a per-component feature fold would produce — the differential suites
-//! replay every generator family row-by-row and compare record-for-record,
-//! keyed by the paper label — and the frontier bound is asserted by tests
-//! and enforced by the `slap-bench stream` schema validator.
+//! replay every generator family and compare record-for-record, keyed by the
+//! paper label — and the frontier bound is asserted by tests and enforced by
+//! the `slap-bench stream` schema validator. [`StreamGridLabeler`] turns the
+//! same band core back into a whole-frame engine (the registry's `stream`
+//! engine).
 //!
 //! Input adapters implement [`RowSource`]: [`BitmapRows`] replays an
 //! in-memory [`Bitmap`], and [`crate::pbm::PbmRowReader`] streams P1/P4 PBM
 //! rows incrementally from any [`std::io::Read`] without materializing the
-//! image. [`label_stream`] drives a source to completion.
+//! image.
 
-use crate::bitmap::{count_ones_in_span, for_each_adjacent_pair, for_each_run_in_words, Bitmap};
+use crate::bitmap::Bitmap;
 use crate::connectivity::Connectivity;
+use crate::fast::ooc::RunLog;
+use crate::fast::OutOfCoreLabeler;
 use crate::labels::LabelGrid;
-use crate::live::{LiveComponents, NONE};
 use std::io;
+
+/// Rows per band of every streaming path: [`label_stream`], the registry
+/// `stream` engine ([`StreamGridLabeler`]), `slap stream` and `slapd`'s
+/// default out-of-core band.
+pub const STREAM_BAND_ROWS: usize = 128;
+
+/// [`STREAM_BAND_ROWS`], lowered where a band that tall would overflow the
+/// band arena's `u32` position space.
+fn band_rows_for(cols: usize) -> usize {
+    STREAM_BAND_ROWS
+        .min((u32::MAX as usize - 1) / cols.max(1))
+        .max(1)
+}
 
 /// The finished feature record of a retired component (every field is final:
 /// the component can never reconnect once retired).
@@ -140,358 +159,49 @@ impl RetiredComponent {
     }
 }
 
-/// Aggregate statistics of a finished (or in-flight) streaming run.
+/// Aggregate statistics of a finished streaming run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Rows pushed so far.
+    /// Rows read.
     pub rows: u64,
-    /// Row width the labeler was constructed with.
+    /// Row width of the source.
     pub cols: usize,
     /// Foreground pixels seen.
     pub pixels: u64,
-    /// Components retired so far.
+    /// Components retired.
     pub retired: u64,
-    /// Maximum frontier size observed (runs of one row).
+    /// Most runs in any one row — the `O(cols)` frontier a scan-line
+    /// labeler must be able to hold; at most `cols / 2 + 1`.
     pub peak_frontier_runs: usize,
     /// Maximum number of simultaneously allocated union–find slots — the
     /// `O(cols + live components)` bound made measurable. Sampled once per
-    /// row after its unions and mints, before retirement and reclaim, so it
-    /// counts the live components plus the row's merge garbage.
+    /// band after its seam unions and mints, before retirement and reclaim,
+    /// so it counts the components on both band frontiers plus the band's
+    /// merge garbage.
     pub peak_nodes: usize,
 }
 
-/// Online connected-component labeler: see the module docs for the memory
-/// model. Rows arrive as packed words ([`StreamLabeler::push_row`]); retired
-/// components accumulate until drained ([`StreamLabeler::drain_retired`]);
-/// [`StreamLabeler::finish`] retires everything still live.
-#[derive(Debug)]
-pub struct StreamLabeler {
-    cols: usize,
-    words_per_row: usize,
-    conn: Connectivity,
-    finished: bool,
-    /// Packed words of the previous row (all zero before the first row).
-    prev_words: Vec<u64>,
-    /// The frontier: previous row's runs (packed `start << 32 | end`) and
-    /// the slot each belongs to (a root between rows).
-    prev_runs: Vec<u64>,
-    prev_slots: Vec<u32>,
-    /// Scratch for the row being processed.
-    cur_runs: Vec<u64>,
-    cur_slots: Vec<u32>,
-    /// The union–find over live components, one step per row.
-    live: LiveComponents,
-    /// Retired components awaiting [`StreamLabeler::drain_retired`].
-    retired: Vec<RetiredComponent>,
-    /// Scratch words for the merge sweep.
-    and_buf: Vec<u64>,
-    /// When set, every component ever created gets a stable id: a mint
-    /// records a fresh id in `slot_comp`, a union records the merge in
-    /// `comp_parent`, and a retirement appends the root id to
-    /// `retired_comps` (parallel to `retired`). Off by default — the id
-    /// arena grows with the *total* component count, which would break the
-    /// `O(cols + live)` bound on unbounded streams.
-    track_comps: bool,
-    /// Component id of each slot's set under tracking. Unlike slots, ids are
-    /// never recycled within a stream, so a grid-producing caller can
-    /// resolve which component a long-dead run ended up in
-    /// ([`StreamGridLabeler`]).
-    slot_comp: Vec<u32>,
-    /// Union–find over component ids (grows monotonically; tracking only).
-    comp_parent: Vec<u32>,
-    /// Root component id per retirement, parallel to `retired`.
-    retired_comps: Vec<u32>,
-    stats: StreamStats,
-}
-
-impl StreamLabeler {
-    /// Creates a labeler for rows of `cols` pixels. `cols == 0` is accepted
-    /// (every row is empty and nothing is ever emitted).
-    pub fn new(cols: usize, conn: Connectivity) -> Self {
-        StreamLabeler {
-            cols,
-            words_per_row: cols.div_ceil(64),
-            conn,
-            finished: false,
-            prev_words: vec![0u64; cols.div_ceil(64)],
-            prev_runs: Vec::new(),
-            prev_slots: Vec::new(),
-            cur_runs: Vec::new(),
-            cur_slots: Vec::new(),
-            live: LiveComponents::default(),
-            retired: Vec::new(),
-            and_buf: Vec::new(),
-            track_comps: false,
-            slot_comp: Vec::new(),
-            comp_parent: Vec::new(),
-            retired_comps: Vec::new(),
-            stats: StreamStats {
-                cols,
-                ..StreamStats::default()
-            },
-        }
-    }
-
-    /// Rewinds the labeler to the state of a fresh [`StreamLabeler::new`]
-    /// with possibly different dimensions or connectivity, **keeping every
-    /// allocation**: a session labeling a stream of frames allocates only
-    /// when a frame exceeds all previous highs. Component tracking (an
-    /// internal mode of [`StreamGridLabeler`]) is switched off.
-    pub fn reset(&mut self, cols: usize, conn: Connectivity) {
-        self.cols = cols;
-        self.words_per_row = cols.div_ceil(64);
-        self.conn = conn;
-        self.finished = false;
-        self.prev_words.clear();
-        self.prev_words.resize(self.words_per_row, 0);
-        self.prev_runs.clear();
-        self.prev_slots.clear();
-        self.cur_runs.clear();
-        self.cur_slots.clear();
-        self.live.clear();
-        self.retired.clear();
-        self.and_buf.clear();
-        self.track_comps = false;
-        self.slot_comp.clear();
-        self.comp_parent.clear();
-        self.retired_comps.clear();
-        self.stats = StreamStats {
-            cols,
-            ..StreamStats::default()
-        };
-    }
-
-    /// Total bytes of scratch capacity currently reserved — the session's
-    /// high-water mark. Steady-state reuse keeps this constant; tests assert
-    /// warm calls perform zero arena reallocations by watching it.
-    pub fn scratch_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.live.scratch_bytes()
-            + (self.prev_words.capacity()
-                + self.prev_runs.capacity()
-                + self.cur_runs.capacity()
-                + self.and_buf.capacity())
-                * size_of::<u64>()
-            + (self.prev_slots.capacity()
-                + self.cur_slots.capacity()
-                + self.slot_comp.capacity()
-                + self.comp_parent.capacity()
-                + self.retired_comps.capacity())
-                * size_of::<u32>()
-            + self.retired.capacity() * size_of::<RetiredComponent>()
-    }
-
-    /// Row width accepted by [`StreamLabeler::push_row`].
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Statistics so far (peaks are final only after
-    /// [`StreamLabeler::finish`]).
-    pub fn stats(&self) -> StreamStats {
-        self.stats
-    }
-
-    /// Number of live (unretired) components currently tracked. O(1):
-    /// between rows every occupied slot is a live root.
-    pub fn live_components(&self) -> usize {
-        self.live.live()
-    }
-
-    /// Pushes the next row as packed words (bit `c % 64` of word `c / 64` is
-    /// column `c`, exactly [`Bitmap::row_words`]'s layout).
-    ///
-    /// # Panics
-    /// Panics after [`StreamLabeler::finish`], when `words` is not exactly
-    /// `cols.div_ceil(64)` long, or when a padding bit past `cols` is set
-    /// (that would corrupt the word-level run scan).
-    pub fn push_row(&mut self, words: &[u64]) {
-        assert!(!self.finished, "push_row after finish");
-        assert_eq!(
-            words.len(),
-            self.words_per_row,
-            "row must be exactly cols.div_ceil(64) packed words"
-        );
-        let tail = self.cols % 64;
-        assert!(
-            tail == 0 || self.words_per_row == 0 || words[self.words_per_row - 1] >> tail == 0,
-            "padding bits past cols must be zero"
-        );
-        let row = self.stats.rows as u32;
-        self.stats.rows += 1;
-        self.advance(words, row);
-    }
-
-    /// Retires every component still live and returns the final statistics.
-    /// Idempotent; [`StreamLabeler::push_row`] panics afterwards.
-    pub fn finish(&mut self) -> StreamStats {
-        if !self.finished {
-            // One virtual all-background row below the image: every prev run
-            // collects its full bottom exposure and every live root goes
-            // untouched, hence retires — no special-cased teardown path.
-            let zeros = vec![0u64; self.words_per_row];
-            self.advance(&zeros, self.stats.rows as u32);
-            self.finished = true;
-        }
-        self.stats
-    }
-
-    /// Removes and returns the components retired so far (draining keeps the
-    /// labeler's footprint at `O(cols + live)` on long streams).
-    pub fn drain_retired(&mut self) -> std::vec::Drain<'_, RetiredComponent> {
-        self.retired_comps.clear(); // keep the tracking vec parallel
-        self.retired.drain(..)
-    }
-
-    /// Processes row `row`'s packed words (real or the virtual finish row) as
-    /// one step of the live-component core.
-    fn advance(&mut self, words: &[u64], row: u32) {
-        // 1) Bottom exposure: pixels of each frontier run not covered by the
-        // new row leave the component through their south edge.
-        self.live
-            .expose_south(&self.prev_runs, &self.prev_slots, words);
-
-        // 2) Extract the new row's runs.
-        self.cur_runs.clear();
-        let cur_runs = &mut self.cur_runs;
-        for_each_run_in_words(words, self.cols, |a, b| {
-            cur_runs.push(((a as u64) << 32) | b as u64);
-        });
-        self.cur_slots.clear();
-        self.cur_slots.resize(self.cur_runs.len(), NONE);
-
-        // 3) Merge sweep: every frontier component a new run touches joins
-        // the run's set, leaving the surviving slot of run `i` in
-        // `cur_slots[i]` — `NONE` for runs touching no frontier run. A slot
-        // can be forwarded by a *later* run's union, so slots are re-resolved
-        // in step 3b.
-        let conn = self.conn;
-        let StreamLabeler {
-            prev_words,
-            prev_runs,
-            prev_slots,
-            cur_runs,
-            cur_slots,
-            live,
-            and_buf,
-            track_comps,
-            slot_comp,
-            comp_parent,
-            ..
-        } = self;
-        for_each_adjacent_pair(
-            conn,
-            words,
-            prev_words,
-            cur_runs,
-            prev_runs,
-            and_buf,
-            |c, q| {
-                if let Some((keep, lose)) = live.join(&mut cur_slots[c], &mut prev_slots[q]) {
-                    if *track_comps {
-                        comp_parent[slot_comp[lose as usize] as usize] = slot_comp[keep as usize];
-                    }
-                }
-            },
-        );
-
-        // 3b) Record pass: fold each new run's feature contribution into its
-        // (resolved) surviving slot, or mint a fresh slot for runs that
-        // touched nothing. Resolution here doubles as the frontier re-root:
-        // all of this row's unions are already done, so the stored slots are
-        // final roots for the inter-row invariant.
-        for i in 0..self.cur_runs.len() {
-            let sb = self.cur_runs[i];
-            let (a, b) = ((sb >> 32) as u32, (sb & 0xffff_ffff) as u32);
-            // Both horizontal ends are exposed; north exposure is what the
-            // previous row does not cover; south exposure arrives with the
-            // next row (or the virtual finish row).
-            let up_exposed = b - a + 1 - count_ones_in_span(&self.prev_words, a, b);
-            let rec = RetiredComponent::run(row, a, b, 2 + u64::from(up_exposed));
-            let minted = self.live.fold(&mut self.cur_slots[i], rec);
-            let s = self.cur_slots[i];
-            if minted && self.track_comps {
-                let id = u32::try_from(self.comp_parent.len())
-                    .expect("more than u32::MAX components in one tracked stream");
-                self.comp_parent.push(id);
-                if self.slot_comp.len() <= s as usize {
-                    self.slot_comp.resize(s as usize + 1, 0);
-                }
-                self.slot_comp[s as usize] = id;
-            }
-            self.live.touch(s);
-            self.stats.pixels += rec.area;
-        }
-
-        // 4) Retirement: frontier roots no run of this row merged into can
-        // never reconnect (rows only ever arrive below them) — emit and
-        // recycle them, along with this row's forwarded slots.
-        let StreamLabeler {
-            prev_slots,
-            live,
-            retired,
-            track_comps,
-            slot_comp,
-            retired_comps,
-            stats,
-            ..
-        } = self;
-        live.finish_step(prev_slots.iter().copied(), |s, rec| {
-            retired.push(*rec);
-            if *track_comps {
-                retired_comps.push(slot_comp[s as usize]);
-            }
-            stats.retired += 1;
-        });
-        stats.peak_nodes = live.peak();
-
-        // 5) The new row becomes the frontier.
-        std::mem::swap(&mut self.prev_runs, &mut self.cur_runs);
-        std::mem::swap(&mut self.prev_slots, &mut self.cur_slots);
-        self.prev_words.copy_from_slice(words);
-        self.stats.peak_frontier_runs = self.stats.peak_frontier_runs.max(self.prev_runs.len());
-    }
-}
-
-/// Find with path halving over the component-id forest of a tracked stream.
-#[inline]
-fn comp_find(parent: &mut [u32], mut x: u32) -> u32 {
-    loop {
-        let p = parent[x as usize];
-        if p == x {
-            return x;
-        }
-        let g = parent[p as usize];
-        if g != p {
-            parent[x as usize] = g;
-        }
-        x = g;
-    }
-}
-
 /// A reusable session that labels whole frames **through the streaming
-/// engine**: rows are pushed one at a time into an internal component-tracked
-/// [`StreamLabeler`], every run is logged with the component id it joined,
-/// and once the stream finishes the retired records hand each component its
-/// paper label (minimum column-major position) — which one run-fill pass then
-/// writes into a [`LabelGrid`], bit-identical to
-/// [`crate::fast::fast_labels_conn`] and the BFS oracle.
+/// engine**: the band core runs with a run log, recording every run with
+/// the slot of the component it joined, and once the frame is drained the
+/// retired records hand each component its paper label (minimum
+/// column-major position) — which one run-fill pass then writes into a
+/// [`LabelGrid`], bit-identical to [`crate::fast::fast_labels_conn`] and the
+/// BFS oracle.
 ///
 /// The grid output necessarily costs `O(rows × cols)` (the grid itself) plus
-/// an `O(runs)` log, so this type trades the pure engine's bounded-memory
-/// guarantee for interchangeability with the whole-frame engines; the
-/// labeler's union–find still runs in the `O(cols + live)` frontier regime.
-/// All scratch (the inner labeler, the run log, the component arenas) is
-/// kept between calls.
+/// an `O(runs)` log, and the log's slots must stay valid for the whole frame,
+/// so the core recycles no slot here: the slab holds one slot per component
+/// of the frame, and [`StreamGridLabeler::last_stats`] reports that count as
+/// `peak_nodes`. This type trades the pure engine's bounded-memory
+/// guarantee for interchangeability with the whole-frame engines. All
+/// scratch is kept between calls.
 #[derive(Debug)]
 pub struct StreamGridLabeler {
-    inner: StreamLabeler,
-    /// Packed run bounds + component id per run, rows concatenated.
-    run_log: Vec<(u64, u32)>,
-    /// Index of the first logged run of each row, plus one sentinel.
-    row_runs: Vec<u32>,
-    /// Final label per retired component root id.
-    comp_label: Vec<u32>,
+    /// The band core, keeping a run log.
+    inner: OutOfCoreLabeler,
+    /// Statistics of the most recent call.
+    stats: StreamStats,
 }
 
 impl Default for StreamGridLabeler {
@@ -504,70 +214,34 @@ impl StreamGridLabeler {
     /// Creates a session with empty (growable) scratch storage.
     pub fn new() -> Self {
         StreamGridLabeler {
-            inner: StreamLabeler::new(0, Connectivity::Four),
-            run_log: Vec::new(),
-            row_runs: Vec::new(),
-            comp_label: Vec::new(),
+            inner: tracked(STREAM_BAND_ROWS),
+            stats: StreamStats::default(),
         }
     }
 
     /// Labels `img` into `out` (re-dimensioned; every cell written exactly
-    /// once) by replaying its rows through the streaming engine. With reused
+    /// once) by streaming its rows through the band core. With reused
     /// storage of sufficient capacity the call performs no heap allocation.
     pub fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) {
         let (rows, cols) = (img.rows(), img.cols());
-        self.inner.reset(cols, conn);
-        self.inner.track_comps = true;
-        self.run_log.clear();
-        self.row_runs.clear();
-        self.row_runs.reserve(rows + 1);
-        for r in 0..rows {
-            self.inner.push_row(img.row_words(r));
-            self.row_runs
-                .push(u32::try_from(self.run_log.len()).expect("run count exceeds u32"));
-            // After a push the frontier is this row: log its runs with the
-            // component each resolved into (roots between rows, so the comp
-            // id is current — later unions are chased through comp_parent).
-            let inner = &self.inner;
-            self.run_log.extend(
-                inner
-                    .prev_runs
-                    .iter()
-                    .zip(&inner.prev_slots)
-                    .map(|(&sb, &slot)| (sb, inner.slot_comp[slot as usize])),
-            );
+        if self.inner.band_rows() != band_rows_for(cols) {
+            self.inner = tracked(band_rows_for(cols));
         }
-        self.row_runs
-            .push(u32::try_from(self.run_log.len()).expect("run count exceeds u32"));
-        self.inner.finish();
+        let stats = self
+            .inner
+            .label_source_with(&mut BitmapRows::new(img), conn, |_| {})
+            .expect("in-memory row replay cannot fail");
+        self.stats = self.inner.stream_stats(&stats);
 
-        // Every component is now retired; its record carries the minimum
-        // column-major position — the paper label — keyed by root comp id.
-        self.comp_label.clear();
-        self.comp_label
-            .resize(self.inner.comp_parent.len(), LabelGrid::BACKGROUND);
-        for (rec, &comp) in self.inner.retired.iter().zip(&self.inner.retired_comps) {
-            self.comp_label[comp as usize] = rec.label(rows) as u32;
-        }
-
-        // Output: one background fill + run-at-a-time label fills per row,
-        // resolving (and compressing) each logged component id.
+        // Every component is now retired with its paper label. Output: one
+        // background fill + run-at-a-time label fills per row.
         out.reset_dims(rows, cols);
-        let StreamGridLabeler {
-            inner,
-            run_log,
-            row_runs,
-            comp_label,
-        } = self;
-        let comp_parent = &mut inner.comp_parent;
+        let log = self.inner.labeled_log(rows);
         for r in 0..rows {
             let row = out.row_mut(r);
             row.fill(LabelGrid::BACKGROUND);
-            for entry in &mut run_log[row_runs[r] as usize..row_runs[r + 1] as usize] {
-                let root = comp_find(comp_parent, entry.1);
-                entry.1 = root;
-                let label = comp_label[root as usize];
-                let (a, b) = ((entry.0 >> 32) as usize, (entry.0 & 0xffff_ffff) as usize);
+            for &(sb, label) in &log.runs[log.row_runs[r] as usize..log.row_runs[r + 1] as usize] {
+                let (a, b) = ((sb >> 32) as usize, (sb & 0xffff_ffff) as usize);
                 row[a] = label;
                 row[b] = label;
                 if b - a > 1 {
@@ -579,28 +253,31 @@ impl StreamGridLabeler {
 
     /// Statistics of the most recent call (frontier peaks, retirements).
     pub fn last_stats(&self) -> StreamStats {
-        self.inner.stats()
+        self.stats
     }
 
     /// Number of runs logged by the most recent call.
     pub fn last_runs(&self) -> usize {
-        self.run_log.len()
+        self.inner.log.as_ref().map_or(0, |log| log.runs.len())
     }
 
     /// Number of components labeled by the most recent call.
     pub fn last_components(&self) -> usize {
-        self.inner.stats().retired as usize
+        self.stats.retired as usize
     }
 
-    /// Total bytes of scratch capacity currently reserved (inner labeler,
-    /// run log, and component arenas).
+    /// Total bytes of scratch capacity currently reserved (the band core
+    /// and its run log).
     pub fn scratch_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.inner.scratch_bytes()
-            + self.run_log.capacity() * size_of::<(u64, u32)>()
-            + self.row_runs.capacity() * size_of::<u32>()
-            + self.comp_label.capacity() * size_of::<u32>()
     }
+}
+
+/// A band labeler that keeps a run log, for [`StreamGridLabeler`].
+fn tracked(band_rows: usize) -> OutOfCoreLabeler {
+    let mut labeler = OutOfCoreLabeler::new(band_rows, 1);
+    labeler.log = Some(RunLog::default());
+    labeler
 }
 
 /// A source of packed image rows for [`label_stream`].
@@ -657,7 +334,7 @@ impl RowSource for BitmapRows<'_> {
     }
 }
 
-/// The result of draining a [`RowSource`] through a [`StreamLabeler`].
+/// The result of draining a [`RowSource`] through [`label_stream`].
 #[derive(Clone, Debug)]
 pub struct StreamRun {
     /// Every retired component, in retirement order.
@@ -666,20 +343,51 @@ pub struct StreamRun {
     pub stats: StreamStats,
 }
 
-/// Streams every row of `source` through a fresh [`StreamLabeler`] and
-/// returns the retired components plus run statistics. The image is never
-/// materialized: memory stays `O(cols + live + retired)`.
+/// Streams every row of `source` through a fresh band labeler
+/// ([`OutOfCoreLabeler`], [`STREAM_BAND_ROWS`] rows per band, one tile
+/// column) and returns the retired components plus run statistics. The
+/// image is never materialized: memory stays `O(band × cols + live +
+/// retired)`.
 pub fn label_stream<S: RowSource>(source: &mut S, conn: Connectivity) -> io::Result<StreamRun> {
-    let mut labeler = StreamLabeler::new(source.cols(), conn);
-    let mut words = Vec::with_capacity(source.cols().div_ceil(64));
-    while source.next_row(&mut words)? {
-        labeler.push_row(&words);
-    }
-    let stats = labeler.finish();
+    let mut labeler = OutOfCoreLabeler::new(band_rows_for(source.cols()), 1);
+    let mut components = Vec::new();
+    let stats = labeler.label_source_with(source, conn, |rec| components.push(rec))?;
     Ok(StreamRun {
-        components: labeler.drain_retired().collect(),
-        stats,
+        components,
+        stats: labeler.stream_stats(&stats),
     })
+}
+
+/// Brute-force per-component records: the fast engine's labels folded pixel
+/// by pixel, sorted canonically — the independent reference every
+/// streaming test compares against.
+#[cfg(test)]
+pub(crate) fn reference_records(img: &Bitmap, conn: Connectivity) -> Vec<RetiredComponent> {
+    let labels = crate::fast::fast_labels_conn(img, conn);
+    let mut by_label: std::collections::BTreeMap<u32, RetiredComponent> = Default::default();
+    for (r, c) in img.iter_ones_colmajor() {
+        let mut exposed = 0u64;
+        if r == 0 || !img.get(r - 1, c) {
+            exposed += 1;
+        }
+        if r + 1 >= img.rows() || !img.get(r + 1, c) {
+            exposed += 1;
+        }
+        if c == 0 || !img.get(r, c - 1) {
+            exposed += 1;
+        }
+        if c + 1 >= img.cols() || !img.get(r, c + 1) {
+            exposed += 1;
+        }
+        let rec = RetiredComponent::run(r as u32, c as u32, c as u32, exposed);
+        by_label
+            .entry(labels.get(r, c))
+            .and_modify(|acc| acc.absorb(&rec))
+            .or_insert(rec);
+    }
+    let mut out: Vec<RetiredComponent> = by_label.into_values().collect();
+    out.sort_unstable();
+    out
 }
 
 #[cfg(test)]
@@ -687,6 +395,7 @@ mod tests {
     use super::*;
     use crate::fast::fast_labels_conn;
     use crate::gen;
+    use std::cell::Cell;
 
     /// Streams `img` and returns the retired records sorted canonically.
     fn stream_sorted(img: &Bitmap, conn: Connectivity) -> Vec<RetiredComponent> {
@@ -695,44 +404,59 @@ mod tests {
         run.components
     }
 
-    /// Brute-force per-component records from a label grid.
-    fn reference_records(img: &Bitmap, conn: Connectivity) -> Vec<RetiredComponent> {
-        let labels = fast_labels_conn(img, conn);
-        let mut by_label: std::collections::BTreeMap<u32, RetiredComponent> = Default::default();
-        for (r, c) in img.iter_ones_colmajor() {
-            let mut exposed = 0u64;
-            if r == 0 || !img.get(r - 1, c) {
-                exposed += 1;
-            }
-            if r + 1 >= img.rows() || !img.get(r + 1, c) {
-                exposed += 1;
-            }
-            if c == 0 || !img.get(r, c - 1) {
-                exposed += 1;
-            }
-            if c + 1 >= img.cols() || !img.get(r, c + 1) {
-                exposed += 1;
-            }
-            let rec = RetiredComponent {
-                min_pos_col: c as u32,
-                min_pos_row: r as u32,
-                area: 1,
-                min_row: r as u32,
-                max_row: r as u32,
-                min_col: c as u32,
-                max_col: c as u32,
-                sum_row: r as u64,
-                sum_col: c as u64,
-                perimeter: exposed,
-            };
-            by_label
-                .entry(labels.get(r, c))
-                .and_modify(|acc| acc.absorb(&rec))
-                .or_insert(rec);
+    /// Sorted records of one pass through a (possibly reused) band labeler.
+    fn band_sorted(
+        labeler: &mut OutOfCoreLabeler,
+        img: &Bitmap,
+        conn: Connectivity,
+    ) -> Vec<RetiredComponent> {
+        let mut run = labeler
+            .label_source(&mut BitmapRows::new(img), conn)
+            .unwrap();
+        run.components.sort_unstable();
+        run.components
+    }
+
+    /// A row source that counts the rows it has handed out, so a sink can
+    /// tell how far the stream had got when a record retired.
+    struct Counted<'a> {
+        rows: BitmapRows<'a>,
+        read: &'a Cell<usize>,
+    }
+
+    impl RowSource for Counted<'_> {
+        fn cols(&self) -> usize {
+            self.rows.cols()
         }
-        let mut out: Vec<RetiredComponent> = by_label.into_values().collect();
-        out.sort_unstable();
-        out
+
+        fn next_row(&mut self, words: &mut Vec<u64>) -> io::Result<bool> {
+            let more = self.rows.next_row(words)?;
+            self.read.set(self.read.get() + usize::from(more));
+            Ok(more)
+        }
+    }
+
+    /// `rows` all-background rows of `cols` pixels (`cols` may be zero,
+    /// which no `Bitmap` can express).
+    struct Blank {
+        cols: usize,
+        rows: usize,
+    }
+
+    impl RowSource for Blank {
+        fn cols(&self) -> usize {
+            self.cols
+        }
+
+        fn next_row(&mut self, words: &mut Vec<u64>) -> io::Result<bool> {
+            if self.rows == 0 {
+                return Ok(false);
+            }
+            self.rows -= 1;
+            words.clear();
+            words.resize(self.cols.div_ceil(64), 0);
+            Ok(true)
+        }
     }
 
     #[test]
@@ -808,21 +532,30 @@ mod tests {
 
     #[test]
     fn components_retire_as_soon_as_they_disconnect() {
-        // Two bars separated by a blank row: the first bar must retire the
-        // moment the blank row arrives, not at finish.
+        // Two bars separated by a blank row. The sink sees the first bar at
+        // the end of the first band that no longer touches it — not at the
+        // end of the frame — and the second bar at the end of the frame.
         let img = Bitmap::from_art("###\n...\n###\n");
-        let mut labeler = StreamLabeler::new(3, Connectivity::Four);
-        labeler.push_row(img.row_words(0));
-        assert_eq!(labeler.drain_retired().count(), 0);
-        labeler.push_row(img.row_words(1));
-        let first: Vec<_> = labeler.drain_retired().collect();
-        assert_eq!(first.len(), 1);
-        assert_eq!(first[0].area, 3);
-        assert_eq!(first[0].perimeter, 8);
-        labeler.push_row(img.row_words(2));
-        assert_eq!(labeler.drain_retired().count(), 0, "still live");
-        labeler.finish();
-        assert_eq!(labeler.drain_retired().count(), 1);
+        for (band_rows, first_at) in [(1usize, 2usize), (2, 2), (3, 3)] {
+            let read = Cell::new(0);
+            let mut seen = Vec::new();
+            let mut source = Counted {
+                rows: BitmapRows::new(&img),
+                read: &read,
+            };
+            let stats = OutOfCoreLabeler::new(band_rows, 1)
+                .label_source_with(&mut source, Connectivity::Four, |rec| {
+                    seen.push((read.get(), rec.min_row, rec.area, rec.perimeter));
+                })
+                .unwrap();
+            assert_eq!(stats.retired, 2);
+            seen.sort_unstable();
+            assert_eq!(
+                seen,
+                vec![(first_at, 0, 3, 8), (3, 2, 3, 8)],
+                "band_rows={band_rows}"
+            );
+        }
     }
 
     #[test]
@@ -862,17 +595,13 @@ mod tests {
     #[test]
     fn degenerate_dimensions_stream_cleanly() {
         // 0 columns: every row is empty.
-        let mut zero_cols = StreamLabeler::new(0, Connectivity::Four);
-        zero_cols.push_row(&[]);
-        zero_cols.push_row(&[]);
-        let stats = zero_cols.finish();
-        assert_eq!(stats.retired, 0);
-        assert_eq!(stats.rows, 2);
-        // 0 rows: finish without pushing anything.
-        let mut zero_rows = StreamLabeler::new(9, Connectivity::Eight);
-        let stats = zero_rows.finish();
-        assert_eq!((stats.rows, stats.retired), (0, 0));
-        assert_eq!(zero_rows.drain_retired().count(), 0);
+        let run = label_stream(&mut Blank { cols: 0, rows: 2 }, Connectivity::Four).unwrap();
+        assert_eq!((run.stats.rows, run.stats.retired), (2, 0));
+        assert!(run.components.is_empty());
+        // 0 rows.
+        let run = label_stream(&mut Blank { cols: 9, rows: 0 }, Connectivity::Eight).unwrap();
+        assert_eq!((run.stats.rows, run.stats.retired), (0, 0));
+        assert!(run.components.is_empty());
         // 1×1 foreground pixel.
         let img = Bitmap::from_art("#");
         let run = label_stream(&mut BitmapRows::new(&img), Connectivity::Four).unwrap();
@@ -884,27 +613,23 @@ mod tests {
     }
 
     #[test]
-    fn finish_is_idempotent_and_push_after_finish_panics() {
-        let mut labeler = StreamLabeler::new(8, Connectivity::Four);
-        labeler.push_row(&[0b1111]);
-        let a = labeler.finish();
-        let b = labeler.finish();
-        assert_eq!(a, b);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            labeler.push_row(&[0b1111]);
-        }));
-        assert!(result.is_err(), "push_row after finish must panic");
+    fn live_components_tracks_the_frontier() {
+        // Four dots, then a bar joining them, at one row per band: the dots
+        // hold four slots until the bar merges them into one component,
+        // which retires once, at the end of the frame.
+        let img = Bitmap::from_art("#.#.#.#.\n########\n");
+        let run = label_out_of_core_rows(&img, 1);
+        assert_eq!(run.stats.peak_live_slots, 4);
+        assert_eq!(run.stats.retired, 1);
+        assert_eq!(run.components[0].area, 12);
+        // In one band the dots never take a slot of their own.
+        assert_eq!(label_out_of_core_rows(&img, 2).stats.peak_live_slots, 1);
     }
 
-    #[test]
-    fn live_components_tracks_the_frontier() {
-        let mut labeler = StreamLabeler::new(8, Connectivity::Four);
-        labeler.push_row(&[0b0101_0101]);
-        assert_eq!(labeler.live_components(), 4);
-        labeler.push_row(&[0b1111_1111]);
-        assert_eq!(labeler.live_components(), 1);
-        labeler.finish();
-        assert_eq!(labeler.live_components(), 0);
+    fn label_out_of_core_rows(img: &Bitmap, band_rows: usize) -> crate::fast::OocRun {
+        OutOfCoreLabeler::new(band_rows, 1)
+            .label_source(&mut BitmapRows::new(img), Connectivity::Four)
+            .unwrap()
     }
 
     #[test]
@@ -927,10 +652,11 @@ mod tests {
     #[test]
     fn grid_labeler_survives_interleaved_dims_and_checker_density() {
         // Run-dense checker rows exercise the word-AND merge sweep; the
-        // interleaved sizes exercise session reset across dims.
+        // interleaved sizes exercise session reuse across dims, and the
+        // tall ones carry components across band seams.
         let mut session = StreamGridLabeler::new();
         let mut grid = crate::labels::LabelGrid::new_background(1, 1);
-        for (rows, cols) in [(64, 64), (3, 130), (65, 17), (1, 1), (200, 1)] {
+        for (rows, cols) in [(64, 64), (3, 130), (65, 17), (1, 1), (200, 1), (300, 40)] {
             let img = gen::uniform_random(rows, cols, 0.55, (rows * 31 + cols) as u64);
             session.label_into(&img, Connectivity::Four, &mut grid);
             assert_eq!(grid, fast_labels_conn(&img, Connectivity::Four));
@@ -942,25 +668,14 @@ mod tests {
 
     #[test]
     fn reset_rewinds_a_session_without_allocating_anew() {
-        let img = gen::by_name("random50", 50, 4).unwrap();
-        let mut labeler = StreamLabeler::new(img.cols(), Connectivity::Four);
-        let run_fresh = {
-            for r in 0..img.rows() {
-                labeler.push_row(img.row_words(r));
-            }
-            labeler.finish();
-            let mut v: Vec<RetiredComponent> = labeler.drain_retired().collect();
-            v.sort_unstable();
-            v
-        };
+        // A reused band labeler: the warm replay of a frame must retire the
+        // same records without growing any arena.
+        let img = gen::by_name("random50", 300, 4).unwrap();
+        let mut labeler = OutOfCoreLabeler::new(STREAM_BAND_ROWS, 1);
+        let run_fresh = band_sorted(&mut labeler, &img, Connectivity::Four);
+        assert_eq!(run_fresh, reference_records(&img, Connectivity::Four));
         let watermark = labeler.scratch_bytes();
-        labeler.reset(img.cols(), Connectivity::Four);
-        for r in 0..img.rows() {
-            labeler.push_row(img.row_words(r));
-        }
-        labeler.finish();
-        let mut run_warm: Vec<RetiredComponent> = labeler.drain_retired().collect();
-        run_warm.sort_unstable();
+        let run_warm = band_sorted(&mut labeler, &img, Connectivity::Four);
         assert_eq!(run_warm, run_fresh);
         assert_eq!(
             labeler.scratch_bytes(),
@@ -971,41 +686,39 @@ mod tests {
 
     #[test]
     fn reset_switches_dimensions_and_connectivity() {
-        let mut labeler = StreamLabeler::new(8, Connectivity::Four);
-        labeler.push_row(&[0b1010_1010]);
-        labeler.finish();
-        labeler.drain_retired();
+        let mut labeler = OutOfCoreLabeler::new(2, 1);
+        let stripes = Bitmap::from_art(".#.#.#.#\n");
+        assert_eq!(
+            band_sorted(&mut labeler, &stripes, Connectivity::Four).len(),
+            4
+        );
         let tall = Bitmap::from_art("#..\n.#.\n..#\n");
-        labeler.reset(3, Connectivity::Eight);
-        for r in 0..3 {
-            labeler.push_row(tall.row_words(r));
-        }
-        labeler.finish();
-        let run: Vec<RetiredComponent> = labeler.drain_retired().collect();
-        assert_eq!(run.len(), 1, "8-conn staircase is one component");
-        assert_eq!(run[0].area, 3);
-        assert_eq!(labeler.stats().rows, 3);
+        let run = labeler
+            .label_source(&mut BitmapRows::new(&tall), Connectivity::Eight)
+            .unwrap();
+        assert_eq!(run.components.len(), 1, "8-conn staircase is one component");
+        assert_eq!(run.components[0].area, 3);
+        assert_eq!((run.stats.rows, run.stats.cols), (3, 3));
     }
 
     #[test]
     fn slab_slots_are_recycled_across_generations() {
         // Alternating full/empty rows churn components every other row; the
         // slab must recycle slots instead of growing per generation.
-        let cols = 32usize;
-        let full = vec![u32::MAX as u64; 1]; // 32 ones in a 64-bit word
-        let empty = vec![0u64; 1];
-        let mut labeler = StreamLabeler::new(cols, Connectivity::Four);
-        for _ in 0..100 {
-            labeler.push_row(&full);
-            labeler.push_row(&empty);
-            labeler.drain_retired();
+        let mut img = Bitmap::new(200, 32);
+        for r in (0..200).step_by(2) {
+            for c in 0..32 {
+                img.set(r, c, true);
+            }
         }
-        let stats = labeler.finish();
-        assert_eq!(stats.retired, 100);
-        assert!(
-            stats.peak_nodes <= 2,
-            "peak {} slots for one live component",
-            stats.peak_nodes
-        );
+        for band_rows in [1usize, 3, STREAM_BAND_ROWS] {
+            let stats = label_out_of_core_rows(&img, band_rows).stats;
+            assert_eq!(stats.retired, 100);
+            assert!(
+                stats.peak_live_slots <= 2,
+                "peak {} slots for one live component at band {band_rows}",
+                stats.peak_live_slots
+            );
+        }
     }
 }

@@ -333,10 +333,27 @@ proptest! {
         band_rows in 1usize..9,
         tiles_x in 1usize..4,
     ) {
-        // Banded relabeling with carried seam state must retire exactly the
-        // record set of the row-at-a-time streaming engine.
-        let want = label_stream(&mut BitmapRows::new(&bm), conn).unwrap();
+        // Banded relabeling with carried seam state must retire the fast
+        // engine's components (label, area, bounding box) at any band
+        // shape, with records identical to the default streaming band's.
         let got = label_out_of_core(&mut BitmapRows::new(&bm), conn, band_rows, tiles_x).unwrap();
+        let mut seen: Vec<(u64, u64, [u32; 4])> = got
+            .components
+            .iter()
+            .map(|c| (c.label(bm.rows()), c.area, [c.min_row, c.max_row, c.min_col, c.max_col]))
+            .collect();
+        seen.sort_unstable();
+        let mut fast: Vec<(u64, u64, [u32; 4])> = fast_labels_conn(&bm, conn)
+            .component_stats()
+            .iter()
+            .map(|s| {
+                let bbox = [s.min_row, s.max_row, s.min_col, s.max_col].map(|v| v as u32);
+                (u64::from(s.label), s.pixels as u64, bbox)
+            })
+            .collect();
+        fast.sort_unstable();
+        prop_assert_eq!(seen, fast);
+        let want = label_stream(&mut BitmapRows::new(&bm), conn).unwrap();
         let mut a = want.components;
         let mut b = got.components;
         a.sort_unstable();

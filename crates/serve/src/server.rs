@@ -20,10 +20,11 @@
 //!   job: dimension caps, `rows × cols` overflow, pixel budget.
 //! * **Response modes**: a protocol-v2 hello negotiates `grid` (v1 label
 //!   grids, the default — v1 clients never send a hello and are served
-//!   unchanged) or `stream` (retired-component feature records). Stream
-//!   jobs above `max_pixels` are not rejected: they route through the
-//!   out-of-core band scheduler at `O(cols + live)` carried state, with
-//!   `max_stream_pixels` as the hard cap.
+//!   unchanged) or `stream` (retired-component feature records). Every
+//!   stream job runs on the worker's warm out-of-core band scheduler at
+//!   `O(cols + live)` carried state, so stream jobs above `max_pixels` are
+//!   not rejected (they are counted as out-of-core); `max_stream_pixels` is
+//!   the hard cap.
 //! * **Backpressure** is the bounded queue — when it is full the client
 //!   gets a typed `queue-full` rejection immediately; the server never
 //!   buffers unbounded work.
@@ -43,11 +44,10 @@ use crate::poll::{poll_fds, set_nonblocking, PollFd, POLLERR, POLLHUP, POLLIN, P
 use crate::protocol::{self, ResponseMode, WireError};
 use crate::queue::{BoundedQueue, PushRejection};
 use crate::wire::PrefixParser;
-use slap_cc::stream::label_stream;
 use slap_cc::{Connectivity, EngineKind, LabelEngine};
 use slap_image::pbm::{PbmError, PbmRowReader, MAX_FRAME_BYTES};
 use slap_image::stream::RowSource;
-use slap_image::{Bitmap, LabelGrid, OutOfCoreLabeler, RetiredComponent};
+use slap_image::{Bitmap, LabelGrid, OutOfCoreLabeler, RetiredComponent, STREAM_BAND_ROWS};
 use std::io::{self, PipeReader, PipeWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -83,8 +83,9 @@ pub struct ServeConfig {
     pub max_pixels: u64,
     /// Hard pixel cap for stream-mode jobs (the out-of-core path).
     pub max_stream_pixels: u64,
-    /// Rows per band for the out-of-core scheduler (clamped so a band
-    /// never exceeds the `u32` position space at `max_dim` width).
+    /// Rows per band for the out-of-core scheduler that runs every stream
+    /// job (clamped so a band never exceeds the `u32` position space at
+    /// `max_dim` width).
     pub ooc_band_rows: usize,
     /// Wall-clock budget per job, from admission to response.
     pub deadline: Duration,
@@ -109,7 +110,7 @@ impl Default for ServeConfig {
             max_dim: 1 << 15,
             max_pixels: 1 << 26,
             max_stream_pixels: 1 << 30,
-            ooc_band_rows: 128,
+            ooc_band_rows: STREAM_BAND_ROWS,
             deadline: Duration::from_secs(5),
             io_timeout: Duration::from_secs(5),
             parallel_threshold_pixels: 1 << 21,
@@ -181,12 +182,11 @@ stats_fields! {
     /// Stream-mode jobs answered with feature records (a subset of
     /// `jobs_ok`).
     jobs_streamed,
-    /// Stream-mode jobs routed through the out-of-core band scheduler
-    /// because they exceeded `max_pixels` (a subset of `jobs_streamed`).
+    /// Stream-mode jobs above `max_pixels`, which only the out-of-core band
+    /// scheduler could serve (a subset of `jobs_streamed`).
     jobs_ooc,
-    /// High-water mark of per-job carried state on the streaming paths
-    /// (frontier runs for in-core streams, carried boundary runs
-    /// out-of-core) — the measurable `O(cols + live)` claim.
+    /// High-water mark of per-job carried state on the stream path (runs
+    /// of one band-boundary row) — the measurable `O(cols + live)` claim.
     peak_carried_runs,
     /// `bad-frame` rejections (parse failures, garbage, truncation).
     bad_frame,
@@ -261,8 +261,7 @@ enum Payload {
         /// The complete frame body (PBM header + raster), parsed row by
         /// row on the worker.
         body: Vec<u8>,
-        /// Route through the out-of-core band scheduler (the frame is
-        /// above `max_pixels`).
+        /// The frame is above `max_pixels`: counted in `jobs_ooc`.
         ooc: bool,
     },
 }
@@ -1125,9 +1124,9 @@ fn install_quiet_panic_hook() {
 }
 
 /// A worker's warm engine pool: fast and parallel whole-grid sessions
-/// routed by job size, plus the out-of-core band scheduler session for
-/// oversize stream jobs (the `OocSession` pool — one warm labeler per
-/// worker, band buffers reused across jobs).
+/// routed by job size, plus the out-of-core band scheduler session that
+/// runs every stream job (one warm labeler per worker, band buffers reused
+/// across jobs).
 struct Engines {
     fast: Box<dyn LabelEngine>,
     parallel: Box<dyn LabelEngine>,
@@ -1165,24 +1164,19 @@ impl Engines {
         (stats.components, self.grid.as_slice().to_vec())
     }
 
-    /// Labels a stream job straight from its buffered frame body, never
-    /// materializing the pixels: `label_stream` for in-core sizes, the
-    /// out-of-core band scheduler above `max_pixels`. Returns the records
-    /// plus the job's peak carried state (frontier or boundary runs).
+    /// Labels a stream job straight from its buffered frame body on the
+    /// worker's warm out-of-core band labeler, never materializing the
+    /// pixels. Returns the records plus the job's peak carried boundary
+    /// runs.
     fn run_stream(
         &mut self,
         cfg: &ServeConfig,
         body: &[u8],
-        ooc: bool,
     ) -> io::Result<(Vec<RetiredComponent>, u64)> {
-        let mut rd = PbmRowReader::new(body)?;
-        if ooc {
-            let run = self.ooc.label_source(&mut rd, cfg.conn)?;
-            Ok((run.components, run.stats.peak_carried_runs as u64))
-        } else {
-            let run = label_stream(&mut rd, cfg.conn)?;
-            Ok((run.components, run.stats.peak_frontier_runs as u64))
-        }
+        let run = self
+            .ooc
+            .label_source(&mut PbmRowReader::new(body)?, cfg.conn)?;
+        Ok((run.components, run.stats.peak_carried_runs as u64))
     }
 }
 
@@ -1206,7 +1200,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                     let (components, labels) = engines.run(cfg, img);
                     Outcome::Labeled { components, labels }
                 }
-                Payload::Stream { body, ooc } => match engines.run_stream(cfg, body, *ooc) {
+                Payload::Stream { body, ooc } => match engines.run_stream(cfg, body) {
                     Ok((records, peak)) => {
                         shared
                             .stats

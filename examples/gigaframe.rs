@@ -12,11 +12,11 @@
 //! Arguments: `[rows] [cols]` (defaults: `16384 1024`). The frame is a
 //! lattice of 4×4 squares at pitch 8, so the expected component count is
 //! exactly `(rows/8) × (cols/8)` — an analytic ground truth that needs no
-//! in-memory reference — and the example additionally cross-checks the
-//! retired records against the row-at-a-time streaming engine reading the
-//! same file (also bounded memory, independently implemented).
+//! in-memory reference. Every retired record is checked against it field by
+//! field: one square per lattice cell, with its area, bounding box,
+//! perimeter, centroid sums and minimum position.
 
-use slap_repro::image::{label_out_of_core, label_stream, pbm, Connectivity};
+use slap_repro::image::{label_out_of_core, pbm, Connectivity, RetiredComponent};
 use std::io::{BufWriter, Write};
 use std::time::Instant;
 
@@ -91,31 +91,54 @@ fn main() {
         s.peak_carried_runs, s.peak_live_slots, s.peak_band_runs, s.pixels
     );
 
-    // Analytic ground truth: one component per lattice cell.
+    // Analytic ground truth: one component per lattice cell, each record
+    // exactly the square whose top-left pixel is its minimum position.
     let expected = (rows / PITCH) as u64 * (cols / PITCH) as u64;
     assert_eq!(s.retired, expected, "lattice component count");
-    assert!(
-        run.components
-            .iter()
-            .all(|rec| rec.area == (SIDE * SIDE) as u64),
-        "every square has area {}",
-        SIDE * SIDE
-    );
-    // Independent cross-check: the streaming engine reads the same file.
-    let file = std::fs::File::open(&path).expect("reopen frame");
-    let mut reader = pbm::PbmRowReader::new(file).expect("PBM header");
-    let stream = label_stream(&mut reader, Connectivity::Four).expect("stream frame");
-    let mut a: Vec<_> = run.components;
-    let mut b: Vec<_> = stream.components;
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(
-        a, b,
-        "record-for-record agreement with the streaming engine"
-    );
+    let mut cells: Vec<(u32, u32)> = run
+        .components
+        .iter()
+        .map(|rec| {
+            let (col, row) = (rec.min_pos_col, rec.min_pos_row);
+            assert!(
+                (col as usize).is_multiple_of(PITCH) && (row as usize).is_multiple_of(PITCH),
+                "{rec:?} is off the lattice"
+            );
+            assert_eq!(
+                *rec,
+                square(row, col),
+                "record of the square at ({row}, {col})"
+            );
+            (col, row)
+        })
+        .collect();
+    cells.sort_unstable();
+    cells.dedup();
+    assert_eq!(cells.len() as u64, expected, "one record per lattice cell");
     println!(
-        "verified: {expected} components match the lattice formula and the \
-         streaming engine record for record"
+        "verified: {expected} components match the lattice formula record for \
+         record"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// The exact record of the `SIDE × SIDE` square with top-left pixel
+/// `(row, col)`.
+fn square(row: u32, col: u32) -> RetiredComponent {
+    let side = SIDE as u32;
+    let area = u64::from(side * side);
+    // Sum of `side` consecutive indices starting at `first`, times `side`.
+    let sum = |first: u32| u64::from(side) * u64::from(side * first + side * (side - 1) / 2);
+    RetiredComponent {
+        min_pos_col: col,
+        min_pos_row: row,
+        area,
+        min_row: row,
+        max_row: row + side - 1,
+        min_col: col,
+        max_col: col + side - 1,
+        sum_row: sum(row),
+        sum_col: sum(col),
+        perimeter: 4 * u64::from(side),
+    }
 }

@@ -1,7 +1,7 @@
 //! Streaming labeling over piped PBM: serialize a workload to raw PBM
-//! bytes, then label it back **one row at a time** through the streaming
-//! engine — the image is never rebuilt in memory, exactly as if the bytes
-//! arrived over a pipe:
+//! bytes, then label it back **row by row** through the streaming engine,
+//! one band of rows resident at a time — the image is never rebuilt in
+//! memory, exactly as if the bytes arrived over a pipe:
 //!
 //! ```text
 //! cargo run --release --example stream_label
@@ -10,11 +10,14 @@
 //! ```
 //!
 //! Arguments: `[workload] [n]` (defaults: `blobs 512`). The example prints
-//! the retirement trace — which components finished at which row — plus the
-//! peak frontier footprint, and cross-checks the retired areas against the
-//! whole-frame fast engine.
+//! the first retirements as the labeler's sink receives them — band by
+//! band, long before the last row arrives — plus the carried-state peaks,
+//! and cross-checks every retired label and area against the whole-frame
+//! fast engine.
 
-use slap_repro::image::{fast_labels_conn, gen, pbm, Connectivity, RowSource, StreamLabeler};
+use slap_repro::image::{
+    fast_labels_conn, gen, pbm, Connectivity, OutOfCoreLabeler, STREAM_BAND_ROWS,
+};
 use std::time::Instant;
 
 fn main() {
@@ -41,54 +44,60 @@ fn main() {
     );
 
     // Consume the bytes incrementally: the reader hands over one packed row
-    // per call, the labeler retires components as soon as they disconnect.
+    // per call, the labeler reads a band of rows at a time and hands each
+    // component to the sink as soon as a band no longer touches it.
     let mut reader = pbm::PbmRowReader::new(&pbm_bytes[..]).expect("PBM header");
-    let mut labeler = StreamLabeler::new(reader.cols(), Connectivity::Four);
-    let mut words = Vec::new();
-    let mut retired_total = 0u64;
+    let rows = reader.rows();
+    let mut labeler = OutOfCoreLabeler::new(STREAM_BAND_ROWS, 1);
+    let mut retired = Vec::new();
     let t0 = Instant::now();
-    while reader.next_row(&mut words).expect("PBM row") {
-        labeler.push_row(&words);
-        let row = labeler.stats().rows;
-        for rec in labeler.drain_retired() {
-            retired_total += 1;
-            if retired_total <= 8 {
+    let stats = labeler
+        .label_source_with(&mut reader, Connectivity::Four, |rec| {
+            if retired.len() < 8 {
                 println!(
-                    "  row {:4}: retired label {:7}  {:6} px  bbox {}x{}",
-                    row,
-                    rec.label(reader.rows()),
+                    "  rows {:4}..={:<4}: retired label {:7}  {:6} px  bbox {}x{}",
+                    rec.min_row,
+                    rec.max_row,
+                    rec.label(rows),
                     rec.area,
                     rec.height(),
                     rec.width()
                 );
             }
-        }
-    }
-    let stats = labeler.finish();
-    retired_total += labeler.drain_retired().count() as u64;
+            retired.push((rec.label(rows), rec.area));
+        })
+        .expect("PBM row");
     let elapsed = t0.elapsed();
-    if retired_total > 8 {
-        println!("  ... and {} more", retired_total - 8);
+    if retired.len() > 8 {
+        println!("  ... and {} more", retired.len() - 8);
     }
 
     println!(
         "\n{} component(s) from {} rows in {:.3} ms ({:.0} rows/s)",
-        retired_total,
+        stats.retired,
         stats.rows,
         elapsed.as_secs_f64() * 1e3,
         stats.rows as f64 / elapsed.as_secs_f64().max(1e-9)
     );
     println!(
-        "peak memory: {} frontier run(s) + {} union-find slot(s) — O(cols), \
-         independent of the {} rows",
-        stats.peak_frontier_runs, stats.peak_nodes, stats.rows
+        "peak memory: one band of {} rows + {} carried run(s) + {} union-find \
+         slot(s) — O(cols), independent of the {} rows",
+        stats.band_rows, stats.peak_carried_runs, stats.peak_live_slots, stats.rows
     );
 
-    // The retired set must match the whole-frame engine exactly.
+    // The retired set must match the whole-frame engine exactly: the same
+    // paper labels with the same areas.
     let reference = fast_labels_conn(&img, Connectivity::Four);
-    assert_eq!(retired_total as usize, reference.component_count());
+    let mut want: Vec<(u64, u64)> = reference
+        .component_stats()
+        .iter()
+        .map(|c| (u64::from(c.label), c.pixels as u64))
+        .collect();
+    want.sort_unstable();
+    retired.sort_unstable();
+    assert_eq!(retired, want, "records must match the fast engine");
     println!(
-        "cross-check: component count matches the whole-frame fast engine ({})",
-        reference.component_count()
+        "cross-check: all {} labels and areas match the whole-frame fast engine",
+        want.len()
     );
 }

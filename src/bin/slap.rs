@@ -49,8 +49,8 @@ use slap_repro::cc::spacetime::left_pass_trace;
 use slap_repro::cc::{label_components_kind, label_components_runs, CcOptions};
 use slap_repro::hypercube::sv_labels_conn;
 use slap_repro::image::{
-    gen, label_out_of_core, pbm, Bitmap, Connectivity, LabelGrid, RetiredComponent, RowSource,
-    StreamLabeler,
+    gen, label_out_of_core, pbm, Bitmap, Connectivity, LabelGrid, OutOfCoreLabeler,
+    RetiredComponent, STREAM_BAND_ROWS,
 };
 use slap_repro::machine::render_gantt;
 use slap_repro::serve::{Client, ClientError, RetryPolicy, ServeConfig, Server};
@@ -711,13 +711,12 @@ fn ooc_report(rest: &[&str], conn: Connectivity, band_rows: usize, tiles_x: usiz
 
 /// `stream --framed`: consumes a length-prefixed multi-image P4 stream
 /// ([`pbm::FramedPbmReader`]), relabeling frame after frame through **one**
-/// warm [`StreamLabeler`] session (arenas reused across frames, dimensions
+/// warm streaming band labeler (arenas reused across frames, dimensions
 /// free to change) — the video-style continuous-ingest mode.
 fn framed_stream_report(rest: &[&str], conn: Connectivity) {
     fn run<R: Read>(r: R, conn: Connectivity, what: &str) {
         let mut frames = pbm::FramedPbmReader::new(r);
-        let mut labeler = StreamLabeler::new(0, conn);
-        let mut words = Vec::new();
+        let mut labeler = OutOfCoreLabeler::new(STREAM_BAND_ROWS, 1);
         let mut index = 0u64;
         let t0 = std::time::Instant::now();
         loop {
@@ -727,25 +726,19 @@ fn framed_stream_report(rest: &[&str], conn: Connectivity) {
                 Err(e) => die(&format!("read {what}: {e}")),
             };
             index += 1;
-            labeler.reset(frame.cols(), conn);
-            loop {
-                match frame.next_row(&mut words) {
-                    Ok(true) => labeler.push_row(&words),
-                    Ok(false) => break,
-                    Err(e) => die(&format!("read {what} frame {index}: {e}")),
-                }
-            }
-            let stats = labeler.finish();
-            let components = labeler.drain_retired().count();
+            let mut components = 0u64;
+            let stats = labeler
+                .label_source_with(&mut frame, conn, |_| components += 1)
+                .unwrap_or_else(|e| die(&format!("read {what} frame {index}: {e}")));
             println!(
-                "frame {index}: {}x{}, {} component(s), {} px, peak frontier {} run(s)",
-                stats.rows, stats.cols, components, stats.pixels, stats.peak_frontier_runs,
+                "frame {index}: {}x{}, {components} component(s), {} px, peak carried {} run(s)",
+                stats.rows, stats.cols, stats.pixels, stats.peak_carried_runs,
             );
         }
         let elapsed = t0.elapsed();
         println!(
             "{index} frame(s) under {conn} in {:.3} ms (one warm stream session, \
-             O(cols + live) memory)",
+             O(cols + live) carried state)",
             elapsed.as_secs_f64() * 1e3
         );
     }
@@ -758,10 +751,10 @@ fn framed_stream_report(rest: &[&str], conn: Connectivity) {
     }
 }
 
-/// `stream`: labels a PBM row by row — the image is never materialized and
-/// retired components are drained per row into a bounded preview, so
-/// arbitrarily tall or component-dense files and pipes really do run in
-/// `O(cols + live components)` memory.
+/// `stream`: labels a PBM a band of rows at a time — the image is never
+/// materialized and retired components go straight from the labeler's sink
+/// into a bounded preview, so arbitrarily tall or component-dense files and
+/// pipes really do run in `O(band × cols + live components)` memory.
 fn stream_report(rest: &[&str], conn: Connectivity) {
     /// Components listed in the report table.
     const LISTED: usize = 32;
@@ -771,35 +764,21 @@ fn stream_report(rest: &[&str], conn: Connectivity) {
         let mut reader =
             pbm::PbmRowReader::new(r).unwrap_or_else(|e| die(&format!("parse {what}: {e}")));
         let rows = reader.rows();
-        let mut labeler = StreamLabeler::new(reader.cols(), conn);
-        let mut words = Vec::new();
         let mut total: u64 = 0;
         // The LISTED smallest records by label order; trimmed whenever the
         // buffer doubles, so memory never scales with the component count.
         let mut preview: Vec<RetiredComponent> = Vec::new();
         let t0 = std::time::Instant::now();
-        loop {
-            match reader.next_row(&mut words) {
-                Ok(true) => {
-                    labeler.push_row(&words);
-                    for rec in labeler.drain_retired() {
-                        total += 1;
-                        preview.push(rec);
-                    }
-                    if preview.len() > 2 * LISTED {
-                        preview.sort_unstable();
-                        preview.truncate(LISTED);
-                    }
+        let stats = OutOfCoreLabeler::new(STREAM_BAND_ROWS, 1)
+            .label_source_with(&mut reader, conn, |rec| {
+                total += 1;
+                preview.push(rec);
+                if preview.len() > 2 * LISTED {
+                    preview.sort_unstable();
+                    preview.truncate(LISTED);
                 }
-                Ok(false) => break,
-                Err(e) => die(&format!("read {what}: {e}")),
-            }
-        }
-        let stats = labeler.finish();
-        for rec in labeler.drain_retired() {
-            total += 1;
-            preview.push(rec);
-        }
+            })
+            .unwrap_or_else(|e| die(&format!("read {what}: {e}")));
         let elapsed = t0.elapsed();
         println!(
             "{}x{} image, {:.1}% foreground, {total} component(s) under {conn}",
@@ -808,10 +787,12 @@ fn stream_report(rest: &[&str], conn: Connectivity) {
             100.0 * stats.pixels as f64 / (stats.rows as f64 * stats.cols as f64).max(1.0),
         );
         println!(
-            "stream engine: peak frontier {} run(s), {} live node(s); \
-             {} rows in {:.3} ms ({:.0} rows/s)",
-            stats.peak_frontier_runs,
-            stats.peak_nodes,
+            "stream engine: {} band(s) of {} row(s), peak frontier {} run(s), \
+             {} live node(s); {} rows in {:.3} ms ({:.0} rows/s)",
+            stats.bands,
+            stats.band_rows,
+            stats.peak_carried_runs,
+            stats.peak_live_slots,
             stats.rows,
             elapsed.as_secs_f64() * 1e3,
             stats.rows as f64 / elapsed.as_secs_f64().max(1e-9),
