@@ -123,8 +123,8 @@ impl RetiredComponent {
     }
 
     /// The contribution of one run — row `row`, columns `a..=b` — with
-    /// `perimeter` of its pixel edges exposed: the unit the streaming and
-    /// out-of-core folds absorb into a component's record.
+    /// `perimeter` of its pixel edges exposed: the unit the out-of-core band
+    /// fold absorbs into a component's record.
     pub(crate) fn run(row: u32, a: u32, b: u32, perimeter: u64) -> Self {
         let len = u64::from(b - a + 1);
         RetiredComponent {
