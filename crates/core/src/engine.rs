@@ -350,8 +350,8 @@ pub enum MemoryClass {
     PixelGrid,
     /// `O(runs)` arenas over the run universe.
     RunArena,
-    /// `O(cols + live components)` union–find; `O(runs)` only for the
-    /// grid-output log.
+    /// One band plus an `O(cols + live components)` union–find; the
+    /// grid-output session adds an `O(runs)` log and a slot per component.
     BoundedFrontier,
 }
 
