@@ -404,6 +404,12 @@ mod tests {
         run.components
     }
 
+    /// One 4-connectivity pass through a fresh band labeler.
+    fn banded(img: &Bitmap, band_rows: usize) -> crate::fast::OocRun {
+        crate::fast::label_out_of_core(&mut BitmapRows::new(img), Connectivity::Four, band_rows, 1)
+            .unwrap()
+    }
+
     /// Sorted records of one pass through a (possibly reused) band labeler.
     fn band_sorted(
         labeler: &mut OutOfCoreLabeler,
@@ -618,18 +624,12 @@ mod tests {
         // hold four slots until the bar merges them into one component,
         // which retires once, at the end of the frame.
         let img = Bitmap::from_art("#.#.#.#.\n########\n");
-        let run = label_out_of_core_rows(&img, 1);
+        let run = banded(&img, 1);
         assert_eq!(run.stats.peak_live_slots, 4);
         assert_eq!(run.stats.retired, 1);
         assert_eq!(run.components[0].area, 12);
         // In one band the dots never take a slot of their own.
-        assert_eq!(label_out_of_core_rows(&img, 2).stats.peak_live_slots, 1);
-    }
-
-    fn label_out_of_core_rows(img: &Bitmap, band_rows: usize) -> crate::fast::OocRun {
-        OutOfCoreLabeler::new(band_rows, 1)
-            .label_source(&mut BitmapRows::new(img), Connectivity::Four)
-            .unwrap()
+        assert_eq!(banded(&img, 2).stats.peak_live_slots, 1);
     }
 
     #[test]
@@ -712,7 +712,7 @@ mod tests {
             }
         }
         for band_rows in [1usize, 3, STREAM_BAND_ROWS] {
-            let stats = label_out_of_core_rows(&img, band_rows).stats;
+            let stats = banded(&img, band_rows).stats;
             assert_eq!(stats.retired, 100);
             assert!(
                 stats.peak_live_slots <= 2,
