@@ -6,7 +6,8 @@
 //! [`STREAM_BAND_ROWS`] rows per band, one tile column — the configuration
 //! [`label_stream`] runs), handing every record to a sink, and records
 //! best/mean wall-clock, rows per second, and the observed memory peaks
-//! (`peak_frontier_runs`, `peak_nodes`, from [`label_stream`]'s statistics).
+//! (`peak_frontier_runs`, and `peak_live_slots` under the counter name
+//! `peak_nodes`, from [`label_stream`]'s statistics).
 //! Before timing, the retired feature multiset is checked against the
 //! whole-frame reference ([`slap_cc::features::component_features`] over
 //! [`slap_image::fast_labels_conn`] labels) and recorded as
@@ -62,7 +63,7 @@ pub fn run(quick: bool, progress: &mut dyn FnMut(&str)) -> Report {
                 ((n as u128 * 1_000_000_000) / times.0.max(1) as u128) as u64,
             )
             .count(COUNTERS[1], stats.peak_frontier_runs as u64)
-            .count(COUNTERS[2], stats.peak_nodes as u64);
+            .count(COUNTERS[2], stats.peak_live_slots as u64);
         progress(&e.line());
         entries.push(e);
     });

@@ -16,7 +16,7 @@
 use crate::record::{Bound, Cmp, Cover, Entry, Gate, Op, Ratio, Report, Rhs, Sel, Spec, TIMED};
 use crate::sweep;
 use slap_cc::engine::EngineKind;
-use slap_image::{label_out_of_core, BitmapRows, LabelGrid};
+use slap_image::{BitmapRows, LabelGrid, OutOfCoreLabeler};
 
 /// Grids timed at every point: `(tiles_y, tiles_x, threads, config)`. The
 /// 2-D shapes run at 4 threads; the `T × 1` strips at `T` threads.
@@ -80,7 +80,8 @@ pub fn run(quick: bool, progress: &mut dyn FnMut(&str)) -> Report {
         // correctness = the retired label set equals the whole-frame
         // component labels.
         let band_rows = (n / 4).max(1);
-        let run = label_out_of_core(&mut BitmapRows::new(img), conn, band_rows, OOC_TILES_X)
+        let run = OutOfCoreLabeler::new(band_rows, OOC_TILES_X)
+            .label_source(&mut BitmapRows::new(img), conn)
             .expect("in-memory rows cannot fail");
         let mut retired: Vec<u64> = run
             .components
@@ -96,7 +97,9 @@ pub fn run(quick: bool, progress: &mut dyn FnMut(&str)) -> Report {
         want.sort_unstable();
         let times = sweep::time_reps(reps, || {
             let mut rows = BitmapRows::new(std::hint::black_box(img));
-            label_out_of_core(&mut rows, conn, band_rows, OOC_TILES_X).unwrap();
+            OutOfCoreLabeler::new(band_rows, OOC_TILES_X)
+                .label_source(&mut rows, conn)
+                .unwrap();
         });
         push(
             Entry::at(p, OOC.0, OOC.1, OOC_TILES_X)

@@ -26,11 +26,10 @@
 //!   `engine_matrix` differential harness asserts across every registered
 //!   engine × workload family × connectivity.
 //! * [`EngineKind`] + [`registry`] — the dispatch layer: every engine
-//!   enumerated with its capabilities (supported connectivities, thread
-//!   scaling, memory class), so consumers — the `slap` CLI's `--engine`
-//!   flag, the bench sweeps, the differential suites — pick engines from
-//!   *data* instead of hand-rolled match arms, the adaptive-selection shape
-//!   argued for by Sutton et al. (arXiv:1612.01178).
+//!   enumerated with the capabilities its consumers read (thread scaling,
+//!   row-incremental input), so the `slap` CLI's `--engine` flag, the bench
+//!   sweeps and the differential suites pick engines from *data* instead of
+//!   hand-rolled match arms. Every engine supports both connectivities.
 
 use slap_image::fast::{FastLabeler, PropagateLabeler, TiledLabeler};
 use slap_image::stream::StreamGridLabeler;
@@ -51,9 +50,6 @@ pub struct EngineStats {
     /// Peak active-run frontier observed (streaming engine only; `0` for
     /// whole-frame engines).
     pub peak_frontier_runs: usize,
-    /// Peak carried band-boundary state observed (out-of-core band
-    /// scheduling only; `0` for single-pass engines).
-    pub peak_carried_runs: usize,
     /// Coarse word × 2-row tile classification counts from the block-based
     /// first pass (run-based engines only; all-zero for the pixel-probing
     /// oracle, which scans no tiles, and for the streaming engine, which does
@@ -127,13 +123,8 @@ impl LabelEngine for BfsSession {
         let components = self.oracle.label_into(img, conn, out);
         EngineStats {
             components,
-            runs: 0,
             threads: 1,
-            peak_frontier_runs: 0,
-            peak_carried_runs: 0,
-            tiles: TileStats::default(),
-            iterations: 0,
-            reduction_passes: 0,
+            ..EngineStats::default()
         }
     }
 
@@ -167,11 +158,8 @@ impl LabelEngine for FastSession {
             components: self.labeler.last_components(),
             runs: self.labeler.last_runs(),
             threads: 1,
-            peak_frontier_runs: 0,
-            peak_carried_runs: 0,
             tiles: self.labeler.last_tile_stats(),
-            iterations: 0,
-            reduction_passes: 0,
+            ..EngineStats::default()
         }
     }
 
@@ -216,11 +204,8 @@ impl LabelEngine for TiledSession {
             components: self.labeler.last_components(),
             runs: self.labeler.last_runs(),
             threads: self.labeler.threads(),
-            peak_frontier_runs: 0,
-            peak_carried_runs: 0,
             tiles: self.labeler.last_tile_stats(),
-            iterations: 0,
-            reduction_passes: 0,
+            ..EngineStats::default()
         }
     }
 
@@ -263,10 +248,7 @@ impl LabelEngine for StreamSession {
             runs: self.labeler.last_runs(),
             threads: 1,
             peak_frontier_runs: self.labeler.last_stats().peak_frontier_runs,
-            peak_carried_runs: 0,
-            tiles: TileStats::default(),
-            iterations: 0,
-            reduction_passes: 0,
+            ..EngineStats::default()
         }
     }
 
@@ -304,11 +286,9 @@ impl LabelEngine for PropagateSession {
             components: self.labeler.last_components(),
             runs: self.labeler.last_runs(),
             threads: 1,
-            peak_frontier_runs: 0,
-            peak_carried_runs: 0,
-            tiles: TileStats::default(),
             iterations: self.labeler.last_iterations(),
             reduction_passes: self.labeler.last_reduction_passes(),
+            ..EngineStats::default()
         }
     }
 
@@ -340,19 +320,6 @@ pub enum EngineKind {
     /// Iterative label-equivalence propagation (GPU-style relaxation rounds
     /// with pointer-jumping reduction).
     Propagate,
-}
-
-/// How an engine's working memory scales (the grid output is always
-/// `O(rows × cols)` on top).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum MemoryClass {
-    /// `O(rows × cols)` auxiliary state (per-pixel probing).
-    PixelGrid,
-    /// `O(runs)` arenas over the run universe.
-    RunArena,
-    /// One band plus an `O(cols + live components)` union–find; the
-    /// grid-output session adds an `O(runs)` log and a slot per component.
-    BoundedFrontier,
 }
 
 impl EngineKind {
@@ -436,13 +403,8 @@ pub struct EngineInfo {
     pub kind: EngineKind,
     /// One-line description for `--engine` help and docs.
     pub description: &'static str,
-    /// Adjacency conventions the engine supports (every registered engine
-    /// supports both; the field exists so a future engine may register less).
-    pub connectivities: &'static [Connectivity],
     /// Whether the engine scales with a `threads` parameter.
     pub multithreaded: bool,
-    /// Auxiliary-memory scaling class.
-    pub memory: MemoryClass,
     /// Whether the underlying algorithm consumes rows incrementally (and so
     /// also powers `slap stream` / unbounded ingest).
     pub streaming: bool,
@@ -456,25 +418,19 @@ const REGISTRY_ROWS: [EngineInfo; 6] = [
     EngineInfo {
         kind: EngineKind::Bfs,
         description: "sequential BFS flood fill — the gold reference oracle",
-        connectivities: &[Connectivity::Four, Connectivity::Eight],
         multithreaded: false,
-        memory: MemoryClass::PixelGrid,
         streaming: false,
     },
     EngineInfo {
         kind: EngineKind::Fast,
         description: "word-parallel run-based two-pass — the sequential hot path",
-        connectivities: &[Connectivity::Four, Connectivity::Eight],
         multithreaded: false,
-        memory: MemoryClass::RunArena,
         streaming: false,
     },
     EngineInfo {
         kind: EngineKind::Parallel,
         description: "tiled two-pass on threads × 1 full-width strips — scales with cores",
-        connectivities: &[Connectivity::Four, Connectivity::Eight],
         multithreaded: true,
-        memory: MemoryClass::RunArena,
         streaming: false,
     },
     EngineInfo {
@@ -483,25 +439,19 @@ const REGISTRY_ROWS: [EngineInfo; 6] = [
             tiles_y: 2,
         },
         description: "2-D tiled two-pass with hierarchical seam merging — perimeter-bounded seams",
-        connectivities: &[Connectivity::Four, Connectivity::Eight],
         multithreaded: true,
-        memory: MemoryClass::RunArena,
         streaming: false,
     },
     EngineInfo {
         kind: EngineKind::Stream,
         description: "streaming scan-line labeler — O(cols + live) frontier, band-at-a-time input",
-        connectivities: &[Connectivity::Four, Connectivity::Eight],
         multithreaded: false,
-        memory: MemoryClass::BoundedFrontier,
         streaming: true,
     },
     EngineInfo {
         kind: EngineKind::Propagate,
         description: "iterative label-equivalence propagation — GPU-style relaxation rounds",
-        connectivities: &[Connectivity::Four, Connectivity::Eight],
         multithreaded: false,
-        memory: MemoryClass::RunArena,
         streaming: false,
     },
 ];
@@ -528,7 +478,6 @@ mod tests {
             assert_eq!(kind.info().kind, kind);
             assert_eq!(EngineKind::parse(kind.name()), Some(kind));
             assert!(!row.description.is_empty());
-            assert!(!row.connectivities.is_empty());
         }
         assert_eq!(EngineKind::parse("oracle"), None);
     }
@@ -539,7 +488,7 @@ mod tests {
         for info in registry() {
             let mut session = info.kind.session(3);
             let mut grid = LabelGrid::new_background(1, 1);
-            for &conn in info.connectivities {
+            for conn in [Connectivity::Four, Connectivity::Eight] {
                 let truth = bfs_labels_conn(&img, conn);
                 let stats = session.label_into(&img, conn, &mut grid);
                 assert_eq!(grid, truth, "{} {conn}", info.kind);

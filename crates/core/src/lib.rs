@@ -75,7 +75,7 @@ pub use cc::{
 };
 pub use engine::{
     registry, BfsSession, EngineInfo, EngineKind, EngineStats, FastSession, LabelEngine,
-    MemoryClass, PropagateSession, StreamSession, TiledSession,
+    PropagateSession, StreamSession, TiledSession,
 };
 pub use runs::label_components_runs;
 pub use slap_image::fast;

@@ -53,7 +53,7 @@ mod parallel;
 pub mod propagate;
 pub mod tiled;
 
-pub use ooc::{label_out_of_core, OocRun, OocStats, OutOfCoreLabeler};
+pub use ooc::{OocRun, OocStats, OutOfCoreLabeler};
 pub use propagate::{propagate_labels, propagate_labels_conn, PropagateLabeler};
 pub use tiled::{tiled_labels, tiled_labels_conn, SeamLevel, TiledLabeler};
 
@@ -138,7 +138,8 @@ pub struct FastLabeler {
     /// Scratch words for the 8-connectivity merge: `row[r] & dilate(row[r-1])`.
     and_buf: Vec<u64>,
     /// Masked copies of the current/previous row's words restricted to a
-    /// column window — scratch for [`FastLabeler::build_runs_window`].
+    /// narrower-than-full column window — scratch for
+    /// [`FastLabeler::build_runs_window`].
     win_cur: Vec<u64>,
     win_prev: Vec<u64>,
     /// Per-word run-start masks of the current/previous row (swapped each
@@ -202,6 +203,21 @@ fn link_roots(node: &mut [u64], ra: u32, rb: u32) -> u32 {
 fn close_last_run(runs: &mut [u64], end: u64) {
     let last = runs.len() - 1;
     runs[last] = (runs[last] & MIN_HALF) | end;
+}
+
+/// Writes one output row: background everywhere, then every run (packed
+/// `start << 32 | end`, both columns inclusive) with its label — the readout
+/// the tiled engine and the streaming grid labeler share.
+pub(crate) fn fill_label_row(row: &mut [u32], runs: impl Iterator<Item = (u64, u32)>) {
+    row.fill(LabelGrid::BACKGROUND);
+    for (sb, label) in runs {
+        let (a, b) = ((sb >> 32) as usize, (sb & 0xffff_ffff) as usize);
+        row[a] = label;
+        row[b] = label;
+        if b - a > 1 {
+            row[a + 1..b].fill(label);
+        }
+    }
 }
 
 /// Geometry of one row scan, bundled so the multiversioned kernel keeps a
@@ -490,98 +506,22 @@ impl FastLabeler {
     /// each surviving run is merged with the previous row the moment the
     /// word scan reports it. Returns the total run count.
     fn build_runs(&mut self, img: &Bitmap, conn: Connectivity) -> usize {
-        self.build_runs_rows(img, conn, 0, img.rows())
+        self.build_runs_window(img, conn, 0, img.rows(), 0, img.cols())
     }
 
-    /// Row-range variant of the run-building pass, the unit of work one
-    /// full-width tile performs: rows `row_lo..row_hi` of `img` are scanned
-    /// in isolation (no merge against row `row_lo - 1`; the seam is stitched
-    /// later by [`tiled`]). Run bounds, `row_runs`, and
-    /// union–find parents are *local* to the range (indices start at 0), but
-    /// each run's `min_pos` uses the **global** column-major position, so a
-    /// later seam union combines minima that are already in the final label
-    /// space. Returns the range's run count.
-    fn build_runs_rows(
-        &mut self,
-        img: &Bitmap,
-        conn: Connectivity,
-        row_lo: usize,
-        row_hi: usize,
-    ) -> usize {
-        let rows = img.rows() as u64;
-        self.runs.clear();
-        self.row_runs.clear();
-        self.node.clear();
-        self.tiles = TileStats::default();
-        self.row_runs.reserve(row_hi - row_lo + 1);
-        let nw = img.words_per_row();
-        let four = conn == Connectivity::Four;
-        if four {
-            self.starts_cur.clear();
-            self.starts_cur.resize(nw, 0);
-            self.starts_prev.clear();
-            self.starts_prev.resize(nw, 0);
-        }
-        let hw = hw_scan_available();
-        let mut prev_lo = 0u32;
-        for r in row_lo..row_hi {
-            let prev_hi = u32::try_from(self.runs.len()).expect("run count exceeds u32");
-            self.row_runs.push(prev_hi);
-            if four {
-                std::mem::swap(&mut self.starts_cur, &mut self.starts_prev);
-            }
-            let prev: &[u64] = if r > row_lo {
-                img.row_words(r - 1)
-            } else {
-                &[]
-            };
-            let g = RowGeom {
-                bits: img.cols(),
-                col_base: 0,
-                row: r as u64,
-                rows,
-                prev_lo,
-                prev_hi,
-            };
-            let FastLabeler {
-                runs,
-                node,
-                and_buf,
-                starts_cur,
-                starts_prev,
-                tiles,
-                ..
-            } = self;
-            let scan = RowScan {
-                runs,
-                node,
-                starts_cur,
-                starts_prev,
-                and_buf,
-                tiles,
-            };
-            if four {
-                scan_row::<true>(hw, img.row_words(r), prev, g, scan);
-            } else {
-                scan_row::<false>(hw, img.row_words(r), prev, g, scan);
-            }
-            prev_lo = prev_hi;
-        }
-        self.row_runs
-            .push(u32::try_from(self.runs.len()).expect("run count exceeds u32"));
-        self.runs.len()
-    }
-
-    /// Rectangular-window variant of [`FastLabeler::build_runs_rows`]: rows
-    /// `row_lo..row_hi` restricted to columns `col_lo..col_hi` — the unit of
-    /// work one *tile* worker performs ([`tiled`]). Each row's words are
-    /// copied into a masked window buffer, so the coarse classification,
-    /// extraction, and vertical merge reuse the exact word-level kernel of
-    /// the full-width path; run bounds and minima stay **global** (absolute
-    /// columns, global column-major positions) while run indices and
-    /// union–find parents are local to the window. Adjacency crossing the
-    /// window's left/right edge is deliberately not resolved here — that is
-    /// the tile stitcher's seam pass. Returns the window's run count.
+    /// The run-building pass over rows `row_lo..row_hi` restricted to
+    /// columns `col_lo..col_hi` — the whole frame for [`Self::build_runs`],
+    /// one *tile* for a [`tiled`] worker. The window is scanned in isolation:
+    /// no merge against row `row_lo - 1` or across its left/right edge (the
+    /// tile stitcher's seam passes resolve those). A full-width window scans
+    /// the bitmap's row words in place; a narrower one copies each row's
+    /// window words into a masked buffer, so the coarse classification,
+    /// extraction, and vertical merge run the same word-level kernel either
+    /// way. Run bounds and minima stay **global** (absolute columns, global
+    /// column-major positions), so a later seam union combines minima that
+    /// are already in the final label space, while run indices, `row_runs`,
+    /// and union–find parents are local to the window (they start at 0).
+    /// Returns the window's run count.
     fn build_runs_window(
         &mut self,
         img: &Bitmap,
@@ -592,11 +532,7 @@ impl FastLabeler {
         col_hi: usize,
     ) -> usize {
         debug_assert!(col_lo < col_hi && col_hi <= img.cols());
-        if col_lo == 0 && col_hi == img.cols() {
-            // Full-width window: the row-range path already does exactly this
-            // without the masked copies.
-            return self.build_runs_rows(img, conn, row_lo, row_hi);
-        }
+        let full = col_lo == 0 && col_hi == img.cols();
         let rows = img.rows() as u64;
         self.runs.clear();
         self.row_runs.clear();
@@ -604,7 +540,6 @@ impl FastLabeler {
         self.tiles = TileStats::default();
         self.row_runs.reserve(row_hi - row_lo + 1);
         let (wlo, whi) = (col_lo / 64, (col_hi - 1) / 64 + 1);
-        let nw = whi - wlo;
         // Window positions are relative to word `wlo`; `col_base` maps them
         // back to absolute columns.
         let bits = col_hi - wlo * 64;
@@ -618,22 +553,23 @@ impl FastLabeler {
         let four = conn == Connectivity::Four;
         if four {
             self.starts_cur.clear();
-            self.starts_cur.resize(nw, 0);
+            self.starts_cur.resize(whi - wlo, 0);
             self.starts_prev.clear();
-            self.starts_prev.resize(nw, 0);
+            self.starts_prev.resize(whi - wlo, 0);
         }
         let hw = hw_scan_available();
-        self.win_prev.clear();
         let mut prev_lo = 0u32;
         for r in row_lo..row_hi {
             let prev_hi = u32::try_from(self.runs.len()).expect("run count exceeds u32");
             self.row_runs.push(prev_hi);
-            // Masked copy of this row's window words.
-            self.win_cur.clear();
-            self.win_cur.extend_from_slice(&img.row_words(r)[wlo..whi]);
-            self.win_cur[0] &= mask_lo;
-            let last = self.win_cur.len() - 1;
-            self.win_cur[last] &= mask_hi;
+            if !full {
+                // Masked copy of this row's window words.
+                self.win_cur.clear();
+                self.win_cur.extend_from_slice(&img.row_words(r)[wlo..whi]);
+                self.win_cur[0] &= mask_lo;
+                let last = self.win_cur.len() - 1;
+                self.win_cur[last] &= mask_hi;
+            }
             if four {
                 std::mem::swap(&mut self.starts_cur, &mut self.starts_prev);
             }
@@ -656,7 +592,12 @@ impl FastLabeler {
                 tiles,
                 ..
             } = self;
-            let prev: &[u64] = if r > row_lo { win_prev } else { &[] };
+            let (cur, prev): (&[u64], &[u64]) = match (full, r > row_lo) {
+                (true, true) => (img.row_words(r), img.row_words(r - 1)),
+                (true, false) => (img.row_words(r), &[]),
+                (false, true) => (win_cur, win_prev),
+                (false, false) => (win_cur, &[]),
+            };
             let scan = RowScan {
                 runs,
                 node,
@@ -666,11 +607,13 @@ impl FastLabeler {
                 tiles,
             };
             if four {
-                scan_row::<true>(hw, win_cur, prev, g, scan);
+                scan_row::<true>(hw, cur, prev, g, scan);
             } else {
-                scan_row::<false>(hw, win_cur, prev, g, scan);
+                scan_row::<false>(hw, cur, prev, g, scan);
             }
-            std::mem::swap(&mut self.win_cur, &mut self.win_prev);
+            if !full {
+                std::mem::swap(&mut self.win_cur, &mut self.win_prev);
+            }
             prev_lo = prev_hi;
         }
         self.row_runs

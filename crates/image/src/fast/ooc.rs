@@ -1,7 +1,10 @@
 //! Out-of-core labeling: a band-of-tiles scheduler that streams an
 //! arbitrarily tall frame through the tiled engine one band at a time. It
-//! is the crate's one streaming labeler — [`crate::stream::label_stream`],
-//! the registry `stream` engine and `slapd`'s stream jobs all run on it.
+//! is the crate's one streaming labeler, with one result type ([`OocRun`],
+//! [`OocStats`]): [`crate::stream::label_stream`] (its fixed-band
+//! convenience entry), the registry `stream` engine, `slap stream` /
+//! `slap label --out-of-core` and `slapd`'s stream jobs all run on
+//! [`OutOfCoreLabeler`].
 //!
 //! The paper's SLAP reads the image one scan line per beat and keeps only
 //! the frontier. This scheduler keeps the same carried state but advances a
@@ -53,20 +56,8 @@ use super::tiled::TiledLabeler;
 use crate::bitmap::{count_ones_in_span, for_each_adjacent_pair, Bitmap};
 use crate::connectivity::Connectivity;
 use crate::live::{LiveComponents, NONE};
-use crate::stream::{RetiredComponent, RowSource, StreamStats};
+use crate::stream::{RetiredComponent, RowSource};
 use std::io;
-
-/// Streams `src` through a fresh [`OutOfCoreLabeler`] with the given band
-/// height and tile-column count. Convenience wrapper; repeated frames should
-/// hold the labeler.
-pub fn label_out_of_core<S: RowSource>(
-    src: &mut S,
-    conn: Connectivity,
-    band_rows: usize,
-    tiles_x: usize,
-) -> io::Result<OocRun> {
-    OutOfCoreLabeler::new(band_rows, tiles_x).label_source(src, conn)
-}
 
 /// Aggregate statistics of an out-of-core run: the frame shape actually
 /// seen, and the peaks that witness the memory model.
@@ -84,6 +75,10 @@ pub struct OocStats {
     pub band_rows: usize,
     /// Components retired.
     pub retired: u64,
+    /// Most arena runs in one row — the runs a scan-line labeler must hold
+    /// for one row; at most `cols / 2 + 1` when `tiles_x = 1` (a wider tile
+    /// grid clips runs at tile-column boundaries).
+    pub peak_frontier_runs: usize,
     /// Maximum carried frontier size (runs of one band-boundary row) — the
     /// `O(cols)` half of the carried-state bound; at most `cols / 2 + 1`.
     pub peak_carried_runs: usize,
@@ -168,8 +163,6 @@ pub struct OutOfCoreLabeler {
     comps: Vec<BandComp>,
     /// Scratch words for seam adjacency.
     and_buf: Vec<u64>,
-    /// Most arena runs in one row of the current frame.
-    peak_row_runs: usize,
     /// The grid labeler's run log; `None` everywhere else.
     pub(crate) log: Option<RunLog>,
 }
@@ -195,7 +188,6 @@ impl OutOfCoreLabeler {
             comp_ix: Vec::new(),
             comps: Vec::new(),
             and_buf: Vec::new(),
-            peak_row_runs: 0,
             log: None,
         }
     }
@@ -267,7 +259,6 @@ impl OutOfCoreLabeler {
         self.prev_runs.clear();
         self.prev_slots.clear();
         self.live.clear(self.log.is_some());
-        self.peak_row_runs = 0;
         if let Some(log) = &mut self.log {
             log.runs.clear();
             log.row_runs.clear();
@@ -331,20 +322,6 @@ impl OutOfCoreLabeler {
         log
     }
 
-    /// The [`StreamStats`] view of the frame `stats` came from:
-    /// `peak_frontier_runs` is the most arena runs in one row (maximal runs
-    /// at `tiles_x = 1`), `peak_nodes` the peak live-slot occupancy.
-    pub(crate) fn stream_stats(&self, stats: &OocStats) -> StreamStats {
-        StreamStats {
-            rows: stats.rows,
-            cols: stats.cols,
-            pixels: stats.pixels,
-            retired: stats.retired,
-            peak_frontier_runs: self.peak_row_runs,
-            peak_nodes: stats.peak_live_slots,
-        }
-    }
-
     /// Reads up to `band_rows` rows into the band bitmap, zeroing the unused
     /// tail, and returns how many real rows arrived.
     fn read_band<S: RowSource>(&mut self, src: &mut S) -> io::Result<usize> {
@@ -403,7 +380,7 @@ impl OutOfCoreLabeler {
             };
             let south_words = (lr + 1 < h).then(|| band.row_words(lr + 1));
             let (row_lo, row_hi) = (row_runs[lr] as usize, row_runs[lr + 1] as usize);
-            self.peak_row_runs = self.peak_row_runs.max(row_hi - row_lo);
+            stats.peak_frontier_runs = stats.peak_frontier_runs.max(row_hi - row_lo);
             for k in row_lo..row_hi {
                 let sb = runs[k];
                 let (a, b) = ((sb >> 32) as u32, (sb & 0xffff_ffff) as u32);
@@ -553,8 +530,9 @@ mod tests {
     const CONNS: [Connectivity; 2] = [Connectivity::Four, Connectivity::Eight];
 
     fn ooc_on(img: &Bitmap, conn: Connectivity, band_rows: usize, tiles_x: usize) -> OocRun {
-        let mut rows = BitmapRows::new(img);
-        label_out_of_core(&mut rows, conn, band_rows, tiles_x).unwrap()
+        OutOfCoreLabeler::new(band_rows, tiles_x)
+            .label_source(&mut BitmapRows::new(img), conn)
+            .unwrap()
     }
 
     /// The strongest identity available: every retired feature record —
@@ -585,7 +563,7 @@ mod tests {
     fn tall_run_dense_frames_keep_slots_bounded_by_cols() {
         // Components confined to one band never take a live slot, so the
         // slab stays within both band frontiers however many components a
-        // band holds; the stream view reports the true densest row.
+        // band holds; `label_stream` reports the true densest row.
         let cols = 64usize;
         let img = gen::uniform_random(4096, cols, 0.5, 11);
         for conn in CONNS {
@@ -598,7 +576,7 @@ mod tests {
             let stream = label_stream(&mut BitmapRows::new(&img), conn).unwrap();
             let densest = (0..img.rows()).map(|r| img.count_row_runs(r)).max();
             assert_eq!(Some(stream.stats.peak_frontier_runs), densest);
-            assert_eq!(stream.stats.peak_nodes, run.stats.peak_live_slots);
+            assert_eq!(stream.stats.peak_live_slots, run.stats.peak_live_slots);
         }
     }
 

@@ -54,7 +54,7 @@
 //! The out-of-core scheduler ([`super::ooc`]) reuses phases 1–4 through
 //! `TiledLabeler::build_arena` to label one band of tiles at a time.
 
-use super::{link_roots, FastLabeler, MIN_HALF};
+use super::{fill_label_row, link_roots, FastLabeler, MIN_HALF};
 use crate::bitmap::{for_each_adjacent_pair, Bitmap};
 use crate::connectivity::Connectivity;
 use crate::labels::LabelGrid;
@@ -264,18 +264,14 @@ impl TiledLabeler {
         run_jobs(bands.into_iter().enumerate(), |(i, band)| {
             let (lo, hi) = (rb[i], rb[i + 1]);
             for r in lo..hi {
-                let row = &mut band[(r - lo) * cols..(r - lo + 1) * cols];
-                row.fill(LabelGrid::BACKGROUND);
-                for k in row_runs[r] as usize..row_runs[r + 1] as usize {
-                    let label = (node[k] >> 32) as u32;
-                    let sb = runs[k];
-                    let (a, b) = ((sb >> 32) as usize, (sb & 0xffff_ffff) as usize);
-                    row[a] = label;
-                    row[b] = label;
-                    if b - a > 1 {
-                        row[a + 1..b].fill(label);
-                    }
-                }
+                let (klo, khi) = (row_runs[r] as usize, row_runs[r + 1] as usize);
+                fill_label_row(
+                    &mut band[(r - lo) * cols..(r - lo + 1) * cols],
+                    runs[klo..khi]
+                        .iter()
+                        .zip(&node[klo..khi])
+                        .map(|(&sb, &n)| (sb, (n >> 32) as u32)),
+                );
             }
         });
     }

@@ -53,9 +53,8 @@ pub mod stream;
 pub use bitmap::{Bitmap, Columns};
 pub use connectivity::Connectivity;
 pub use fast::{
-    fast_component_count, fast_labels, fast_labels_conn, label_out_of_core, tiled_labels,
-    tiled_labels_conn, FastLabeler, OocRun, OocStats, OutOfCoreLabeler, SeamLevel, TileStats,
-    TiledLabeler,
+    fast_component_count, fast_labels, fast_labels_conn, tiled_labels, tiled_labels_conn,
+    FastLabeler, OocRun, OocStats, OutOfCoreLabeler, SeamLevel, TileStats, TiledLabeler,
 };
 pub use labels::{ComponentInfo, LabelGrid};
 pub use oracle::{bfs_labels, bfs_labels_conn, BfsOracle};

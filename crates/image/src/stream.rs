@@ -18,9 +18,12 @@
 //! minimum column-major position). Memory is `O(band × cols + live
 //! components)` (plus whatever retired records the caller keeps), never
 //! `O(rows × cols)`: frames taller than memory, piped PBM, and unbounded
-//! ingest all stream through at a constant footprint. A caller that keeps
-//! only a summary hands records to a sink instead
-//! ([`crate::fast::OutOfCoreLabeler::label_source_with`]).
+//! ingest all stream through at a constant footprint. [`label_stream`]
+//! returns the band labeler's own result type, [`OocRun`], whose
+//! [`OocStats`] carry every frontier peak; a caller that keeps only a
+//! summary, or wants another band height, drives
+//! [`OutOfCoreLabeler::label_source_with`] itself and hands records to a
+//! sink.
 //!
 //! The retired multiset is **exactly** what [`crate::fast::fast_labels_conn`]
 //! plus a per-component feature fold would produce — the differential suites
@@ -38,7 +41,7 @@
 use crate::bitmap::Bitmap;
 use crate::connectivity::Connectivity;
 use crate::fast::ooc::RunLog;
-use crate::fast::OutOfCoreLabeler;
+use crate::fast::{fill_label_row, OocRun, OocStats, OutOfCoreLabeler};
 use crate::labels::LabelGrid;
 use std::io;
 
@@ -159,28 +162,6 @@ impl RetiredComponent {
     }
 }
 
-/// Aggregate statistics of a finished streaming run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Rows read.
-    pub rows: u64,
-    /// Row width of the source.
-    pub cols: usize,
-    /// Foreground pixels seen.
-    pub pixels: u64,
-    /// Components retired.
-    pub retired: u64,
-    /// Most runs in any one row — the `O(cols)` frontier a scan-line
-    /// labeler must be able to hold; at most `cols / 2 + 1`.
-    pub peak_frontier_runs: usize,
-    /// Maximum number of simultaneously allocated union–find slots — the
-    /// `O(cols + live components)` bound made measurable. Sampled once per
-    /// band after its seam unions and mints, before retirement and reclaim,
-    /// so it counts the components on both band frontiers plus the band's
-    /// merge garbage.
-    pub peak_nodes: usize,
-}
-
 /// A reusable session that labels whole frames **through the streaming
 /// engine**: the band core runs with a run log, recording every run with
 /// the slot of the component it joined, and once the frame is drained the
@@ -193,7 +174,7 @@ pub struct StreamStats {
 /// an `O(runs)` log, and the log's slots must stay valid for the whole frame,
 /// so the core recycles no slot here: the slab holds one slot per component
 /// of the frame, and [`StreamGridLabeler::last_stats`] reports that count as
-/// `peak_nodes`. This type trades the pure engine's bounded-memory
+/// `peak_live_slots`. This type trades the pure engine's bounded-memory
 /// guarantee for interchangeability with the whole-frame engines. All
 /// scratch is kept between calls.
 #[derive(Debug)]
@@ -201,7 +182,7 @@ pub struct StreamGridLabeler {
     /// The band core, keeping a run log.
     inner: OutOfCoreLabeler,
     /// Statistics of the most recent call.
-    stats: StreamStats,
+    stats: OocStats,
 }
 
 impl Default for StreamGridLabeler {
@@ -215,7 +196,7 @@ impl StreamGridLabeler {
     pub fn new() -> Self {
         StreamGridLabeler {
             inner: tracked(STREAM_BAND_ROWS),
-            stats: StreamStats::default(),
+            stats: OocStats::default(),
         }
     }
 
@@ -227,32 +208,23 @@ impl StreamGridLabeler {
         if self.inner.band_rows() != band_rows_for(cols) {
             self.inner = tracked(band_rows_for(cols));
         }
-        let stats = self
+        self.stats = self
             .inner
             .label_source_with(&mut BitmapRows::new(img), conn, |_| {})
             .expect("in-memory row replay cannot fail");
-        self.stats = self.inner.stream_stats(&stats);
 
-        // Every component is now retired with its paper label. Output: one
-        // background fill + run-at-a-time label fills per row.
+        // Every component is now retired with its paper label: write each
+        // logged run with it.
         out.reset_dims(rows, cols);
         let log = self.inner.labeled_log(rows);
         for r in 0..rows {
-            let row = out.row_mut(r);
-            row.fill(LabelGrid::BACKGROUND);
-            for &(sb, label) in &log.runs[log.row_runs[r] as usize..log.row_runs[r + 1] as usize] {
-                let (a, b) = ((sb >> 32) as usize, (sb & 0xffff_ffff) as usize);
-                row[a] = label;
-                row[b] = label;
-                if b - a > 1 {
-                    row[a + 1..b].fill(label);
-                }
-            }
+            let (lo, hi) = (log.row_runs[r] as usize, log.row_runs[r + 1] as usize);
+            fill_label_row(out.row_mut(r), log.runs[lo..hi].iter().copied());
         }
     }
 
     /// Statistics of the most recent call (frontier peaks, retirements).
-    pub fn last_stats(&self) -> StreamStats {
+    pub fn last_stats(&self) -> OocStats {
         self.stats
     }
 
@@ -334,28 +306,13 @@ impl RowSource for BitmapRows<'_> {
     }
 }
 
-/// The result of draining a [`RowSource`] through [`label_stream`].
-#[derive(Clone, Debug)]
-pub struct StreamRun {
-    /// Every retired component, in retirement order.
-    pub components: Vec<RetiredComponent>,
-    /// Aggregate statistics (rows, pixels, frontier peaks).
-    pub stats: StreamStats,
-}
-
 /// Streams every row of `source` through a fresh band labeler
 /// ([`OutOfCoreLabeler`], [`STREAM_BAND_ROWS`] rows per band, one tile
 /// column) and returns the retired components plus run statistics. The
 /// image is never materialized: memory stays `O(band × cols + live +
 /// retired)`.
-pub fn label_stream<S: RowSource>(source: &mut S, conn: Connectivity) -> io::Result<StreamRun> {
-    let mut labeler = OutOfCoreLabeler::new(band_rows_for(source.cols()), 1);
-    let mut components = Vec::new();
-    let stats = labeler.label_source_with(source, conn, |rec| components.push(rec))?;
-    Ok(StreamRun {
-        components,
-        stats: labeler.stream_stats(&stats),
-    })
+pub fn label_stream<S: RowSource>(source: &mut S, conn: Connectivity) -> io::Result<OocRun> {
+    OutOfCoreLabeler::new(band_rows_for(source.cols()), 1).label_source(source, conn)
 }
 
 /// Brute-force per-component records: the fast engine's labels folded pixel
@@ -405,8 +362,9 @@ mod tests {
     }
 
     /// One 4-connectivity pass through a fresh band labeler.
-    fn banded(img: &Bitmap, band_rows: usize) -> crate::fast::OocRun {
-        crate::fast::label_out_of_core(&mut BitmapRows::new(img), Connectivity::Four, band_rows, 1)
+    fn banded(img: &Bitmap, band_rows: usize) -> OocRun {
+        OutOfCoreLabeler::new(band_rows, 1)
+            .label_source(&mut BitmapRows::new(img), Connectivity::Four)
             .unwrap()
     }
 
@@ -590,9 +548,9 @@ mod tests {
             run.stats.peak_frontier_runs
         );
         assert!(
-            run.stats.peak_nodes <= cols + 1,
+            run.stats.peak_live_slots <= cols + 1,
             "slab occupancy {} exceeds the O(cols + live) bound for {cols} columns",
-            run.stats.peak_nodes
+            run.stats.peak_live_slots
         );
         assert_eq!(run.stats.rows, 512);
         assert_eq!(run.stats.pixels, img.count_ones() as u64);

@@ -8,9 +8,9 @@ use slap_image::bitmap::for_each_adjacent_pair;
 use slap_image::pbm::{FramedPbmReader, PbmRowReader};
 use slap_image::stream::{BitmapRows, RowSource, StreamGridLabeler};
 use slap_image::{
-    bfs_labels, bfs_labels_conn, fast_labels_conn, gen, label_out_of_core, label_stream, morph,
-    pbm, tiled_labels_conn, Bitmap, ComponentInfo, Connectivity, FastLabeler, LabelGrid,
-    TiledLabeler,
+    bfs_labels, bfs_labels_conn, fast_labels_conn, gen, label_stream, morph, pbm,
+    tiled_labels_conn, Bitmap, ComponentInfo, Connectivity, FastLabeler, LabelGrid,
+    OutOfCoreLabeler, TiledLabeler,
 };
 
 /// The retired two-pointer diagonal join, kept as the executable
@@ -308,7 +308,7 @@ proptest! {
         );
         prop_assert_eq!(run.stats.pixels, bm.count_ones() as u64);
         // The memory contract holds on arbitrary random streams too.
-        prop_assert!(run.stats.peak_nodes <= bm.cols() + 1);
+        prop_assert!(run.stats.peak_live_slots <= bm.cols() + 1);
         prop_assert!(run.stats.peak_frontier_runs <= bm.cols() / 2 + 1);
     }
 
@@ -336,7 +336,9 @@ proptest! {
         // Banded relabeling with carried seam state must retire the fast
         // engine's components (label, area, bounding box) at any band
         // shape, with records identical to the default streaming band's.
-        let got = label_out_of_core(&mut BitmapRows::new(&bm), conn, band_rows, tiles_x).unwrap();
+        let got = OutOfCoreLabeler::new(band_rows, tiles_x)
+            .label_source(&mut BitmapRows::new(&bm), conn)
+            .unwrap();
         let mut seen: Vec<(u64, u64, [u32; 4])> = got
             .components
             .iter()

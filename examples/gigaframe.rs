@@ -16,7 +16,7 @@
 //! field: one square per lattice cell, with its area, bounding box,
 //! perimeter, centroid sums and minimum position.
 
-use slap_repro::image::{label_out_of_core, pbm, Connectivity, RetiredComponent};
+use slap_repro::image::{pbm, Connectivity, OutOfCoreLabeler, RetiredComponent};
 use std::io::{BufWriter, Write};
 use std::time::Instant;
 
@@ -72,7 +72,8 @@ fn main() {
     let file = std::fs::File::open(&path).expect("open frame");
     let mut reader = pbm::PbmRowReader::new(file).expect("PBM header");
     let t1 = Instant::now();
-    let run = label_out_of_core(&mut reader, Connectivity::Four, BAND_ROWS, 2)
+    let run = OutOfCoreLabeler::new(BAND_ROWS, 2)
+        .label_source(&mut reader, Connectivity::Four)
         .expect("label out of core");
     let elapsed = t1.elapsed();
     let s = &run.stats;

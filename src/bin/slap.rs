@@ -8,20 +8,19 @@
 //!                                           #   simulated SLAP Algorithm CC);
 //!                                           #   --tiles shapes (and implies)
 //!                                           #   the tiled engine
-//! slap label --out-of-core [--band-rows N]  # stream a PBM taller than
-//!            [--tiles RxC] [--conn 4|8] [f] #   memory band by band through
-//!                                           #   the tiled engine,
-//!                                           #   O(cols + live) carried state
+//! slap label --out-of-core [...]            # another spelling of `slap stream`
 //! slap bench [--uf KIND] <workload> <n>     # step-count one workload
 //! slap trace [--pass uf|label] <workload> <n> [seed]
 //!                                           # ASCII space-time diagram
 //! slap features [--conn 4|8] [--engine E]   # per-component geometry via any
 //!               [--threads N] [file.pbm]    #   registered engine
-//! slap stream [--conn 4|8] [--framed] [f]   # streaming label pass: rows in,
-//!                                           #   retired components out,
-//!                                           #   O(cols + live) memory;
-//!                                           #   --framed: length-prefixed
-//!                                           #   multi-image P4 ingest
+//! slap stream [--conn 4|8] [--band-rows N]  # streaming label pass: rows in
+//!             [--tiles 1xC] [--framed] [f]  #   band by band, retired
+//!                                           #   components out,
+//!                                           #   O(band × cols + live)
+//!                                           #   memory; --framed:
+//!                                           #   length-prefixed multi-image
+//!                                           #   P4 ingest
 //! slap compare <workload> <n> [seed]        # CC vs baselines step counts
 //! slap serve [--addr H:P] [--conn 4|8]      # slapd: fault-tolerant TCP
 //!            [--workers N] [--queue-cap N]  #   labeling service; bounded
@@ -49,8 +48,7 @@ use slap_repro::cc::spacetime::left_pass_trace;
 use slap_repro::cc::{label_components_kind, label_components_runs, CcOptions};
 use slap_repro::hypercube::sv_labels_conn;
 use slap_repro::image::{
-    gen, label_out_of_core, pbm, Bitmap, Connectivity, LabelGrid, OutOfCoreLabeler,
-    RetiredComponent, STREAM_BAND_ROWS,
+    gen, pbm, Bitmap, Connectivity, LabelGrid, OutOfCoreLabeler, RetiredComponent, STREAM_BAND_ROWS,
 };
 use slap_repro::machine::render_gantt;
 use slap_repro::serve::{Client, ClientError, RetryPolicy, ServeConfig, Server};
@@ -120,7 +118,7 @@ fn main() {
                 .filter(|&n| n >= 1)
                 .unwrap_or_else(|| die(&format!("--band-rows needs a positive integer, got {v:?}")))
         })
-        .unwrap_or(512);
+        .unwrap_or(STREAM_BAND_ROWS);
     let framed = take_toggle(&mut rest, "--framed");
     let opts = CcOptions {
         connectivity: conn,
@@ -132,17 +130,31 @@ fn main() {
             let img = make_image(name, n, seed);
             pbm::write_plain(&img, std::io::stdout().lock()).expect("write PBM");
         }
-        "label" if out_of_core => {
-            // Out-of-core never materializes the frame, so whole-frame
-            // engines cannot serve it; the band scheduler *is* the engine.
-            if let Some(kind) = engine.filter(|&k| !matches!(k, EngineKind::Tiled { .. })) {
+        // `label --out-of-core` is another spelling of `stream`: both run the
+        // band labeler, which never materializes the frame, so any
+        // whole-frame `--engine` would break the O(cols + live) contract this
+        // path exists for.
+        "stream" | "label" if cmd == "stream" || out_of_core => {
+            if let Some(kind) = engine.filter(|&k| k != EngineKind::Stream && tiles.is_none()) {
                 die(&format!(
-                    "--out-of-core streams bands through the tiled engine; \
-                     `--engine {kind}` would need the whole frame in memory"
+                    "slap stream and slap label --out-of-core run the streaming engine; \
+                     `--engine {kind}` would need the whole frame in memory \
+                     (use `slap label --engine {kind}`)"
                 ));
             }
-            let tiles_x = tiles.map_or(1, |(_, c)| c);
-            ooc_report(&rest, conn, band_rows, tiles_x);
+            let tiles_x = match tiles {
+                None => 1,
+                Some((1, c)) => c,
+                Some(_) => die(
+                    "--tiles for the streaming engine takes 1xC: each band is one row \
+                     of tiles (its height is --band-rows)",
+                ),
+            };
+            if framed {
+                framed_stream_report(&rest, conn, band_rows, tiles_x);
+            } else {
+                stream_report(&rest, conn, band_rows, tiles_x);
+            }
         }
         "label" => {
             let img = read_image(&rest);
@@ -200,22 +212,6 @@ fn main() {
                     f.perimeter,
                     f.extent()
                 );
-            }
-        }
-        "stream" => {
-            // The stream subcommand *is* the streaming engine; any other
-            // `--engine` would have to materialize the frame, breaking the
-            // O(cols + live) contract this path exists for.
-            if let Some(kind) = engine.filter(|&k| k != EngineKind::Stream) {
-                die(&format!(
-                    "slap stream runs the streaming engine; `--engine {kind}` would \
-                     need the whole frame in memory (use `slap label --engine {kind}`)"
-                ));
-            }
-            if framed {
-                framed_stream_report(&rest, conn);
-            } else {
-                stream_report(&rest, conn);
             }
         }
         "compare" => {
@@ -523,18 +519,21 @@ fn pick_session(
     Some(kind.session(threads))
 }
 
-fn read_image(rest: &[&str]) -> Bitmap {
+/// Opens the file named by the first positional argument, or stdin, and
+/// names it for error messages.
+fn open_input<'a>(rest: &[&'a str]) -> (Box<dyn Read>, &'a str) {
     match rest.first() {
-        Some(path) => {
+        Some(&path) => {
             let f = std::fs::File::open(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
-            pbm::read(f).unwrap_or_else(|e| die(&format!("parse {path}: {e}")))
+            (Box::new(f), path)
         }
-        None => {
-            let mut buf = Vec::new();
-            std::io::stdin().read_to_end(&mut buf).expect("read stdin");
-            pbm::read(&buf[..]).unwrap_or_else(|e| die(&format!("parse stdin: {e}")))
-        }
+        None => (Box::new(std::io::stdin().lock()), "stdin"),
     }
+}
+
+fn read_image(rest: &[&str]) -> Bitmap {
+    let (input, what) = open_input(rest);
+    pbm::read(input).unwrap_or_else(|e| die(&format!("parse {what}: {e}")))
 }
 
 fn parse_workload<'a>(rest: &[&'a str]) -> (&'a str, usize, u64) {
@@ -625,9 +624,6 @@ fn host_report(img: &Bitmap, conn: Connectivity, mut session: Box<dyn LabelEngin
     if engine_stats.peak_frontier_runs > 0 {
         print!(", peak frontier {}", engine_stats.peak_frontier_runs);
     }
-    if engine_stats.peak_carried_runs > 0 {
-        print!(", peak carried {}", engine_stats.peak_carried_runs);
-    }
     let tiles = engine_stats.tiles;
     if tiles.total() > 0 {
         print!(
@@ -644,186 +640,108 @@ fn host_report(img: &Bitmap, conn: Connectivity, mut session: Box<dyn LabelEngin
     println!();
 }
 
-/// `label --out-of-core`: streams a PBM through the band-of-tiles scheduler
-/// ([`label_out_of_core`]) — one band of rows resident at a time, carried
-/// seam state `O(cols + live components)` — and reports the retired
-/// components exactly like the whole-frame path would.
-fn ooc_report(rest: &[&str], conn: Connectivity, band_rows: usize, tiles_x: usize) {
-    /// Components listed in the report table.
-    const LISTED: usize = 32;
-
-    fn run<R: Read>(r: R, conn: Connectivity, band_rows: usize, tiles_x: usize, what: &str) {
-        let mut reader =
-            pbm::PbmRowReader::new(r).unwrap_or_else(|e| die(&format!("parse {what}: {e}")));
-        let t0 = std::time::Instant::now();
-        let run = label_out_of_core(&mut reader, conn, band_rows, tiles_x)
-            .unwrap_or_else(|e| die(&format!("read {what}: {e}")));
-        let elapsed = t0.elapsed();
-        let s = &run.stats;
-        println!(
-            "{}x{} image, {:.1}% foreground, {} component(s) under {conn}",
-            s.rows,
-            s.cols,
-            100.0 * s.pixels as f64 / (s.rows as f64 * s.cols as f64).max(1.0),
-            s.retired,
-        );
-        println!(
-            "out-of-core tiled engine: {} band(s) of {} row(s) x {tiles_x} tile column(s); \
-             peak carried {} run(s), {} live component(s), {} band run(s); \
-             {:.3} ms ({:.0} rows/s)",
-            s.bands,
-            s.band_rows,
-            s.peak_carried_runs,
-            s.peak_live_slots,
-            s.peak_band_runs,
-            elapsed.as_secs_f64() * 1e3,
-            s.rows as f64 / elapsed.as_secs_f64().max(1e-9),
-        );
-        let mut preview = run.components;
-        preview.sort_unstable();
-        println!(
-            "{:>10} {:>7} {:>12} {:>14} {:>9}",
-            "label", "area", "bbox", "centroid", "perim"
-        );
-        for rec in preview.iter().take(LISTED) {
-            let (cr, cc) = rec.centroid();
-            println!(
-                "{:>10} {:>7} {:>5}x{:<6} ({cr:6.1},{cc:6.1}) {:>9}",
-                rec.label(s.rows as usize),
-                rec.area,
-                rec.height(),
-                rec.width(),
-                rec.perimeter,
-            );
-        }
-        if preview.len() > LISTED {
-            println!("  ... and {} more", preview.len() - LISTED);
-        }
-    }
-    match rest.first() {
-        Some(path) => {
-            let f = std::fs::File::open(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
-            run(f, conn, band_rows, tiles_x, path);
-        }
-        None => run(std::io::stdin().lock(), conn, band_rows, tiles_x, "stdin"),
-    }
-}
-
 /// `stream --framed`: consumes a length-prefixed multi-image P4 stream
 /// ([`pbm::FramedPbmReader`]), relabeling frame after frame through **one**
-/// warm streaming band labeler (arenas reused across frames, dimensions
-/// free to change) — the video-style continuous-ingest mode.
-fn framed_stream_report(rest: &[&str], conn: Connectivity) {
-    fn run<R: Read>(r: R, conn: Connectivity, what: &str) {
-        let mut frames = pbm::FramedPbmReader::new(r);
-        let mut labeler = OutOfCoreLabeler::new(STREAM_BAND_ROWS, 1);
-        let mut index = 0u64;
-        let t0 = std::time::Instant::now();
-        loop {
-            let mut frame = match frames.next_frame() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break,
-                Err(e) => die(&format!("read {what}: {e}")),
-            };
-            index += 1;
-            let mut components = 0u64;
-            let stats = labeler
-                .label_source_with(&mut frame, conn, |_| components += 1)
-                .unwrap_or_else(|e| die(&format!("read {what} frame {index}: {e}")));
-            println!(
-                "frame {index}: {}x{}, {components} component(s), {} px, peak carried {} run(s)",
-                stats.rows, stats.cols, stats.pixels, stats.peak_carried_runs,
-            );
-        }
-        let elapsed = t0.elapsed();
+/// warm band labeler (arenas reused across frames, dimensions free to
+/// change) — the video-style continuous-ingest mode.
+fn framed_stream_report(rest: &[&str], conn: Connectivity, band_rows: usize, tiles_x: usize) {
+    let (input, what) = open_input(rest);
+    let mut frames = pbm::FramedPbmReader::new(input);
+    let mut labeler = OutOfCoreLabeler::new(band_rows, tiles_x);
+    let mut index = 0u64;
+    let t0 = std::time::Instant::now();
+    loop {
+        let mut frame = match frames.next_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break,
+            Err(e) => die(&format!("read {what}: {e}")),
+        };
+        index += 1;
+        let mut components = 0u64;
+        let stats = labeler
+            .label_source_with(&mut frame, conn, |_| components += 1)
+            .unwrap_or_else(|e| die(&format!("read {what} frame {index}: {e}")));
         println!(
-            "{index} frame(s) under {conn} in {:.3} ms (one warm stream session, \
-             O(cols + live) carried state)",
-            elapsed.as_secs_f64() * 1e3
+            "frame {index}: {}x{}, {components} component(s), {} px, peak carried {} run(s)",
+            stats.rows, stats.cols, stats.pixels, stats.peak_carried_runs,
         );
     }
-    match rest.first() {
-        Some(path) => {
-            let f = std::fs::File::open(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
-            run(f, conn, path);
-        }
-        None => run(std::io::stdin().lock(), conn, "stdin"),
-    }
+    let elapsed = t0.elapsed();
+    println!(
+        "{index} frame(s) under {conn} in {:.3} ms (one warm stream session, \
+         O(cols + live) carried state)",
+        elapsed.as_secs_f64() * 1e3
+    );
 }
 
-/// `stream`: labels a PBM a band of rows at a time — the image is never
-/// materialized and retired components go straight from the labeler's sink
-/// into a bounded preview, so arbitrarily tall or component-dense files and
-/// pipes really do run in `O(band × cols + live components)` memory.
-fn stream_report(rest: &[&str], conn: Connectivity) {
+/// `stream` / `label --out-of-core`: labels a PBM through the band labeler
+/// ([`OutOfCoreLabeler`], `band_rows` rows per band, `tiles_x` tile
+/// columns). The image is never materialized and retired components go
+/// straight from the labeler's sink into a bounded preview, so arbitrarily
+/// tall or component-dense files and pipes really do run in
+/// `O(band × cols + live components)` memory.
+fn stream_report(rest: &[&str], conn: Connectivity, band_rows: usize, tiles_x: usize) {
     /// Components listed in the report table.
     const LISTED: usize = 32;
 
-    /// Streams from an already-opened reader (file or stdin).
-    fn run<R: std::io::Read>(r: R, conn: Connectivity, what: &str) {
-        let mut reader =
-            pbm::PbmRowReader::new(r).unwrap_or_else(|e| die(&format!("parse {what}: {e}")));
-        let rows = reader.rows();
-        let mut total: u64 = 0;
-        // The LISTED smallest records by label order; trimmed whenever the
-        // buffer doubles, so memory never scales with the component count.
-        let mut preview: Vec<RetiredComponent> = Vec::new();
-        let t0 = std::time::Instant::now();
-        let stats = OutOfCoreLabeler::new(STREAM_BAND_ROWS, 1)
-            .label_source_with(&mut reader, conn, |rec| {
-                total += 1;
-                preview.push(rec);
-                if preview.len() > 2 * LISTED {
-                    preview.sort_unstable();
-                    preview.truncate(LISTED);
-                }
-            })
-            .unwrap_or_else(|e| die(&format!("read {what}: {e}")));
-        let elapsed = t0.elapsed();
+    let (input, what) = open_input(rest);
+    let mut reader =
+        pbm::PbmRowReader::new(input).unwrap_or_else(|e| die(&format!("parse {what}: {e}")));
+    let mut total: u64 = 0;
+    // The LISTED smallest records by label order; trimmed whenever the
+    // buffer doubles, so memory never scales with the component count.
+    let mut preview: Vec<RetiredComponent> = Vec::new();
+    let t0 = std::time::Instant::now();
+    let s = OutOfCoreLabeler::new(band_rows, tiles_x)
+        .label_source_with(&mut reader, conn, |rec| {
+            total += 1;
+            preview.push(rec);
+            if preview.len() > 2 * LISTED {
+                preview.sort_unstable();
+                preview.truncate(LISTED);
+            }
+        })
+        .unwrap_or_else(|e| die(&format!("read {what}: {e}")));
+    let elapsed = t0.elapsed();
+    println!(
+        "{}x{} image, {:.1}% foreground, {total} component(s) under {conn}",
+        s.rows,
+        s.cols,
+        100.0 * s.pixels as f64 / (s.rows as f64 * s.cols as f64).max(1.0),
+    );
+    println!(
+        "stream engine: {} band(s) of {} row(s) x {tiles_x} tile column(s); \
+         peak frontier {} run(s), peak carried {} run(s), {} live slot(s), \
+         {} band run(s); {} rows in {:.3} ms ({:.0} rows/s)",
+        s.bands,
+        s.band_rows,
+        s.peak_frontier_runs,
+        s.peak_carried_runs,
+        s.peak_live_slots,
+        s.peak_band_runs,
+        s.rows,
+        elapsed.as_secs_f64() * 1e3,
+        s.rows as f64 / elapsed.as_secs_f64().max(1e-9),
+    );
+    preview.sort_unstable();
+    preview.truncate(LISTED);
+    println!(
+        "{:>10} {:>7} {:>12} {:>14} {:>9}",
+        "label", "area", "bbox", "centroid", "perim"
+    );
+    for rec in &preview {
+        let (cr, cc) = rec.centroid();
         println!(
-            "{}x{} image, {:.1}% foreground, {total} component(s) under {conn}",
-            stats.rows,
-            stats.cols,
-            100.0 * stats.pixels as f64 / (stats.rows as f64 * stats.cols as f64).max(1.0),
+            "{:>10} {:>7} {:>5}x{:<6} ({cr:6.1},{cc:6.1}) {:>9}",
+            rec.label(s.rows as usize),
+            rec.area,
+            rec.height(),
+            rec.width(),
+            rec.perimeter,
         );
-        println!(
-            "stream engine: {} band(s) of {} row(s), peak frontier {} run(s), \
-             {} live node(s); {} rows in {:.3} ms ({:.0} rows/s)",
-            stats.bands,
-            stats.band_rows,
-            stats.peak_carried_runs,
-            stats.peak_live_slots,
-            stats.rows,
-            elapsed.as_secs_f64() * 1e3,
-            stats.rows as f64 / elapsed.as_secs_f64().max(1e-9),
-        );
-        preview.sort_unstable();
-        preview.truncate(LISTED);
-        println!(
-            "{:>10} {:>7} {:>12} {:>14} {:>9}",
-            "label", "area", "bbox", "centroid", "perim"
-        );
-        for rec in &preview {
-            let (cr, cc) = rec.centroid();
-            println!(
-                "{:>10} {:>7} {:>5}x{:<6} ({cr:6.1},{cc:6.1}) {:>9}",
-                rec.label(rows),
-                rec.area,
-                rec.height(),
-                rec.width(),
-                rec.perimeter,
-            );
-        }
-        if total > preview.len() as u64 {
-            println!("  ... and {} more", total - preview.len() as u64);
-        }
     }
-    match rest.first() {
-        Some(path) => {
-            let f = std::fs::File::open(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
-            run(f, conn, path);
-        }
-        None => run(std::io::stdin().lock(), conn, "stdin"),
+    if total > preview.len() as u64 {
+        println!("  ... and {} more", total - preview.len() as u64);
     }
 }
 
@@ -832,11 +750,11 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  slap gen <workload> <n> [seed]\n  \
          slap label [--uf KIND] [--conn 4|8] [--engine E] [--threads N] [--tiles RxC] [file.pbm]\n  \
-         slap label --out-of-core [--band-rows N] [--tiles RxC] [--conn 4|8] [file.pbm]\n  \
+         slap label --out-of-core [--band-rows N] [--tiles 1xC] [--conn 4|8] [file.pbm]\n  \
          slap bench [--uf KIND] [--conn 4|8] <workload> <n> [seed]\n  \
          slap trace [--pass uf|label] <workload> <n> [seed]\n  \
          slap features [--conn 4|8] [--engine E] [--threads N] [file.pbm]\n  \
-         slap stream [--conn 4|8] [--framed] [file.pbm]\n  \
+         slap stream [--conn 4|8] [--band-rows N] [--tiles 1xC] [--framed] [file.pbm]\n  \
          slap compare [--uf KIND] [--conn 4|8] <workload> <n> [seed]\n  \
          slap serve [--addr H:P] [--conn 4|8] [--workers N] [--queue-cap N] [--queue-budget-mb N]\n             \
          [--max-dim N] [--max-pixels N] [--max-stream-pixels N] [--ooc-band-rows N]\n             \

@@ -123,6 +123,38 @@ fn stream_labels_piped_pbm_with_bounded_memory_report() {
 }
 
 #[test]
+fn out_of_core_label_reports_what_stream_and_the_fast_engine_report() {
+    // 40 rows: one band at the default height, 14 bands of 3 rows.
+    let pbm_bytes = slap(&["gen", "random50", "40", "5"]).stdout;
+    for conn in ["4", "8"] {
+        let fast = stdout_str(&slap_with_stdin(
+            &["label", "--engine", "fast", "--conn", conn],
+            &pbm_bytes,
+        ));
+        let want = fast.lines().next().unwrap_or_default();
+        assert!(want.contains("component(s)"), "{fast:?}");
+        for (band, bands) in [
+            (&[][..], "1 band(s) of 128 row(s) x 1 tile column(s)"),
+            (
+                &["--band-rows", "3", "--tiles", "1x2"][..],
+                "14 band(s) of 3 row(s) x 2 tile column(s)",
+            ),
+        ] {
+            for cmd in [&["label", "--out-of-core"][..], &["stream"][..]] {
+                let args = [cmd, band, &["--conn", conn]].concat();
+                let report = stdout_str(&slap_with_stdin(&args, &pbm_bytes));
+                // The component line (dims, density, count) is the fast
+                // engine's, at any band shape.
+                assert_eq!(report.lines().next(), Some(want), "{args:?}: {report:?}");
+                for expected in ["peak frontier", "rows/s", bands] {
+                    assert!(report.contains(expected), "{args:?}: {report:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn label_and_features_dispatch_every_registered_engine() {
     let pbm_bytes = slap(&["gen", "blobs", "18", "4"]).stdout;
     let mut reports = Vec::new();

@@ -120,9 +120,9 @@ fn frontier_memory_stays_bounded_by_cols_across_families() {
                 run.stats.peak_frontier_runs
             );
             assert!(
-                run.stats.peak_nodes <= cols + 1,
+                run.stats.peak_live_slots <= cols + 1,
                 "{name}: {} nodes for {cols} cols (conn={conn:?})",
-                run.stats.peak_nodes
+                run.stats.peak_live_slots
             );
         }
     }
