@@ -7,8 +7,9 @@
 //! Leading PBM whitespace before the digits is tolerated (so a trailing
 //! newline after a previous body parses cleanly), the prefix is accumulated
 //! with checked arithmetic against a caller-supplied cap, and the body is
-//! read in bounded chunks — a lying prefix costs at most one chunk of memory
-//! beyond the bytes that actually arrive.
+//! read straight into the caller's buffer, which grows (amortized) with the
+//! bytes that actually arrive and never to the declared length — a lying
+//! prefix costs memory in proportion to the real data, not the claim.
 //!
 //! Three independent hand-rolled copies of this logic used to live in
 //! `pbm.rs`, `serve::protocol`, and the stream-record codec; they now all
@@ -154,9 +155,10 @@ impl Frame {
 
     /// Reads one frame body into `buf` (cleared first), enforcing `max` on
     /// the declared length. Returns the body length, or `Ok(None)` at a
-    /// clean end of input before any digit. The buffer grows only as bytes
-    /// actually arrive, so a lying prefix costs at most one 64 KiB chunk
-    /// beyond the real data.
+    /// clean end of input before any digit. The body is read straight into
+    /// `buf`, bounded by the declared length; `buf` grows with amortized
+    /// doubling as bytes arrive and never reserves the declared length, so
+    /// a lying prefix costs about twice the bytes that really arrived.
     pub fn read_into<R: Read>(
         mut r: R,
         buf: &mut Vec<u8>,
@@ -185,24 +187,15 @@ impl Frame {
             }
         };
         buf.clear();
-        let mut chunk = [0u8; 64 * 1024];
-        let mut remaining = len;
-        while remaining > 0 {
-            let want = remaining.min(chunk.len());
-            match r.read(&mut chunk[..want]) {
-                Ok(0) => {
-                    return Err(FrameError::Truncated {
-                        declared: len,
-                        missing: remaining,
-                    });
-                }
-                Ok(got) => {
-                    buf.extend_from_slice(&chunk[..got]);
-                    remaining -= got;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(FrameError::Io(e)),
-            }
+        let got = r
+            .take(len as u64)
+            .read_to_end(buf)
+            .map_err(FrameError::Io)?;
+        if got < len {
+            return Err(FrameError::Truncated {
+                declared: len,
+                missing: len - got,
+            });
         }
         Ok(Some(len))
     }
@@ -293,6 +286,110 @@ mod tests {
             Err(FrameError::Overflow { declared }) => assert!(declared > MAX_FRAME_BYTES),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// A reader that hands out at most `step` bytes per call and, when
+    /// `interrupt` is set, fails every other call with `Interrupted`.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+        interrupt: bool,
+        calls: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.interrupt && self.calls.is_multiple_of(2) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = self.step.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 % 251) as u8).collect()
+    }
+
+    #[test]
+    fn one_byte_reads_with_interrupts_yield_the_exact_body() {
+        let body = patterned(1000);
+        let mut wire = Vec::new();
+        Frame::write(&mut wire, &body).unwrap();
+        Frame::write(&mut wire, b"tail").unwrap();
+        let mut r = Trickle {
+            bytes: &wire,
+            step: 1,
+            interrupt: true,
+            calls: 0,
+        };
+        let mut buf = Vec::new();
+        assert_eq!(
+            Frame::read_into(&mut r, &mut buf, MAX_FRAME_BYTES).unwrap(),
+            Some(1000)
+        );
+        assert_eq!(buf, body);
+        // The reader stopped exactly at the frame boundary.
+        assert_eq!(
+            Frame::read_into(&mut r, &mut buf, MAX_FRAME_BYTES).unwrap(),
+            Some(4)
+        );
+        assert_eq!(buf, b"tail");
+        assert!(Frame::read_into(&mut r, &mut buf, MAX_FRAME_BYTES)
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn a_lying_prefix_costs_only_the_bytes_that_arrive() {
+        let declared = 1usize << 30;
+        let arrived = 200 * 1024;
+        let mut wire = format!("{declared}\n").into_bytes();
+        wire.extend_from_slice(&patterned(arrived));
+        let mut buf = Vec::new();
+        match Frame::read_into(&wire[..], &mut buf, MAX_FRAME_BYTES) {
+            Err(FrameError::Truncated {
+                declared: d,
+                missing,
+            }) => {
+                assert_eq!((d, missing), (declared, declared - arrived));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(buf.len(), arrived);
+        assert!(
+            buf.capacity() <= 2 * arrived + 64 * 1024,
+            "capacity {} for {arrived} arrived bytes",
+            buf.capacity()
+        );
+    }
+
+    #[test]
+    fn eof_mid_body_across_many_reads_reports_the_missing_bytes() {
+        let declared = 4 * 64 * 1024;
+        let arrived = 3 * 64 * 1024 + 5;
+        let mut wire = format!("{declared}\n").into_bytes();
+        wire.extend_from_slice(&patterned(arrived));
+        let r = Trickle {
+            bytes: &wire,
+            step: 10_000,
+            interrupt: false,
+            calls: 0,
+        };
+        let mut buf = Vec::new();
+        match Frame::read_into(r, &mut buf, MAX_FRAME_BYTES) {
+            Err(FrameError::Truncated {
+                declared: d,
+                missing,
+            }) => {
+                assert_eq!((d, missing), (declared, declared - arrived));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(buf, patterned(arrived));
     }
 
     #[test]

@@ -455,8 +455,8 @@ pub fn write_framed<W: Write>(img: &Bitmap, w: &mut W) -> io::Result<()> {
 }
 
 /// Upper bound on a declared frame length (2³¹ bytes). A corrupt prefix
-/// below this still costs only the bytes that actually arrive — the body is
-/// read in bounded chunks, never pre-allocated to the declared length.
+/// below this still costs only the bytes that actually arrive — the body
+/// buffer grows with them and is never pre-allocated to the declared length.
 /// Prefixes above it are rejected as [`PbmError::LyingLengthPrefix`].
 pub use crate::framing::MAX_FRAME_BYTES;
 

@@ -283,8 +283,9 @@ pub enum StreamResponse {
 }
 
 /// Writes a `STREAM` response: header, one frame per record, the
-/// zero-length terminator frame, and the `END` trailer. `scratch` is the
-/// caller's reusable record-encoding buffer (cleared per record).
+/// zero-length terminator frame, and the `END` trailer. The whole reply is
+/// encoded into `scratch` (the caller's reusable buffer, cleared here) and
+/// handed to `w` in one `write_all`.
 pub fn write_stream_ok<W: Write>(
     w: &mut W,
     rows: usize,
@@ -292,14 +293,19 @@ pub fn write_stream_ok<W: Write>(
     records: &[RetiredComponent],
     scratch: &mut Vec<u8>,
 ) -> io::Result<()> {
-    writeln!(w, "STREAM {rows} {cols}")?;
+    // Every record frame carries the same prefix: format it once.
+    let mut prefix = Vec::with_capacity(8);
+    Frame::write_prefix(&mut prefix, RECORD_BYTES)?;
+    scratch.clear();
+    writeln!(scratch, "STREAM {rows} {cols}")?;
+    scratch.reserve(records.len() * (prefix.len() + RECORD_BYTES));
     for rec in records {
-        scratch.clear();
+        scratch.extend_from_slice(&prefix);
         encode_record(rec, scratch);
-        Frame::write(&mut *w, scratch)?;
     }
-    Frame::write(&mut *w, b"")?;
-    writeln!(w, "END {}", records.len())?;
+    Frame::write(&mut *scratch, b"")?;
+    writeln!(scratch, "END {}", records.len())?;
+    w.write_all(scratch)?;
     w.flush()
 }
 
@@ -411,9 +417,7 @@ pub fn write_ok<W: Write>(
     writeln!(w, "OK {rows} {cols} {components} {payload_len}")?;
     scratch.clear();
     scratch.reserve(payload_len);
-    for &label in labels {
-        scratch.extend_from_slice(&label.to_le_bytes());
-    }
+    scratch.extend(labels.iter().flat_map(|l| l.to_le_bytes()));
     w.write_all(scratch)?;
     w.flush()
 }

@@ -862,15 +862,20 @@ fn flush_out(shared: &Shared, conn: &mut Conn) -> bool {
     true
 }
 
-/// Reads everything currently available on the connection. Returns `false`
-/// if the connection died on a transport error.
-fn read_some(shared: &Arc<Shared>, done_tx: &mpsc::Sender<Completion>, conn: &mut Conn) -> bool {
-    let mut chunk = [0u8; 64 * 1024];
+/// Reads everything currently available on the connection through
+/// `chunk`, the poll thread's one reusable read buffer. Returns `false` if
+/// the connection died on a transport error.
+fn read_some(
+    shared: &Arc<Shared>,
+    done_tx: &mpsc::Sender<Completion>,
+    conn: &mut Conn,
+    chunk: &mut [u8],
+) -> bool {
     loop {
         if conn.phase == Phase::InFlight || conn.close_after_flush || conn.read_eof {
             break;
         }
-        match conn.sock.read(&mut chunk) {
+        match conn.sock.read(chunk) {
             Ok(0) => {
                 conn.read_eof = true;
                 break;
@@ -986,6 +991,7 @@ fn poll_loop(shared: &Arc<Shared>, listener: TcpListener, wake_rx: PipeReader) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut next_token: u64 = 0;
     let mut scratch = Vec::new();
+    let mut chunk = vec![0u8; 64 * 1024];
     let mut wake_rx = wake_rx;
 
     loop {
@@ -1092,7 +1098,7 @@ fn poll_loop(shared: &Arc<Shared>, listener: TcpListener, wake_rx: PipeReader) {
             let _ = slot;
             let mut alive = true;
             if fd.revents & (POLLIN | POLLHUP | POLLERR) != 0 {
-                alive = read_some(shared, &done_tx, &mut conns[idx]);
+                alive = read_some(shared, &done_tx, &mut conns[idx], &mut chunk);
             }
             if alive && fd.revents & POLLOUT != 0 {
                 alive = flush_out(shared, &mut conns[idx]);

@@ -144,6 +144,150 @@ mod tests {
     }
 
     #[test]
+    fn replies_keep_the_per_record_wire_bytes() {
+        // The one-pass reply encoders must emit exactly what one
+        // `Frame::write` per record (and one `to_le_bytes` per label) did.
+        use crate::protocol::{write_ok, write_stream_ok};
+        let mut rng = DetRng::new(0xb17e);
+        let mut scratch = Vec::new();
+        for n in [0u64, 1, 17] {
+            let records: Vec<RetiredComponent> =
+                (0..n).map(|_| arbitrary_record(&mut rng)).collect();
+            let mut want = b"STREAM 9 12\n".to_vec();
+            for rec in &records {
+                let mut body = Vec::new();
+                encode_record(rec, &mut body);
+                Frame::write(&mut want, &body).unwrap();
+            }
+            Frame::write(&mut want, b"").unwrap();
+            want.extend_from_slice(format!("END {n}\n").as_bytes());
+            let mut got = Vec::new();
+            write_stream_ok(&mut got, 9, 12, &records, &mut scratch).unwrap();
+            assert_eq!(got, want, "{n} records");
+        }
+        let labels: Vec<u32> = (0..12).map(|_| rng.next_u64() as u32).collect();
+        let mut want = b"OK 3 4 5 48\n".to_vec();
+        for l in &labels {
+            want.extend_from_slice(&l.to_le_bytes());
+        }
+        let mut got = Vec::new();
+        write_ok(&mut got, 3, 4, 5, &labels, &mut scratch).unwrap();
+        assert_eq!(got, want);
+    }
+
+    /// Fixed seeds for the reply-reader byte soups: the offline `proptest`
+    /// stub does not shrink, so a failure replays from its seed instead.
+    const REPLY_SOUP_SEEDS: [u64; 4] = [0x5eed_0001, 0xdead_beef, 0x000f_f1ce, 0x1234_5678_9abc];
+
+    /// Applies up to three random byte edits (overwrite, delete, insert,
+    /// truncate) to a well-formed reply, leaving its first `keep` bytes
+    /// alone. A quarter of the replies stay intact, so every soup reaches
+    /// the readers' success paths as well as their error paths.
+    fn mutate(rng: &mut DetRng, bytes: &mut Vec<u8>, keep: usize) {
+        for _ in 0..rng.below(4) {
+            let at = keep + rng.below((bytes.len() - keep) as u64 + 1) as usize;
+            let byte = match rng.below(3) {
+                0 => b'0' + rng.below(10) as u8,
+                1 => b"\n \t"[rng.below(3) as usize],
+                _ => rng.next_u64() as u8,
+            };
+            match rng.below(4) {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                2 => bytes.insert(at, byte),
+                _ => bytes.truncate(at),
+            }
+        }
+    }
+
+    #[test]
+    fn byte_soup_after_a_stream_header_is_ok_or_a_typed_error() {
+        use crate::protocol::{read_stream_response, StreamResponse};
+        use std::io::{self, BufReader};
+        let (mut oks, mut errs) = (0, 0);
+        for seed in REPLY_SOUP_SEEDS {
+            let mut rng = DetRng::new(seed);
+            for round in 0..300 {
+                let (rows, cols) = (1 + rng.below(3), 1 + rng.below(3));
+                let mut soup = format!("STREAM {rows} {cols}\n").into_bytes();
+                let header = soup.len();
+                if round % 4 == 3 {
+                    // Raw bytes after the header.
+                    soup.extend((0..rng.below(256)).map(|_| rng.next_u64() as u8));
+                } else {
+                    // Up to one record more than the pixels allow, then the
+                    // terminator and an END count sometimes off by one.
+                    let n = rng.below(rows * cols + 2);
+                    for _ in 0..n {
+                        Frame::write_prefix(&mut soup, RECORD_BYTES).unwrap();
+                        encode_record(&arbitrary_record(&mut rng), &mut soup);
+                    }
+                    let end = n + rng.below(4) / 3;
+                    soup.extend_from_slice(format!("0\nEND {end}\n").as_bytes());
+                    mutate(&mut rng, &mut soup, header);
+                }
+                let mut r = BufReader::new(&soup[..]);
+                match read_stream_response(&mut r) {
+                    Ok(Some(StreamResponse::Ok(job))) => {
+                        oks += 1;
+                        assert_eq!(job.components, job.records.len());
+                        assert!(
+                            job.records.len() as u64 <= rows * cols,
+                            "seed {seed:#x} round {round}: {} records on {rows}x{cols}",
+                            job.records.len()
+                        );
+                    }
+                    Ok(other) => panic!("seed {seed:#x} round {round}: {other:?}"),
+                    Err(e) => {
+                        errs += 1;
+                        assert!(
+                            matches!(
+                                e.kind(),
+                                io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                            ),
+                            "seed {seed:#x} round {round}: {e:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // The soup must reach both outcomes, or the property says little.
+        assert!(oks > 0 && errs > 0, "{oks} ok, {errs} errors");
+    }
+
+    #[test]
+    fn byte_soup_in_place_of_a_hello_echo_is_ok_or_a_typed_error() {
+        use crate::protocol::read_hello;
+        use std::io::{self, BufReader};
+        let (mut oks, mut errs) = (0, 0);
+        for seed in REPLY_SOUP_SEEDS {
+            let mut rng = DetRng::new(seed);
+            for round in 0..300 {
+                let mode = ["grid", "stream"][rng.below(2) as usize];
+                let mut soup = format!("HELLO slapd/{} {mode}\n", rng.below(4)).into_bytes();
+                mutate(&mut rng, &mut soup, 0);
+                let mut r = BufReader::new(&soup[..]);
+                match read_hello(&mut r) {
+                    Ok(_) => oks += 1,
+                    Err(e) => {
+                        errs += 1;
+                        assert!(
+                            matches!(
+                                e.kind(),
+                                io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                            ),
+                            "seed {seed:#x} round {round}: {e:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(oks > 0 && errs > 0, "{oks} ok, {errs} errors");
+    }
+
+    #[test]
     fn frames_of_records_concatenate_and_parse_back() {
         // The exact shape a STREAM response carries: back-to-back record
         // frames terminated by a zero-length frame.
