@@ -167,8 +167,8 @@ mod tests {
         } => Err("reuse criterion (warm ≤ cold): bfs cold/bfs warm is 1.000× on blobs @ 64 (8-conn)");
         validation_rejects_non_identical_labels: false, |r| r.entries[1].matches_reference = Some(false)
             => Err("does not match the reference");
-        validation_requires_every_registered_engine: false, |r| r.entries.retain(|e| e.engine != "stream")
-            => Err("lacks stream cold");
+        validation_requires_every_registered_engine: false, |r| r.entries.retain(|e| e.engine != "propagate")
+            => Err("lacks propagate cold");
         validation_rejects_unregistered_engines: false, |r| r.entries[0].engine = "warp-drive".into()
             => Err("unknown engine/config \"warp-drive\" \"cold\"");
         validation_rejects_thin_coverage: false, |r| r.entries.retain(|e| e.family == "random50")

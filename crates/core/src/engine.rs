@@ -1,38 +1,38 @@
 //! The unified host-engine layer: one trait, persistent sessions, and a
 //! registry-driven dispatch surface.
 //!
-//! The workspace grew six host labeling engines — the BFS gold oracle, the
-//! word-parallel [`fast`](crate::fast) engine, its strip-parallel and 2-D
-//! tiled decompositions (one tiled engine: strips are its `T × 1` shape),
-//! the bounded-memory streaming engine, and the iterative
-//! label-equivalence propagation engine — and, as the two-pass parallel
-//! CCL literature observes (Gupta et al., arXiv:1606.05973), they all share
-//! one skeleton: *group foreground into equivalence classes, then resolve
-//! every pixel's class to the component minimum*. This module names that
-//! skeleton in the type system:
+//! The workspace has five whole-frame host labeling engines — the BFS gold
+//! oracle, the word-parallel [`fast`](crate::fast) engine, its
+//! strip-parallel and 2-D tiled decompositions (one tiled engine: strips
+//! are its `T × 1` shape), and the iterative label-equivalence propagation
+//! engine — and, as the two-pass parallel CCL literature observes (Gupta et
+//! al., arXiv:1606.05973), they all share one skeleton: *group foreground
+//! into equivalence classes, then resolve every pixel's class to the
+//! component minimum*. This module names that skeleton in the type system.
+//! The bounded-memory streaming labeler is not one of them: it emits
+//! feature records, never a grid, and is driven directly
+//! ([`slap_image::label_stream`], [`slap_image::OutOfCoreLabeler`]).
 //!
 //! * [`LabelEngine`] — the common interface: `label_into(&mut self, img,
 //!   conn, out) -> EngineStats`. Implementations are **sessions**: each owns
-//!   its scratch arenas (run tables, union–find nodes, frontier buffers,
-//!   per-tile pools) and reuses them across calls, so a warm session in
-//!   steady state performs **zero heap allocation** per frame — the
-//!   difference the `slap-bench reuse` sweep records.
-//! * [`BfsSession`], [`FastSession`], [`TiledSession`], [`StreamSession`],
+//!   its scratch arenas (run tables, union–find nodes, per-tile pools) and
+//!   reuses them across calls, so a warm session in steady state performs
+//!   **zero heap allocation** per frame — the difference the `slap-bench
+//!   reuse` sweep records.
+//! * [`BfsSession`], [`FastSession`], [`TiledSession`],
 //!   [`PropagateSession`] — the engines behind the trait (`parallel` and
-//!   `tiled` are two shapes of one [`TiledSession`]).
-//!   All produce
-//!   **bit-identical**
-//!   output (component minima are decomposition-invariant), which the
-//!   `engine_matrix` differential harness asserts across every registered
-//!   engine × workload family × connectivity.
+//!   `tiled` are two shapes of one [`TiledSession`]). All produce
+//!   **bit-identical** output (component minima are
+//!   decomposition-invariant), which the `engine_matrix` differential
+//!   harness asserts across every registered engine × workload family ×
+//!   connectivity.
 //! * [`EngineKind`] + [`registry`] — the dispatch layer: every engine
-//!   enumerated with the capabilities its consumers read (thread scaling,
-//!   row-incremental input), so the `slap` CLI's `--engine` flag, the bench
-//!   sweeps and the differential suites pick engines from *data* instead of
-//!   hand-rolled match arms. Every engine supports both connectivities.
+//!   enumerated with the capabilities its consumers read (thread scaling),
+//!   so the `slap` CLI's `--engine` flag, the bench sweeps and the
+//!   differential suites pick engines from *data* instead of hand-rolled
+//!   match arms. Every engine supports both connectivities.
 
 use slap_image::fast::{FastLabeler, PropagateLabeler, TiledLabeler};
-use slap_image::stream::StreamGridLabeler;
 use slap_image::{BfsOracle, Bitmap, Connectivity, LabelGrid, TileStats};
 
 /// What one [`LabelEngine::label_into`] call observed. Cheap to produce
@@ -47,13 +47,10 @@ pub struct EngineStats {
     pub runs: usize,
     /// Worker threads used for this call (`1` for sequential engines).
     pub threads: usize,
-    /// Peak active-run frontier observed (streaming engine only; `0` for
-    /// whole-frame engines).
-    pub peak_frontier_runs: usize,
     /// Coarse word × 2-row tile classification counts from the block-based
-    /// first pass (run-based engines only; all-zero for the pixel-probing
-    /// oracle, which scans no tiles, and for the streaming engine, which does
-    /// not report its band core's). For the engines that do,
+    /// first pass (two-pass run-based engines only; all-zero for the
+    /// pixel-probing oracle and the propagation engine, which scan no
+    /// tiles). For the engines that do,
     /// `tiles.total() == words_per_row × rows`.
     pub tiles: TileStats,
     /// Relaxation rounds an iterative engine needed to reach its fixpoint,
@@ -218,45 +215,6 @@ impl LabelEngine for TiledSession {
     }
 }
 
-/// Session over the streaming engine ([`StreamGridLabeler`]): rows streamed
-/// a band at a time through the out-of-core band labeler with component
-/// tracking on, whose run log turns the retirement records into a whole
-/// grid. The grid output costs `O(rows × cols)` like every other engine
-/// here; the live-component union–find stays in the `O(cols + live)`
-/// frontier regime.
-#[derive(Debug, Default)]
-pub struct StreamSession {
-    labeler: StreamGridLabeler,
-}
-
-impl StreamSession {
-    /// Creates a session with empty (growable) scratch.
-    pub fn new() -> Self {
-        StreamSession::default()
-    }
-}
-
-impl LabelEngine for StreamSession {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Stream
-    }
-
-    fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats {
-        self.labeler.label_into(img, conn, out);
-        EngineStats {
-            components: self.labeler.last_components(),
-            runs: self.labeler.last_runs(),
-            threads: 1,
-            peak_frontier_runs: self.labeler.last_stats().peak_frontier_runs,
-            ..EngineStats::default()
-        }
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.labeler.scratch_bytes()
-    }
-}
-
 /// Session over the iterative label-equivalence propagation engine
 /// ([`PropagateLabeler`]): GPU-style alternating relaxation sweeps with
 /// pointer-jumping reduction between rounds — the flat, data-parallel
@@ -315,8 +273,6 @@ pub enum EngineKind {
         /// Tile rows.
         tiles_y: usize,
     },
-    /// Streaming run-based labeler (band-at-a-time input, bounded frontier).
-    Stream,
     /// Iterative label-equivalence propagation (GPU-style relaxation rounds
     /// with pointer-jumping reduction).
     Propagate,
@@ -348,7 +304,6 @@ impl EngineKind {
             EngineKind::Fast => "fast",
             EngineKind::Parallel => "parallel",
             EngineKind::Tiled { .. } => "tiled",
-            EngineKind::Stream => "stream",
             EngineKind::Propagate => "propagate",
         }
     }
@@ -384,7 +339,6 @@ impl EngineKind {
             EngineKind::Tiled { tiles_x, tiles_y } => {
                 Box::new(TiledSession::new(tiles_y, tiles_x, threads))
             }
-            EngineKind::Stream => Box::new(StreamSession::new()),
             EngineKind::Propagate => Box::new(PropagateSession::new()),
         }
     }
@@ -405,33 +359,27 @@ pub struct EngineInfo {
     pub description: &'static str,
     /// Whether the engine scales with a `threads` parameter.
     pub multithreaded: bool,
-    /// Whether the underlying algorithm consumes rows incrementally (and so
-    /// also powers `slap stream` / unbounded ingest).
-    pub streaming: bool,
 }
 
 /// The registry rows: **the** single site where an engine is added.
 /// [`EngineKind::ALL`] (and through it [`EngineKind::parse`], the CLI's
 /// engine listing, and the registry-driven suites) derive from this array
 /// at compile time.
-const REGISTRY_ROWS: [EngineInfo; 6] = [
+const REGISTRY_ROWS: [EngineInfo; 5] = [
     EngineInfo {
         kind: EngineKind::Bfs,
         description: "sequential BFS flood fill — the gold reference oracle",
         multithreaded: false,
-        streaming: false,
     },
     EngineInfo {
         kind: EngineKind::Fast,
         description: "word-parallel run-based two-pass — the sequential hot path",
         multithreaded: false,
-        streaming: false,
     },
     EngineInfo {
         kind: EngineKind::Parallel,
         description: "tiled two-pass on threads × 1 full-width strips — scales with cores",
         multithreaded: true,
-        streaming: false,
     },
     EngineInfo {
         kind: EngineKind::Tiled {
@@ -440,19 +388,11 @@ const REGISTRY_ROWS: [EngineInfo; 6] = [
         },
         description: "2-D tiled two-pass with hierarchical seam merging — perimeter-bounded seams",
         multithreaded: true,
-        streaming: false,
-    },
-    EngineInfo {
-        kind: EngineKind::Stream,
-        description: "streaming scan-line labeler — O(cols + live) frontier, band-at-a-time input",
-        multithreaded: false,
-        streaming: true,
     },
     EngineInfo {
         kind: EngineKind::Propagate,
         description: "iterative label-equivalence propagation — GPU-style relaxation rounds",
         multithreaded: false,
-        streaming: false,
     },
 ];
 
@@ -501,10 +441,6 @@ mod tests {
                 assert_eq!(stats.threads, session.threads(), "{}", info.kind);
                 if info.kind != EngineKind::Bfs {
                     assert!(stats.runs > 0, "{} reports its run universe", info.kind);
-                }
-                if info.kind == EngineKind::Stream {
-                    assert!(stats.peak_frontier_runs > 0);
-                    assert!(stats.peak_frontier_runs <= img.cols() / 2 + 1);
                 }
                 if info.kind == EngineKind::Propagate {
                     assert!(stats.iterations >= 1, "propagate counts its rounds");

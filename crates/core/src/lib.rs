@@ -37,8 +37,8 @@
 //! column is a stack of horizontal band seams), the specification behind
 //! the tiled engine's seam pass.
 //!
-//! The [`engine`] module unifies those host engines behind one trait:
-//! [`LabelEngine`] sessions own their scratch arenas and relabel
+//! The [`engine`] module unifies the whole-frame host engines behind one
+//! trait: [`LabelEngine`] sessions own their scratch arenas and relabel
 //! allocation-free in steady state, and [`registry`] enumerates every engine
 //! with its capabilities so the CLI, the bench sweeps, and the differential
 //! suites dispatch from data rather than per-engine match arms.
@@ -75,7 +75,7 @@ pub use cc::{
 };
 pub use engine::{
     registry, BfsSession, EngineInfo, EngineKind, EngineStats, FastSession, LabelEngine,
-    PropagateSession, StreamSession, TiledSession,
+    PropagateSession, TiledSession,
 };
 pub use runs::label_components_runs;
 pub use slap_image::fast;

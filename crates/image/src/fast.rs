@@ -206,8 +206,8 @@ fn close_last_run(runs: &mut [u64], end: u64) {
 }
 
 /// Writes one output row: background everywhere, then every run (packed
-/// `start << 32 | end`, both columns inclusive) with its label — the readout
-/// the tiled engine and the streaming grid labeler share.
+/// `start << 32 | end`, both columns inclusive) with its label — the tiled
+/// engine's readout.
 pub(crate) fn fill_label_row(row: &mut [u32], runs: impl Iterator<Item = (u64, u32)>) {
     row.fill(LabelGrid::BACKGROUND);
     for (sb, label) in runs {
@@ -472,8 +472,8 @@ fn scan_row_impl<const FOUR: bool>(cur: &[u64], prev: &[u64], g: RowGeom, s: Row
     }
     if !FOUR && merge {
         // The unified word-level 8-connectivity kernel — the same sweep as
-        // tile seams, the out-of-core band merge, and the streaming engine
-        // (the per-site two-pointer join it replaced survives as a
+        // tile seams and the out-of-core band merge every streaming path runs
+        // on (the per-site two-pointer join it replaced survives as a
         // test-only reference).
         let (prev_runs, cur_runs) = runs[prev_lo as usize..].split_at((prev_hi - prev_lo) as usize);
         for_each_diagonal_pair_at(

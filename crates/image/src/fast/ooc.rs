@@ -1,10 +1,10 @@
 //! Out-of-core labeling: a band-of-tiles scheduler that streams an
 //! arbitrarily tall frame through the tiled engine one band at a time. It
 //! is the crate's one streaming labeler, with one result type ([`OocRun`],
-//! [`OocStats`]): [`crate::stream::label_stream`] (its fixed-band
-//! convenience entry), the registry `stream` engine, `slap stream` /
-//! `slap label --out-of-core` and `slapd`'s stream jobs all run on
-//! [`OutOfCoreLabeler`].
+//! [`OocStats`]) and one memory model: [`crate::stream::label_stream`] (its
+//! fixed-band convenience entry), `slap stream` / `slap label --out-of-core`
+//! and `slapd`'s stream jobs all run on [`OutOfCoreLabeler`], and every one
+//! of them emits feature records, never a label grid.
 //!
 //! The paper's SLAP reads the image one scan line per beat and keeps only
 //! the frontier. This scheduler keeps the same carried state but advances a
@@ -111,23 +111,6 @@ struct BandComp {
     slot: u32,
 }
 
-/// The run log of a tracked frame, which lets
-/// [`crate::stream::StreamGridLabeler`] turn retirements back into a label
-/// grid: every run with the slot of its component. While a log is kept the
-/// live core recycles no slot, so a slot names its component for the whole
-/// frame and [`OutOfCoreLabeler::labeled_log`] can resolve any logged run.
-/// Only the grid labeler keeps one: the slab then grows with the frame's
-/// total component count.
-#[derive(Debug, Default)]
-pub(crate) struct RunLog {
-    /// Every run of the frame (packed `start << 32 | end`) with its
-    /// component's slot — or, after [`OutOfCoreLabeler::labeled_log`], its
-    /// paper label — rows concatenated.
-    pub(crate) runs: Vec<(u64, u32)>,
-    /// Index of the first logged run of each row, plus a sentinel.
-    pub(crate) row_runs: Vec<u32>,
-}
-
 /// Reusable out-of-core labeler (see the module docs for the band cycle).
 /// The band bitmap, the tiled core, and every carried vector persist across
 /// calls, so a stream of frames with equal widths reallocates nothing.
@@ -163,8 +146,6 @@ pub struct OutOfCoreLabeler {
     comps: Vec<BandComp>,
     /// Scratch words for seam adjacency.
     and_buf: Vec<u64>,
-    /// The grid labeler's run log; `None` everywhere else.
-    pub(crate) log: Option<RunLog>,
 }
 
 impl OutOfCoreLabeler {
@@ -188,7 +169,6 @@ impl OutOfCoreLabeler {
             comp_ix: Vec::new(),
             comps: Vec::new(),
             and_buf: Vec::new(),
-            log: None,
         }
     }
 
@@ -218,10 +198,6 @@ impl OutOfCoreLabeler {
             + (self.prev_slots.capacity() + self.next_slots.capacity() + self.comp_ix.capacity())
                 * size_of::<u32>()
             + self.comps.capacity() * size_of::<BandComp>()
-            + self.log.as_ref().map_or(0, |log| {
-                log.runs.capacity() * size_of::<(u64, u32)>()
-                    + log.row_runs.capacity() * size_of::<u32>()
-            })
     }
 
     /// Drains `src` and returns every component of the frame with full
@@ -243,6 +219,10 @@ impl OutOfCoreLabeler {
     /// `sink` as its band retires it, so a caller that keeps only a summary
     /// holds one band plus `O(cols + live)` state whatever the component
     /// count.
+    ///
+    /// A band of `band_rows × cols` positions must fit the arena's `u32`
+    /// position space; a wider one is refused with
+    /// [`io::ErrorKind::InvalidInput`] before any band-sized allocation.
     pub fn label_source_with<S: RowSource>(
         &mut self,
         src: &mut S,
@@ -258,12 +238,7 @@ impl OutOfCoreLabeler {
         // Reset carried state from any previous frame.
         self.prev_runs.clear();
         self.prev_slots.clear();
-        self.live.clear(self.log.is_some());
-        if let Some(log) = &mut self.log {
-            log.runs.clear();
-            log.row_runs.clear();
-            log.row_runs.push(0);
-        }
+        self.live.clear();
         if cols == 0 {
             // Every row is empty: count them, emit nothing.
             while src.next_row(&mut self.words)? {
@@ -271,10 +246,16 @@ impl OutOfCoreLabeler {
             }
             return Ok(stats);
         }
-        assert!(
-            (self.band_rows as u64) * (cols as u64) < u32::MAX as u64,
-            "band must fit the u32 run-index space; lower --band-rows"
-        );
+        if (self.band_rows as u64).saturating_mul(cols as u64) >= u64::from(u32::MAX) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "a band of {} rows x {cols} cols overflows the u32 position space; \
+                     lower the band height",
+                    self.band_rows
+                ),
+            ));
+        }
         if (self.band.rows(), self.band.cols()) != (self.band_rows, cols) {
             self.band.reset_dims(self.band_rows, cols);
         }
@@ -309,17 +290,6 @@ impl OutOfCoreLabeler {
                 stats.retired += 1;
             });
         Ok(stats)
-    }
-
-    /// After a tracked frame of `rows` rows is drained: rewrites each logged
-    /// run's slot as its component's paper label and returns the log.
-    pub(crate) fn labeled_log(&mut self, rows: usize) -> &RunLog {
-        let log = self.log.as_mut().expect("labeler keeps a run log");
-        for entry in &mut log.runs {
-            // A Bitmap's positions fit u32, so its labels do too.
-            entry.1 = self.live.record(entry.1).label(rows) as u32;
-        }
-        log
     }
 
     /// Reads up to `band_rows` rows into the band bitmap, zeroing the unused
@@ -483,23 +453,10 @@ impl OutOfCoreLabeler {
         }
 
         // A component that never took a slot is confined to this band: its
-        // record is final. A run log still needs a slot to name it by.
-        for comp in self.comps.iter_mut().filter(|comp| comp.slot == NONE) {
+        // record is final.
+        for comp in self.comps.iter().filter(|comp| comp.slot == NONE) {
             sink(comp.rec);
             stats.retired += 1;
-            if self.log.is_some() {
-                comp.slot = self.live.mint(comp.rec);
-            }
-        }
-        if let Some(log) = &mut self.log {
-            for lr in 0..h {
-                for k in row_runs[lr] as usize..row_runs[lr + 1] as usize {
-                    let comp = &self.comps[self.comp_ix[node[k] as u32 as usize] as usize];
-                    log.runs.push((runs[k], comp.slot));
-                }
-                let logged = u32::try_from(log.runs.len()).expect("run count exceeds u32");
-                log.row_runs.push(logged);
-            }
         }
 
         // Still step 6: retire every carried slot that missed the new
@@ -686,6 +643,19 @@ mod tests {
             run.components.len(),
             fast_labels_conn(&c, Connectivity::Four).component_count()
         );
+    }
+
+    #[test]
+    fn a_band_past_the_u32_position_space_is_invalid_input() {
+        // 2^32 rows of 8 columns: refused with a typed error before the band
+        // bitmap is sized, and the frame's rows are left unread.
+        let img = gen::uniform_random(3, 8, 0.5, 6);
+        let mut rows = BitmapRows::new(&img);
+        let err = OutOfCoreLabeler::new(1 << 32, 1)
+            .label_source(&mut rows, Connectivity::Four)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(rows.next_row(&mut Vec::new()).unwrap());
     }
 
     #[test]

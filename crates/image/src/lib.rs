@@ -58,6 +58,4 @@ pub use fast::{
 };
 pub use labels::{ComponentInfo, LabelGrid};
 pub use oracle::{bfs_labels, bfs_labels_conn, BfsOracle};
-pub use stream::{
-    label_stream, BitmapRows, RetiredComponent, RowSource, StreamGridLabeler, STREAM_BAND_ROWS,
-};
+pub use stream::{label_stream, BitmapRows, RetiredComponent, RowSource, STREAM_BAND_ROWS};

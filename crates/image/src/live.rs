@@ -17,8 +17,7 @@
 //!    untouched one retires, and the step's forwarded slots are reclaimed.
 //!
 //! Retired and forwarded slots return to a free list, so the slab tracks
-//! *live* components, not total ones — unless the core keeps ids (see
-//! [`LiveComponents::clear`]).
+//! *live* components, not total ones.
 
 use crate::bitmap::count_ones_in_span;
 use crate::stream::RetiredComponent;
@@ -50,23 +49,16 @@ pub(crate) struct LiveComponents {
     stamp: u64,
     /// Peak slab occupancy (see [`LiveComponents::peak`]).
     peak: usize,
-    /// Never recycle a slot (see [`LiveComponents::clear`]).
-    keep_ids: bool,
 }
 
 impl LiveComponents {
-    /// Forgets every component, keeping the allocations. With `keep_ids`
-    /// no slot is recycled until the next clear, so a slot names its
-    /// component for the whole run: [`LiveComponents::record`] resolves any
-    /// slot ever handed out, at the price of a slab that grows with the
-    /// total component count.
-    pub(crate) fn clear(&mut self, keep_ids: bool) {
+    /// Forgets every component, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();
         self.forwarded.clear();
         self.stamp = 0;
         self.peak = 0;
-        self.keep_ids = keep_ids;
     }
 
     /// Live components. Exact between steps, when every occupied slot is a
@@ -113,12 +105,6 @@ impl LiveComponents {
             let covered = count_ones_in_span(below, a, b);
             self.slots[s as usize].rec.perimeter += u64::from(b - a + 1 - covered);
         }
-    }
-
-    /// The running (or, once retired, final) record of `slot`'s set.
-    pub(crate) fn record(&mut self, slot: u32) -> &RetiredComponent {
-        let s = self.resolve(slot);
-        &self.slots[s as usize].rec
     }
 
     /// Folds `rec` into the set of `slot` and returns the set's root.
@@ -202,16 +188,10 @@ impl LiveComponents {
             slot.scanned = self.stamp;
             if slot.touched != self.stamp {
                 emit(&slot.rec);
-                if !self.keep_ids {
-                    self.free.push(s);
-                }
+                self.free.push(s);
             }
         }
-        if self.keep_ids {
-            self.forwarded.clear();
-        } else {
-            self.free.append(&mut self.forwarded);
-        }
+        self.free.append(&mut self.forwarded);
         self.stamp += 1;
     }
 }

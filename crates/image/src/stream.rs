@@ -20,8 +20,8 @@
 //! `O(rows × cols)`: frames taller than memory, piped PBM, and unbounded
 //! ingest all stream through at a constant footprint. [`label_stream`]
 //! returns the band labeler's own result type, [`OocRun`], whose
-//! [`OocStats`] carry every frontier peak; a caller that keeps only a
-//! summary, or wants another band height, drives
+//! [`OocStats`](crate::fast::OocStats) carry every frontier peak; a caller
+//! that keeps only a summary, or wants another band height, drives
 //! [`OutOfCoreLabeler::label_source_with`] itself and hands records to a
 //! sink.
 //!
@@ -29,9 +29,9 @@
 //! plus a per-component feature fold would produce — the differential suites
 //! replay every generator family and compare record-for-record, keyed by the
 //! paper label — and the frontier bound is asserted by tests and enforced by
-//! the `slap-bench stream` schema validator. [`StreamGridLabeler`] turns the
-//! same band core back into a whole-frame engine (the registry's `stream`
-//! engine).
+//! the `slap-bench stream` schema validator. Records are the only output:
+//! a caller that wants a label grid labels the whole frame with a registry
+//! engine (`fast`, `tiled`, ...) instead.
 //!
 //! Input adapters implement [`RowSource`]: [`BitmapRows`] replays an
 //! in-memory [`Bitmap`], and [`crate::pbm::PbmRowReader`] streams P1/P4 PBM
@@ -40,14 +40,12 @@
 
 use crate::bitmap::Bitmap;
 use crate::connectivity::Connectivity;
-use crate::fast::ooc::RunLog;
-use crate::fast::{fill_label_row, OocRun, OocStats, OutOfCoreLabeler};
-use crate::labels::LabelGrid;
+use crate::fast::{OocRun, OutOfCoreLabeler};
 use std::io;
 
-/// Rows per band of every streaming path: [`label_stream`], the registry
-/// `stream` engine ([`StreamGridLabeler`]), `slap stream` and `slapd`'s
-/// default out-of-core band.
+/// Rows per band of every streaming path by default: [`label_stream`],
+/// `slap stream` / `slap label --out-of-core` and `slapd`'s out-of-core
+/// band.
 pub const STREAM_BAND_ROWS: usize = 128;
 
 /// [`STREAM_BAND_ROWS`], lowered where a band that tall would overflow the
@@ -160,96 +158,6 @@ impl RetiredComponent {
         self.sum_col += other.sum_col;
         self.perimeter += other.perimeter;
     }
-}
-
-/// A reusable session that labels whole frames **through the streaming
-/// engine**: the band core runs with a run log, recording every run with
-/// the slot of the component it joined, and once the frame is drained the
-/// retired records hand each component its paper label (minimum
-/// column-major position) — which one run-fill pass then writes into a
-/// [`LabelGrid`], bit-identical to [`crate::fast::fast_labels_conn`] and the
-/// BFS oracle.
-///
-/// The grid output necessarily costs `O(rows × cols)` (the grid itself) plus
-/// an `O(runs)` log, and the log's slots must stay valid for the whole frame,
-/// so the core recycles no slot here: the slab holds one slot per component
-/// of the frame, and [`StreamGridLabeler::last_stats`] reports that count as
-/// `peak_live_slots`. This type trades the pure engine's bounded-memory
-/// guarantee for interchangeability with the whole-frame engines. All
-/// scratch is kept between calls.
-#[derive(Debug)]
-pub struct StreamGridLabeler {
-    /// The band core, keeping a run log.
-    inner: OutOfCoreLabeler,
-    /// Statistics of the most recent call.
-    stats: OocStats,
-}
-
-impl Default for StreamGridLabeler {
-    fn default() -> Self {
-        StreamGridLabeler::new()
-    }
-}
-
-impl StreamGridLabeler {
-    /// Creates a session with empty (growable) scratch storage.
-    pub fn new() -> Self {
-        StreamGridLabeler {
-            inner: tracked(STREAM_BAND_ROWS),
-            stats: OocStats::default(),
-        }
-    }
-
-    /// Labels `img` into `out` (re-dimensioned; every cell written exactly
-    /// once) by streaming its rows through the band core. With reused
-    /// storage of sufficient capacity the call performs no heap allocation.
-    pub fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) {
-        let (rows, cols) = (img.rows(), img.cols());
-        if self.inner.band_rows() != band_rows_for(cols) {
-            self.inner = tracked(band_rows_for(cols));
-        }
-        self.stats = self
-            .inner
-            .label_source_with(&mut BitmapRows::new(img), conn, |_| {})
-            .expect("in-memory row replay cannot fail");
-
-        // Every component is now retired with its paper label: write each
-        // logged run with it.
-        out.reset_dims(rows, cols);
-        let log = self.inner.labeled_log(rows);
-        for r in 0..rows {
-            let (lo, hi) = (log.row_runs[r] as usize, log.row_runs[r + 1] as usize);
-            fill_label_row(out.row_mut(r), log.runs[lo..hi].iter().copied());
-        }
-    }
-
-    /// Statistics of the most recent call (frontier peaks, retirements).
-    pub fn last_stats(&self) -> OocStats {
-        self.stats
-    }
-
-    /// Number of runs logged by the most recent call.
-    pub fn last_runs(&self) -> usize {
-        self.inner.log.as_ref().map_or(0, |log| log.runs.len())
-    }
-
-    /// Number of components labeled by the most recent call.
-    pub fn last_components(&self) -> usize {
-        self.stats.retired as usize
-    }
-
-    /// Total bytes of scratch capacity currently reserved (the band core
-    /// and its run log).
-    pub fn scratch_bytes(&self) -> usize {
-        self.inner.scratch_bytes()
-    }
-}
-
-/// A band labeler that keeps a run log, for [`StreamGridLabeler`].
-fn tracked(band_rows: usize) -> OutOfCoreLabeler {
-    let mut labeler = OutOfCoreLabeler::new(band_rows, 1);
-    labeler.log = Some(RunLog::default());
-    labeler
 }
 
 /// A source of packed image rows for [`label_stream`].
@@ -590,17 +498,49 @@ mod tests {
         assert_eq!(banded(&img, 2).stats.peak_live_slots, 1);
     }
 
+    /// `(label, area, bbox)` of every record a warm `labeler` retires from
+    /// `img`, sorted.
+    fn record_keys(
+        labeler: &mut OutOfCoreLabeler,
+        img: &Bitmap,
+        conn: Connectivity,
+    ) -> Vec<(u64, u64, [u32; 4])> {
+        let mut keys: Vec<_> = band_sorted(labeler, img, conn)
+            .iter()
+            .map(|c| {
+                let bbox = [c.min_row, c.max_row, c.min_col, c.max_col];
+                (c.label(img.rows()), c.area, bbox)
+            })
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// The same keys read off the fast engine's label grid.
+    fn grid_keys(img: &Bitmap, conn: Connectivity) -> Vec<(u64, u64, [u32; 4])> {
+        let mut keys: Vec<_> = fast_labels_conn(img, conn)
+            .component_stats()
+            .iter()
+            .map(|s| {
+                let bbox = [s.min_row, s.max_row, s.min_col, s.max_col].map(|v| v as u32);
+                (u64::from(s.label), s.pixels as u64, bbox)
+            })
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
     #[test]
     fn grid_labeler_is_bit_identical_to_the_fast_engine() {
-        let mut session = StreamGridLabeler::new();
-        let mut grid = crate::labels::LabelGrid::new_background(1, 1);
+        // One warm band labeler: its records carry the fast engine's labels,
+        // areas and boxes on every family and connectivity.
+        let mut labeler = OutOfCoreLabeler::new(STREAM_BAND_ROWS, 1);
         for name in gen::WORKLOADS {
             let img = gen::by_name(name, 33, 7).unwrap();
             for conn in [Connectivity::Four, Connectivity::Eight] {
-                session.label_into(&img, conn, &mut grid);
                 assert_eq!(
-                    grid,
-                    fast_labels_conn(&img, conn),
+                    record_keys(&mut labeler, &img, conn),
+                    grid_keys(&img, conn),
                     "workload {name} conn={conn:?}"
                 );
             }
@@ -610,18 +550,22 @@ mod tests {
     #[test]
     fn grid_labeler_survives_interleaved_dims_and_checker_density() {
         // Run-dense checker rows exercise the word-AND merge sweep; the
-        // interleaved sizes exercise session reuse across dims, and the
+        // interleaved sizes exercise labeler reuse across dims, and the
         // tall ones carry components across band seams.
-        let mut session = StreamGridLabeler::new();
-        let mut grid = crate::labels::LabelGrid::new_background(1, 1);
+        let mut labeler = OutOfCoreLabeler::new(STREAM_BAND_ROWS, 1);
         for (rows, cols) in [(64, 64), (3, 130), (65, 17), (1, 1), (200, 1), (300, 40)] {
             let img = gen::uniform_random(rows, cols, 0.55, (rows * 31 + cols) as u64);
-            session.label_into(&img, Connectivity::Four, &mut grid);
-            assert_eq!(grid, fast_labels_conn(&img, Connectivity::Four));
+            assert_eq!(
+                record_keys(&mut labeler, &img, Connectivity::Four),
+                grid_keys(&img, Connectivity::Four),
+                "{rows}x{cols}"
+            );
         }
         let checker = gen::by_name("checker", 48, 0).unwrap();
-        session.label_into(&checker, Connectivity::Four, &mut grid);
-        assert_eq!(grid, fast_labels_conn(&checker, Connectivity::Four));
+        assert_eq!(
+            record_keys(&mut labeler, &checker, Connectivity::Four),
+            grid_keys(&checker, Connectivity::Four)
+        );
     }
 
     #[test]

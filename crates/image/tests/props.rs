@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use slap_image::bitmap::for_each_adjacent_pair;
 use slap_image::pbm::{FramedPbmReader, PbmRowReader};
-use slap_image::stream::{BitmapRows, RowSource, StreamGridLabeler};
+use slap_image::stream::{BitmapRows, RowSource, STREAM_BAND_ROWS};
 use slap_image::{
     bfs_labels, bfs_labels_conn, fast_labels_conn, gen, label_stream, morph, pbm,
     tiled_labels_conn, Bitmap, ComponentInfo, Connectivity, FastLabeler, LabelGrid,
@@ -411,10 +411,27 @@ proptest! {
 
     #[test]
     fn stream_merge_sweep_is_bit_identical_on_arbitrary_bitmaps(bm in arb_wide_bitmap()) {
-        // Same end-to-end check for the stream engine's merge sweep.
-        let mut grid = LabelGrid::new_background(1, 1);
-        StreamGridLabeler::new().label_into(&bm, Connectivity::Eight, &mut grid);
-        prop_assert_eq!(grid, bfs_labels_conn(&bm, Connectivity::Eight));
+        // Same end-to-end check for the streaming labeler's merge sweep: its
+        // records carry the oracle's labels, areas and bounding boxes.
+        let run = OutOfCoreLabeler::new(STREAM_BAND_ROWS, 1)
+            .label_source(&mut BitmapRows::new(&bm), Connectivity::Eight)
+            .unwrap();
+        let mut got: Vec<(u64, u64, [u32; 4])> = run
+            .components
+            .iter()
+            .map(|c| (c.label(bm.rows()), c.area, [c.min_row, c.max_row, c.min_col, c.max_col]))
+            .collect();
+        got.sort_unstable();
+        let mut want: Vec<(u64, u64, [u32; 4])> = bfs_labels_conn(&bm, Connectivity::Eight)
+            .component_stats()
+            .iter()
+            .map(|s| {
+                let bbox = [s.min_row, s.max_row, s.min_col, s.max_col].map(|v| v as u32);
+                (u64::from(s.label), s.pixels as u64, bbox)
+            })
+            .collect();
+        want.sort_unstable();
+        prop_assert_eq!(got, want);
     }
 
     #[test]

@@ -45,8 +45,7 @@ use crate::protocol::{self, ResponseMode, WireError};
 use crate::queue::{BoundedQueue, PushRejection};
 use crate::wire::PrefixParser;
 use slap_cc::{Connectivity, EngineKind, LabelEngine};
-use slap_image::pbm::{PbmError, PbmRowReader, MAX_FRAME_BYTES};
-use slap_image::stream::RowSource;
+use slap_image::pbm::{self, PbmError, PbmRowReader, MAX_FRAME_BYTES};
 use slap_image::{Bitmap, LabelGrid, OutOfCoreLabeler, RetiredComponent, STREAM_BAND_ROWS};
 use std::io::{self, PipeReader, PipeWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -63,6 +62,10 @@ use std::time::{Duration, Instant};
 /// materialize a bitmap, so the hook does not see them). Tests use it to
 /// inject panics and delays; production leaves it `None`.
 pub type JobHook = Arc<dyn Fn(&Bitmap) + Send + Sync>;
+
+/// Grid jobs at or above this many pixels run on the parallel engine;
+/// smaller jobs take the fast sequential engine.
+const PARALLEL_THRESHOLD_PIXELS: u64 = 1 << 21;
 
 /// Tunable limits and behavior for a [`Server`].
 #[derive(Clone)]
@@ -91,10 +94,8 @@ pub struct ServeConfig {
     pub deadline: Duration,
     /// Socket read/write timeout — how long a client may stall mid-frame.
     pub io_timeout: Duration,
-    /// Jobs at or above this many pixels run on the parallel engine;
-    /// smaller jobs take the fast sequential engine.
-    pub parallel_threshold_pixels: u64,
-    /// Threads handed to the parallel engine session.
+    /// Threads handed to the parallel engine session, which labels grid
+    /// jobs of at least 2^21 pixels.
     pub engine_threads: usize,
     /// Optional pre-compute hook (see [`JobHook`]).
     pub job_hook: Option<JobHook>,
@@ -113,7 +114,6 @@ impl Default for ServeConfig {
             ooc_band_rows: STREAM_BAND_ROWS,
             deadline: Duration::from_secs(5),
             io_timeout: Duration::from_secs(5),
-            parallel_threshold_pixels: 1 << 21,
             engine_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -135,7 +135,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("ooc_band_rows", &self.ooc_band_rows)
             .field("deadline", &self.deadline)
             .field("io_timeout", &self.io_timeout)
-            .field("parallel_threshold_pixels", &self.parallel_threshold_pixels)
             .field("engine_threads", &self.engine_threads)
             .field("job_hook", &self.job_hook.as_ref().map(|_| "<hook>"))
             .finish()
@@ -687,25 +686,14 @@ fn admit(shared: &Arc<Shared>, done_tx: &mpsc::Sender<Completion>, conn: &mut Co
         ResponseMode::Grid => {
             // Materialize the bitmap from the buffered frame body. Failures
             // here (truncated raster, bad pixel bytes) do not desync.
-            let mut rd = PbmRowReader::new(&conn.body[..]).expect("header parsed above");
-            let mut img = Bitmap::new(rows, cols);
-            let mut row_words = Vec::new();
-            for r in 0..rows {
-                match rd.next_row(&mut row_words) {
-                    Ok(true) => img.set_row_words(r, &row_words),
-                    Ok(false) => {
-                        reject_to(shared, conn, WireError::BadFrame, "frame body ended early");
-                        return;
-                    }
-                    Err(e) => {
-                        let detail = PbmError::from_io(&e)
-                            .map(|pe| pe.to_string())
-                            .unwrap_or_else(|| e.to_string());
-                        reject_to(shared, conn, WireError::BadFrame, &detail);
-                        return;
-                    }
+            let img = match pbm::read(&conn.body[..]) {
+                Ok(img) => img,
+                Err(e) => {
+                    let (code, detail) = classify_job_error(&e);
+                    reject_to(shared, conn, code, &detail);
+                    return;
                 }
-            }
+            };
             // Weight = bitmap words + the label grid the worker hands back.
             let weight = img.as_words().len() * 8 + (pixels as usize) * 4;
             (Payload::Grid(img), weight)
@@ -1161,7 +1149,7 @@ impl Engines {
         if self.grid.rows() != img.rows() || self.grid.cols() != img.cols() {
             self.grid = LabelGrid::new_background(img.rows(), img.cols());
         }
-        let engine = if pixels >= cfg.parallel_threshold_pixels && cfg.engine_threads > 1 {
+        let engine = if pixels >= PARALLEL_THRESHOLD_PIXELS && cfg.engine_threads > 1 {
             &mut self.parallel
         } else {
             &mut self.fast
@@ -1370,6 +1358,39 @@ mod tests {
         ));
         let stats = server.shutdown();
         assert_eq!(stats.too_large, 2);
+        assert_eq!(stats.jobs_ok, 1);
+    }
+
+    #[test]
+    fn a_short_grid_raster_is_a_bad_frame_and_the_socket_keeps_serving() {
+        let server = Server::bind("127.0.0.1:0", test_cfg()).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        // A well-framed body whose P4 raster holds 1 of 3 declared rows.
+        let body = b"P4\n8 3\n\xff".to_vec();
+        stream
+            .write_all(format!("{}\n", body.len()).as_bytes())
+            .unwrap();
+        stream.write_all(&body).unwrap();
+        match protocol::read_response(&mut reader).unwrap().unwrap() {
+            Response::Rejected { code, detail } => {
+                assert_eq!(code, WireError::BadFrame);
+                let want = PbmError::TruncatedPixels {
+                    declared_rows: 3,
+                    read_rows: 1,
+                };
+                assert_eq!(detail, want.to_string());
+            }
+            other => panic!("expected bad-frame, got {other:?}"),
+        }
+        pbm::write_framed(&checker(8, 8), &mut stream).unwrap();
+        assert!(matches!(
+            protocol::read_response(&mut reader).unwrap().unwrap(),
+            Response::Ok(_)
+        ));
+        let stats = server.shutdown();
+        assert_eq!(stats.bad_frame, 1);
+        assert_eq!(stats.sessions_rebuilt, 0);
         assert_eq!(stats.jobs_ok, 1);
     }
 

@@ -135,7 +135,7 @@ fn main() {
         // whole-frame `--engine` would break the O(cols + live) contract this
         // path exists for.
         "stream" | "label" if cmd == "stream" || out_of_core => {
-            if let Some(kind) = engine.filter(|&k| k != EngineKind::Stream && tiles.is_none()) {
+            if let Some(kind) = engine.filter(|_| tiles.is_none()) {
                 die(&format!(
                     "slap stream and slap label --out-of-core run the streaming engine; \
                      `--engine {kind}` would need the whole frame in memory \
@@ -620,9 +620,6 @@ fn host_report(img: &Bitmap, conn: Connectivity, mut session: Box<dyn LabelEngin
     );
     if engine_stats.runs > 0 {
         print!(", {} run(s)", engine_stats.runs);
-    }
-    if engine_stats.peak_frontier_runs > 0 {
-        print!(", peak frontier {}", engine_stats.peak_frontier_runs);
     }
     let tiles = engine_stats.tiles;
     if tiles.total() > 0 {

@@ -120,6 +120,22 @@ fn stream_labels_piped_pbm_with_bounded_memory_report() {
     assert!(!bad.status.success(), "truncated P4 must not stream");
     let err = String::from_utf8_lossy(&bad.stderr);
     assert!(!err.contains("panicked"), "clean error expected: {err}");
+    // So must a band too tall for the u32 position space at this width.
+    let valid = b"P4\n8 3\n\xff\x00\xff";
+    for cmd in [&["stream"][..], &["label", "--out-of-core"][..]] {
+        let args = [cmd, &["--band-rows", "4294967296"][..]].concat();
+        let bad = slap_with_stdin(&args, valid);
+        assert!(
+            !bad.status.success(),
+            "{args:?}: an overflowing band must not stream"
+        );
+        let err = String::from_utf8_lossy(&bad.stderr);
+        assert!(
+            !err.contains("panicked"),
+            "{args:?}: clean error expected: {err}"
+        );
+        assert_eq!(err.trim().lines().count(), 1, "{args:?}: one line: {err}");
+    }
 }
 
 #[test]
@@ -158,7 +174,7 @@ fn out_of_core_label_reports_what_stream_and_the_fast_engine_report() {
 fn label_and_features_dispatch_every_registered_engine() {
     let pbm_bytes = slap(&["gen", "blobs", "18", "4"]).stdout;
     let mut reports = Vec::new();
-    for engine in ["bfs", "fast", "parallel", "stream"] {
+    for engine in ["bfs", "fast", "parallel"] {
         let out = slap_with_stdin(&["label", "--engine", engine, "--conn", "8"], &pbm_bytes);
         let report = stdout_str(&out);
         assert!(
@@ -198,6 +214,15 @@ fn label_and_features_dispatch_every_registered_engine() {
     assert!(
         err.contains("registered engines") && err.contains("parallel"),
         "unknown-engine error should list the registry: {err}"
+    );
+    // `stream` is no registry engine: the streaming labeler emits records,
+    // not grids, and runs as `slap stream`.
+    let bad = slap_with_stdin(&["label", "--engine", "stream"], &pbm_bytes);
+    assert_eq!(bad.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&bad.stderr);
+    assert!(
+        err.contains("unknown engine \"stream\"") && err.contains("registered engines"),
+        "{err}"
     );
     // `stream --engine fast` is a contradiction and must be refused.
     let bad = slap_with_stdin(&["stream", "--engine", "fast"], &pbm_bytes);

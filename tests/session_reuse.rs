@@ -5,11 +5,15 @@
 //! **zero reallocations** (asserted through the `scratch_bytes` capacity
 //! watermark: a `Vec` can only grow its capacity by reallocating, so a
 //! stable watermark over a repeated frame set proves the steady state is
-//! allocation-free).
+//! allocation-free). The streaming labeler, which emits records instead of
+//! a grid, is held to the same reuse contract on its records.
 
 use proptest::prelude::*;
-use slap_repro::cc::engine::{registry, EngineKind, FastSession, LabelEngine, StreamSession};
-use slap_repro::image::{bfs_labels_conn, gen, Bitmap, Connectivity, LabelGrid};
+use slap_repro::cc::engine::{registry, FastSession, LabelEngine};
+use slap_repro::image::{
+    bfs_labels_conn, gen, stream::BitmapRows, Bitmap, Connectivity, LabelGrid, OocStats,
+    OutOfCoreLabeler, STREAM_BAND_ROWS,
+};
 
 fn arb_frame() -> impl Strategy<Value = Bitmap> {
     // Dims straddle the 64-bit word boundary; densities span run-sparse to
@@ -39,12 +43,64 @@ fn check_warm_equals_fresh(session: &mut dyn LabelEngine, img: &Bitmap, conn: Co
     );
 }
 
+/// `(label, area, bbox)` of every component, sorted.
+type Keys = Vec<(u64, u64, [u32; 4])>;
+
+/// Streams `img` through a (possibly warm) band labeler: the sorted keys of
+/// its records, and the run's stats.
+fn streamed_keys(
+    labeler: &mut OutOfCoreLabeler,
+    img: &Bitmap,
+    conn: Connectivity,
+) -> (Keys, OocStats) {
+    let run = labeler
+        .label_source(&mut BitmapRows::new(img), conn)
+        .unwrap();
+    let mut keys: Keys = run
+        .components
+        .iter()
+        .map(|c| {
+            let bbox = [c.min_row, c.max_row, c.min_col, c.max_col];
+            (c.label(img.rows()), c.area, bbox)
+        })
+        .collect();
+    keys.sort_unstable();
+    (keys, run.stats)
+}
+
+/// The same keys read off the BFS oracle's label grid.
+fn oracle_keys(img: &Bitmap, conn: Connectivity) -> Keys {
+    let mut keys: Keys = bfs_labels_conn(img, conn)
+        .component_stats()
+        .iter()
+        .map(|s| {
+            let bbox = [s.min_row, s.max_row, s.min_col, s.max_col].map(|v| v as u32);
+            (u64::from(s.label), s.pixels as u64, bbox)
+        })
+        .collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// Streams `img` through a warm `labeler` and asserts its records equal a
+/// fresh labeler's and the oracle's.
+fn check_warm_stream_equals_fresh(
+    labeler: &mut OutOfCoreLabeler,
+    img: &Bitmap,
+    conn: Connectivity,
+) {
+    let (warm, _) = streamed_keys(labeler, img, conn);
+    let (fresh, _) = streamed_keys(&mut OutOfCoreLabeler::new(STREAM_BAND_ROWS, 1), img, conn);
+    assert_eq!(warm, fresh, "warm vs fresh (stream)");
+    assert_eq!(warm, oracle_keys(img, conn), "warm vs oracle (stream)");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The ISSUE's reuse property: a warm `FastSession` / `StreamSession`
-    /// output is bit-identical to a fresh one's after interleaving frames of
-    /// different dims and families.
+    /// The reuse property: a warm `FastSession`'s grid, and a warm
+    /// streaming labeler's records, equal a fresh one's after interleaving
+    /// frames of different dims and families.
     #[test]
     fn warm_fast_and_stream_sessions_match_fresh_after_interleaved_frames(
         a in arb_frame(),
@@ -55,19 +111,24 @@ proptest! {
         side in 4usize..40,
     ) {
         let named = gen::by_name(family, side, 5).unwrap();
-        let mut fast: Box<dyn LabelEngine> = Box::new(FastSession::new());
-        let mut stream: Box<dyn LabelEngine> = Box::new(StreamSession::new());
-        for session in [fast.as_mut(), stream.as_mut()] {
-            let mut grid = LabelGrid::new_background(1, 1);
-            // Interleave frames of unrelated dims/densities, checking the
-            // warm output against a fresh session at every step.
-            session.label_into(&a, conn, &mut grid);
-            check_warm_equals_fresh(session, &b, conn);
-            session.label_into(&named, conn, &mut grid);
-            check_warm_equals_fresh(session, &c, conn);
-            // Re-labeling an earlier frame must reproduce it exactly.
-            check_warm_equals_fresh(session, &a, conn);
-        }
+        let mut session = FastSession::new();
+        let mut grid = LabelGrid::new_background(1, 1);
+        // Interleave frames of unrelated dims/densities, checking the warm
+        // output against a fresh session at every step.
+        session.label_into(&a, conn, &mut grid);
+        check_warm_equals_fresh(&mut session, &b, conn);
+        session.label_into(&named, conn, &mut grid);
+        check_warm_equals_fresh(&mut session, &c, conn);
+        // Re-labeling an earlier frame must reproduce it exactly.
+        check_warm_equals_fresh(&mut session, &a, conn);
+
+        // The same interleaving through one warm streaming labeler.
+        let mut labeler = OutOfCoreLabeler::new(STREAM_BAND_ROWS, 1);
+        streamed_keys(&mut labeler, &a, conn);
+        check_warm_stream_equals_fresh(&mut labeler, &b, conn);
+        streamed_keys(&mut labeler, &named, conn);
+        check_warm_stream_equals_fresh(&mut labeler, &c, conn);
+        check_warm_stream_equals_fresh(&mut labeler, &a, conn);
     }
 
     /// Warm calls are allocation-free: after a frame set has been seen
@@ -187,15 +248,19 @@ fn warm_fast_session_relabels_allocation_free_with_block_classification() {
 
 #[test]
 fn stream_session_grid_path_matches_pure_streaming_retirements() {
-    // The StreamSession grid labeler and the pure streaming path share one
-    // union-find; their component counts must agree frame after frame on a
-    // warm session.
-    let mut session = EngineKind::Stream.session(1);
-    let mut grid = LabelGrid::new_background(1, 1);
+    // A warm streaming labeler retires, frame after frame, exactly the
+    // components of the oracle's grid, within the frontier bound.
+    let mut labeler = OutOfCoreLabeler::new(STREAM_BAND_ROWS, 1);
     for (i, name) in gen::WORKLOADS.iter().enumerate() {
         let img = gen::by_name(name, 24 + (i % 5) * 7, i as u64).unwrap();
-        let stats = session.label_into(&img, Connectivity::Four, &mut grid);
-        assert_eq!(stats.components, grid.component_count(), "workload {name}");
+        let (keys, stats) = streamed_keys(&mut labeler, &img, Connectivity::Four);
+        assert_eq!(
+            keys,
+            oracle_keys(&img, Connectivity::Four),
+            "workload {name}"
+        );
+        assert_eq!(stats.retired as usize, keys.len(), "workload {name}");
         assert!(stats.peak_frontier_runs <= img.cols() / 2 + 1, "{name}");
+        assert!(stats.peak_live_slots <= img.cols() + 1, "{name}");
     }
 }
