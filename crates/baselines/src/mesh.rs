@@ -10,8 +10,7 @@
 //!   the moment it disappears as an isolated pixel. Components here are
 //!   **8-connected** — Levialdi's operator is defined for 8-connectivity —
 //!   so E6 uses it on workloads where the 4- and 8-connected counts
-//!   coincide, or reports both counts (a documented substitution; see
-//!   DESIGN.md).
+//!   coincide, or reports both counts (a documented substitution).
 //!
 //! Both report machine rounds and the `rounds × n²` work product that the
 //! paper's resource argument weighs against the SLAP's `n` processors.

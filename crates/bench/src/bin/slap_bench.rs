@@ -15,8 +15,7 @@
 //! (`slapd` jobs at 1/4/16 clients per response mode), and `propagate` (the
 //! label-equivalence engine vs. the oracle, plus lock-step step counts).
 //! Every file has the one `slap-bench/v1` shape; `check` validates it
-//! against the spec of the recorder its header names. The criterion
-//! microbenches remain under `cargo bench`.
+//! against the spec of the recorder its header names.
 
 use slap_bench::record::{check, recorder, RECORDERS};
 

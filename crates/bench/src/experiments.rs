@@ -1,5 +1,6 @@
-//! The E1–E11 experiment implementations. See DESIGN.md §4 for the mapping
-//! from paper claims to experiments and EXPERIMENTS.md for recorded results.
+//! The E1–E16 experiment implementations. Each `eN` returns the tables the
+//! `experiments` binary prints; ARCHITECTURE.md's paper-section-to-module map
+//! names the claim each experiment checks.
 
 use crate::table::{f2, f3, Table};
 use crate::Scale;
@@ -10,9 +11,15 @@ use slap_cc::bitserial::{entropy_report, label_components_bitserial, message_bit
 use slap_cc::{label_components, label_components_kind, CcOptions, CcRun};
 use slap_image::{gen, Bitmap};
 use slap_unionfind::{BlumUf, TarjanUf, UfKind, UnionFind};
+use std::time::Instant;
 
 fn cc(img: &Bitmap, kind: UfKind) -> CcRun {
     label_components_kind(img, kind, &CcOptions::default())
+}
+
+/// Host milliseconds since `start`, for the wall-clock columns.
+fn ms_since(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e3
 }
 
 fn lg(x: f64) -> f64 {
@@ -545,9 +552,9 @@ pub fn e11(scale: Scale) -> Vec<Table> {
         .filter(|&t| t <= 2 * cores)
         .collect();
     for threads in thread_counts {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let labels = naive_slap_lockstep(&img, rounds, threads);
-        let ms = start.elapsed().as_secs_f64() * 1e3;
+        let ms = ms_since(start);
         assert_eq!(labels, reference, "threads={threads} diverged");
         if threads == 1 {
             base_ms = ms;
@@ -639,6 +646,8 @@ pub fn e13(scale: Scale) -> Vec<Table> {
             "run/pixel",
             "uf-pass msgs (pixel)",
             "uf-pass msgs (run)",
+            "pixel wall ms",
+            "run wall ms",
         ],
     );
     for name in [
@@ -647,8 +656,12 @@ pub fn e13(scale: Scale) -> Vec<Table> {
         for &n in scale.sides() {
             let img = gen::by_name(name, n, 11).unwrap();
             let opts = CcOptions::default();
+            let start = Instant::now();
             let pixel = label_components::<TarjanUf>(&img, &opts);
+            let pixel_ms = ms_since(start);
+            let start = Instant::now();
             let runs = label_components_runs::<TarjanUf>(&img, &opts);
+            let runs_ms = ms_since(start);
             assert_eq!(runs.labels, pixel.labels, "{name} n={n}");
             t.push_row(vec![
                 name.into(),
@@ -660,6 +673,8 @@ pub fn e13(scale: Scale) -> Vec<Table> {
                     .to_string(),
                 (runs.metrics.left.uf_pass.messages + runs.metrics.right.uf_pass.messages)
                     .to_string(),
+                f2(pixel_ms),
+                f2(runs_ms),
             ]);
         }
     }
@@ -668,7 +683,8 @@ pub fn e13(scale: Scale) -> Vec<Table> {
             the run universe shrinks union-find from n elements to #runs per column. run/pixel \
             < 1 everywhere; the gain is largest on solid workloads (vstripes: one run per \
             column) and smallest on sparse noise (random25: most runs are single pixels, so \
-            the run table saves little). Wire format and labels unchanged.",
+            the run table saves little). Wire format and labels unchanged. The wall ms \
+            columns are one host run of each simulation, not a paper claim.",
     );
     vec![t]
 }
@@ -687,6 +703,8 @@ pub fn e14(scale: Scale) -> Vec<Table> {
             "8/4",
             "components 4",
             "components 8",
+            "4-conn wall ms",
+            "8-conn wall ms",
         ],
     );
     for name in [
@@ -699,12 +717,16 @@ pub fn e14(scale: Scale) -> Vec<Table> {
     ] {
         for &n in scale.sides() {
             let img = gen::by_name(name, n, 11).unwrap();
-            let four = label_components::<TarjanUf>(&img, &CcOptions::default());
             let opts8 = CcOptions {
                 connectivity: Connectivity::Eight,
                 ..CcOptions::default()
             };
+            let start = Instant::now();
+            let four = label_components::<TarjanUf>(&img, &CcOptions::default());
+            let four_ms = ms_since(start);
+            let start = Instant::now();
             let eight = label_components::<TarjanUf>(&img, &opts8);
+            let eight_ms = ms_since(start);
             assert_eq!(eight.labels, bfs_labels_conn(&img, Connectivity::Eight));
             t.push_row(vec![
                 name.into(),
@@ -714,6 +736,8 @@ pub fn e14(scale: Scale) -> Vec<Table> {
                 f3(eight.metrics.total_steps as f64 / four.metrics.total_steps as f64),
                 four.labels.component_count().to_string(),
                 eight.labels.component_count().to_string(),
+                f2(four_ms),
+                f2(eight_ms),
             ]);
         }
     }
@@ -723,7 +747,8 @@ pub fn e14(scale: Scale) -> Vec<Table> {
             The 8/4 step ratio stays near 1 (constant-factor overhead); component counts \
             collapse on diagonal-rich workloads (antidiag 87381 -> 341 at n=512; random50 \
             19x fewer) and are untouched where no diagonals exist (checker's isolated \
-            pixels sit 2 apart; staircase steps are already 4-connected).",
+            pixels sit 2 apart; staircase steps are already 4-connected). The wall ms \
+            columns are one host run of each simulation, not a paper claim.",
     );
     vec![t]
 }
@@ -745,13 +770,16 @@ pub fn e15(scale: Scale) -> Vec<Table> {
             "cube links",
             "SLAP/cube time",
             "cube/SLAP work",
+            "cube wall ms",
         ],
     );
     for name in ["serpentine", "random50", "blobs"] {
         for &n in scale.sides() {
             let img = gen::by_name(name, n, 11).unwrap();
             let run = cc(&img, UfKind::Tarjan);
+            let start = Instant::now();
             let (labels, rep) = sv_labels(&img);
+            let cube_ms = ms_since(start);
             assert_eq!(labels, run.labels);
             let slap_work = run.metrics.total_steps * n as u64;
             t.push_row(vec![
@@ -765,6 +793,7 @@ pub fn e15(scale: Scale) -> Vec<Table> {
                 rep.links.to_string(),
                 f2(run.metrics.total_steps as f64 / rep.rounds as f64),
                 f2(rep.work() as f64 / slap_work as f64),
+                f2(cube_ms),
             ]);
         }
     }
@@ -772,7 +801,8 @@ pub fn e15(scale: Scale) -> Vec<Table> {
         "Claim (intro, [5]): richer networks beat O(n) time 'but only with interconnection \
             networks that are more complicated and, therefore, more costly'. Cube rounds grow \
             polylogarithmically (SLAP/cube time rises with n) while the cube spends n²/n times \
-            the processors and ~n·lg(n²)/2 times the links; cube/SLAP work quantifies the price.",
+            the processors and ~n·lg(n²)/2 times the links; cube/SLAP work quantifies the price. \
+            cube wall ms is one host run of the simulated cube, not a paper claim.",
     );
     vec![t]
 }
@@ -854,7 +884,7 @@ pub fn all(scale: Scale) -> Vec<Table> {
     out
 }
 
-/// Runs one experiment by id ("e1".."e14" or "all").
+/// Runs one experiment by id ("e1".."e16" or "all").
 pub fn by_name(name: &str, scale: Scale) -> Option<Vec<Table>> {
     Some(match name {
         "e1" => e1(scale),
@@ -884,8 +914,8 @@ mod tests {
 
     #[test]
     fn every_experiment_runs_at_quick_scale() {
-        for name in ["e1", "e4", "e7", "e9"] {
-            let tables = by_name(name, Scale::Quick).unwrap();
+        for name in (1..=16).map(|i| format!("e{i}")) {
+            let tables = by_name(&name, Scale::Quick).unwrap();
             assert!(!tables.is_empty());
             for t in &tables {
                 assert!(!t.rows.is_empty(), "{name} produced an empty table");

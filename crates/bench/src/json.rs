@@ -1,7 +1,7 @@
 //! A minimal JSON reader/writer for the `slap-bench` file shape.
 //!
-//! The workspace's `serde` is an offline no-op stub, so bench files are
-//! written by hand ([`crate::record::Report::to_json`]) and read back by this
+//! The workspace has no serde, so bench files are written by hand
+//! ([`crate::record::Report::to_json`]) and read back by this
 //! small recursive-descent parser — just enough JSON (objects, arrays,
 //! strings with the common escapes, numbers, booleans, null) for
 //! `slap-bench check` to validate a file without any dependency.

@@ -5,8 +5,9 @@
 //! so the reproduction targets are its *claims*: Lemma 1/2, Theorem 3, the
 //! §3 worst-case and practical-variant discussion, Corollary 4, Theorem 5,
 //! the Figure 3 difficulty arguments, and the introduction's comparisons
-//! against prior SLAP and mesh algorithms. DESIGN.md maps each claim to an
-//! experiment id (E1–E16); EXPERIMENTS.md records claim vs. measurement.
+//! against prior SLAP and mesh algorithms. Each claim is an experiment id
+//! (E1–E16); ARCHITECTURE.md's paper-section-to-module map lists them, and
+//! the tables the `experiments` binary prints are the measurements.
 //!
 //! Each `eN` function returns one or more markdown [`Table`]s; the
 //! `experiments` binary prints them (`experiments all`, `experiments e3`,
@@ -31,12 +32,12 @@ pub mod tiled;
 pub use table::Table;
 
 /// Sweep sizes: `quick` keeps every experiment under a few seconds for CI;
-/// `full` is what EXPERIMENTS.md records.
+/// `full` is the default of the `experiments` binary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Small sweeps for smoke testing.
     Quick,
-    /// The sizes recorded in EXPERIMENTS.md.
+    /// The sizes the `experiments` binary runs by default.
     Full,
 }
 

@@ -1,5 +1,5 @@
-//! `experiments` — regenerates the paper-claim tables recorded in
-//! EXPERIMENTS.md.
+//! `experiments` — prints the paper-claim tables E1–E16 as markdown (README's
+//! build section has the run line).
 //!
 //! ```text
 //! experiments all            # every experiment at full scale
@@ -52,14 +52,14 @@ fn main() {
                 return;
             }
             "--help" | "-h" => {
-                eprintln!("usage: experiments [--quick] (all | e1 .. e11)+");
+                eprintln!("usage: experiments [--quick] (all | e1 .. e16)+");
                 return;
             }
             other => names.push(other.to_string()),
         }
     }
     if names.is_empty() {
-        eprintln!("usage: experiments [--quick] (all | e1 .. e11)+  (see --list)");
+        eprintln!("usage: experiments [--quick] (all | e1 .. e16)+  (see --list)");
         std::process::exit(2);
     }
     for name in &names {

@@ -181,8 +181,8 @@ impl Report {
         }
     }
 
-    /// Serializes the report, with the `ratios` its recorder's [`Spec`]
-    /// derives. Hand-rolled (the workspace `serde` is a no-op stub);
+    /// Writes the report as JSON, with the `ratios` its recorder's [`Spec`]
+    /// derives. Hand-rolled (the workspace has no serde);
     /// [`Report::parse`] reads it back.
     pub fn to_json(&self) -> String {
         let strs = |v: &[String]| v.iter().map(|s| json::quote(s)).collect::<Vec<_>>();

@@ -19,7 +19,6 @@
 //! To avoid double counting with non-idempotent operators (sum, count), the
 //! final value at column `i` is `prefix_incl(0..=i) ⊕ suffix_excl(i+1..)`.
 
-use serde::{Deserialize, Serialize};
 use slap_image::{Bitmap, Connectivity, LabelGrid};
 use slap_machine::{run_pipeline_with, PipelineConfig, PipelineReport};
 use std::collections::HashMap;
@@ -73,7 +72,7 @@ impl Fold for SumFold {
 }
 
 /// Step accounting for a component fold.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct FoldMetrics {
     /// Makespan of the local per-column fold (max units over PEs).
     pub local_makespan: u64,

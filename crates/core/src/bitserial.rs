@@ -19,7 +19,6 @@
 //!   bound `lg(#labelings)` the theorem's counting argument yields.
 
 use crate::cc::{label_components_kind, CcOptions, CcRun};
-use serde::{Deserialize, Serialize};
 use slap_image::{fast_labels, gen, Bitmap};
 use slap_machine::costs;
 use slap_unionfind::UfKind;
@@ -44,7 +43,7 @@ pub fn label_components_bitserial(img: &Bitmap, kind: UfKind, opts: &CcOptions) 
 }
 
 /// The counting-argument data for one image side `n` (see module docs).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EntropyReport {
     /// Image side.
     pub n: usize,

@@ -3,7 +3,6 @@
 use crate::passes::{find_pass, label_pass, readout_pass, unionfind_pass};
 use crate::stitch::stitch_column;
 use crate::NIL;
-use serde::{Deserialize, Serialize};
 use slap_image::{Bitmap, Connectivity, LabelGrid};
 use slap_machine::{costs, run_pipeline_pooled, PipelineBuffers, PipelineConfig, PipelineReport};
 use slap_unionfind::{
@@ -12,7 +11,7 @@ use slap_unionfind::{
 };
 
 /// When does a set re-forward label messages in `Label-Pass`?
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ForwardPolicy {
     /// Forward a label only when it strictly improves (lowers) the set's
     /// current label. Fewer messages, identical final labels (the minimum
@@ -25,7 +24,7 @@ pub enum ForwardPolicy {
 
 /// Algorithm variant switches (paper §3 discusses the forwarding and
 /// compression variants; `connectivity` is this workspace's extension).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CcOptions {
     /// Pixel adjacency convention. The paper's algorithm is 4-connectivity;
     /// [`Connectivity::Eight`] enables the diagonal-bridge extension (see
@@ -67,7 +66,7 @@ impl Default for CcOptions {
 }
 
 /// Step accounting for one directional (left- or right-connected) pass.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PassMetrics {
     /// The pipelined `Union-Find-Pass` (Fig. 5).
     pub uf_pass: PipelineReport,
@@ -97,7 +96,7 @@ impl PassMetrics {
 }
 
 /// Step accounting for a full Algorithm CC run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct CcMetrics {
     /// The left-connected labeling pass.
     pub left: PassMetrics,

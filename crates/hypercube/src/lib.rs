@@ -18,8 +18,7 @@
 //!   charged through the cost model. (Cypher–Sanz–Snyder reach `O(lg² n)`
 //!   with bespoke merging; the sort-based S-V here runs in
 //!   `O(lg n)`-ish iterations of `O(lg² n)`-round collectives — still
-//!   polylog, which is what the resource comparison needs. The substitution
-//!   is recorded in DESIGN.md.)
+//!   polylog, which is what the resource comparison needs.)
 //!
 //! Experiment E15 runs this labeler against Algorithm CC on the SLAP and
 //! tabulates time, processor count, link count, and work.

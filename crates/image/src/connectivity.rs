@@ -8,10 +8,8 @@
 //! local "diagonal bridge" rule and a widened adjacency witness (see
 //! `slap-cc`'s pass documentation), at unchanged asymptotic cost.
 
-use serde::{Deserialize, Serialize};
-
 /// Which pixels count as adjacent.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Connectivity {
     /// Horizontal and vertical neighbors only (the paper's convention).
     #[default]

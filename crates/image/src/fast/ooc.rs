@@ -118,8 +118,6 @@ struct BandComp {
 pub struct OutOfCoreLabeler {
     /// Rows per band (≥ 1); the in-memory working set is `band_rows × cols`.
     band_rows: usize,
-    /// Tile columns the band labeler splits each band into.
-    tiles_x: usize,
     /// The band-labeling core: a 1 × `tiles_x` tiled engine driven through
     /// its arena-building phases only.
     core: TiledLabeler,
@@ -156,7 +154,6 @@ impl OutOfCoreLabeler {
         let tiles_x = tiles_x.max(1);
         OutOfCoreLabeler {
             band_rows: band_rows.max(1),
-            tiles_x,
             core: TiledLabeler::new(1, tiles_x, tiles_x),
             band: Bitmap::new(1, 1),
             words: Vec::new(),
@@ -170,16 +167,6 @@ impl OutOfCoreLabeler {
             comps: Vec::new(),
             and_buf: Vec::new(),
         }
-    }
-
-    /// The configured band height.
-    pub fn band_rows(&self) -> usize {
-        self.band_rows
-    }
-
-    /// The configured tile-column count.
-    pub fn tiles_x(&self) -> usize {
-        self.tiles_x
     }
 
     /// Total bytes of scratch capacity currently reserved — carried state,

@@ -1,9 +1,7 @@
 //! Step-accounting reports produced by the executors.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-PE accounting from one pipeline pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PeStats {
     /// Local clock when the PE finished the pass (after its EOS enqueue).
     pub finish: u64,
@@ -24,7 +22,7 @@ pub struct PeStats {
 }
 
 /// Whole-pass accounting from the virtual-time pipeline executor.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PipelineReport {
     /// Per-PE statistics in array order.
     pub per_pe: Vec<PeStats>,

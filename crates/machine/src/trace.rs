@@ -7,10 +7,8 @@
 //! wedge ahead of it that the §3 idle-compression variant harvests, and the
 //! send bursts of the Figure 3(b) comb.
 
-use serde::{Deserialize, Serialize};
-
 /// What a PE was doing during a [`Span`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanKind {
     /// Local computation (union–find work, loop bookkeeping).
     Busy,
@@ -33,7 +31,7 @@ impl SpanKind {
 }
 
 /// One half-open interval `[start, end)` of a PE's clock.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
     /// Start clock (inclusive).
     pub start: u64,

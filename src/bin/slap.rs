@@ -318,7 +318,9 @@ fn serve_cmd(rest: &mut Vec<&str>, conn: Connectivity, threads: Option<usize>) {
         cfg.queue_cap = n;
     }
     if let Some(n) = take_num::<usize>(rest, "--queue-budget-mb") {
-        cfg.queue_budget_bytes = n << 20;
+        cfg.queue_budget_bytes = n
+            .checked_mul(1 << 20)
+            .unwrap_or_else(|| die(&format!("--queue-budget-mb {n} overflows the byte count")));
     }
     if let Some(n) = take_num::<usize>(rest, "--max-dim") {
         cfg.max_dim = n;

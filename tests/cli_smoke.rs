@@ -294,3 +294,19 @@ fn bad_input_fails_without_panic_message() {
         "parse failure should be a clean error, not a panic: {err}"
     );
 }
+
+#[test]
+fn serve_rejects_a_queue_budget_that_overflows_bytes() {
+    // 2^44 MiB is 2^64 bytes: it must be refused, not wrap to a zero budget
+    let out = slap(&[
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--queue-budget-mb",
+        "17592186044416",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--queue-budget-mb"), "flag not named: {err}");
+    assert!(!err.contains("panicked"), "clean error expected: {err}");
+}
