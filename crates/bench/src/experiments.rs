@@ -924,6 +924,18 @@ mod tests {
     }
 
     #[test]
+    fn e7_prints_the_same_tables_on_every_run() {
+        // Each `HashMap` of a process draws its own hash seed, so two runs
+        // in one process would already differ if a fold pass walked one.
+        let render =
+            || -> Vec<String> { e7(Scale::Quick).iter().map(Table::to_markdown).collect() };
+        let first = render();
+        for _ in 0..2 {
+            assert_eq!(render(), first);
+        }
+    }
+
+    #[test]
     fn unknown_experiment_is_none() {
         assert!(by_name("e99", Scale::Quick).is_none());
     }

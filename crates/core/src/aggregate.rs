@@ -21,7 +21,7 @@
 
 use slap_image::{Bitmap, Connectivity, LabelGrid};
 use slap_machine::{run_pipeline_with, PipelineConfig, PipelineReport};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A commutative, associative fold with identity.
 pub trait Fold {
@@ -106,8 +106,10 @@ impl<V: Copy> FoldRun<V> {
 
 /// Per-column fold state used by the passes.
 struct ColumnFold<V> {
-    /// label -> fold of this column's pixels with that label
-    local: HashMap<u32, V>,
+    /// label -> fold of this column's pixels with that label; ordered, so
+    /// the passes send their messages (and count their steps) the same way
+    /// on every run
+    local: BTreeMap<u32, V>,
     /// does the component extend left / right of this column?
     extends_left: HashMap<u32, bool>,
     extends_right: HashMap<u32, bool>,
@@ -136,7 +138,7 @@ fn column_folds<F: Fold>(
     (0..cols)
         .map(|c| {
             let mut cf = ColumnFold {
-                local: HashMap::new(),
+                local: BTreeMap::new(),
                 extends_left: HashMap::new(),
                 extends_right: HashMap::new(),
                 units: 0,

@@ -2,7 +2,6 @@
 
 use crate::bitmap::Bitmap;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Per-pixel component labels, row-major.
 ///
@@ -146,9 +145,10 @@ impl LabelGrid {
     }
 
     /// Number of distinct components (distinct foreground labels), counted
-    /// by the run fold of [`LabelGrid::component_stats`].
+    /// on the run fold of [`LabelGrid::component_stats`] without building
+    /// its records.
     pub fn component_count(&self) -> usize {
-        self.fold_runs().len()
+        label_groups(&self.fold_runs().1).count()
     }
 
     /// Relabels each component with the minimum column-major position of its
@@ -200,94 +200,79 @@ impl LabelGrid {
         true
     }
 
-    /// Per-component statistics, sorted by label.
+    /// Per-component statistics, sorted by label, in a vector of exactly
+    /// one record per component (`capacity() == len()`).
     ///
-    /// Folds maximal runs of one label rather than pixels: each row is
-    /// walked 64 pixels at a time, each run costs one probe of a
-    /// label-to-slot index, and the slots are ordered by one sort of packed
-    /// `label << 32 | slot` keys. The cost is
-    /// `O(pixels/64 + runs + components·log components)`. Nothing is
-    /// assumed about the labels themselves: any labeling, canonical or not
-    /// and with a label's pixels in any rows, gets one record per distinct
-    /// foreground label.
+    /// Folds maximal runs of one label rather than pixels. Each row is
+    /// walked 64 labels at a time as a mask of change points; each run
+    /// costs one probe of a small direct-mapped label index, which may
+    /// split a label over several slots; one radix sort of the slots by
+    /// label then merges those. The cost is `O(pixels/64 + runs + slots)`,
+    /// and at most one slot is opened per run. Nothing is assumed about the
+    /// labels themselves: any labeling, canonical or not and with a label's
+    /// pixels in any rows, gets one record per distinct foreground label.
     pub fn component_stats(&self) -> Vec<ComponentInfo> {
-        self.fold_runs()
-            .into_iter()
-            .map(|s| ComponentInfo {
-                label: s.label,
+        let (slots, order) = self.fold_runs();
+        let mut out = Vec::with_capacity(label_groups(&order).count());
+        for keys in label_groups(&order) {
+            let mut s = slots[keys[0] as u32 as usize];
+            for &k in &keys[1..] {
+                s.merge(&slots[k as u32 as usize]);
+            }
+            out.push(ComponentInfo {
+                label: (keys[0] >> 32) as u32,
                 pixels: s.pixels as usize,
                 min_row: s.min_row as usize,
                 max_row: s.max_row as usize,
                 min_col: s.min_col as usize,
                 max_col: s.max_col as usize,
-            })
-            .collect()
+            });
+        }
+        out
     }
 
-    /// The run fold behind [`LabelGrid::component_stats`]: one [`Slot`] per
-    /// distinct foreground label, sorted by label.
+    /// The run fold behind [`LabelGrid::component_stats`]: the slots, and
+    /// their keys `label << 32 | slot` sorted by label.
     ///
-    /// A slot leaves the index after the first row that misses it, so the
-    /// index holds only the labels of the last two rows. A component's rows
-    /// form an interval, so under a real labeling no label comes back; when
-    /// one does (`set` and `row_mut` can write anything), it opens a second
-    /// slot, and the two merge after the sort.
-    fn fold_runs(&self) -> Vec<Slot> {
-        let mut index = LabelIndex::default();
-        let mut slots: Vec<Slot> = Vec::new();
-        // Slots seen in the previous row and in this one.
-        let (mut prev, mut cur): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+    /// The index has `2^k >= 2 * cols` `(label, slot)` entries picked by a
+    /// multiplicative hash. A run whose label is in its entry folds into
+    /// that slot; any other run opens a slot and takes the entry. So a slot
+    /// holds one label's runs only, and a collision (or a label that comes
+    /// back to a taken entry) costs an extra slot, which the merge after
+    /// the sort folds back: every result is exact.
+    fn fold_runs(&self) -> (Vec<Slot>, Vec<u64>) {
+        let bits = index_bits(self.cols);
+        let mut index = vec![(Self::BACKGROUND, 0u32); 1 << bits];
+        let (mut slots, mut keys): (Vec<Slot>, Vec<u64>) = (Vec::new(), Vec::new());
         for r in 0..self.rows {
             let row = r as u32;
             for_each_label_run(self.row(r), |start, end, label| {
-                let (start, end) = (start as u32, end as u32);
-                let next = slots.len() as u32;
-                let s = *index.entry(label).or_insert(next);
-                if s == next {
+                let (first, last) = (start as u32, end as u32 - 1);
+                let entry = &mut index[bucket(label, bits)];
+                if entry.0 == label {
+                    let slot = &mut slots[entry.1 as usize];
+                    slot.pixels += last - first + 1;
+                    slot.max_row = row;
+                    slot.min_col = slot.min_col.min(first);
+                    slot.max_col = slot.max_col.max(last);
+                } else {
+                    *entry = (label, slots.len() as u32);
+                    keys.push(u64::from(label) << 32 | slots.len() as u64);
                     slots.push(Slot {
-                        label,
-                        pixels: 0,
+                        pixels: last - first + 1,
                         min_row: row,
                         max_row: row,
-                        min_col: start,
-                        max_col: end - 1,
+                        min_col: first,
+                        max_col: last,
                     });
-                    cur.push(s);
                 }
-                let slot = &mut slots[s as usize];
-                if slot.max_row != row {
-                    slot.max_row = row;
-                    cur.push(s);
-                }
-                slot.pixels += end - start;
-                slot.min_col = slot.min_col.min(start);
-                slot.max_col = slot.max_col.max(end - 1);
             });
-            for &s in &prev {
-                let slot = &slots[s as usize];
-                if slot.max_row != row {
-                    index.remove(&slot.label);
-                }
-            }
-            std::mem::swap(&mut prev, &mut cur);
-            cur.clear();
         }
-        let mut keys: Vec<u64> = slots
-            .iter()
-            .enumerate()
-            .map(|(s, slot)| (u64::from(slot.label) << 32) | s as u64)
-            .collect();
-        // Slots of one label sort in the order they were opened.
-        keys.sort_unstable();
-        let mut out: Vec<Slot> = Vec::with_capacity(keys.len());
-        for k in keys {
-            let s = &slots[k as u32 as usize];
-            match out.last_mut() {
-                Some(last) if last.label == s.label => last.merge(s),
-                _ => out.push(s.clone()),
-            }
-        }
-        out
+        // Growth by doubling can leave half of each unused; hand it back
+        // before the sort and the records allocate.
+        slots.shrink_to_fit();
+        keys.shrink_to_fit();
+        (slots, sort_by_label(keys))
     }
 
     /// Renders the labeling as ASCII art: each component gets a letter
@@ -373,43 +358,24 @@ impl std::fmt::Debug for LabelGrid {
     }
 }
 
-/// Label-to-slot index of the run folds.
-type LabelIndex = HashMap<u32, u32, BuildHasherDefault<LabelHasher>>;
-
-/// Multiplicative hash for `u32` labels, folded so the high product bits
-/// reach the low ones. Canonical labels are `col * rows + row`, so the
-/// labels met along one row share their low bits; the table picks buckets
-/// with the low hash bits, and a bare product would leave them shared.
-///
-/// The hash is unseeded, so an image can be drawn to make labels collide.
-/// The fold's index holds only the labels of two rows, so a collision
-/// chain, and with it the extra cost of a probe, stays below `cols`.
-#[derive(Default)]
-struct LabelHasher(u64);
-
-impl Hasher for LabelHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(u32::from(b) ^ (self.0 as u32));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, x: u32) {
-        let h = u64::from(x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
+/// `k` for the run fold's index of `2^k >= 2 * cols` entries.
+fn index_bits(cols: usize) -> u32 {
+    (2 * cols).next_power_of_two().trailing_zeros().min(32)
 }
 
-/// One component's accumulators in a run fold (`rows * cols < u32::MAX`,
-/// so every field fits).
-#[derive(Clone)]
+/// The direct-mapped index entry of `label` in a table of `2^bits`
+/// entries: the top bits of a multiplicative (Fibonacci) hash. Canonical
+/// labels are `col * rows + row`, so the labels met along one row form a
+/// sparse progression; the product spreads it over the whole table.
+#[inline]
+fn bucket(label: u32, bits: u32) -> usize {
+    (u64::from(label.wrapping_mul(0x9E37_79B9)) >> (32 - bits)) as usize
+}
+
+/// One label's accumulators over some of its runs (`rows * cols <
+/// u32::MAX`, so every field fits); the label is in the slot's key.
+#[derive(Clone, Copy)]
 struct Slot {
-    label: u32,
     pixels: u32,
     min_row: u32,
     max_row: u32,
@@ -418,14 +384,53 @@ struct Slot {
 }
 
 impl Slot {
-    /// Folds `later`, a slot of the same label opened after `self` was
-    /// retired (so in rows below all of `self`'s), into `self`.
-    fn merge(&mut self, later: &Slot) {
-        self.pixels += later.pixels;
-        self.max_row = later.max_row;
-        self.min_col = self.min_col.min(later.min_col);
-        self.max_col = self.max_col.max(later.max_col);
+    /// Folds `other`, a slot of the same label, into `self`.
+    fn merge(&mut self, other: &Slot) {
+        self.pixels += other.pixels;
+        self.min_row = self.min_row.min(other.min_row);
+        self.max_row = self.max_row.max(other.max_row);
+        self.min_col = self.min_col.min(other.min_col);
+        self.max_col = self.max_col.max(other.max_col);
     }
+}
+
+/// Sorted keys `label << 32 | slot` grouped by label: one group per
+/// component, holding its slots.
+fn label_groups(keys: &[u64]) -> impl Iterator<Item = &[u64]> {
+    keys.chunk_by(|a, b| a >> 32 == b >> 32)
+}
+
+/// `keys` (`label << 32 | slot`, in slot order) sorted by label, with the
+/// slots of one label in the order they were opened: a stable LSD radix
+/// sort on three digits of the label (11, 11 and 10 bits). One pass counts
+/// all three, and a digit that every key shares is skipped, so labels below
+/// `2^22` (any frame up to 2048 × 2048) take two scatter passes.
+fn sort_by_label(mut keys: Vec<u64>) -> Vec<u64> {
+    const BITS: u32 = 11;
+    let digit = |k: u64, d: u32| (k >> (32 + BITS * d)) as usize & ((1 << BITS) - 1);
+    let mut counts = [[0u32; 1 << BITS]; 3];
+    for &k in &keys {
+        for (d, count) in (0..).zip(&mut counts) {
+            count[digit(k, d)] += 1;
+        }
+    }
+    let mut spare = vec![0; keys.len()];
+    for (d, count) in (0..).zip(&mut counts) {
+        if count.contains(&(keys.len() as u32)) {
+            continue;
+        }
+        let mut at = 0;
+        for n in count.iter_mut() {
+            (*n, at) = (at, at + *n);
+        }
+        for &k in &keys {
+            let n = &mut count[digit(k, d)];
+            spare[*n as usize] = k;
+            *n += 1;
+        }
+        std::mem::swap(&mut keys, &mut spare);
+    }
+    keys
 }
 
 /// Invokes `f(start, end, label)` for every maximal run `start..end` of one
@@ -433,9 +438,8 @@ impl Slot {
 ///
 /// Each 64-pixel chunk becomes a mask of the positions where the label
 /// changes (`row[c] != row[c - 1]`), and the change points are visited with
-/// `trailing_zeros`, the way the bitmap walks its words: a chunk costs a
-/// branch-free compare pass (one vector pass when it holds no change) plus
-/// one step per run.
+/// `trailing_zeros`, the way the bitmap walks its words: a chunk costs one
+/// compare pass (16 SSE2 compares on x86_64) plus one step per run.
 #[inline]
 fn for_each_label_run(row: &[u32], mut f: impl FnMut(usize, usize, u32)) {
     let mut start = 0;
@@ -447,8 +451,11 @@ fn for_each_label_run(row: &[u32], mut f: impl FnMut(usize, usize, u32)) {
     };
     for base in (0..row.len()).step_by(64) {
         // Position 0 starts the first run, so it is never a change point.
+        // The first chunk compares positions 1..=64 so that it, too, is a
+        // full chunk; the shift drops position 64, which the next chunk
+        // owns.
         let lo = base.max(1);
-        let hi = row.len().min(base + 64);
+        let hi = row.len().min(lo + 64);
         let mut mask = change_mask(&row[lo..hi], &row[lo - 1..hi - 1]) << (lo - base);
         while mask != 0 {
             let c = base + mask.trailing_zeros() as usize;
@@ -460,9 +467,21 @@ fn for_each_label_run(row: &[u32], mut f: impl FnMut(usize, usize, u32)) {
     emit(start, row.len());
 }
 
-/// Bit `i` set when `cur[i] != prev[i]` (at most 64 pixels).
+/// Bit `i` set when `cur[i] != prev[i]` (at most 64 pixels): full chunks
+/// take [`change_mask_sse2`] on x86_64, tails and other targets
+/// [`scalar_change_mask`].
 #[inline]
 fn change_mask(cur: &[u32], prev: &[u32]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if let (Ok(cur), Ok(prev)) = (cur.try_into(), prev.try_into()) {
+        return change_mask_sse2(cur, prev);
+    }
+    scalar_change_mask(cur, prev)
+}
+
+/// [`change_mask`] one label at a time.
+#[inline]
+fn scalar_change_mask(cur: &[u32], prev: &[u32]) -> u64 {
     // Most chunks of a frame with large regions hold one label; an OR of
     // XORs (which vectorizes) settles those without building the mask.
     if cur.iter().zip(prev).fold(0, |acc, (a, b)| acc | (a ^ b)) == 0 {
@@ -472,6 +491,28 @@ fn change_mask(cur: &[u32], prev: &[u32]) -> u64 {
         .zip(prev)
         .enumerate()
         .fold(0, |m, (i, (a, b))| m | (u64::from(a != b) << i))
+}
+
+/// [`change_mask`] of a full chunk in SSE2, which every x86_64 CPU has:
+/// per 16 labels, four 4-lane compares saturate-pack to 16 bytes, and one
+/// `movemask` reads their 16 equality bits.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn change_mask_sse2(cur: &[u32; 64], prev: &[u32; 64]) -> u64 {
+    use std::arch::x86_64::*;
+    // SAFETY: SSE2 is in the x86_64 baseline, and load `i` reads labels
+    // `4i..4i + 4` of a 64-label array.
+    unsafe {
+        let eq = |i: usize| {
+            let load = |a: &[u32; 64]| _mm_loadu_si128(a.as_ptr().add(4 * i).cast::<__m128i>());
+            _mm_cmpeq_epi32(load(cur), load(prev))
+        };
+        !(0..4).fold(0, |equal, q| {
+            let lo = _mm_packs_epi32(eq(4 * q), eq(4 * q + 1));
+            let hi = _mm_packs_epi32(eq(4 * q + 2), eq(4 * q + 3));
+            equal | u64::from(_mm_movemask_epi8(_mm_packs_epi16(lo, hi)) as u16) << (16 * q)
+        })
+    }
 }
 
 /// Summary of one labeled component.
@@ -553,6 +594,26 @@ mod tests {
             *l = label(i);
         }
         g
+    }
+
+    /// `n` labels that share one entry of the run fold's index on a grid
+    /// of `cols` columns.
+    fn colliding_labels(cols: usize, n: usize) -> Vec<u32> {
+        let bits = index_bits(cols);
+        let home = bucket(1000, bits);
+        (1000..)
+            .filter(|&l| bucket(l, bits) == home)
+            .take(n)
+            .collect()
+    }
+
+    /// The number of slots the run fold opens for `label` on `g`.
+    fn slots_of(g: &LabelGrid, label: u32) -> usize {
+        g.fold_runs()
+            .1
+            .iter()
+            .filter(|&&k| k >> 32 == u64::from(label))
+            .count()
     }
 
     fn tiny() -> LabelGrid {
@@ -672,13 +733,13 @@ mod tests {
         // Labels 0 and u32::MAX - 1 sit next to the sentinel; 0 is a label,
         // not background.
         let extremes = [0, u32::MAX - 1, 7, 0, LabelGrid::BACKGROUND];
-        for cols in [1, 5, 63, 64, 65, 129] {
+        for cols in [1, 5, 63, 64, 65, 127, 128, 129] {
             let g = grid_from(4, cols, |i| extremes[(i * 7 + i / 3) % extremes.len()]);
             assert_matches_reference(&g, &format!("extremes, width {cols}"));
         }
         // Few labels scattered at random repeat non-contiguously, in rows
         // that do not form intervals.
-        for cols in [1, 63, 64, 65, 129] {
+        for cols in [1, 63, 64, 65, 127, 128, 129] {
             for seed in 0..4u64 {
                 let g = grid_from(9, cols, |i| {
                     let h = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15 ^ seed) >> 59;
@@ -729,6 +790,8 @@ mod tests {
             (5, 63),
             (5, 64),
             (5, 65),
+            (5, 127),
+            (5, 128),
             (5, 129),
             (1, 200),
             (200, 1),
@@ -747,8 +810,139 @@ mod tests {
     }
 
     #[test]
+    fn labels_sharing_one_index_entry_stay_exact() {
+        // Four labels of one entry alternate along every row, so every run
+        // finds another label in the entry and opens a slot of its own.
+        let cols = 16;
+        let labels = colliding_labels(cols, 4);
+        let g = grid_from(6, cols, |i| {
+            let (r, c) = (i / cols, i % cols);
+            if c % 3 == 2 {
+                LabelGrid::BACKGROUND
+            } else {
+                labels[(c / 3 + 2 * r) % 4]
+            }
+        });
+        assert_eq!(g.fold_runs().0.len(), 6 * 6, "one slot per run");
+        assert_matches_reference(&g, "one index entry");
+    }
+
+    #[test]
+    fn u_shape_split_by_a_colliding_label_merges_its_slots() {
+        // Label `u` is a U, and a label of the same index entry sits between
+        // its arms: each row's right arm opens a slot, and the next row's
+        // left arm folds into it, so slots mix both arms' columns.
+        let (cols, art) = (8, ["UU.cc.UU", "UU.cc.UU", "UU....UU", "UUUUUUUU"]);
+        let [u, c] = colliding_labels(cols, 2)[..] else {
+            unreachable!()
+        };
+        let g = grid_from(art.len(), cols, |i| {
+            match art[i / cols].as_bytes()[i % cols] {
+                b'U' => u,
+                b'c' => c,
+                _ => LabelGrid::BACKGROUND,
+            }
+        });
+        assert_eq!(slots_of(&g, u), 3);
+        assert_matches_reference(&g, "split U");
+        let want = ComponentInfo {
+            label: u,
+            pixels: 3 * 4 + 8,
+            min_row: 0,
+            max_row: 3,
+            min_col: 0,
+            max_col: 7,
+        };
+        assert!(g.component_stats().contains(&want));
+    }
+
+    #[test]
+    fn label_returning_after_gap_rows_gives_one_record() {
+        // Label `a` fills rows 0-1 and 7-8. With empty rows between, its
+        // entry survives the gap and one slot spans it; with a colliding
+        // label filling the gap, `a` comes back to a taken entry.
+        let cols = 10;
+        let [a, b] = colliding_labels(cols, 2)[..] else {
+            unreachable!()
+        };
+        for (filler, slots) in [(LabelGrid::BACKGROUND, 1), (b, 2)] {
+            let g = grid_from(9, cols, |i| {
+                if (2..7).contains(&(i / cols)) {
+                    filler
+                } else {
+                    a
+                }
+            });
+            assert_eq!(slots_of(&g, a), slots);
+            assert_matches_reference(&g, &format!("gap filled with {filler}"));
+        }
+    }
+
+    #[test]
+    fn run_fold_matches_reference_on_renamed_labelings() {
+        // Real partitions under bit-reversed labels: a bijection that keeps
+        // the sentinel apart and sets the high label bits, so the labels are
+        // neither canonical nor small.
+        let mut labeler = FastLabeler::new();
+        let mut g = LabelGrid::new_background(1, 1);
+        for cols in [1, 63, 64, 65, 127, 128, 129] {
+            let img = gen::uniform_random(9, cols, 0.6, cols as u64);
+            labeler.label_into(&img, Connectivity::Four, &mut g);
+            for l in g.labels.iter_mut().filter(|l| **l != LabelGrid::BACKGROUND) {
+                *l = l.reverse_bits();
+            }
+            assert_matches_reference(&g, &format!("renamed, width {cols}"));
+        }
+    }
+
+    #[test]
+    fn component_stats_holds_exactly_one_record_per_component() {
+        let mut g = LabelGrid::new_background(1, 1);
+        FastLabeler::new().label_into(
+            &gen::by_name("random50", 64, 3).unwrap(),
+            Connectivity::Four,
+            &mut g,
+        );
+        for g in [g, tiny(), LabelGrid::new_background(3, 3)] {
+            let stats = g.component_stats();
+            assert_eq!(stats.capacity(), stats.len());
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse2_change_mask_equals_the_scalar_mask() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut chunk = || -> [u32; 64] {
+            std::array::from_fn(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                // Labels that differ only in the sign bit or the low bit.
+                [0, 1, 1 << 31, LabelGrid::BACKGROUND][(state >> 62) as usize]
+            })
+        };
+        let mut pairs = Vec::new();
+        for _ in 0..64 {
+            let (cur, prev) = (chunk(), chunk());
+            pairs.push((cur, prev));
+            pairs.push((cur, cur));
+        }
+        let base = chunk();
+        for i in 0..64 {
+            let mut cur = base;
+            cur[i] ^= 1;
+            pairs.push((cur, base));
+        }
+        for (cur, prev) in &pairs {
+            assert_eq!(change_mask_sse2(cur, prev), scalar_change_mask(cur, prev));
+        }
+        assert_eq!(change_mask_sse2(&base, &base), 0);
+    }
+
+    #[test]
     fn label_runs_split_at_every_change() {
-        for cols in [1, 2, 63, 64, 65, 128, 129] {
+        for cols in [1, 2, 63, 64, 65, 127, 128, 129] {
             // Runs of 1 and 2 pixels, background gaps, and equal labels on
             // both sides of a gap.
             let row: Vec<u32> = (0..cols as u32)
