@@ -75,24 +75,22 @@ pub fn count_runs_in_words(words: &[u64]) -> usize {
 
 /// Number of set bits among bit positions `start..=end` of `words` (same
 /// bit-to-position packing as [`for_each_run_in_words`]): a masked popcount
-/// touching only the words the span crosses. The out-of-core band fold uses it to
-/// attribute per-run overlap and exposure counts without per-pixel probes.
+/// touching only the words the span crosses — one shift pair and one
+/// popcount when the span fits a word. The out-of-core band fold charges
+/// every run's vertical edges with it, without per-pixel probes.
 #[inline]
 pub fn count_ones_in_span(words: &[u64], start: u32, end: u32) -> u32 {
     debug_assert!(start <= end && (end as usize) < words.len() * 64);
     let (wlo, whi) = ((start / 64) as usize, (end / 64) as usize);
-    let mut total = 0u32;
-    for (wi, &word) in words.iter().enumerate().take(whi + 1).skip(wlo) {
-        let mut w = word;
-        if wi == wlo {
-            w &= !0u64 << (start % 64);
-        }
-        if wi == whi && end % 64 != 63 {
-            w &= (1u64 << ((end % 64) + 1)) - 1;
-        }
-        total += w.count_ones();
+    // Shifting a word's bits below `start` out of the bottom, or those above
+    // `end` out of the top, masks them.
+    let lo = words[wlo] >> (start % 64);
+    if wlo == whi {
+        return (lo << (63 - (end - start))).count_ones();
     }
-    total
+    let hi = words[whi] << (63 - end % 64);
+    let mid: u32 = words[wlo + 1..whi].iter().map(|w| w.count_ones()).sum();
+    lo.count_ones() + mid + hi.count_ones()
 }
 
 /// Writes the horizontal dilation `src | src<<1 | src>>1` of a packed row
@@ -969,6 +967,26 @@ mod tests {
         for (a, b) in [(0, 0), (0, 199), (63, 64), (5, 130), (64, 127), (190, 199)] {
             let want = (a..=b).filter(|&c| bm.get(0, c as usize)).count() as u32;
             assert_eq!(count_ones_in_span(words, a, b), want, "span {a}..={b}");
+        }
+    }
+
+    #[test]
+    fn count_ones_in_span_single_word_spans() {
+        // Spans inside one word take the shift-shift path: one bit, a whole
+        // word, the last bit of a word, a span ending at bit 63, and one
+        // starting at bit 0 of the next word.
+        let words = [0x8000_0000_0000_0f0fu64, 0x0000_0000_0000_0005];
+        for (a, b, want) in [
+            (0, 0, 1),
+            (4, 4, 0),
+            (0, 63, 9),
+            (63, 63, 1),
+            (8, 63, 5),
+            (64, 64, 1),
+            (64, 66, 2),
+            (65, 127, 1),
+        ] {
+            assert_eq!(count_ones_in_span(&words, a, b), want, "span {a}..={b}");
         }
     }
 

@@ -25,18 +25,17 @@
 //!    tail is zeroed so the band bitmap can be labeled whole);
 //! 2. **band label** — the tiled engine's phases 1–4 leave every band run
 //!    flattened to its band root, the component's first run in arena order;
-//! 3. **band fold** — every band run folds its feature contribution (area,
-//!    bbox, centroid sums, perimeter with word-level exposure counts,
-//!    minimum column-major position at **global** row coordinates) into a
-//!    band-local record indexed by its band root;
-//! 4. **bottom exposure** — each carried run adds its uncovered span under
-//!    the band's first row to its component's perimeter (the half of the
-//!    seam accounting the previous band could not see);
-//! 5. **seam merge** — the crate's one row-to-row adjacency sweep
+//! 3. **band fold** — every band run folds its area, centroid sums,
+//!    rightmost column, bottom row and perimeter charge (below) into a
+//!    band-local record indexed by its band root. The top row is the root's
+//!    row, and the column-major minimum (hence the leftmost column) is the
+//!    flattened node's `component_min`; the record becomes a global
+//!    [`RetiredComponent`] only when it joins, takes or leaves a slot;
+//! 4. **seam merge** — the crate's one row-to-row adjacency sweep
 //!    ([`for_each_adjacent_pair`]) pairs carried runs with first-row runs: a
 //!    band component *adopts* the first carried slot it meets and unions
 //!    with any further ones, and its band record folds into that slot;
-//! 6. **carry + retire** — the band's last real row becomes the new carried
+//! 5. **carry + retire** — the band's last real row becomes the new carried
 //!    frontier, minting a slot for each component born in this band that
 //!    reaches it. A component that touches neither the carried row nor the
 //!    last row never takes a slot: its band record is already final and is
@@ -45,7 +44,15 @@
 //!    return to a free list, so slot storage tracks *live* components, not
 //!    total ones.
 //!
-//! Steps 4–6 drive the live-component union–find of `crate::live`, one band
+//! **Perimeter charge.** A run of `len` pixels pays `left + right +
+//! 2·(len − shared)`: its exposed side edges, plus top and bottom edges of
+//! every pixel less the two each vertical adjacency hides, where `shared`
+//! is the popcount of its span in the row above (the carried row for a
+//! band's first row, zeros at the image top). A vertical adjacency always
+//! joins one component, so a component's charges sum to its 4-neighbor
+//! perimeter (only partial sums differ) and no run reads the row below.
+//!
+//! Steps 4–5 drive the live-component union–find of `crate::live`, one band
 //! per step. Retired records reach the caller through
 //! [`OutOfCoreLabeler::label_source_with`] as their band retires them.
 //! The test suites compare every record — perimeter included — with a
@@ -58,6 +65,15 @@ use crate::connectivity::Connectivity;
 use crate::live::{LiveComponents, NONE};
 use crate::stream::{RetiredComponent, RowSource};
 use std::io;
+
+/// Refuses a frame of more than `2^32` rows: record row fields are `u32`.
+fn check_row_space(rows: u64) -> io::Result<()> {
+    if rows <= 1 << 32 {
+        return Ok(());
+    }
+    let msg = format!("a frame of {rows} rows overflows the u32 row space");
+    Err(io::Error::new(io::ErrorKind::InvalidInput, msg))
+}
 
 /// Aggregate statistics of an out-of-core run: the frame shape actually
 /// seen, and the peaks that witness the memory model.
@@ -103,12 +119,40 @@ pub struct OocRun {
     pub stats: OocStats,
 }
 
-/// One component of the band being folded: its band record and the live
-/// slot it joined ([`NONE`] while it is band-local).
-#[derive(Clone, Copy, Debug)]
+/// One component of the band being folded, in band-local rows (see step 3
+/// of the module docs), and the live slot it joined ([`NONE`] while it is
+/// band-local).
+#[derive(Clone, Copy, Debug, Default)]
 struct BandComp {
-    rec: RetiredComponent,
+    area: u64,
+    sum_row: u64,
+    sum_col: u64,
+    perimeter: u64,
+    max_col: u32,
+    top: u32,
+    bottom: u32,
+    /// Band-local column-major minimum, `col * band_rows + row`.
+    min: u32,
     slot: u32,
+}
+
+impl BandComp {
+    /// The record so far at global rows, the band's first being `band_top`.
+    fn record(&self, band_rows: u32, band_top: u32) -> RetiredComponent {
+        let col = self.min / band_rows;
+        RetiredComponent {
+            min_pos_col: col,
+            min_pos_row: band_top + self.min % band_rows,
+            area: self.area,
+            min_row: band_top + self.top,
+            max_row: band_top + self.bottom,
+            min_col: col,
+            max_col: self.max_col,
+            sum_row: self.sum_row + u64::from(band_top) * self.area,
+            sum_col: self.sum_col,
+            perimeter: self.perimeter,
+        }
+    }
 }
 
 /// Reusable out-of-core labeler (see the module docs for the band cycle).
@@ -208,8 +252,10 @@ impl OutOfCoreLabeler {
     /// count.
     ///
     /// A band of `band_rows × cols` positions must fit the arena's `u32`
-    /// position space; a wider one is refused with
-    /// [`io::ErrorKind::InvalidInput`] before any band-sized allocation.
+    /// position space and a frame's rows the `u32` row fields; a wider band
+    /// or a `rows_hint` past `2^32` rows is refused with
+    /// [`io::ErrorKind::InvalidInput`] before any band-sized allocation (a
+    /// hint-less source fails the same way on its `2^32 + 1`-th row).
     pub fn label_source_with<S: RowSource>(
         &mut self,
         src: &mut S,
@@ -243,6 +289,7 @@ impl OutOfCoreLabeler {
                 ),
             ));
         }
+        check_row_space(src.rows_hint().map_or(0, |rows| rows as u64))?;
         if (self.band.rows(), self.band.cols()) != (self.band_rows, cols) {
             self.band.reset_dims(self.band_rows, cols);
         }
@@ -254,7 +301,8 @@ impl OutOfCoreLabeler {
             if h == 0 {
                 break;
             }
-            self.process_band(conn, stats.rows, h, &mut sink, &mut stats);
+            check_row_space(stats.rows + h as u64)?;
+            self.process_band(conn, stats.rows as u32, h, &mut sink, &mut stats);
             stats.rows += h as u64;
             stats.bands += 1;
             if h < self.band_rows {
@@ -262,15 +310,7 @@ impl OutOfCoreLabeler {
             }
         }
 
-        // End of frame: every carried run's bottom edges face the border (an
-        // all-background row), then every still-live component retires
-        // untouched. Exposure comes first — a slot can own several carried
-        // runs, and its record must not be emitted before all of them add
-        // their edges.
-        self.words.clear();
-        self.words.resize(cols.div_ceil(64), 0);
-        self.live
-            .expose_south(&self.prev_runs, &self.prev_slots, &self.words);
+        // End of frame: every still-live component retires untouched.
         self.live
             .finish_step(self.prev_slots.iter().copied(), |rec| {
                 sink(*rec);
@@ -307,7 +347,7 @@ impl OutOfCoreLabeler {
     fn process_band(
         &mut self,
         conn: Connectivity,
-        band_top: u64,
+        band_top: u32,
         h: usize,
         sink: &mut impl FnMut(RetiredComponent),
         stats: &mut OocStats,
@@ -320,29 +360,26 @@ impl OutOfCoreLabeler {
             self.comp_ix.resize(runs.len(), 0);
         }
         self.comps.clear();
-        let first = band_top == 0;
+        // Fits: the band's positions fit `u32` (checked per frame).
+        let band_rows = self.band_rows as u32;
 
         // Step 3: fold every band run into its band component's record. A
         // root is its component's smallest arena index (parents always
         // point down), so the fold meets it before any other run of its
-        // component and opens the record there.
+        // component and opens the record there. The row above the band's
+        // first row is the carried one (all zeros at the image top).
         for lr in 0..h {
-            let gr = u32::try_from(band_top + lr as u64).expect("frame rows exceed u32");
-            let north_words = if lr > 0 {
-                Some(band.row_words(lr - 1))
-            } else if first {
-                None
+            let north = if lr > 0 {
+                band.row_words(lr - 1)
             } else {
-                Some(&self.prev_words[..])
+                &self.prev_words[..]
             };
-            let south_words = (lr + 1 < h).then(|| band.row_words(lr + 1));
             let (row_lo, row_hi) = (row_runs[lr] as usize, row_runs[lr + 1] as usize);
             stats.peak_frontier_runs = stats.peak_frontier_runs.max(row_hi - row_lo);
             for k in row_lo..row_hi {
                 let sb = runs[k];
-                let (a, b) = ((sb >> 32) as u32, (sb & 0xffff_ffff) as u32);
+                let (a, b) = ((sb >> 32) as u32, sb as u32);
                 let len = u64::from(b - a + 1);
-                stats.pixels += len;
                 // The band arena clips runs at tile-column boundaries, so a
                 // run's left/right pixel edge is exposed only when the
                 // neighboring arena run (same row, adjacent index) does not
@@ -350,39 +387,38 @@ impl OutOfCoreLabeler {
                 let left = u64::from(k == row_lo || (runs[k - 1] & 0xffff_ffff) + 1 != sb >> 32);
                 let right =
                     u64::from(k + 1 == row_hi || (runs[k + 1] >> 32) != (sb & 0xffff_ffff) + 1);
-                let north = match north_words {
-                    Some(w) => len - u64::from(count_ones_in_span(w, a, b)),
-                    None => len, // image top border
-                };
-                // The last real row's south edges are settled by the next
-                // band (or the end-of-frame pass).
-                let south = match south_words {
-                    Some(w) => len - u64::from(count_ones_in_span(w, a, b)),
-                    None => 0,
-                };
-                let rec = RetiredComponent::run(gr, a, b, left + right + north + south);
                 let root = node[k] as u32 as usize;
-                if root == k {
+                let ix = if root == k {
                     self.comp_ix[k] = self.comps.len() as u32;
-                    self.comps.push(BandComp { rec, slot: NONE });
+                    self.comps.push(BandComp {
+                        top: lr as u32,
+                        min: (node[k] >> 32) as u32,
+                        slot: NONE,
+                        ..BandComp::default()
+                    });
+                    self.comps.len() - 1
                 } else {
                     debug_assert!(root < k, "band roots are their components' first runs");
-                    self.comps[self.comp_ix[root] as usize].rec.absorb(&rec);
-                }
+                    self.comp_ix[root] as usize
+                };
+                let comp = &mut self.comps[ix];
+                comp.area += len;
+                comp.sum_row += len * lr as u64;
+                comp.sum_col += (u64::from(a) + u64::from(b)) * len / 2;
+                let shared = u64::from(count_ones_in_span(north, a, b));
+                comp.perimeter += left + right + 2 * (len - shared);
+                comp.max_col = comp.max_col.max(b);
+                comp.bottom = lr as u32;
             }
         }
+        stats.pixels += self.comps.iter().map(|comp| comp.area).sum::<u64>();
 
-        if !first {
-            // Step 4: bottom exposure of the carried frontier against the
-            // band's first row.
-            let row0 = band.row_words(0);
-            self.live
-                .expose_south(&self.prev_runs, &self.prev_slots, row0);
-
-            // Step 5: seam merge across the band boundary — a band component
+        if band_top > 0 {
+            // Step 4: seam merge across the band boundary — a band component
             // adopts the first carried slot it meets and unions with the
             // rest — then each joined component's band record folds into
             // its slot.
+            let row0 = band.row_words(0);
             let (r0lo, r0hi) = (row_runs[0] as usize, row_runs[1] as usize);
             let OutOfCoreLabeler {
                 prev_words,
@@ -407,11 +443,11 @@ impl OutOfCoreLabeler {
                 },
             );
             for comp in comps.iter_mut().filter(|comp| comp.slot != NONE) {
-                comp.slot = live.absorb(comp.slot, &comp.rec);
+                comp.slot = live.absorb(comp.slot, &comp.record(band_rows, band_top));
             }
         }
 
-        // Step 6: the band's last real row becomes the new carried frontier.
+        // Step 5: the band's last real row becomes the new carried frontier.
         // A component born in this band that reaches it takes a slot now,
         // with its whole band record. Arena runs clipped at tile boundaries
         // are coalesced back into maximal row runs — the seam sweeps and the
@@ -424,7 +460,7 @@ impl OutOfCoreLabeler {
             let sb = runs[k];
             let comp = &mut self.comps[self.comp_ix[node[k] as u32 as usize] as usize];
             if comp.slot == NONE {
-                comp.slot = self.live.mint(comp.rec);
+                comp.slot = self.live.mint(comp.record(band_rows, band_top));
             }
             let s = comp.slot;
             self.live.touch(s);
@@ -442,11 +478,11 @@ impl OutOfCoreLabeler {
         // A component that never took a slot is confined to this band: its
         // record is final.
         for comp in self.comps.iter().filter(|comp| comp.slot == NONE) {
-            sink(comp.rec);
+            sink(comp.record(band_rows, band_top));
             stats.retired += 1;
         }
 
-        // Still step 6: retire every carried slot that missed the new
+        // Still step 5: retire every carried slot that missed the new
         // frontier. Such a component has no pixel on the boundary row and
         // can never grow.
         self.live
@@ -485,11 +521,11 @@ mod tests {
     /// height and tile-column count.
     #[test]
     fn retired_records_match_the_per_pixel_reference_exactly() {
-        for name in ["random50", "blobs", "checker", "maze", "spiral"] {
+        for name in gen::WORKLOADS {
             let img = gen::by_name(name, 53, 9).unwrap();
             for conn in CONNS {
                 let want = reference_records(&img, conn);
-                for band_rows in [1usize, 2, 7, 16, 53, 64, 100] {
+                for band_rows in [1usize, 2, 7, 16, 53, 64, 100, 128] {
                     for tiles_x in [1usize, 2, 4] {
                         let mut got = ooc_on(&img, conn, band_rows, tiles_x).components;
                         got.sort_unstable();
@@ -501,6 +537,92 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every record of `img` at `band_rows` 1/2/3 × `tiles_x` 1/2/3 × both
+    /// connectivities equals the per-pixel reference.
+    fn assert_small_bands_match_reference(img: &Bitmap, what: &str) {
+        for conn in CONNS {
+            let want = reference_records(img, conn);
+            for band_rows in [1usize, 2, 3] {
+                for tiles_x in [1usize, 2, 3] {
+                    let mut got = ooc_on(img, conn, band_rows, tiles_x).components;
+                    got.sort_unstable();
+                    assert_eq!(
+                        got, want,
+                        "{what} conn={conn:?} band_rows={band_rows} tiles_x={tiles_x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seam_perimeters_match_when_carried_and_first_row_runs_overlap_partly() {
+        // Each run charges its vertical edges twice over against the row
+        // above, so a band's partial perimeter depends on what the carried
+        // row covers. Runs here overlap their neighbors above only partly,
+        // several straddle the word boundary at column 64, and one row
+        // holds two runs under one carried run.
+        let spans: [&[(usize, usize)]; 8] = [
+            &[(58, 66)],
+            &[(62, 71)],
+            &[(55, 63), (65, 70)],
+            &[(64, 64)],
+            &[(60, 70), (72, 75)],
+            &[(50, 61), (66, 79)],
+            &[(61, 65)],
+            &[(0, 2), (63, 63), (77, 78)],
+        ];
+        let mut img = Bitmap::new(spans.len(), 80);
+        for (r, row) in spans.iter().enumerate() {
+            for &(a, b) in row.iter() {
+                for c in a..=b {
+                    img.set(r, c, true);
+                }
+            }
+        }
+        assert_small_bands_match_reference(&img, "hand-built");
+    }
+
+    #[test]
+    fn seam_perimeters_match_on_word_boundary_widths() {
+        for cols in [63usize, 64, 65, 127, 128, 129] {
+            let img = gen::uniform_random(23, cols, 0.55, cols as u64);
+            assert_small_bands_match_reference(&img, &format!("cols={cols}"));
+        }
+    }
+
+    #[test]
+    fn a_warm_one_tile_labeler_survives_shape_and_connectivity_changes() {
+        // The one-tile band swaps its arena with the tile's; a stale arena
+        // left by a larger frame must not leak into a smaller one, and the
+        // swap must not grow the scratch when the larger frame comes back.
+        // (The bound is the second call's scratch, not the first's: each
+        // connectivity sizes a few words of buffers of its own.)
+        let mut lab = OutOfCoreLabeler::new(16, 1);
+        let tall = gen::uniform_random(100, 150, 0.5, 7);
+        let short = gen::uniform_random(9, 20, 0.5, 8);
+        let mut warm_bytes = 0;
+        for (i, (img, conn)) in [
+            (&tall, Connectivity::Four),
+            (&short, Connectivity::Eight),
+            (&tall, Connectivity::Four),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut got = lab
+                .label_source(&mut BitmapRows::new(img), conn)
+                .unwrap()
+                .components;
+            got.sort_unstable();
+            assert_eq!(got, reference_records(img, conn), "call {i}");
+            if i == 1 {
+                warm_bytes = lab.scratch_bytes();
+            }
+        }
+        assert!(lab.scratch_bytes() <= warm_bytes);
     }
 
     #[test]
@@ -639,6 +761,37 @@ mod tests {
         let img = gen::uniform_random(3, 8, 0.5, 6);
         let mut rows = BitmapRows::new(&img);
         let err = OutOfCoreLabeler::new(1 << 32, 1)
+            .label_source(&mut rows, Connectivity::Four)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(rows.next_row(&mut Vec::new()).unwrap());
+    }
+
+    /// A source whose header claims more rows than it has.
+    struct LyingHint<'a>(BitmapRows<'a>);
+
+    impl RowSource for LyingHint<'_> {
+        fn cols(&self) -> usize {
+            self.0.cols()
+        }
+
+        fn rows_hint(&self) -> Option<usize> {
+            Some(usize::MAX)
+        }
+
+        fn next_row(&mut self, words: &mut Vec<u64>) -> io::Result<bool> {
+            self.0.next_row(words)
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_frame_past_the_u32_row_space_is_invalid_input() {
+        // More than 2^32 rows announced: refused with a typed error before
+        // any row is read, not a panic in the band fold.
+        let img = gen::uniform_random(3, 8, 0.5, 6);
+        let mut rows = LyingHint(BitmapRows::new(&img));
+        let err = OutOfCoreLabeler::new(4, 1)
             .label_source(&mut rows, Connectivity::Four)
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");

@@ -365,57 +365,64 @@ impl TiledLabeler {
         // index, and local index order is (row, column) order, so the
         // per-tile map entry for a parent is already written when its child
         // is relocated. A band of one tile skips the maps: its local order
-        // is the global order.
-        if tx > 1 {
-            for (k, map) in self.l2g[..ntiles].iter_mut().enumerate() {
-                map.clear();
-                map.resize(self.tiles[k].runs.len(), 0);
-            }
-        }
-        self.runs.clear();
-        self.runs.resize(total, 0);
-        self.node.clear();
-        self.node.resize(total, 0);
-        let mut bands = Vec::with_capacity(ty);
-        let mut runs_rest = &mut self.runs[..];
-        let mut node_rest = &mut self.node[..];
-        let mut l2g_rest = &mut self.l2g[..ntiles];
-        let mut tiles_rest = &self.tiles[..ntiles];
-        for i in 0..ty {
-            let band_len = band_base[i + 1] - band_base[i];
-            let (runs_dst, rr) = runs_rest.split_at_mut(band_len);
-            let (node_dst, nr) = node_rest.split_at_mut(band_len);
-            let (l2g_band, lr2) = l2g_rest.split_at_mut(tx);
-            let (tiles_band, tr2) = tiles_rest.split_at(tx);
-            (runs_rest, node_rest, l2g_rest, tiles_rest) = (rr, nr, lr2, tr2);
-            bands.push((i, runs_dst, node_dst, l2g_band, tiles_band));
-        }
-        run_jobs(bands, |(i, runs_dst, node_dst, l2g_band, tiles_band)| {
-            let gbase = band_base[i];
-            if let [tile] = tiles_band {
-                // The overflow guard above makes the packed addition touch
-                // only the parent half.
-                runs_dst.copy_from_slice(&tile.runs);
-                for (dst, &n) in node_dst.iter_mut().zip(&tile.node) {
-                    *dst = n + gbase as u64;
+        // is the global order; a grid of one tile is swapped in, not copied.
+        if ntiles == 1 {
+            std::mem::swap(&mut self.runs, &mut self.tiles[0].runs);
+            std::mem::swap(&mut self.node, &mut self.tiles[0].node);
+        } else {
+            if tx > 1 {
+                for (k, map) in self.l2g[..ntiles].iter_mut().enumerate() {
+                    map.clear();
+                    map.resize(self.tiles[k].runs.len(), 0);
                 }
-                return;
             }
-            let mut g = 0usize;
-            for lr in 0..rb[i + 1] - rb[i] {
-                for (j, tile) in tiles_band.iter().enumerate() {
-                    let (klo, khi) = (tile.row_runs[lr] as usize, tile.row_runs[lr + 1] as usize);
-                    for k in klo..khi {
-                        l2g_band[j][k] = (gbase + g) as u32;
-                        runs_dst[g] = tile.runs[k];
-                        let n = tile.node[k];
-                        node_dst[g] = (n & MIN_HALF) | u64::from(l2g_band[j][n as u32 as usize]);
-                        g += 1;
+            self.runs.clear();
+            self.runs.resize(total, 0);
+            self.node.clear();
+            self.node.resize(total, 0);
+            let mut bands = Vec::with_capacity(ty);
+            let mut runs_rest = &mut self.runs[..];
+            let mut node_rest = &mut self.node[..];
+            let mut l2g_rest = &mut self.l2g[..ntiles];
+            let mut tiles_rest = &self.tiles[..ntiles];
+            for i in 0..ty {
+                let band_len = band_base[i + 1] - band_base[i];
+                let (runs_dst, rr) = runs_rest.split_at_mut(band_len);
+                let (node_dst, nr) = node_rest.split_at_mut(band_len);
+                let (l2g_band, lr2) = l2g_rest.split_at_mut(tx);
+                let (tiles_band, tr2) = tiles_rest.split_at(tx);
+                (runs_rest, node_rest, l2g_rest, tiles_rest) = (rr, nr, lr2, tr2);
+                bands.push((i, runs_dst, node_dst, l2g_band, tiles_band));
+            }
+            run_jobs(bands, |(i, runs_dst, node_dst, l2g_band, tiles_band)| {
+                let gbase = band_base[i];
+                if let [tile] = tiles_band {
+                    // The overflow guard above makes the packed addition touch
+                    // only the parent half.
+                    runs_dst.copy_from_slice(&tile.runs);
+                    for (dst, &n) in node_dst.iter_mut().zip(&tile.node) {
+                        *dst = n + gbase as u64;
+                    }
+                    return;
+                }
+                let mut g = 0usize;
+                for lr in 0..rb[i + 1] - rb[i] {
+                    for (j, tile) in tiles_band.iter().enumerate() {
+                        let (klo, khi) =
+                            (tile.row_runs[lr] as usize, tile.row_runs[lr + 1] as usize);
+                        for k in klo..khi {
+                            l2g_band[j][k] = (gbase + g) as u32;
+                            runs_dst[g] = tile.runs[k];
+                            let n = tile.node[k];
+                            node_dst[g] =
+                                (n & MIN_HALF) | u64::from(l2g_band[j][n as u32 as usize]);
+                            g += 1;
+                        }
                     }
                 }
-            }
-            debug_assert_eq!(g, runs_dst.len());
-        });
+                debug_assert_eq!(g, runs_dst.len());
+            });
+        }
 
         // Phase 3: hierarchical seam merge. Level ℓ of the pairwise-doubling
         // schedule merges the boundaries at odd multiples of 2^ℓ — after it,

@@ -1,7 +1,8 @@
 //! The live-component core of the out-of-core band scheduler
 //! ([`crate::fast::ooc`], the crate's one streaming labeler): a union–find
 //! over the components that can still grow, each root holding the
-//! component's running [`RetiredComponent`].
+//! component's running [`RetiredComponent`] — perimeter charges included
+//! (see [`crate::fast::ooc`]), so the core never reads pixels.
 //!
 //! The scheduler advances one band per *step* with the paper's scan-line
 //! discipline: hold the frontier, retire a component the first step it
@@ -19,7 +20,6 @@
 //! Retired and forwarded slots return to a free list, so the slab tracks
 //! *live* components, not total ones.
 
-use crate::bitmap::count_ones_in_span;
 use crate::stream::RetiredComponent;
 
 /// "No slot yet" in a caller's slot tables.
@@ -93,17 +93,6 @@ impl LiveComponents {
             let g = self.slots[p as usize].parent;
             self.slots[x as usize].parent = g;
             x = g;
-        }
-    }
-
-    /// Adds to the root of each frontier run (`runs[i]` owned by root
-    /// `slots[i]`) the south pixel edges that the row below, `below`, does
-    /// not cover.
-    pub(crate) fn expose_south(&mut self, runs: &[u64], slots: &[u32], below: &[u64]) {
-        for (&sb, &s) in runs.iter().zip(slots) {
-            let (a, b) = ((sb >> 32) as u32, (sb & 0xffff_ffff) as u32);
-            let covered = count_ones_in_span(below, a, b);
-            self.slots[s as usize].rec.perimeter += u64::from(b - a + 1 - covered);
         }
     }
 
