@@ -48,9 +48,12 @@ use std::io;
 /// band.
 pub const STREAM_BAND_ROWS: usize = 128;
 
+/// The band height of every streaming path at width `cols`:
 /// [`STREAM_BAND_ROWS`], lowered where a band that tall would overflow the
-/// band arena's `u32` position space.
-fn band_rows_for(cols: usize) -> usize {
+/// band arena's `u32` position space (one row at the very least).
+/// [`label_stream`] sizes each frame's band by its own width; `slapd` sizes
+/// its warm band labelers once, by the widest admissible frame.
+pub fn band_rows_for(cols: usize) -> usize {
     STREAM_BAND_ROWS
         .min((u32::MAX as usize - 1) / cols.max(1))
         .max(1)
@@ -262,6 +265,19 @@ mod tests {
     use crate::fast::fast_labels_conn;
     use crate::gen;
     use std::cell::Cell;
+
+    #[test]
+    fn band_height_drops_only_where_the_position_space_runs_out() {
+        for cols in [0, 1, 64, 8192, 1 << 15] {
+            assert_eq!(band_rows_for(cols), 128, "{cols} cols");
+        }
+        // The widest frame a 128-row band still fits, and one column more.
+        let widest = (u32::MAX as usize - 1) / 128;
+        assert_eq!(widest, 33_554_431);
+        assert_eq!(band_rows_for(widest), 128);
+        assert_eq!(band_rows_for(widest + 1), 127);
+        assert_eq!(band_rows_for(u32::MAX as usize), 1);
+    }
 
     /// Streams `img` and returns the retired records sorted canonically.
     fn stream_sorted(img: &Bitmap, conn: Connectivity) -> Vec<RetiredComponent> {

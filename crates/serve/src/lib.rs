@@ -2,14 +2,17 @@
 //! wire format, plus its retrying client and a deterministic
 //! fault-injection harness.
 //!
-//! The scan-line engines in `slap_cc` label one image at a time; this
+//! The scan-line labelers in `slap_image` label one image at a time; this
 //! crate turns them into a long-running service that survives hostile
-//! inputs and load spikes:
+//! inputs and load spikes. Its only workspace dependency is `slap_image`:
+//! no simulator, machine or union-find crate is linked into the service.
 //!
 //! * [`server::Server`] — acceptor, bounded job queue with byte-budget
-//!   backpressure, warm worker-held engine sessions routed by job size,
-//!   per-job wall-clock deadlines with a watchdog, panic isolation with
-//!   session rebuild, and graceful drain.
+//!   backpressure, one job at a time per worker on its warm labelers (a
+//!   fast labeler for grid replies, an out-of-core band labeler for stream
+//!   replies; the worker decodes the frame body), per-job wall-clock
+//!   deadlines with a watchdog, panic isolation with labeler rebuild, and
+//!   graceful drain.
 //! * [`protocol`] — the wire format: framed-PBM jobs in, `OK` label
 //!   payloads, v2 `STREAM` feature-record responses, or a closed taxonomy
 //!   of typed `ERR` codes out, with a versioned hello so v1 clients keep

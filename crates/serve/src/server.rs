@@ -5,9 +5,9 @@
 //!
 //! ```text
 //!  poll loop ──► connection state machines ──► bounded queue ──► workers
-//!     │  accept + readiness   │  parse + guards     │  backpressure  │ warm
-//!     │  (idle conns cost     │  (typed ERR early)  │  + byte budget │ engine
-//!     ▼   no thread)          ▼                     ▼               ▼ pools
+//!     │  accept + readiness   │  header + guards    │  backpressure  │ decode +
+//!     │  (idle conns cost     │  (typed ERR early)  │  + byte budget │ warm
+//!     ▼   no thread)          ▼                     ▼               ▼ labelers
 //!  nonblocking I/O        typed ERR           queue-full ERR   panic ⇒ rebuild
 //! ```
 //!
@@ -17,25 +17,26 @@
 //!   keep-alive connection is one `pollfd` slot, not a parked thread; the
 //!   whole server runs on `1 poll + workers + 1 watchdog` threads.
 //! * **Admission guards** run before any allocation proportional to the
-//!   job: dimension caps, `rows × cols` overflow, pixel budget.
+//!   job: dimension caps, `rows × cols` overflow, pixel budget. The poll
+//!   thread parses only the PBM header; every admitted job carries its
+//!   framed body to a worker, which decodes it by response mode.
 //! * **Response modes**: a protocol-v2 hello negotiates `grid` (v1 label
 //!   grids, the default — v1 clients never send a hello and are served
 //!   unchanged) or `stream` (retired-component feature records). Every
-//!   stream job runs on the worker's warm out-of-core band scheduler at
-//!   `O(cols + live)` carried state, so stream jobs above `max_pixels` are
-//!   not rejected (they are counted as out-of-core); `max_stream_pixels` is
-//!   the hard cap.
+//!   grid job runs on the worker's warm fast labeler; every stream job runs
+//!   on its warm out-of-core band scheduler at `O(cols + live)` carried
+//!   state, so stream jobs above `max_pixels` are not rejected (they are
+//!   counted as out-of-core); `max_stream_pixels` is the hard cap.
 //! * **Backpressure** is the bounded queue — when it is full the client
 //!   gets a typed `queue-full` rejection immediately; the server never
 //!   buffers unbounded work.
 //! * **Deadlines** are wall-clock per job: the watchdog sweeps expired
 //!   queued jobs, workers refuse to start expired work, and the poll loop
 //!   stops waiting past the deadline.
-//! * **Panic isolation**: a panicking engine is caught with
+//! * **Panic isolation**: a panicking labeler is caught with
 //!   `catch_unwind`, the job answers `ERR panic`, the worker rebuilds its
-//!   sessions, and the server keeps serving. A stream job whose buffered
-//!   body turns out truncated fails with `ERR bad-frame` and rebuilds
-//!   nothing.
+//!   labelers, and the server keeps serving. A job whose buffered body
+//!   turns out truncated fails with `ERR bad-frame` and rebuilds nothing.
 //! * **Graceful drain**: [`Server::shutdown`] stops accepting, rejects new
 //!   jobs with `shutdown`, finishes everything in flight, and returns the
 //!   final stats snapshot.
@@ -44,9 +45,11 @@ use crate::poll::{poll_fds, set_nonblocking, PollFd, POLLERR, POLLHUP, POLLIN, P
 use crate::protocol::{self, ResponseMode, WireError};
 use crate::queue::{BoundedQueue, PushRejection};
 use crate::wire::PrefixParser;
-use slap_cc::{Connectivity, EngineKind, LabelEngine};
 use slap_image::pbm::{self, PbmError, PbmRowReader, MAX_FRAME_BYTES};
-use slap_image::{Bitmap, LabelGrid, OutOfCoreLabeler, RetiredComponent, STREAM_BAND_ROWS};
+use slap_image::stream::band_rows_for;
+use slap_image::{
+    Bitmap, Connectivity, FastLabeler, LabelGrid, OutOfCoreLabeler, RetiredComponent,
+};
 use std::io::{self, PipeReader, PipeWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -57,46 +60,39 @@ use std::sync::{Arc, Mutex, Once};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// A pre-compute inspection hook, called with each admitted grid-mode job's
-/// bitmap on the worker thread before labeling (stream-mode jobs never
+/// A pre-compute inspection hook, called on the worker thread with each
+/// grid-mode job's bitmap once its body has decoded, before labeling (a
+/// body that fails to decode never reaches it, and stream-mode jobs never
 /// materialize a bitmap, so the hook does not see them). Tests use it to
 /// inject panics and delays; production leaves it `None`.
 pub type JobHook = Arc<dyn Fn(&Bitmap) + Send + Sync>;
-
-/// Grid jobs at or above this many pixels run on the parallel engine;
-/// smaller jobs take the fast sequential engine.
-const PARALLEL_THRESHOLD_PIXELS: u64 = 1 << 21;
 
 /// Tunable limits and behavior for a [`Server`].
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Neighbor convention applied to every job.
     pub conn: Connectivity,
-    /// Worker threads, each holding warm engine sessions.
+    /// Worker threads, each holding one warm fast labeler (grid replies)
+    /// and one warm out-of-core band labeler (stream replies).
     pub workers: usize,
     /// Maximum queued jobs (items) before `queue-full`.
     pub queue_cap: usize,
-    /// Maximum bytes of queued job state (bitmaps + reserved label output)
-    /// before `queue-full` — the memory budget.
+    /// Maximum bytes of queued job state (frame bodies + reserved label
+    /// output) before `queue-full` — the memory budget.
     pub queue_budget_bytes: usize,
-    /// Maximum rows and maximum cols per job.
+    /// Maximum rows and maximum cols per job. It also sets the out-of-core
+    /// band height: [`band_rows_for`] of this width.
     pub max_dim: usize,
-    /// Maximum `rows × cols` for a whole-grid response; in stream mode the
-    /// *routing threshold* instead — larger frames go out-of-core.
+    /// Maximum `rows × cols` for a whole-grid response. Stream jobs above
+    /// it are still served (the band labeler runs every stream job) and
+    /// counted in `jobs_ooc`.
     pub max_pixels: u64,
     /// Hard pixel cap for stream-mode jobs (the out-of-core path).
     pub max_stream_pixels: u64,
-    /// Rows per band for the out-of-core scheduler that runs every stream
-    /// job (clamped so a band never exceeds the `u32` position space at
-    /// `max_dim` width).
-    pub ooc_band_rows: usize,
     /// Wall-clock budget per job, from admission to response.
     pub deadline: Duration,
     /// Socket read/write timeout — how long a client may stall mid-frame.
     pub io_timeout: Duration,
-    /// Threads handed to the parallel engine session, which labels grid
-    /// jobs of at least 2^21 pixels.
-    pub engine_threads: usize,
     /// Optional pre-compute hook (see [`JobHook`]).
     pub job_hook: Option<JobHook>,
 }
@@ -111,12 +107,8 @@ impl Default for ServeConfig {
             max_dim: 1 << 15,
             max_pixels: 1 << 26,
             max_stream_pixels: 1 << 30,
-            ooc_band_rows: STREAM_BAND_ROWS,
             deadline: Duration::from_secs(5),
             io_timeout: Duration::from_secs(5),
-            engine_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
             job_hook: None,
         }
     }
@@ -132,10 +124,8 @@ impl std::fmt::Debug for ServeConfig {
             .field("max_dim", &self.max_dim)
             .field("max_pixels", &self.max_pixels)
             .field("max_stream_pixels", &self.max_stream_pixels)
-            .field("ooc_band_rows", &self.ooc_band_rows)
             .field("deadline", &self.deadline)
             .field("io_timeout", &self.io_timeout)
-            .field("engine_threads", &self.engine_threads)
             .field("job_hook", &self.job_hook.as_ref().map(|_| "<hook>"))
             .finish()
     }
@@ -198,13 +188,13 @@ stats_fields! {
     /// `deadline` rejections (expired in queue, stalled ingest, or slow
     /// compute).
     deadline_expired,
-    /// Jobs that panicked inside the engine (each also rebuilds a worker).
+    /// Jobs that panicked inside a labeler (each also rebuilds a worker).
     panics,
     /// `shutdown` rejections during drain.
     shutdown_rejects,
     /// Connections dropped on raw I/O errors (reset, broken pipe, stall).
     io_errors,
-    /// Worker engine pools rebuilt after a panic.
+    /// Worker labelers rebuilt after a panic.
     sessions_rebuilt,
 }
 
@@ -251,23 +241,11 @@ impl Waker {
     }
 }
 
-/// The work a job carries to a worker: a materialized bitmap for grid
-/// responses, or the raw framed-PBM body for stream responses (never
-/// expanded to pixels on the server).
-enum Payload {
-    Grid(Bitmap),
-    Stream {
-        /// The complete frame body (PBM header + raster), parsed row by
-        /// row on the worker.
-        body: Vec<u8>,
-        /// The frame is above `max_pixels`: counted in `jobs_ooc`.
-        ooc: bool,
-    },
-}
-
-/// One admitted job traveling from the poll loop to a worker.
+/// One admitted job traveling from the poll loop to a worker: the complete
+/// frame body (PBM header + raster), decoded on the worker by `mode`.
 struct Job {
-    payload: Payload,
+    mode: ResponseMode,
+    body: Vec<u8>,
     deadline: Instant,
     resp: Responder,
 }
@@ -279,11 +257,11 @@ enum Outcome {
     },
     Streamed {
         records: Vec<RetiredComponent>,
-        ooc: bool,
     },
     /// The job failed inside the worker for a reason that is the job's
-    /// fault (e.g. a truncated raster discovered while streaming the
-    /// buffered body). Answered as a typed `ERR`; no pool is rebuilt.
+    /// fault: its buffered body does not decode (e.g. a raster shorter
+    /// than its header declares), in either mode. Answered as a typed
+    /// `ERR`; no labeler is rebuilt.
     Failed {
         code: WireError,
         detail: String,
@@ -622,9 +600,9 @@ fn ingest(shared: &Arc<Shared>, done_tx: &mpsc::Sender<Completion>, conn: &mut C
     }
 }
 
-/// Admits the completed frame in `conn.body`: guards, payload build, queue
-/// push. Leaves the connection in `InFlight` on success or back in
-/// `Prefix` (with a typed `ERR` queued) on rejection.
+/// Admits the completed frame in `conn.body`: header parse, guards, queue
+/// push of the body itself. Leaves the connection in `InFlight` on success
+/// or back in `Prefix` (with a typed `ERR` queued) on rejection.
 fn admit(shared: &Arc<Shared>, done_tx: &mpsc::Sender<Completion>, conn: &mut Conn) {
     let cfg = &shared.cfg;
     conn.phase = Phase::Prefix;
@@ -682,40 +660,20 @@ fn admit(shared: &Arc<Shared>, done_tx: &mpsc::Sender<Completion>, conn: &mut Co
         return;
     }
 
-    let (payload, weight) = match conn.mode {
-        ResponseMode::Grid => {
-            // Materialize the bitmap from the buffered frame body. Failures
-            // here (truncated raster, bad pixel bytes) do not desync.
-            let img = match pbm::read(&conn.body[..]) {
-                Ok(img) => img,
-                Err(e) => {
-                    let (code, detail) = classify_job_error(&e);
-                    reject_to(shared, conn, code, &detail);
-                    return;
-                }
-            };
-            // Weight = bitmap words + the label grid the worker hands back.
-            let weight = img.as_words().len() * 8 + (pixels as usize) * 4;
-            (Payload::Grid(img), weight)
-        }
-        ResponseMode::Stream => {
-            // The raster is validated by the worker as it streams the rows;
-            // the server never holds more than the compressed body.
-            let body = std::mem::take(&mut conn.body);
-            let weight = body.len() + 64;
-            (
-                Payload::Stream {
-                    body,
-                    ooc: pixels > cfg.max_pixels,
-                },
-                weight,
-            )
-        }
-    };
+    // The raster is decoded (and validated) on the worker; the poll thread
+    // never does work proportional to the pixels. Weight = the body plus,
+    // for a grid reply, the label grid the worker hands back.
+    let body = std::mem::take(&mut conn.body);
+    let weight = body.len()
+        + match conn.mode {
+            ResponseMode::Grid => pixels as usize * 4,
+            ResponseMode::Stream => 64,
+        };
 
     conn.seq += 1;
     let job = Job {
-        payload,
+        mode: conn.mode,
+        body,
         deadline: Instant::now() + cfg.deadline,
         resp: Responder {
             tx: done_tx.clone(),
@@ -780,7 +738,7 @@ fn complete(
             );
             conn.flush_credit.push(Credit::Grid);
         }
-        Outcome::Streamed { records, ooc } => {
+        Outcome::Streamed { records } => {
             let _ = protocol::write_stream_ok(
                 &mut conn.out,
                 conn.job_rows,
@@ -788,7 +746,10 @@ fn complete(
                 &records,
                 scratch,
             );
-            conn.flush_credit.push(Credit::Stream { ooc });
+            let pixels = conn.job_rows as u64 * conn.job_cols as u64;
+            conn.flush_credit.push(Credit::Stream {
+                ooc: pixels > shared.cfg.max_pixels,
+            });
         }
         Outcome::Failed { code, detail } => {
             reject_to(shared, conn, code, &detail);
@@ -1117,67 +1078,61 @@ fn install_quiet_panic_hook() {
     });
 }
 
-/// A worker's warm engine pool: fast and parallel whole-grid sessions
-/// routed by job size, plus the out-of-core band scheduler session that
-/// runs every stream job (one warm labeler per worker, band buffers reused
-/// across jobs).
-struct Engines {
-    fast: Box<dyn LabelEngine>,
-    parallel: Box<dyn LabelEngine>,
-    ooc: OutOfCoreLabeler,
+/// A worker's warm labelers: the fast labeler and its reused label grid
+/// for grid replies, and the out-of-core band labeler for stream replies
+/// (band buffers reused across jobs).
+struct Labelers {
+    fast: FastLabeler,
     grid: LabelGrid,
+    ooc: OutOfCoreLabeler,
 }
 
-impl Engines {
-    fn new(cfg: &ServeConfig) -> Engines {
-        // A band must stay inside the u32 position space at the widest
-        // admissible frame.
-        let band_cap = ((u32::MAX as u64 - 1) / cfg.max_dim.max(1) as u64).max(1) as usize;
-        Engines {
-            fast: EngineKind::Fast.session(1),
-            parallel: EngineKind::Parallel.session(cfg.engine_threads),
-            ooc: OutOfCoreLabeler::new(cfg.ooc_band_rows.clamp(1, band_cap), 1),
+impl Labelers {
+    fn new(cfg: &ServeConfig) -> Labelers {
+        Labelers {
+            fast: FastLabeler::new(),
             grid: LabelGrid::new_background(1, 1),
+            ooc: OutOfCoreLabeler::new(band_rows_for(cfg.max_dim), 1),
         }
     }
 
-    fn run(&mut self, cfg: &ServeConfig, img: &Bitmap) -> (usize, Vec<u32>) {
-        if let Some(hook) = &cfg.job_hook {
-            hook(img);
+    /// Decodes one job's buffered body by its mode and labels it: a grid
+    /// job is materialized and labeled whole; a stream job is parsed row by
+    /// row into the band labeler, never materializing the pixels. A body
+    /// that fails to decode is the job's fault, not the labelers'.
+    fn run(&mut self, shared: &Shared, job: &Job) -> io::Result<Outcome> {
+        let cfg = &shared.cfg;
+        match job.mode {
+            ResponseMode::Grid => {
+                let img = pbm::read(&job.body[..])?;
+                if let Some(hook) = &cfg.job_hook {
+                    hook(&img);
+                }
+                self.fast.label_into(&img, cfg.conn, &mut self.grid);
+                Ok(Outcome::Labeled {
+                    components: self.fast.last_components(),
+                    labels: self.grid.as_slice().to_vec(),
+                })
+            }
+            ResponseMode::Stream => {
+                let run = self
+                    .ooc
+                    .label_source(&mut PbmRowReader::new(&job.body[..])?, cfg.conn)?;
+                shared
+                    .stats
+                    .peak_carried_runs
+                    .fetch_max(run.stats.peak_carried_runs as u64, Ordering::Relaxed);
+                Ok(Outcome::Streamed {
+                    records: run.components,
+                })
+            }
         }
-        let pixels = img.rows() as u64 * img.cols() as u64;
-        if self.grid.rows() != img.rows() || self.grid.cols() != img.cols() {
-            self.grid = LabelGrid::new_background(img.rows(), img.cols());
-        }
-        let engine = if pixels >= PARALLEL_THRESHOLD_PIXELS && cfg.engine_threads > 1 {
-            &mut self.parallel
-        } else {
-            &mut self.fast
-        };
-        let stats = engine.label_into(img, cfg.conn, &mut self.grid);
-        (stats.components, self.grid.as_slice().to_vec())
-    }
-
-    /// Labels a stream job straight from its buffered frame body on the
-    /// worker's warm out-of-core band labeler, never materializing the
-    /// pixels. Returns the records plus the job's peak carried boundary
-    /// runs.
-    fn run_stream(
-        &mut self,
-        cfg: &ServeConfig,
-        body: &[u8],
-    ) -> io::Result<(Vec<RetiredComponent>, u64)> {
-        let run = self
-            .ooc
-            .label_source(&mut PbmRowReader::new(body)?, cfg.conn)?;
-        Ok((run.components, run.stats.peak_carried_runs as u64))
     }
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
     install_quiet_panic_hook();
-    let cfg = &shared.cfg;
-    let mut engines = Engines::new(cfg);
+    let mut labelers = Labelers::new(&shared.cfg);
     while let Some(job) = shared.queue.pop() {
         if Instant::now() > job.deadline {
             shared
@@ -1189,37 +1144,22 @@ fn worker_loop(shared: &Arc<Shared>) {
         }
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             IN_JOB.with(|f| f.set(true));
-            match &job.payload {
-                Payload::Grid(img) => {
-                    let (components, labels) = engines.run(cfg, img);
-                    Outcome::Labeled { components, labels }
-                }
-                Payload::Stream { body, ooc } => match engines.run_stream(cfg, body) {
-                    Ok((records, peak)) => {
-                        shared
-                            .stats
-                            .peak_carried_runs
-                            .fetch_max(peak, Ordering::Relaxed);
-                        Outcome::Streamed { records, ooc: *ooc }
-                    }
-                    Err(e) => {
-                        let (code, detail) = classify_job_error(&e);
-                        Outcome::Failed { code, detail }
-                    }
-                },
-            }
+            labelers.run(shared, &job).unwrap_or_else(|e| {
+                let (code, detail) = classify_job_error(&e);
+                Outcome::Failed { code, detail }
+            })
         }));
         IN_JOB.with(|f| f.set(false));
         match result {
             Ok(outcome) => job.resp.send(outcome),
             Err(_) => {
-                // The engine pool may hold torn state; rebuild it.
+                // The labelers may hold torn state; rebuild them.
                 shared.stats.panics.fetch_add(1, Ordering::Relaxed);
                 shared
                     .stats
                     .sessions_rebuilt
                     .fetch_add(1, Ordering::Relaxed);
-                engines = Engines::new(cfg);
+                labelers = Labelers::new(&shared.cfg);
                 job.resp.send(Outcome::Panicked);
             }
         }
@@ -1251,6 +1191,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
 mod tests {
     use super::*;
     use crate::protocol::{Response, StreamResponse};
+    use slap_cc::EngineKind;
     use slap_image::pbm;
     use std::io::BufReader;
 
@@ -1390,6 +1331,54 @@ mod tests {
         ));
         let stats = server.shutdown();
         assert_eq!(stats.bad_frame, 1);
+        assert_eq!(stats.sessions_rebuilt, 0);
+        assert_eq!(stats.jobs_ok, 1);
+    }
+
+    #[test]
+    fn a_2_21_pixel_grid_job_decodes_on_the_worker_and_matches_the_fast_labeler() {
+        // A deadline that an unoptimized build decoding and labeling 2^21
+        // pixels still meets.
+        let cfg = ServeConfig {
+            deadline: Duration::from_secs(30),
+            ..test_cfg()
+        };
+        let server = Server::bind("127.0.0.1:0", cfg).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let img = slap_image::gen::by_name_dims("random50", 1024, 2048, 7).unwrap();
+        // The same frame cut to half its raster: the header passes every
+        // admission guard, and only the worker's decode finds the gap.
+        let mut body = Vec::new();
+        pbm::write_raw(&img, &mut body).unwrap();
+        body.truncate(body.len() - 512 * 2048 / 8);
+        stream
+            .write_all(format!("{}\n", body.len()).as_bytes())
+            .unwrap();
+        stream.write_all(&body).unwrap();
+        match protocol::read_response(&mut reader).unwrap().unwrap() {
+            Response::Rejected { code, detail } => {
+                assert_eq!(code, WireError::BadFrame);
+                let want = PbmError::TruncatedPixels {
+                    declared_rows: 1024,
+                    read_rows: 512,
+                };
+                assert_eq!(detail, want.to_string());
+            }
+            other => panic!("expected bad-frame, got {other:?}"),
+        }
+        // The socket keeps serving: the whole frame answers bit-identically.
+        pbm::write_framed(&img, &mut stream).unwrap();
+        let Response::Ok(ok) = protocol::read_response(&mut reader).unwrap().unwrap() else {
+            panic!("expected OK for the whole frame");
+        };
+        let want = slap_image::fast_labels_conn(&img, Connectivity::Four);
+        assert_eq!((ok.rows, ok.cols), (1024, 2048));
+        assert_eq!(ok.labels, want.as_slice());
+        assert_eq!(ok.components, want.component_count());
+        let stats = server.shutdown();
+        assert_eq!(stats.bad_frame, 1);
+        assert_eq!(stats.panics, 0);
         assert_eq!(stats.sessions_rebuilt, 0);
         assert_eq!(stats.jobs_ok, 1);
     }

@@ -23,13 +23,13 @@
 //!                                           #   P4 ingest
 //! slap compare <workload> <n> [seed]        # CC vs baselines step counts
 //! slap serve [--addr H:P] [--conn 4|8]      # slapd: fault-tolerant TCP
-//!            [--workers N] [--queue-cap N]  #   labeling service; bounded
-//!            [--queue-budget-mb N]          #   queue, deadlines, panic
-//!            [--max-dim N] [--max-pixels N] #   isolation; readiness-based
-//!            [--max-stream-pixels N]        #   conns; frames past
-//!            [--ooc-band-rows N]            #   --max-pixels stream
-//!            [--deadline-ms N] [--threads N]#   out-of-core; SIGINT/SIGTERM
-//!            [--io-timeout-ms N]            #   drains and prints stats
+//!            [--workers N] [--queue-cap N]  #   labeling service; one job
+//!            [--queue-budget-mb N]          #   per worker thread, bounded
+//!            [--max-dim N] [--max-pixels N] #   queue, deadlines, panic
+//!            [--max-stream-pixels N]        #   isolation; frames past
+//!            [--deadline-ms N]              #   --max-pixels stream
+//!            [--io-timeout-ms N]            #   out-of-core; SIGINT/SIGTERM
+//!                                           #   drains and prints stats
 //! slap client [--addr H:P] [--attempts N]   # submit PBM jobs to slapd with
 //!             [--base-delay-ms N]           #   retry/backoff (stdin if no
 //!             [--stream] [f ...]            #   files); --stream: protocol
@@ -247,7 +247,15 @@ fn main() {
                 "hypercube S-V [5]-style", hr.rounds, hr.pes
             );
         }
-        "serve" => serve_cmd(&mut rest, conn, threads),
+        "serve" => {
+            if threads.is_some() {
+                die(
+                    "slap serve does not take --threads: each worker labels one job at a \
+                     time on its own thread; size the pool with --workers N",
+                );
+            }
+            serve_cmd(&mut rest, conn)
+        }
         "client" => client_cmd(&mut rest),
         "workloads" => {
             for w in gen::WORKLOADS {
@@ -302,15 +310,12 @@ fn arm_drain_signals() -> &'static AtomicBool {
 
 /// `slap serve`: runs slapd until SIGINT/SIGTERM, then drains gracefully
 /// (stop accepting, finish in-flight jobs) and prints the final stats.
-fn serve_cmd(rest: &mut Vec<&str>, conn: Connectivity, threads: Option<usize>) {
+fn serve_cmd(rest: &mut Vec<&str>, conn: Connectivity) {
     let addr = take_flag(rest, "--addr").unwrap_or("127.0.0.1:7154");
     let mut cfg = ServeConfig {
         conn,
         ..ServeConfig::default()
     };
-    if let Some(t) = threads {
-        cfg.engine_threads = t;
-    }
     if let Some(n) = take_num::<usize>(rest, "--workers") {
         cfg.workers = n;
     }
@@ -330,9 +335,6 @@ fn serve_cmd(rest: &mut Vec<&str>, conn: Connectivity, threads: Option<usize>) {
     }
     if let Some(n) = take_num::<u64>(rest, "--max-stream-pixels") {
         cfg.max_stream_pixels = n;
-    }
-    if let Some(n) = take_num::<usize>(rest, "--ooc-band-rows") {
-        cfg.ooc_band_rows = n;
     }
     if let Some(ms) = take_num::<u64>(rest, "--deadline-ms") {
         cfg.deadline = std::time::Duration::from_millis(ms);
@@ -756,8 +758,8 @@ fn usage() -> ! {
          slap stream [--conn 4|8] [--band-rows N] [--tiles 1xC] [--framed] [file.pbm]\n  \
          slap compare [--uf KIND] [--conn 4|8] <workload> <n> [seed]\n  \
          slap serve [--addr H:P] [--conn 4|8] [--workers N] [--queue-cap N] [--queue-budget-mb N]\n             \
-         [--max-dim N] [--max-pixels N] [--max-stream-pixels N] [--ooc-band-rows N]\n             \
-         [--deadline-ms N] [--io-timeout-ms N] [--threads N]\n  \
+         [--max-dim N] [--max-pixels N] [--max-stream-pixels N]\n             \
+         [--deadline-ms N] [--io-timeout-ms N]\n  \
          slap client [--addr H:P] [--stream] [--attempts N] [--base-delay-ms N] [file.pbm ...]\n  \
          slap workloads\n\
          (--engine: one of {}; see `slap workloads`)",

@@ -310,3 +310,20 @@ fn serve_rejects_a_queue_budget_that_overflows_bytes() {
     assert!(err.contains("--queue-budget-mb"), "flag not named: {err}");
     assert!(!err.contains("panicked"), "clean error expected: {err}");
 }
+
+#[test]
+fn serve_refuses_threads_and_the_band_rows_flag() {
+    // Each slapd worker labels one job on its own thread, so a thread
+    // count has nothing to size: it is refused by name, not ignored.
+    let out = slap(&["serve", "--addr", "127.0.0.1:0", "--threads", "2"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--threads"), "flag not named: {err}");
+    assert!(!err.contains("panicked"), "clean error expected: {err}");
+    // The band height follows --max-dim; there is no flag for it.
+    let out = slap(&["serve", "--addr", "127.0.0.1:0", "--ooc-band-rows", "128"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--ooc-band-rows"), "flag not named: {err}");
+    assert!(!err.contains("panicked"), "clean error expected: {err}");
+}
