@@ -1,12 +1,12 @@
 //! Checks on the strip grids of the `tiled` record.
 //!
-//! `slap label --threads T` runs the tiled engine at the `T × 1` strip grid
-//! with `T` workers; the `tiled` sweep times those grids next to the 2-D
-//! ones. These tests hold the strip rows of that record to what a strip-only
-//! recording was held to: thread-count-varying timings survive the file
-//! round trip, the strip speedup is waived on narrow hosts, the strips must
-//! be covered on every family, and a fresh quick sweep carries every strip
-//! at its own thread count.
+//! `slap label --engine parallel --threads T` runs the tiled engine at the
+//! `T × 1` strip grid with `T` workers; the `tiled` sweep times those grids
+//! next to the 2-D ones. These tests hold the strip rows of that record to
+//! what a strip-only recording was held to: thread-count-varying timings
+//! survive the file round trip, the strip speedup is waived on narrow hosts,
+//! the strips must be covered on every family, and a fresh quick sweep
+//! carries every strip at its own thread count.
 
 mod tests {
     use crate::record::table::{roundtrips, row};

@@ -5,11 +5,11 @@
 //! For each (family, size, connectivity) point the sweep times the
 //! sequential fast engine once (the identity reference), the tiled engine at
 //! every grid in [`SHAPES`] — the strip grids `T × 1` at `T` threads are what
-//! `slap label --threads T` runs — recording bit-identity while timing, and
-//! the out-of-core scheduler at a quarter-frame band budget, recording its
-//! carried-state peak and checking its retired labels against the
-//! whole-frame engine. Wall-clock speedup is a property of the recording
-//! host, so the [`HEADLINES`] gates apply only when the file's
+//! `slap label --engine parallel --threads T` runs — recording bit-identity
+//! while timing, and the out-of-core scheduler at a quarter-frame band
+//! budget, recording its carried-state peak and checking its retired labels
+//! against the whole-frame engine. Wall-clock speedup is a property of the
+//! recording host, so the [`HEADLINES`] gates apply only when the file's
 //! `host_threads` is at least 4; the bit-identity, carried-state and
 //! coverage checks apply everywhere.
 

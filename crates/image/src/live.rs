@@ -131,25 +131,23 @@ impl LiveComponents {
     /// whose slot so far is `*target` ([`NONE`] for none). The target adopts
     /// the frontier component, or the two unite with the target's root
     /// surviving and the other forwarded. Both slots are left resolved.
-    /// Returns `(keep, lose)` when two distinct sets united.
     #[inline]
-    pub(crate) fn join(&mut self, target: &mut u32, prev: &mut u32) -> Option<(u32, u32)> {
+    pub(crate) fn join(&mut self, target: &mut u32, prev: &mut u32) {
         let sq = self.resolve(*prev);
         *prev = sq;
         if *target == NONE {
             *target = sq;
-            return None;
+            return;
         }
         let keep = self.resolve(*target);
         *target = keep;
         if keep == sq {
-            return None;
+            return;
         }
         let rec = self.slots[sq as usize].rec;
         self.slots[keep as usize].rec.absorb(&rec);
         self.slots[sq as usize].parent = keep;
         self.forwarded.push(sq);
-        Some((keep, sq))
     }
 
     /// Marks root `s` as reaching this step's frontier, so it cannot retire.

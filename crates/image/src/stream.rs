@@ -43,16 +43,17 @@ use crate::connectivity::Connectivity;
 use crate::fast::{OocRun, OutOfCoreLabeler};
 use std::io;
 
-/// Rows per band of every streaming path by default: [`label_stream`],
-/// `slap stream` / `slap label --out-of-core` and `slapd`'s out-of-core
-/// band.
+/// Rows per band of every streaming path — [`label_stream`], `slap stream`
+/// and `slapd`'s stream jobs — on frames narrower than 2^25 columns;
+/// [`band_rows_for`] lowers it from that width on.
 pub const STREAM_BAND_ROWS: usize = 128;
 
 /// The band height of every streaming path at width `cols`:
 /// [`STREAM_BAND_ROWS`], lowered where a band that tall would overflow the
 /// band arena's `u32` position space (one row at the very least).
-/// [`label_stream`] sizes each frame's band by its own width; `slapd` sizes
-/// its warm band labelers once, by the widest admissible frame.
+/// [`label_stream`] and `slap stream` size each frame's band by its own
+/// width; `slapd` sizes its warm band labelers once, by the widest
+/// admissible frame.
 pub fn band_rows_for(cols: usize) -> usize {
     STREAM_BAND_ROWS
         .min((u32::MAX as usize - 1) / cols.max(1))

@@ -1,45 +1,9 @@
 //! `slap` — command-line front end for the SLAP reproduction.
 //!
-//! ```text
-//! slap gen <workload> <n> [seed]            # write a PBM image to stdout
-//! slap label [--uf KIND] [--conn 4|8] [f]   # label a PBM (stdin if omitted)
-//!            [--engine E] [--threads N]     #   host engine E from the
-//!            [--tiles RxC]                  #   registry (default: the
-//!                                           #   simulated SLAP Algorithm CC);
-//!                                           #   --tiles shapes (and implies)
-//!                                           #   the tiled engine
-//! slap label --out-of-core [...]            # another spelling of `slap stream`
-//! slap bench [--uf KIND] <workload> <n>     # step-count one workload
-//! slap trace [--pass uf|label] <workload> <n> [seed]
-//!                                           # ASCII space-time diagram
-//! slap features [--conn 4|8] [--engine E]   # per-component geometry via any
-//!               [--threads N] [file.pbm]    #   registered engine
-//! slap stream [--conn 4|8] [--band-rows N]  # streaming label pass: rows in
-//!             [--tiles 1xC] [--framed] [f]  #   band by band, retired
-//!                                           #   components out,
-//!                                           #   O(band × cols + live)
-//!                                           #   memory; --framed:
-//!                                           #   length-prefixed multi-image
-//!                                           #   P4 ingest
-//! slap compare <workload> <n> [seed]        # CC vs baselines step counts
-//! slap serve [--addr H:P] [--conn 4|8]      # slapd: fault-tolerant TCP
-//!            [--workers N] [--queue-cap N]  #   labeling service; one job
-//!            [--queue-budget-mb N]          #   per worker thread, bounded
-//!            [--max-dim N] [--max-pixels N] #   queue, deadlines, panic
-//!            [--max-stream-pixels N]        #   isolation; frames past
-//!            [--deadline-ms N]              #   --max-pixels stream
-//!            [--io-timeout-ms N]            #   out-of-core; SIGINT/SIGTERM
-//!                                           #   drains and prints stats
-//! slap client [--addr H:P] [--attempts N]   # submit PBM jobs to slapd with
-//!             [--base-delay-ms N]           #   retry/backoff (stdin if no
-//!             [--stream] [f ...]            #   files); --stream: protocol
-//!                                           #   v2 feature records, no grid
-//! slap workloads                            # list generators + engines
-//! ```
-//!
-//! Host-engine dispatch goes through `slap_cc::engine::registry()`: the
-//! `--engine` flag names a registered [`EngineKind`], and this binary holds
-//! no per-engine code of its own.
+//! Every subcommand is one row of [`COMMANDS`], which [`parse`] checks each
+//! command line against and `usage` prints. Host-engine dispatch goes through
+//! `slap_cc::engine::registry()`: `--engine` names a registered
+//! [`EngineKind`], and this binary holds no per-engine code of its own.
 
 use slap_repro::baselines::{divide_conquer_labels, naive_slap_labels};
 use slap_repro::cc::engine::{registry, EngineKind, LabelEngine};
@@ -47,244 +11,383 @@ use slap_repro::cc::features::{euler_number, features_with_engine};
 use slap_repro::cc::spacetime::left_pass_trace;
 use slap_repro::cc::{label_components_kind, label_components_runs, CcOptions};
 use slap_repro::hypercube::sv_labels_conn;
+use slap_repro::image::stream::band_rows_for;
 use slap_repro::image::{
-    gen, pbm, Bitmap, Connectivity, LabelGrid, OutOfCoreLabeler, RetiredComponent, STREAM_BAND_ROWS,
+    gen, pbm, Bitmap, ComponentInfo, Connectivity, LabelGrid, OutOfCoreLabeler, RetiredComponent,
+    STREAM_BAND_ROWS,
 };
 use slap_repro::machine::render_gantt;
 use slap_repro::serve::{Client, ClientError, RetryPolicy, ServeConfig, Server};
 use slap_repro::unionfind::{TarjanUf, UfKind};
 use std::io::Read;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut rest: Vec<&str> = args.iter().map(String::as_str).collect();
-    if rest.is_empty() {
-        usage();
+/// One subcommand: its synopsis after `slap ` — the name, then
+/// `[--flag VALUE]`, `[--toggle]`, `<required>`, `[optional]` and a
+/// trailing `[repeated ...]` — a one-line summary, and the function that
+/// runs it.
+struct Command {
+    synopsis: &'static str,
+    about: &'static str,
+    run: fn(&Args),
+}
+
+/// The subcommands: the one source of both the parser and the usage text.
+const COMMANDS: &[Command] = &[
+    Command {
+        synopsis: "gen <workload> <n> [seed]",
+        about: "write a generated image to stdout as plain PBM",
+        run: gen_cmd,
+    },
+    Command {
+        synopsis: "label [--uf KIND] [--conn 4|8] [--engine E] [--threads N] [--tiles RxC] \
+                   [file.pbm]",
+        about: "label a PBM (stdin if no file) by simulated Algorithm CC or host engine E",
+        run: label_cmd,
+    },
+    Command {
+        synopsis: "trace [--pass uf|label] [--conn 4|8] <workload> <n> [seed]",
+        about: "ASCII space-time diagram of one pass of Algorithm CC",
+        run: trace_cmd,
+    },
+    Command {
+        synopsis: "features [--conn 4|8] [--engine E] [--threads N] [--tiles RxC] [file.pbm]",
+        about: "per-component geometry, labeled by host engine E (default fast)",
+        run: features_cmd,
+    },
+    Command {
+        synopsis: "stream [--conn 4|8] [--framed] [file.pbm]",
+        // `cli_smoke` matches "streaming engine" in refusals of this row.
+        about: "label a PBM, or --framed P4 frames, in bands through the streaming engine",
+        run: stream_cmd,
+    },
+    Command {
+        synopsis: "compare [--uf KIND] [--conn 4|8] <workload> <n> [seed]",
+        about: "step counts of Algorithm CC and the baselines, cross-checked",
+        run: compare_cmd,
+    },
+    Command {
+        synopsis: "serve [--addr H:P] [--conn 4|8] [--workers N] [--queue-cap N] \
+                   [--queue-budget-mb N] [--max-dim N] [--max-pixels N] \
+                   [--max-stream-pixels N] [--deadline-ms N] [--io-timeout-ms N]",
+        about: "run slapd, the TCP labeling service, until SIGINT/SIGTERM drains it",
+        run: serve_cmd,
+    },
+    Command {
+        synopsis: "client [--addr H:P] [--stream] [--attempts N] [--base-delay-ms N] \
+                   [file.pbm ...]",
+        about: "submit PBM jobs to slapd with retry; --stream: feature records, no grid",
+        run: client_cmd,
+    },
+    Command {
+        synopsis: "workloads",
+        about: "list the generators, union-find kinds and host engines",
+        run: workloads_cmd,
+    },
+];
+
+impl Command {
+    fn name(&self) -> &'static str {
+        self.synopsis.split(' ').next().unwrap_or_default()
     }
-    let cmd = rest.remove(0);
-    let uf = take_flag(&mut rest, "--uf")
-        .map(|v| UfKind::parse(v).unwrap_or_else(|| die(&format!("unknown union-find kind {v:?}"))))
-        .unwrap_or(UfKind::Tarjan);
-    let conn = take_flag(&mut rest, "--conn")
-        .map(|v| {
-            Connectivity::parse(v)
-                .unwrap_or_else(|| die(&format!("connectivity must be 4 or 8, got {v:?}")))
-        })
-        .unwrap_or(Connectivity::Four);
-    let pass = take_flag(&mut rest, "--pass").unwrap_or("uf");
-    // `--engine KIND` selects a host labeling engine from the registry;
-    // `--threads N` sizes the multithreaded ones (and, alone, still implies
-    // the strip-parallel engine for back-compatibility).
-    let engine = take_flag(&mut rest, "--engine").map(|v| {
-        EngineKind::parse(v).unwrap_or_else(|| {
-            let names: Vec<&str> = registry().iter().map(|e| e.kind.name()).collect();
-            die(&format!(
-                "unknown engine {v:?}; registered engines: {}",
-                names.join(", ")
-            ))
-        })
-    });
-    let threads = take_flag(&mut rest, "--threads").map(|v| {
-        v.parse::<usize>()
-            .ok()
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(|| die(&format!("--threads needs a positive integer, got {v:?}")))
-    });
-    // `--tiles RxC` shapes the tiled engine's grid (R bands of C tile
-    // columns) and, alone, implies `--engine tiled`.
-    let tiles = take_flag(&mut rest, "--tiles").map(|v| {
-        let (r, c) = v
-            .split_once(['x', 'X'])
-            .and_then(|(r, c)| Some((r.parse::<usize>().ok()?, c.parse::<usize>().ok()?)))
-            .filter(|&(r, c)| r >= 1 && c >= 1)
-            .unwrap_or_else(|| die(&format!("--tiles needs RxC (e.g. 2x2), got {v:?}")));
-        (r, c)
-    });
-    let engine = match (engine, tiles) {
-        (Some(EngineKind::Tiled { .. }) | None, Some((tiles_y, tiles_x))) => {
-            Some(EngineKind::Tiled { tiles_x, tiles_y })
-        }
-        (Some(kind), Some(_)) => die(&format!(
-            "--tiles only applies to the tiled engine, not {kind}"
-        )),
-        (engine, None) => engine,
-    };
-    let out_of_core = take_toggle(&mut rest, "--out-of-core");
-    let band_rows = take_flag(&mut rest, "--band-rows")
-        .map(|v| {
-            v.parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| die(&format!("--band-rows needs a positive integer, got {v:?}")))
-        })
-        .unwrap_or(STREAM_BAND_ROWS);
-    let framed = take_toggle(&mut rest, "--framed");
-    let opts = CcOptions {
-        connectivity: conn,
-        ..CcOptions::default()
-    };
-    match cmd {
-        "gen" => {
-            let (name, n, seed) = parse_workload(&rest);
-            let img = make_image(name, n, seed);
-            pbm::write_plain(&img, std::io::stdout().lock()).expect("write PBM");
-        }
-        // `label --out-of-core` is another spelling of `stream`: both run the
-        // band labeler, which never materializes the frame, so any
-        // whole-frame `--engine` would break the O(cols + live) contract this
-        // path exists for.
-        "stream" | "label" if cmd == "stream" || out_of_core => {
-            if let Some(kind) = engine.filter(|_| tiles.is_none()) {
-                die(&format!(
-                    "slap stream and slap label --out-of-core run the streaming engine; \
-                     `--engine {kind}` would need the whole frame in memory \
-                     (use `slap label --engine {kind}`)"
-                ));
-            }
-            let tiles_x = match tiles {
-                None => 1,
-                Some((1, c)) => c,
-                Some(_) => die(
-                    "--tiles for the streaming engine takes 1xC: each band is one row \
-                     of tiles (its height is --band-rows)",
-                ),
-            };
-            if framed {
-                framed_stream_report(&rest, conn, band_rows, tiles_x);
-            } else {
-                stream_report(&rest, conn, band_rows, tiles_x);
-            }
-        }
-        "label" => {
-            let img = read_image(&rest);
-            match pick_session(engine, threads) {
-                Some(session) => host_report(&img, conn, session),
-                None => report(&img, uf, &opts),
-            }
-        }
-        "bench" => {
-            let (name, n, seed) = parse_workload(&rest);
-            let img = make_image(name, n, seed);
-            report(&img, uf, &opts);
-        }
-        "trace" => {
-            let (name, n, seed) = parse_workload(&rest);
-            let img = make_image(name, n, seed);
-            let tr = left_pass_trace::<TarjanUf>(&img, &opts);
-            let (spans, rep, title) = match pass {
-                "label" => (&tr.label_spans, &tr.label_report, "Label-Pass (Fig. 6)"),
-                _ => (&tr.uf_spans, &tr.uf_report, "Union-Find-Pass (Fig. 5)"),
-            };
-            println!(
-                "{title} on {name} {n}x{n}: makespan {} steps, {} messages",
-                rep.makespan, rep.messages
-            );
-            print!("{}", render_gantt(spans, 100));
-        }
-        "features" => {
-            let img = read_image(&rest);
-            // Feature extraction labels with any registered engine (default:
-            // fast) — bit-identity makes the choice invisible in the output.
-            let mut session =
-                pick_session(engine, threads).unwrap_or_else(|| EngineKind::Fast.session(1));
-            let mut labels = LabelGrid::new_background(1, 1);
-            let run = features_with_engine(&img, conn, session.as_mut(), &mut labels);
-            let euler = euler_number(&img, conn);
-            println!(
-                "{} component(s), Euler number {} ({} hole(s)), measured in {} SLAP steps",
-                run.per_component.len(),
-                euler.euler,
-                run.per_component.len() as i64 - euler.euler,
-                run.metrics.total_steps
-            );
-            println!(
-                "{:>10} {:>7} {:>12} {:>14} {:>9} {:>8}",
-                "label", "area", "bbox", "centroid", "perim", "extent"
-            );
-            for (label, f) in &run.per_component {
-                let (cr, cc) = f.centroid();
-                println!(
-                    "{label:>10} {:>7} {:>5}x{:<6} ({cr:6.1},{cc:6.1}) {:>9} {:>8.2}",
-                    f.area,
-                    f.height(),
-                    f.width(),
-                    f.perimeter,
-                    f.extent()
-                );
-            }
-        }
-        "compare" => {
-            let (name, n, seed) = parse_workload(&rest);
-            let img = make_image(name, n, seed);
-            let cc = label_components_kind(&img, uf, &opts);
-            let runs = label_components_runs::<TarjanUf>(&img, &opts);
-            println!("workload {name} {n}x{n} (seed {seed}), union-find {uf}, {conn}");
-            println!("{:<28} {:>12} {:>10}", "algorithm", "steps", "PEs");
-            println!(
-                "{:<28} {:>12} {:>10}",
-                "Algorithm CC (pixels)", cc.metrics.total_steps, n
-            );
-            println!(
-                "{:<28} {:>12} {:>10}",
-                "Algorithm CC (runs)", runs.metrics.total_steps, n
-            );
-            if conn == Connectivity::Four {
-                let (nl, nr) = naive_slap_labels(&img);
-                assert_eq!(nl, cc.labels);
-                println!("{:<28} {:>12} {:>10}", "naive label passing", nr.steps, n);
-                let (dl, dr) = divide_conquer_labels(&img);
-                assert_eq!(dl, cc.labels);
-                println!(
-                    "{:<28} {:>12} {:>10}",
-                    "divide & conquer [2,12]", dr.steps, n
-                );
-            }
-            let (hl, hr) = sv_labels_conn(&img, conn);
-            assert_eq!(hl, cc.labels);
-            println!(
-                "{:<28} {:>12} {:>10}",
-                "hypercube S-V [5]-style", hr.rounds, hr.pes
-            );
-        }
-        "serve" => {
-            if threads.is_some() {
-                die(
-                    "slap serve does not take --threads: each worker labels one job at a \
-                     time on its own thread; size the pool with --workers N",
-                );
-            }
-            serve_cmd(&mut rest, conn)
-        }
-        "client" => client_cmd(&mut rest),
-        "workloads" => {
-            for w in gen::WORKLOADS {
-                println!("{w}");
-            }
-            eprintln!("\nunion-find kinds for --uf:");
-            for k in UfKind::ALL {
-                eprintln!("  {k}");
-            }
-            eprintln!("\nhost engines for --engine:");
-            for info in registry() {
-                eprintln!("  {:<9} {}", info.kind.name(), info.description);
-            }
-        }
-        _ => usage(),
+
+    /// The bracketed items after the name: flags and positional arguments.
+    fn items(&self) -> impl Iterator<Item = &'static str> {
+        self.synopsis[self.name().len()..]
+            .split_inclusive(['>', ']'])
+            .map(str::trim)
+    }
+
+    /// `(flag, value placeholder)` of each flag; `""` for a toggle.
+    fn flags(&self) -> impl Iterator<Item = (&'static str, &'static str)> {
+        self.items()
+            .filter_map(|item| item.strip_prefix('[')?.strip_suffix(']'))
+            .filter(|flag| flag.starts_with("--"))
+            .map(|flag| flag.split_once(' ').unwrap_or((flag, "")))
+    }
+
+    fn refuse(&self, what: &str) -> ! {
+        let (name, synopsis, about) = (self.name(), self.synopsis, self.about);
+        die(&format!("slap {name} {what}: slap {synopsis} ({about})"))
     }
 }
 
-/// Parses a required-positive-integer flag value.
-fn take_num<T: std::str::FromStr + PartialOrd + From<u8>>(
-    rest: &mut Vec<&str>,
-    flag: &str,
-) -> Option<T> {
-    take_flag(rest, flag).map(|v| {
-        v.parse::<T>()
-            .ok()
-            .filter(|n| *n >= T::from(1u8))
-            .unwrap_or_else(|| die(&format!("{flag} needs a positive integer, got {v:?}")))
-    })
+/// A command line checked against its [`Command`] row.
+struct Args<'a> {
+    cmd: &'static Command,
+    /// The flags given, with their values (`""` for a toggle).
+    flags: Vec<(&'static str, &'a str)>,
+    positional: Vec<&'a str>,
+}
+
+/// Checks `argv` (without the program name) against [`COMMANDS`]: exactly
+/// the row's flags, each at most once, and its positional shape.
+fn parse(argv: &[String]) -> Args<'_> {
+    let cmd = argv
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.name() == name))
+        .unwrap_or_else(|| usage());
+    let (mut flags, mut positional) = (Vec::new(), Vec::new());
+    let mut rest = argv[1..].iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            positional.push(arg.as_str());
+            continue;
+        }
+        let Some((flag, value)) = cmd.flags().find(|(f, _)| f == arg) else {
+            cmd.refuse(&format!("does not take {arg}"))
+        };
+        if flags.iter().any(|&(f, _)| f == flag) {
+            cmd.refuse(&format!("takes {flag} once"));
+        }
+        let value = match value {
+            "" => "",
+            _ => rest
+                .next()
+                .unwrap_or_else(|| die(&format!("{flag} needs a value"))),
+        };
+        flags.push((flag, value));
+    }
+    let shape: Vec<_> = cmd.items().filter(|i| !i.starts_with("[--")).collect();
+    if let Some(missing) = shape.get(positional.len()).filter(|p| p.starts_with('<')) {
+        cmd.refuse(&format!("needs {missing}"));
+    }
+    if positional.len() > shape.len() && !shape.last().is_some_and(|p| p.ends_with("...]")) {
+        cmd.refuse(&format!("does not take {:?}", positional[shape.len()]));
+    }
+    Args {
+        cmd,
+        flags,
+        positional,
+    }
+}
+
+impl<'a> Args<'a> {
+    /// The value of `flag` (`""` for a toggle), if it was given.
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        debug_assert!(self.cmd.flags().any(|(f, _)| f == flag), "{flag}");
+        self.flags.iter().find(|(f, _)| *f == flag).map(|&(_, v)| v)
+    }
+
+    /// A flag whose value must be a positive integer.
+    fn num<T: FromStr + PartialOrd + From<u8>>(&self, flag: &str) -> Option<T> {
+        let v = self.get(flag)?;
+        positive(v).or_else(|| die(&format!("{flag} needs a positive integer, got {v:?}")))
+    }
+
+    fn conn(&self) -> Connectivity {
+        self.get("--conn").map_or(Connectivity::Four, |v| {
+            Connectivity::parse(v)
+                .unwrap_or_else(|| die(&format!("connectivity must be 4 or 8, got {v:?}")))
+        })
+    }
+
+    fn uf(&self) -> UfKind {
+        self.get("--uf").map_or(UfKind::Tarjan, |v| {
+            UfKind::parse(v).unwrap_or_else(|| die(&format!("unknown union-find kind {v:?}")))
+        })
+    }
+
+    fn cc_options(&self) -> CcOptions {
+        CcOptions {
+            connectivity: self.conn(),
+            ..CcOptions::default()
+        }
+    }
+
+    /// `<workload> <n> [seed]`: the generator name, the size, the seed (42
+    /// when omitted) and the image they make.
+    fn workload(&self) -> (&'a str, usize, u64, Bitmap) {
+        let p = &self.positional;
+        let n = positive(p[1]).unwrap_or_else(|| die("size must be a positive integer"));
+        let seed = p.get(2).map_or(42, |s| {
+            s.parse()
+                .unwrap_or_else(|_| die(&format!("seed must be an unsigned integer, got {s:?}")))
+        });
+        let name = p[0];
+        let img = gen::by_name(name, n, seed)
+            .unwrap_or_else(|| die(&format!("unknown workload {name:?}; try `slap workloads`")));
+        (name, n, seed, img)
+    }
+
+    /// The host-engine session `--engine` names, shaped by `--tiles` and
+    /// sized by `--threads`; `None` without `--engine` (the caller's
+    /// default: the SLAP simulation for `label`, the fast engine for
+    /// `features`). Multithreaded engines default to the host's available
+    /// parallelism.
+    fn session(&self) -> Option<Box<dyn LabelEngine>> {
+        let mut kind = self.get("--engine").map(|name| {
+            EngineKind::parse(name).unwrap_or_else(|| {
+                let names = engine_names(", ");
+                die(&format!(
+                    "unknown engine {name:?}; registered engines: {names}"
+                ))
+            })
+        });
+        if let Some(v) = self.get("--tiles") {
+            let Some(EngineKind::Tiled { tiles_x, tiles_y }) = &mut kind else {
+                die("--tiles shapes --engine tiled")
+            };
+            (*tiles_y, *tiles_x) = v
+                .split_once(['x', 'X'])
+                .and_then(|(r, c)| Some((positive(r)?, positive(c)?)))
+                .unwrap_or_else(|| die(&format!("--tiles needs RxC (e.g. 2x2), got {v:?}")));
+        }
+        let threads = match self.num::<usize>("--threads") {
+            Some(_) if kind.is_none() => die("--threads sizes an --engine"),
+            Some(t) => t,
+            None if kind.is_some_and(|k| k.info().multithreaded) => {
+                std::thread::available_parallelism().map_or(1, |p| p.get())
+            }
+            None => 1,
+        };
+        Some(kind?.session(threads))
+    }
+
+    /// `[file.pbm]`: the input file, or `None` for stdin.
+    fn file(&self) -> Option<&'a str> {
+        self.positional.first().copied()
+    }
+}
+
+fn positive<T: FromStr + PartialOrd + From<u8>>(v: &str) -> Option<T> {
+    v.parse::<T>().ok().filter(|n| *n >= T::from(1u8))
+}
+
+/// Opens `path`, or stdin, and names it for error messages.
+fn open_input(path: Option<&str>) -> (Box<dyn Read>, &str) {
+    let Some(path) = path else {
+        return (Box::new(std::io::stdin().lock()), "stdin");
+    };
+    let f = std::fs::File::open(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
+    (Box::new(f), path)
+}
+
+fn read_image(path: Option<&str>) -> (&str, Bitmap) {
+    let (input, what) = open_input(path);
+    let img = pbm::read(input).unwrap_or_else(|e| die(&format!("parse {what}: {e}")));
+    (what, img)
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse(&argv);
+    (args.cmd.run)(&args);
+}
+
+fn gen_cmd(args: &Args) {
+    let img = args.workload().3;
+    pbm::write_plain(&img, std::io::stdout().lock()).expect("write PBM");
+}
+
+fn label_cmd(args: &Args) {
+    let (uf, opts, session) = (args.uf(), args.cc_options(), args.session());
+    let img = read_image(args.file()).1;
+    match session {
+        Some(session) => host_report(&img, opts.connectivity, session),
+        None => report(&img, uf, &opts),
+    }
+}
+
+fn trace_cmd(args: &Args) {
+    let (name, n, _, img) = args.workload();
+    let tr = left_pass_trace::<TarjanUf>(&img, &args.cc_options());
+    let (spans, rep, title) = match args.get("--pass") {
+        None | Some("uf") => (&tr.uf_spans, &tr.uf_report, "Union-Find-Pass (Fig. 5)"),
+        Some("label") => (&tr.label_spans, &tr.label_report, "Label-Pass (Fig. 6)"),
+        Some(v) => die(&format!("--pass must be uf or label, got {v:?}")),
+    };
+    println!(
+        "{title} on {name} {n}x{n}: makespan {} steps, {} messages",
+        rep.makespan, rep.messages
+    );
+    print!("{}", render_gantt(spans, 100));
+}
+
+fn features_cmd(args: &Args) {
+    // Feature extraction labels with any registered engine (default:
+    // fast) — bit-identity makes the choice invisible in the output.
+    let mut session = args
+        .session()
+        .unwrap_or_else(|| EngineKind::Fast.session(1));
+    let conn = args.conn();
+    let img = read_image(args.file()).1;
+    let mut labels = LabelGrid::new_background(1, 1);
+    let run = features_with_engine(&img, conn, session.as_mut(), &mut labels);
+    let euler = euler_number(&img, conn);
+    println!(
+        "{} component(s), Euler number {} ({} hole(s)), measured in {} SLAP steps",
+        run.per_component.len(),
+        euler.euler,
+        run.per_component.len() as i64 - euler.euler,
+        run.metrics.total_steps
+    );
+    println!(
+        "{:>10} {:>7} {:>12} {:>14} {:>9} {:>8}",
+        "label", "area", "bbox", "centroid", "perim", "extent"
+    );
+    for (label, f) in &run.per_component {
+        let (cr, cc) = f.centroid();
+        println!(
+            "{label:>10} {:>7} {:>5}x{:<6} ({cr:6.1},{cc:6.1}) {:>9} {:>8.2}",
+            f.area,
+            f.height(),
+            f.width(),
+            f.perimeter,
+            f.extent()
+        );
+    }
+}
+
+fn compare_cmd(args: &Args) {
+    let (uf, opts) = (args.uf(), args.cc_options());
+    let conn = opts.connectivity;
+    let (name, n, seed, img) = args.workload();
+    let cc = label_components_kind(&img, uf, &opts);
+    let runs = label_components_runs::<TarjanUf>(&img, &opts);
+    println!("workload {name} {n}x{n} (seed {seed}), union-find {uf}, {conn}");
+    println!("{:<28} {:>12} {:>10}", "algorithm", "steps", "PEs");
+    println!(
+        "{:<28} {:>12} {:>10}",
+        "Algorithm CC (pixels)", cc.metrics.total_steps, n
+    );
+    println!(
+        "{:<28} {:>12} {:>10}",
+        "Algorithm CC (runs)", runs.metrics.total_steps, n
+    );
+    if conn == Connectivity::Four {
+        let (nl, nr) = naive_slap_labels(&img);
+        assert_eq!(nl, cc.labels);
+        println!("{:<28} {:>12} {:>10}", "naive label passing", nr.steps, n);
+        let (dl, dr) = divide_conquer_labels(&img);
+        assert_eq!(dl, cc.labels);
+        println!(
+            "{:<28} {:>12} {:>10}",
+            "divide & conquer [2,12]", dr.steps, n
+        );
+    }
+    let (hl, hr) = sv_labels_conn(&img, conn);
+    assert_eq!(hl, cc.labels);
+    println!(
+        "{:<28} {:>12} {:>10}",
+        "hypercube S-V [5]-style", hr.rounds, hr.pes
+    );
+}
+
+fn workloads_cmd(_: &Args) {
+    for w in gen::WORKLOADS {
+        println!("{w}");
+    }
+    eprintln!("\nunion-find kinds for --uf:");
+    for k in UfKind::ALL {
+        eprintln!("  {k}");
+    }
+    eprintln!("\nhost engines for --engine:");
+    for info in registry() {
+        eprintln!("  {:<9} {}", info.kind.name(), info.description);
+    }
 }
 
 /// Arms SIGINT/SIGTERM to request a graceful drain. Returns the flag the
@@ -310,43 +413,31 @@ fn arm_drain_signals() -> &'static AtomicBool {
 
 /// `slap serve`: runs slapd until SIGINT/SIGTERM, then drains gracefully
 /// (stop accepting, finish in-flight jobs) and prints the final stats.
-fn serve_cmd(rest: &mut Vec<&str>, conn: Connectivity) {
-    let addr = take_flag(rest, "--addr").unwrap_or("127.0.0.1:7154");
+fn serve_cmd(args: &Args) {
+    let addr = args.get("--addr").unwrap_or("127.0.0.1:7154");
+    let conn = args.conn();
     let mut cfg = ServeConfig {
         conn,
         ..ServeConfig::default()
     };
-    if let Some(n) = take_num::<usize>(rest, "--workers") {
-        cfg.workers = n;
-    }
-    if let Some(n) = take_num::<usize>(rest, "--queue-cap") {
-        cfg.queue_cap = n;
-    }
-    if let Some(n) = take_num::<usize>(rest, "--queue-budget-mb") {
+    cfg.workers = args.num("--workers").unwrap_or(cfg.workers);
+    cfg.queue_cap = args.num("--queue-cap").unwrap_or(cfg.queue_cap);
+    if let Some(n) = args.num::<usize>("--queue-budget-mb") {
         cfg.queue_budget_bytes = n
             .checked_mul(1 << 20)
             .unwrap_or_else(|| die(&format!("--queue-budget-mb {n} overflows the byte count")));
     }
-    if let Some(n) = take_num::<usize>(rest, "--max-dim") {
-        cfg.max_dim = n;
-    }
-    if let Some(n) = take_num::<u64>(rest, "--max-pixels") {
-        cfg.max_pixels = n;
-    }
-    if let Some(n) = take_num::<u64>(rest, "--max-stream-pixels") {
-        cfg.max_stream_pixels = n;
-    }
-    if let Some(ms) = take_num::<u64>(rest, "--deadline-ms") {
-        cfg.deadline = std::time::Duration::from_millis(ms);
-    }
-    if let Some(ms) = take_num::<u64>(rest, "--io-timeout-ms") {
-        cfg.io_timeout = std::time::Duration::from_millis(ms);
-    }
-    if !rest.is_empty() {
-        die(&format!(
-            "serve does not take positional arguments: {rest:?}"
-        ));
-    }
+    cfg.max_dim = args.num("--max-dim").unwrap_or(cfg.max_dim);
+    cfg.max_pixels = args.num("--max-pixels").unwrap_or(cfg.max_pixels);
+    cfg.max_stream_pixels = args
+        .num("--max-stream-pixels")
+        .unwrap_or(cfg.max_stream_pixels);
+    cfg.deadline = args
+        .num("--deadline-ms")
+        .map_or(cfg.deadline, Duration::from_millis);
+    cfg.io_timeout = args
+        .num("--io-timeout-ms")
+        .map_or(cfg.io_timeout, Duration::from_millis);
     let drain = arm_drain_signals();
     let server =
         Server::bind(addr, cfg.clone()).unwrap_or_else(|e| die(&format!("bind {addr}: {e}")));
@@ -360,7 +451,7 @@ fn serve_cmd(rest: &mut Vec<&str>, conn: Connectivity) {
         cfg.deadline.as_millis(),
     );
     while !drain.load(Ordering::SeqCst) {
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        std::thread::sleep(Duration::from_millis(100));
     }
     eprintln!("slapd draining: no new connections, finishing in-flight jobs...");
     let stats = server.shutdown();
@@ -394,35 +485,22 @@ fn serve_cmd(rest: &mut Vec<&str>, conn: Connectivity) {
 /// running slapd with retry/backoff, printing one summary line per job.
 /// With `--stream` the job is submitted in protocol-v2 stream mode and
 /// the per-component feature records are summarized instead of the grid.
-fn client_cmd(rest: &mut Vec<&str>) {
-    let addr_str = take_flag(rest, "--addr").unwrap_or("127.0.0.1:7154");
-    let stream_mode = take_toggle(rest, "--stream");
+fn client_cmd(args: &Args) {
+    let addr_str = args.get("--addr").unwrap_or("127.0.0.1:7154");
+    let stream_mode = args.get("--stream").is_some();
     let addr = std::net::ToSocketAddrs::to_socket_addrs(addr_str)
         .ok()
         .and_then(|mut a| a.next())
         .unwrap_or_else(|| die(&format!("cannot resolve {addr_str:?}")));
     let mut policy = RetryPolicy::default();
-    if let Some(n) = take_num::<u32>(rest, "--attempts") {
-        policy.max_attempts = n;
-    }
-    if let Some(ms) = take_num::<u64>(rest, "--base-delay-ms") {
-        policy.base_delay = std::time::Duration::from_millis(ms);
-    }
+    policy.max_attempts = args.num("--attempts").unwrap_or(policy.max_attempts);
+    policy.base_delay = args
+        .num("--base-delay-ms")
+        .map_or(policy.base_delay, Duration::from_millis);
     let mut client = Client::with_policy(addr, policy);
-    let jobs: Vec<(String, Bitmap)> = if rest.is_empty() {
-        let mut buf = Vec::new();
-        std::io::stdin().read_to_end(&mut buf).expect("read stdin");
-        let img = pbm::read(&buf[..]).unwrap_or_else(|e| die(&format!("parse stdin: {e}")));
-        vec![("stdin".to_string(), img)]
-    } else {
-        rest.iter()
-            .map(|path| {
-                let f =
-                    std::fs::File::open(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
-                let img = pbm::read(f).unwrap_or_else(|e| die(&format!("parse {path}: {e}")));
-                (path.to_string(), img)
-            })
-            .collect()
+    let jobs: Vec<(&str, Bitmap)> = match &args.positional[..] {
+        [] => vec![read_image(None)],
+        paths => paths.iter().map(|&path| read_image(Some(path))).collect(),
     };
     let mut failed = false;
     for (name, img) in &jobs {
@@ -481,91 +559,15 @@ fn client_cmd(rest: &mut Vec<&str>) {
     }
 }
 
-fn take_flag<'a>(rest: &mut Vec<&'a str>, flag: &str) -> Option<&'a str> {
-    let pos = rest.iter().position(|a| *a == flag)?;
-    if pos + 1 >= rest.len() {
-        die(&format!("{flag} needs a value"));
-    }
-    let v = rest[pos + 1];
-    rest.drain(pos..=pos + 1);
-    Some(v)
-}
-
-/// Removes a value-less toggle flag, reporting whether it was present.
-fn take_toggle(rest: &mut Vec<&str>, flag: &str) -> bool {
-    match rest.iter().position(|a| *a == flag) {
-        Some(pos) => {
-            rest.remove(pos);
-            true
-        }
-        None => false,
-    }
-}
-
-/// Resolves the host-engine session requested by `--engine` / `--threads`:
-/// an explicit `--engine` wins, a bare `--threads N` keeps selecting the
-/// strip-parallel engine (the pre-registry spelling), and `None` means the
-/// caller's default (the SLAP simulation for `label`, the fast engine for
-/// `features`). Multithreaded engines default to the host's available
-/// parallelism when `--threads` is omitted.
-fn pick_session(
-    engine: Option<EngineKind>,
-    threads: Option<usize>,
-) -> Option<Box<dyn LabelEngine>> {
-    let kind = engine.or(threads.map(|_| EngineKind::Parallel))?;
-    let threads = threads.unwrap_or_else(|| {
-        if kind.info().multithreaded {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            1
-        }
-    });
-    Some(kind.session(threads))
-}
-
-/// Opens the file named by the first positional argument, or stdin, and
-/// names it for error messages.
-fn open_input<'a>(rest: &[&'a str]) -> (Box<dyn Read>, &'a str) {
-    match rest.first() {
-        Some(&path) => {
-            let f = std::fs::File::open(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
-            (Box::new(f), path)
-        }
-        None => (Box::new(std::io::stdin().lock()), "stdin"),
-    }
-}
-
-fn read_image(rest: &[&str]) -> Bitmap {
-    let (input, what) = open_input(rest);
-    pbm::read(input).unwrap_or_else(|e| die(&format!("parse {what}: {e}")))
-}
-
-fn parse_workload<'a>(rest: &[&'a str]) -> (&'a str, usize, u64) {
-    let name = rest.first().copied().unwrap_or_else(|| usage());
-    let n: usize = rest
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| die("size must be a positive integer"));
-    let seed: u64 = rest.get(2).and_then(|s| s.parse().ok()).unwrap_or(42);
-    (name, n, seed)
-}
-
-fn make_image(name: &str, n: usize, seed: u64) -> Bitmap {
-    gen::by_name(name, n, seed)
-        .unwrap_or_else(|| die(&format!("unknown workload {name:?}; try `slap workloads`")))
-}
-
-fn report(img: &Bitmap, uf: UfKind, opts: &CcOptions) {
-    let run = label_components_kind(img, uf, opts);
-    let stats = run.labels.component_stats();
-    let m = &run.metrics;
+/// The first two lines of a `label` report: the image, its component
+/// count and its largest component.
+fn print_components(img: &Bitmap, stats: &[ComponentInfo], conn: Connectivity) {
     println!(
-        "{}x{} image, {:.1}% foreground, {} component(s) under {}",
+        "{}x{} image, {:.1}% foreground, {} component(s) under {conn}",
         img.rows(),
         img.cols(),
         100.0 * img.density(),
         stats.len(),
-        opts.connectivity,
     );
     if let Some(largest) = stats.iter().max_by_key(|s| s.pixels) {
         println!(
@@ -576,6 +578,13 @@ fn report(img: &Bitmap, uf: UfKind, opts: &CcOptions) {
             largest.width()
         );
     }
+}
+
+fn report(img: &Bitmap, uf: UfKind, opts: &CcOptions) {
+    let run = label_components_kind(img, uf, opts);
+    let stats = run.labels.component_stats();
+    let m = &run.metrics;
+    print_components(img, &stats, opts.connectivity);
     println!(
         "SLAP/{uf}: {} steps on {} PEs ({:.1} steps/column); \
          messages: {} union-find + {} label",
@@ -598,23 +607,7 @@ fn host_report(img: &Bitmap, conn: Connectivity, mut session: Box<dyn LabelEngin
     let t1 = std::time::Instant::now();
     let stats = labels.component_stats();
     let stats_elapsed = t1.elapsed();
-    println!(
-        "{}x{} image, {:.1}% foreground, {} component(s) under {}",
-        img.rows(),
-        img.cols(),
-        100.0 * img.density(),
-        stats.len(),
-        conn,
-    );
-    if let Some(largest) = stats.iter().max_by_key(|s| s.pixels) {
-        println!(
-            "largest component: label {} with {} px ({}x{} bbox)",
-            largest.label,
-            largest.pixels,
-            largest.height(),
-            largest.width()
-        );
-    }
+    print_components(img, &stats, conn);
     print!(
         "host/{}: {} thread(s), {:.3} ms, stats {:.3} ms",
         session.kind(),
@@ -644,20 +637,23 @@ fn host_report(img: &Bitmap, conn: Connectivity, mut session: Box<dyn LabelEngin
 /// `stream --framed`: consumes a length-prefixed multi-image P4 stream
 /// ([`pbm::FramedPbmReader`]), relabeling frame after frame through **one**
 /// warm band labeler (arenas reused across frames, dimensions free to
-/// change) — the video-style continuous-ingest mode.
-fn framed_stream_report(rest: &[&str], conn: Connectivity, band_rows: usize, tiles_x: usize) {
-    let (input, what) = open_input(rest);
+/// change) — the video-style continuous-ingest mode. The labeler is rebuilt
+/// only when a frame's width changes [`band_rows_for`] (from 2^25 columns on).
+fn framed_stream_report(input: Box<dyn Read>, what: &str, conn: Connectivity) {
     let mut frames = pbm::FramedPbmReader::new(input);
-    let mut labeler = OutOfCoreLabeler::new(band_rows, tiles_x);
+    let mut band_rows = STREAM_BAND_ROWS;
+    let mut labeler = OutOfCoreLabeler::new(band_rows, 1);
     let mut index = 0u64;
     let t0 = std::time::Instant::now();
-    loop {
-        let mut frame = match frames.next_frame() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => break,
-            Err(e) => die(&format!("read {what}: {e}")),
-        };
+    while let Some(mut frame) = frames
+        .next_frame()
+        .unwrap_or_else(|e| die(&format!("read {what}: {e}")))
+    {
         index += 1;
+        if band_rows_for(frame.cols()) != band_rows {
+            band_rows = band_rows_for(frame.cols());
+            labeler = OutOfCoreLabeler::new(band_rows, 1);
+        }
         let mut components = 0u64;
         let stats = labeler
             .label_source_with(&mut frame, conn, |_| components += 1)
@@ -675,17 +671,21 @@ fn framed_stream_report(rest: &[&str], conn: Connectivity, band_rows: usize, til
     );
 }
 
-/// `stream` / `label --out-of-core`: labels a PBM through the band labeler
-/// ([`OutOfCoreLabeler`], `band_rows` rows per band, `tiles_x` tile
-/// columns). The image is never materialized and retired components go
+/// `stream` without `--framed`: labels a PBM through the band labeler
+/// ([`OutOfCoreLabeler`], [`band_rows_for`] its width rows per band, one
+/// tile column). The image is never materialized and retired components go
 /// straight from the labeler's sink into a bounded preview, so arbitrarily
 /// tall or component-dense files and pipes really do run in
 /// `O(band × cols + live components)` memory.
-fn stream_report(rest: &[&str], conn: Connectivity, band_rows: usize, tiles_x: usize) {
+fn stream_cmd(args: &Args) {
     /// Components listed in the report table.
     const LISTED: usize = 32;
 
-    let (input, what) = open_input(rest);
+    let conn = args.conn();
+    let (input, what) = open_input(args.file());
+    if args.get("--framed").is_some() {
+        return framed_stream_report(input, what, conn);
+    }
     let mut reader =
         pbm::PbmRowReader::new(input).unwrap_or_else(|e| die(&format!("parse {what}: {e}")));
     let mut total: u64 = 0;
@@ -693,7 +693,7 @@ fn stream_report(rest: &[&str], conn: Connectivity, band_rows: usize, tiles_x: u
     // buffer doubles, so memory never scales with the component count.
     let mut preview: Vec<RetiredComponent> = Vec::new();
     let t0 = std::time::Instant::now();
-    let s = OutOfCoreLabeler::new(band_rows, tiles_x)
+    let s = OutOfCoreLabeler::new(band_rows_for(reader.cols()), 1)
         .label_source_with(&mut reader, conn, |rec| {
             total += 1;
             preview.push(rec);
@@ -711,7 +711,7 @@ fn stream_report(rest: &[&str], conn: Connectivity, band_rows: usize, tiles_x: u
         100.0 * s.pixels as f64 / (s.rows as f64 * s.cols as f64).max(1.0),
     );
     println!(
-        "stream engine: {} band(s) of {} row(s) x {tiles_x} tile column(s); \
+        "stream engine: {} band(s) of {} row(s) x 1 tile column(s); \
          peak frontier {} run(s), peak carried {} run(s), {} live slot(s), \
          {} band run(s); {} rows in {:.3} ms ({:.0} rows/s)",
         s.bands,
@@ -746,26 +746,31 @@ fn stream_report(rest: &[&str], conn: Connectivity, band_rows: usize, tiles_x: u
     }
 }
 
+/// Prints the usage text from [`COMMANDS`], wrapped at 80 columns, and
+/// exits 2.
 fn usage() -> ! {
-    let engines: Vec<&str> = registry().iter().map(|e| e.kind.name()).collect();
+    eprintln!("usage:");
+    for cmd in COMMANDS {
+        let mut line = format!("  slap {}", cmd.name());
+        for item in cmd.items() {
+            if line.len() + item.len() >= 80 {
+                eprintln!("{line}");
+                line = " ".repeat(cmd.name().len() + 7);
+            }
+            line = format!("{line} {item}");
+        }
+        eprintln!("{line}\n      {}", cmd.about);
+    }
     eprintln!(
-        "usage:\n  slap gen <workload> <n> [seed]\n  \
-         slap label [--uf KIND] [--conn 4|8] [--engine E] [--threads N] [--tiles RxC] [file.pbm]\n  \
-         slap label --out-of-core [--band-rows N] [--tiles 1xC] [--conn 4|8] [file.pbm]\n  \
-         slap bench [--uf KIND] [--conn 4|8] <workload> <n> [seed]\n  \
-         slap trace [--pass uf|label] <workload> <n> [seed]\n  \
-         slap features [--conn 4|8] [--engine E] [--threads N] [file.pbm]\n  \
-         slap stream [--conn 4|8] [--band-rows N] [--tiles 1xC] [--framed] [file.pbm]\n  \
-         slap compare [--uf KIND] [--conn 4|8] <workload> <n> [seed]\n  \
-         slap serve [--addr H:P] [--conn 4|8] [--workers N] [--queue-cap N] [--queue-budget-mb N]\n             \
-         [--max-dim N] [--max-pixels N] [--max-stream-pixels N]\n             \
-         [--deadline-ms N] [--io-timeout-ms N]\n  \
-         slap client [--addr H:P] [--stream] [--attempts N] [--base-delay-ms N] [file.pbm ...]\n  \
-         slap workloads\n\
-         (--engine: one of {}; see `slap workloads`)",
-        engines.join("|")
+        "(--engine: one of {}; see `slap workloads`)",
+        engine_names("|")
     );
     std::process::exit(2);
+}
+
+fn engine_names(sep: &str) -> String {
+    let names: Vec<&str> = registry().iter().map(|e| e.kind.name()).collect();
+    names.join(sep)
 }
 
 fn die(msg: &str) -> ! {

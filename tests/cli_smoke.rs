@@ -120,28 +120,12 @@ fn stream_labels_piped_pbm_with_bounded_memory_report() {
     assert!(!bad.status.success(), "truncated P4 must not stream");
     let err = String::from_utf8_lossy(&bad.stderr);
     assert!(!err.contains("panicked"), "clean error expected: {err}");
-    // So must a band too tall for the u32 position space at this width.
-    let valid = b"P4\n8 3\n\xff\x00\xff";
-    for cmd in [&["stream"][..], &["label", "--out-of-core"][..]] {
-        let args = [cmd, &["--band-rows", "4294967296"][..]].concat();
-        let bad = slap_with_stdin(&args, valid);
-        assert!(
-            !bad.status.success(),
-            "{args:?}: an overflowing band must not stream"
-        );
-        let err = String::from_utf8_lossy(&bad.stderr);
-        assert!(
-            !err.contains("panicked"),
-            "{args:?}: clean error expected: {err}"
-        );
-        assert_eq!(err.trim().lines().count(), 1, "{args:?}: one line: {err}");
-    }
 }
 
 #[test]
 fn out_of_core_label_reports_what_stream_and_the_fast_engine_report() {
-    // 40 rows: one band at the default height, 14 bands of 3 rows.
-    let pbm_bytes = slap(&["gen", "random50", "40", "5"]).stdout;
+    // 300 rows: three bands of the 128-row streaming band.
+    let pbm_bytes = slap(&["gen", "random50", "300", "5"]).stdout;
     for conn in ["4", "8"] {
         let fast = stdout_str(&slap_with_stdin(
             &["label", "--engine", "fast", "--conn", conn],
@@ -149,23 +133,15 @@ fn out_of_core_label_reports_what_stream_and_the_fast_engine_report() {
         ));
         let want = fast.lines().next().unwrap_or_default();
         assert!(want.contains("component(s)"), "{fast:?}");
-        for (band, bands) in [
-            (&[][..], "1 band(s) of 128 row(s) x 1 tile column(s)"),
-            (
-                &["--band-rows", "3", "--tiles", "1x2"][..],
-                "14 band(s) of 3 row(s) x 2 tile column(s)",
-            ),
+        let report = stdout_str(&slap_with_stdin(&["stream", "--conn", conn], &pbm_bytes));
+        // The component line (dims, density, count) is the fast engine's.
+        assert_eq!(report.lines().next(), Some(want), "{conn}: {report:?}");
+        for expected in [
+            "peak frontier",
+            "rows/s",
+            "3 band(s) of 128 row(s) x 1 tile column(s)",
         ] {
-            for cmd in [&["label", "--out-of-core"][..], &["stream"][..]] {
-                let args = [cmd, band, &["--conn", conn]].concat();
-                let report = stdout_str(&slap_with_stdin(&args, &pbm_bytes));
-                // The component line (dims, density, count) is the fast
-                // engine's, at any band shape.
-                assert_eq!(report.lines().next(), Some(want), "{args:?}: {report:?}");
-                for expected in ["peak frontier", "rows/s", bands] {
-                    assert!(report.contains(expected), "{args:?}: {report:?}");
-                }
-            }
+            assert!(report.contains(expected), "{conn}: {report:?}");
         }
     }
 }
@@ -326,4 +302,81 @@ fn serve_refuses_threads_and_the_band_rows_flag() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--ooc-band-rows"), "flag not named: {err}");
     assert!(!err.contains("panicked"), "clean error expected: {err}");
+}
+
+/// Asserts that `args` exits 2 with one clean stderr line naming `named`.
+fn assert_refused(args: &[&str], named: &str) {
+    let out = slap(args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    assert_eq!(
+        err.trim_end().lines().count(),
+        1,
+        "{args:?}: one line: {err}"
+    );
+    assert!(err.contains(named), "{args:?}: {named} not named: {err}");
+    assert!(
+        !err.contains("panicked"),
+        "{args:?}: clean error expected: {err}"
+    );
+}
+
+#[test]
+fn every_subcommand_refuses_flags_it_does_not_take() {
+    // A listener the client would reach if it dialed before refusing.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    listener.set_nonblocking(true).expect("nonblocking");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let client = format!("client --addr {addr} --engine bfs --tiles 2x2");
+    let cases = [
+        (
+            "gen random50 4 1 --threads 3 --band-rows 2 --framed",
+            "--threads",
+        ),
+        ("label --framed", "--framed"),
+        ("trace --uf blum random50 8 1", "--uf"),
+        ("trace --pass bogus random50 8 1", "--pass"),
+        ("features --uf blum", "--uf"),
+        ("stream --engine fast", "--engine"),
+        ("compare --engine fast comb 12 1", "--engine"),
+        ("serve --addr 127.0.0.1:0 --stream", "--stream"),
+        (&client, "--engine"),
+        ("workloads --conn 8", "--conn"),
+        // The second spellings are gone: `slap stream` is the one streaming
+        // command, and --threads / --tiles only size an --engine.
+        ("label --out-of-core", "--out-of-core"),
+        ("stream --band-rows 4", "--band-rows"),
+        ("stream --tiles 1x2", "--tiles"),
+        ("label --threads 2", "--engine"),
+        ("label --tiles 2x2", "--engine"),
+        ("features --engine fast --tiles 2x2", "--engine"),
+        ("label --conn 4 --conn 8", "--conn"),
+    ];
+    for (args, named) in cases {
+        assert_refused(&args.split(' ').collect::<Vec<_>>(), named);
+    }
+    // `bench` was `gen | label`; it is no subcommand now.
+    let out = slap(&["bench", "random50", "8", "1"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).starts_with("usage:"),
+        "{out:?}"
+    );
+    assert!(
+        listener
+            .accept()
+            .is_err_and(|e| e.kind() == std::io::ErrorKind::WouldBlock),
+        "client dialed before refusing its flags"
+    );
+}
+
+#[test]
+fn bad_positional_arguments_exit_2_without_panic() {
+    for cmd in ["gen", "trace", "compare"] {
+        assert_refused(&[cmd, "random50", "0"], "size must be a positive integer");
+        assert_refused(&[cmd, "random50", "4", "abc"], "\"abc\"");
+        assert_refused(&[cmd, "random50", "4", "1", "junk"], "\"junk\"");
+    }
+    assert_refused(&["label", "a.pbm", "b.pbm"], "\"b.pbm\"");
+    assert_refused(&["serve", "extra"], "\"extra\"");
 }
