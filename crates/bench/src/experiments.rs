@@ -936,6 +936,30 @@ mod tests {
     }
 
     #[test]
+    fn quick_tables_match_the_pinned_file() {
+        // `experiments --quick all` with its host-timing cells masked: every
+        // step and operation count is pinned. E11 is left out: its thread
+        // rows and note follow the host's core count, and every cell it
+        // measures is wall clock. On an intended change, commit the new
+        // rendering (its path is in the failure message) with a CHANGES.md
+        // line saying why the counts moved.
+        let got: String = all(Scale::Quick)
+            .iter()
+            .filter(|t| !t.title.starts_with("E11 "))
+            .map(|t| t.host_time_masked().to_markdown())
+            .collect();
+        if got != include_str!("../experiments_quick.md") {
+            let path = std::env::temp_dir().join("experiments_quick.md");
+            std::fs::write(&path, &got).expect("write the new rendering");
+            panic!(
+                "E1–E16 quick tables differ from crates/bench/experiments_quick.md; \
+                 the new rendering is in {}",
+                path.display()
+            );
+        }
+    }
+
+    #[test]
     fn unknown_experiment_is_none() {
         assert!(by_name("e99", Scale::Quick).is_none());
     }

@@ -35,6 +35,25 @@ impl Table {
         self.notes.push(note.into());
     }
 
+    /// A copy with every host-timing cell — columns whose header contains
+    /// `wall` or is `speedup` — replaced by `~`, so the rendering depends
+    /// only on the deterministic counts (the pinned quick tables compare
+    /// it).
+    pub fn host_time_masked(&self) -> Table {
+        let timed: Vec<bool> = self
+            .header
+            .iter()
+            .map(|h| h.contains("wall") || h == "speedup")
+            .collect();
+        let mut t = self.clone();
+        for row in &mut t.rows {
+            for (cell, _) in row.iter_mut().zip(&timed).filter(|(_, &m)| m) {
+                *cell = "~".into();
+            }
+        }
+        t
+    }
+
     /// Renders the table as GitHub-flavored markdown with aligned columns.
     pub fn to_markdown(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
@@ -91,6 +110,20 @@ mod tests {
         assert!(md.contains("|  n | steps |"));
         assert!(md.contains("| 64 |  1234 |"));
         assert!(md.contains("> a note"));
+    }
+
+    #[test]
+    fn masks_only_host_timing_columns() {
+        let mut t = Table::new("Demo", &["n", "wall ms", "speedup", "steps"]);
+        t.push_row(vec![
+            "64".into(),
+            "1.25".into(),
+            "3.10".into(),
+            "1234".into(),
+        ]);
+        let m = t.host_time_masked();
+        assert_eq!(m.rows, vec![vec!["64", "~", "~", "1234"]]);
+        assert_eq!(m.header, t.header);
     }
 
     #[test]

@@ -46,6 +46,7 @@
 use crate::bitmap::{for_each_diagonal_pair_at, Bitmap};
 use crate::connectivity::Connectivity;
 use crate::labels::LabelGrid;
+use std::ops::Range;
 
 pub mod ooc;
 #[cfg(test)]
@@ -114,18 +115,12 @@ impl TileStats {
 
 /// Reusable word-parallel labeler (see the module docs for the algorithm).
 ///
-/// All scratch storage — the run table, the union–find arrays — lives in the
-/// struct and is recycled across calls.
+/// All scratch storage lives in the struct and is recycled across calls.
 #[derive(Debug, Default)]
 pub struct FastLabeler {
     /// Bounds of run `k`, packed `start << 32 | end` (both inclusive
-    /// columns) so extraction pushes one word per run. A run still crossing
-    /// the current word edge carries a provisional all-ones end until its
-    /// closing word patches it.
+    /// columns). Only grows: the current frame's runs are a prefix.
     runs: Vec<u64>,
-    /// Index of the first run of each row, plus one trailing sentinel
-    /// (`row_runs[r]..row_runs[r + 1]` are row `r`'s runs).
-    row_runs: Vec<u32>,
     /// Union–find node per run, packed `min_pos << 32 | parent` so a find or
     /// link touches one cache line per node instead of two.
     ///
@@ -135,11 +130,29 @@ pub struct FastLabeler {
     /// parent pointer aims at a smaller index and one ascending sweep
     /// flattens the whole forest.
     node: Vec<u64>,
+    /// The frame as one tile: its row table and scan buffers.
+    scan: TileScan,
+    /// Root count of the most recent call, folded into the output sweep (so
+    /// [`FastLabeler::last_components`] is O(1), never a node-arena rescan).
+    components: usize,
+}
+
+/// One tile's share of a run arena: its row table and the row kernel's scan
+/// buffers. Every in-core labeler builds into one `runs`/`node` arena, each
+/// tile filling the disjoint, tile-major index range its row table names.
+#[derive(Debug, Default)]
+pub(crate) struct TileScan {
+    /// The tile's rows and columns, set by [`TileScan::count`].
+    rows: Range<usize>,
+    cols: Range<usize>,
+    /// Arena index of the first run of each of the tile's rows, plus one
+    /// trailing sentinel (`row_runs[lr]..row_runs[lr + 1]` are local row
+    /// `lr`'s runs).
+    row_runs: Vec<u32>,
     /// Scratch words for the 8-connectivity merge: `row[r] & dilate(row[r-1])`.
     and_buf: Vec<u64>,
     /// Masked copies of the current/previous row's words restricted to a
-    /// narrower-than-full column window — scratch for
-    /// [`FastLabeler::build_runs_window`].
+    /// narrower-than-full column window.
     win_cur: Vec<u64>,
     win_prev: Vec<u64>,
     /// Per-word run-start masks of the current/previous row (swapped each
@@ -147,9 +160,6 @@ pub struct FastLabeler {
     /// instead of walking cursors over the run table.
     starts_cur: Vec<u64>,
     starts_prev: Vec<u64>,
-    /// Root count of the most recent call, folded into the output sweep (so
-    /// [`FastLabeler::last_components`] is O(1), never a node-arena rescan).
-    components: usize,
     /// Tile classification counts of the most recent build.
     tiles: TileStats,
 }
@@ -197,27 +207,11 @@ fn link_roots(node: &mut [u64], ra: u32, rb: u32) -> u32 {
     hi
 }
 
-/// Patches the inclusive end column of the most recently pushed run (runs
-/// crossing a word edge are pushed with a provisional all-ones end).
+/// Patches the inclusive end column of run `n - 1`, the last written (runs
+/// crossing a word edge are written with a provisional all-ones end).
 #[inline]
-fn close_last_run(runs: &mut [u64], end: u64) {
-    let last = runs.len() - 1;
-    runs[last] = (runs[last] & MIN_HALF) | end;
-}
-
-/// Writes one output row: background everywhere, then every run (packed
-/// `start << 32 | end`, both columns inclusive) with its label — the tiled
-/// engine's readout.
-pub(crate) fn fill_label_row(row: &mut [u32], runs: impl Iterator<Item = (u64, u32)>) {
-    row.fill(LabelGrid::BACKGROUND);
-    for (sb, label) in runs {
-        let (a, b) = ((sb >> 32) as usize, (sb & 0xffff_ffff) as usize);
-        row[a] = label;
-        row[b] = label;
-        if b - a > 1 {
-            row[a + 1..b].fill(label);
-        }
-    }
+fn close_last_run(runs: &mut [u64], n: usize, end: u64) {
+    runs[n - 1] = (runs[n - 1] & MIN_HALF) | end;
 }
 
 /// Geometry of one row scan, bundled so the multiversioned kernel keeps a
@@ -238,10 +232,13 @@ struct RowGeom {
     prev_hi: u32,
 }
 
-/// The labeler's arenas split into disjoint borrows for one row scan.
+/// One row scan's words and a tile's arena range and scan buffers, split
+/// into disjoint borrows. Run indices are local to the range.
 struct RowScan<'a> {
-    runs: &'a mut Vec<u64>,
-    node: &'a mut Vec<u64>,
+    cur: &'a [u64],
+    prev: &'a [u64],
+    runs: &'a mut [u64],
+    node: &'a mut [u64],
     /// Run-start masks (4-connectivity only; may be empty otherwise).
     starts_cur: &'a mut [u64],
     starts_prev: &'a [u64],
@@ -267,21 +264,60 @@ fn hw_scan_available() -> bool {
 }
 
 /// Dispatches one row scan to the hardware-feature build when available
-/// (`hw` from [`hw_scan_available`]), else the baseline build.
+/// (`hw` from [`hw_scan_available`]), else the baseline build. Returns one
+/// past the row's last run index.
 #[inline]
-fn scan_row<const FOUR: bool>(hw: bool, cur: &[u64], prev: &[u64], g: RowGeom, s: RowScan<'_>) {
+fn scan_row<const FOUR: bool>(hw: bool, g: RowGeom, s: RowScan<'_>) -> u32 {
     #[cfg(target_arch = "x86_64")]
     {
         if hw {
             // SAFETY: `hw` is true only when popcnt/bmi1/bmi2 were detected
             // at runtime, so the target-feature build is valid on this CPU.
-            unsafe { scan_row_hw::<FOUR>(cur, prev, g, s) };
-            return;
+            return unsafe { scan_row_hw::<FOUR>(g, s) };
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = hw;
-    scan_row_impl::<FOUR>(cur, prev, g, s);
+    scan_row_impl::<FOUR>(g, s)
+}
+
+/// Run starts among `words`, the first masked with `mask_lo` and the last
+/// with `mask_hi` (one row of the count pass), dispatched like [`scan_row`].
+#[inline]
+fn count_starts(hw: bool, words: &[u64], mask_lo: u64, mask_hi: u64) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if hw {
+            // SAFETY: as in `scan_row`.
+            return unsafe { count_starts_hw(words, mask_lo, mask_hi) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = hw;
+    count_starts_impl(words, mask_lo, mask_hi)
+}
+
+/// [`count_starts_impl`] built with the hardware popcount.
+///
+/// # Safety
+/// The host must support `popcnt`, `bmi1` and `bmi2` ([`hw_scan_available`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt,bmi1,bmi2")]
+unsafe fn count_starts_hw(words: &[u64], mask_lo: u64, mask_hi: u64) -> u32 {
+    count_starts_impl(words, mask_lo, mask_hi)
+}
+
+#[inline(always)]
+fn count_starts_impl(words: &[u64], mask_lo: u64, mask_hi: u64) -> u32 {
+    let last = words.len() - 1;
+    let mut carry = 0u64; // bit 63 of the previous masked word
+    let mut n = 0u32;
+    for (i, &w) in words.iter().enumerate() {
+        let w = w & if i == 0 { mask_lo } else { !0 } & if i == last { mask_hi } else { !0 };
+        n += (w & !((w << 1) | carry)).count_ones();
+        carry = w >> 63;
+    }
+    n
 }
 
 /// The row kernel compiled with the hardware bit-manipulation features the
@@ -289,8 +325,8 @@ fn scan_row<const FOUR: bool>(hw: bool, cur: &[u64], prev: &[u64], g: RowGeom, s
 /// detection (see [`scan_row`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt,bmi1,bmi2")]
-unsafe fn scan_row_hw<const FOUR: bool>(cur: &[u64], prev: &[u64], g: RowGeom, s: RowScan<'_>) {
-    scan_row_impl::<FOUR>(cur, prev, g, s);
+unsafe fn scan_row_hw<const FOUR: bool>(g: RowGeom, s: RowScan<'_>) -> u32 {
+    scan_row_impl::<FOUR>(g, s)
 }
 
 /// One row of the fused coarse-to-fine scan: word × 2-row tile
@@ -311,9 +347,14 @@ unsafe fn scan_row_hw<const FOUR: bool>(cur: &[u64], prev: &[u64], g: RowGeom, s
 /// singleton root when first linked), so each adjacency pair costs one find
 /// on the previous-row side plus one link, with the current run's root
 /// cached across its consecutive pairs.
+///
+/// The row's runs are written from index `g.prev_hi` on; the return value
+/// is one past the last.
 #[inline(always)]
-fn scan_row_impl<const FOUR: bool>(cur: &[u64], prev: &[u64], g: RowGeom, s: RowScan<'_>) {
+fn scan_row_impl<const FOUR: bool>(g: RowGeom, s: RowScan<'_>) -> u32 {
     let RowScan {
+        cur,
+        prev,
         runs,
         node,
         starts_cur,
@@ -331,6 +372,7 @@ fn scan_row_impl<const FOUR: bool>(cur: &[u64], prev: &[u64], g: RowGeom, s: Row
     }
     let rows = g.rows;
     let (prev_lo, prev_hi) = (g.prev_lo, g.prev_hi);
+    let mut n = prev_hi as usize; // next run index to write
     let mut open = false; // the last pushed run continues into this word
     let mut and_carry = 0u64; // bit 63 of the previous word's AND (4-conn)
     let mut dil_carry = 0u64; // bit 63 of the previous `prev` word (8-conn)
@@ -347,7 +389,7 @@ fn scan_row_impl<const FOUR: bool>(cur: &[u64], prev: &[u64], g: RowGeom, s: Row
         if w | pw == 0 {
             tiles.background += 1;
             if open {
-                close_last_run(runs, g.col_base + (wi as u64) * 64 - 1);
+                close_last_run(runs, n, g.col_base + (wi as u64) * 64 - 1);
                 open = false;
             }
             if FOUR {
@@ -395,12 +437,12 @@ fn scan_row_impl<const FOUR: bool>(cur: &[u64], prev: &[u64], g: RowGeom, s: Row
                 if ones == 64 {
                     x = 0; // the run spans this whole word too
                 } else {
-                    close_last_run(runs, base + u64::from(ones) - 1);
+                    close_last_run(runs, n, base + u64::from(ones) - 1);
                     open = false;
                     x &= x.wrapping_add(1); // clear the trailing ones
                 }
             } else {
-                close_last_run(runs, base - 1);
+                close_last_run(runs, n, base - 1);
                 open = false;
             }
         }
@@ -411,14 +453,15 @@ fn scan_row_impl<const FOUR: bool>(cur: &[u64], prev: &[u64], g: RowGeom, s: Row
             let lsb = x & x.wrapping_neg();
             let t = x.wrapping_add(lsb);
             let start = base + u64::from(lsb.trailing_zeros());
-            node.push(((start * rows + g.row) << 32) | runs.len() as u64);
+            node[n] = ((start * rows + g.row) << 32) | n as u64;
+            n += 1;
             if t == 0 {
                 // The run reaches bit 63: provisional end, patched at close.
-                runs.push((start << 32) | 0xffff_ffff);
+                runs[n - 1] = (start << 32) | 0xffff_ffff;
                 open = true;
                 break;
             }
-            runs.push((start << 32) | (base + u64::from(t.trailing_zeros()) - 1));
+            runs[n - 1] = (start << 32) | (base + u64::from(t.trailing_zeros()) - 1);
             x &= t;
         }
         if FOUR {
@@ -468,14 +511,15 @@ fn scan_row_impl<const FOUR: bool>(cur: &[u64], prev: &[u64], g: RowGeom, s: Row
         }
     }
     if open {
-        close_last_run(runs, g.col_base + g.bits as u64 - 1);
+        close_last_run(runs, n, g.col_base + g.bits as u64 - 1);
     }
     if !FOUR && merge {
         // The unified word-level 8-connectivity kernel — the same sweep as
         // tile seams and the out-of-core band merge every streaming path runs
         // on (the per-site two-pointer join it replaced survives as a
         // test-only reference).
-        let (prev_runs, cur_runs) = runs[prev_lo as usize..].split_at((prev_hi - prev_lo) as usize);
+        let (prev_runs, cur_runs) =
+            runs[prev_lo as usize..n].split_at((prev_hi - prev_lo) as usize);
         for_each_diagonal_pair_at(
             and_buf,
             g.bits,
@@ -493,75 +537,111 @@ fn scan_row_impl<const FOUR: bool>(cur: &[u64], prev: &[u64], g: RowGeom, s: Row
             },
         );
     }
+    n as u32
 }
 
-impl FastLabeler {
-    /// Creates a labeler with empty (growable) scratch storage.
-    pub fn new() -> Self {
-        FastLabeler::default()
+/// The row words `wlo..whi` that columns `cols` fall in, and the masks that
+/// clear the columns outside `cols` in the first and the last of them.
+fn window_words(cols: &Range<usize>) -> (usize, usize, u64, u64) {
+    let (wlo, whi) = (cols.start / 64, (cols.end - 1) / 64 + 1);
+    let mask_lo = !0u64 << (cols.start % 64);
+    let mask_hi = if cols.end.is_multiple_of(64) {
+        !0u64
+    } else {
+        (1u64 << (cols.end % 64)) - 1
+    };
+    (wlo, whi, mask_lo, mask_hi)
+}
+
+/// Grows an arena to at least `n` entries, never rewriting what it holds: a
+/// warm call overwrites its own prefix in place.
+pub(crate) fn grow_arena(arena: &mut Vec<u64>, n: usize) {
+    if arena.len() < n {
+        arena.resize(n, 0);
+    }
+}
+
+impl TileScan {
+    /// The count pass: fills the row table of the tile `rows` × `cols` with
+    /// arena indices from `base` on and returns the next tile's base.
+    pub(crate) fn count(
+        &mut self,
+        img: &Bitmap,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        base: usize,
+    ) -> usize {
+        let (wlo, whi, mask_lo, mask_hi) = window_words(&cols);
+        // Every scan buffer is sized here, on the calling thread and for
+        // either connectivity, so a warm tile pass allocates nothing.
+        let narrow = cols != (0..img.cols());
+        for (buf, used) in [
+            (&mut self.and_buf, true),
+            (&mut self.starts_cur, true),
+            (&mut self.starts_prev, true),
+            (&mut self.win_cur, narrow),
+            (&mut self.win_prev, narrow),
+        ] {
+            buf.clear();
+            if used {
+                buf.resize(whi - wlo, 0);
+            }
+        }
+        let hw = hw_scan_available();
+        self.row_runs.clear();
+        self.row_runs.reserve_exact(rows.len() + 1);
+        let mut end = base;
+        for r in rows.clone() {
+            self.row_runs
+                .push(u32::try_from(end).expect("run count exceeds u32"));
+            end += count_starts(hw, &img.row_words(r)[wlo..whi], mask_lo, mask_hi) as usize;
+        }
+        self.row_runs
+            .push(u32::try_from(end).expect("run count exceeds u32"));
+        (self.rows, self.cols) = (rows, cols);
+        end
     }
 
-    /// Pass 1: extract every row's runs and union vertically adjacent ones,
-    /// in one fused coarse-to-fine sweep — tiles are classified first, and
-    /// each surviving run is merged with the previous row the moment the
-    /// word scan reports it. Returns the total run count.
-    fn build_runs(&mut self, img: &Bitmap, conn: Connectivity) -> usize {
-        self.build_runs_window(img, conn, 0, img.rows(), 0, img.cols())
+    /// Arena index of the tile's first run.
+    pub(crate) fn base(&self) -> usize {
+        self.row_runs.first().map_or(0, |&k| k as usize)
     }
 
-    /// The run-building pass over rows `row_lo..row_hi` restricted to
-    /// columns `col_lo..col_hi` — the whole frame for [`Self::build_runs`],
-    /// one *tile* for a [`tiled`] worker. The window is scanned in isolation:
-    /// no merge against row `row_lo - 1` or across its left/right edge (the
-    /// tile stitcher's seam passes resolve those). A full-width window scans
-    /// the bitmap's row words in place; a narrower one copies each row's
-    /// window words into a masked buffer, so the coarse classification,
-    /// extraction, and vertical merge run the same word-level kernel either
-    /// way. Run bounds and minima stay **global** (absolute columns, global
-    /// column-major positions), so a later seam union combines minima that
-    /// are already in the final label space, while run indices, `row_runs`,
-    /// and union–find parents are local to the window (they start at 0).
-    /// Returns the window's run count.
-    fn build_runs_window(
+    /// One past the arena index of the tile's last run.
+    pub(crate) fn end(&self) -> usize {
+        self.row_runs.last().map_or(0, |&k| k as usize)
+    }
+
+    /// The tile pass over the counted tile: extracts every row's runs into
+    /// `runs`/`node`, the tile's arena range, and unions vertically adjacent
+    /// ones. The tile is scanned in isolation (the tiled engine's seams join
+    /// it to its neighbors); a narrower-than-full one scans masked copies of
+    /// its row words. Run bounds and minima are **global**; parents are
+    /// range-local until a tile past the arena's start rebases them.
+    pub(crate) fn build(
         &mut self,
         img: &Bitmap,
         conn: Connectivity,
-        row_lo: usize,
-        row_hi: usize,
-        col_lo: usize,
-        col_hi: usize,
-    ) -> usize {
-        debug_assert!(col_lo < col_hi && col_hi <= img.cols());
-        let full = col_lo == 0 && col_hi == img.cols();
+        runs: &mut [u64],
+        node: &mut [u64],
+    ) {
+        let base = self.base() as u32;
+        debug_assert!(runs.len() == self.end() - self.base() && node.len() == runs.len());
+        let full = self.cols == (0..img.cols());
         let rows = img.rows() as u64;
-        self.runs.clear();
-        self.row_runs.clear();
-        self.node.clear();
         self.tiles = TileStats::default();
-        self.row_runs.reserve(row_hi - row_lo + 1);
-        let (wlo, whi) = (col_lo / 64, (col_hi - 1) / 64 + 1);
+        let (wlo, whi, mask_lo, mask_hi) = window_words(&self.cols);
         // Window positions are relative to word `wlo`; `col_base` maps them
         // back to absolute columns.
-        let bits = col_hi - wlo * 64;
+        let bits = self.cols.end - wlo * 64;
         let col_base = (wlo * 64) as u64;
-        let mask_lo = !0u64 << (col_lo % 64);
-        let mask_hi = if col_hi.is_multiple_of(64) {
-            !0u64
-        } else {
-            (1u64 << (col_hi % 64)) - 1
-        };
         let four = conn == Connectivity::Four;
-        if four {
-            self.starts_cur.clear();
-            self.starts_cur.resize(whi - wlo, 0);
-            self.starts_prev.clear();
-            self.starts_prev.resize(whi - wlo, 0);
-        }
         let hw = hw_scan_available();
         let mut prev_lo = 0u32;
-        for r in row_lo..row_hi {
-            let prev_hi = u32::try_from(self.runs.len()).expect("run count exceeds u32");
-            self.row_runs.push(prev_hi);
+        let row_lo = self.rows.start;
+        for r in self.rows.clone() {
+            let lr = r - row_lo;
+            let prev_hi = self.row_runs[lr] - base;
             if !full {
                 // Masked copy of this row's window words.
                 self.win_cur.clear();
@@ -581,9 +661,8 @@ impl FastLabeler {
                 prev_lo,
                 prev_hi,
             };
-            let FastLabeler {
-                runs,
-                node,
+            let TileScan {
+                row_runs,
                 and_buf,
                 win_cur,
                 win_prev,
@@ -599,63 +678,100 @@ impl FastLabeler {
                 (false, false) => (win_cur, &[]),
             };
             let scan = RowScan {
-                runs,
-                node,
+                cur,
+                prev,
+                runs: &mut *runs,
+                node: &mut *node,
                 starts_cur,
                 starts_prev,
                 and_buf,
                 tiles,
             };
-            if four {
-                scan_row::<true>(hw, cur, prev, g, scan);
+            let end = if four {
+                scan_row::<true>(hw, g, scan)
             } else {
-                scan_row::<false>(hw, cur, prev, g, scan);
-            }
+                scan_row::<false>(hw, g, scan)
+            };
+            // The output sweep's unchecked reads trust the row tables, so a
+            // row the kernel and the count pass disagree on must not pass.
+            assert_eq!(
+                end,
+                row_runs[lr + 1] - base,
+                "row {r}: kernel and count disagree"
+            );
             if !full {
                 std::mem::swap(&mut self.win_cur, &mut self.win_prev);
             }
             prev_lo = prev_hi;
         }
-        self.row_runs
-            .push(u32::try_from(self.runs.len()).expect("run count exceeds u32"));
-        self.runs.len()
+        if base > 0 {
+            // Parent halves are below `end <= u32::MAX`, so the packed
+            // addition never carries into the `min_pos` half.
+            for n in node.iter_mut() {
+                *n += u64::from(base);
+            }
+        }
     }
 
-    /// Labels `img` into `out` (re-dimensioned; every cell is written exactly
-    /// once — runs with their component label, gaps with background). With
-    /// reused storage of sufficient capacity the call performs no heap
-    /// allocation.
-    pub fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) {
-        let rows = img.rows();
-        self.build_runs(img, conn);
-        out.reset_dims(rows, img.cols());
-        // Pass 2, fused with the flattening sweep. Runs are visited in
-        // ascending index order (row_runs is ascending) and every parent
-        // points to a smaller index, so when run `k` is visited its parent
-        // `p` is already flattened: `node[p]` holds the root in its parent
-        // half and the component minimum in its `min_pos` half — whether `p`
-        // is the root itself or not — and copying it down both flattens `k`
-        // and delivers its label.
-        let mut components = 0usize;
-        for r in 0..rows {
-            let (lo, hi) = (self.row_runs[r] as usize, self.row_runs[r + 1] as usize);
-            let row = out.row_mut(r);
-            // One vectorized background fill per row, then label fills only.
-            row.fill(LabelGrid::BACKGROUND);
-            for k in lo..hi {
-                // Branchless flatten: for a root, `p == k` and the copy is a
-                // no-op self-assignment.
-                let p = self.node[k] as u32;
-                components += (p as usize == k) as usize;
-                // SAFETY: parents always point at equal-or-smaller run
-                // indices (link_roots invariant), so `p <= k < node.len()`.
-                let np = unsafe { *self.node.get_unchecked(p as usize) };
-                self.node[k] = np;
+    /// Bytes of scratch capacity the tile holds.
+    pub(crate) fn scratch_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.row_runs.capacity() * size_of::<u32>()
+            + (self.and_buf.capacity()
+                + self.win_cur.capacity()
+                + self.win_prev.capacity()
+                + self.starts_cur.capacity()
+                + self.starts_prev.capacity())
+                * size_of::<u64>()
+    }
+}
+
+/// Pass 2 over one band of tiles (the whole frame for [`FastLabeler`]): the
+/// flattening sweep fused with the label output into `out`, the band's rows.
+/// `node` is the band's arena range, from index `lo` on. Tiles are visited
+/// in ascending index order and parents point down, so run `k`'s parent is
+/// already flattened — it holds the root and the component minimum — and
+/// copying it down both flattens `k` and delivers its label. A parent below
+/// `lo` marks a node already made final. Returns the band's root count.
+///
+/// # Safety
+/// `tiles` must be the band's tiles as built ([`TileScan::build`]): their
+/// row tables cover `lo..lo + node.len()`, every parent in `node` is at most
+/// its own index (or below `lo`), and every run lies in `0..cols`, with
+/// `out` holding `cols` cells per tile row.
+pub(crate) unsafe fn flatten_fill(
+    node: &mut [u64],
+    lo: usize,
+    runs: &[u64],
+    tiles: &[TileScan],
+    out: &mut [u32],
+    cols: usize,
+) -> usize {
+    let mut roots = 0usize;
+    for (j, t) in tiles.iter().enumerate() {
+        for (lr, span) in t.row_runs.windows(2).enumerate() {
+            let row = &mut out[lr * cols..(lr + 1) * cols];
+            // The band's first tile clears each row once; the others only
+            // write their runs.
+            if j == 0 {
+                row.fill(LabelGrid::BACKGROUND);
+            }
+            let (ka, kb) = (span[0] as usize, span[1] as usize);
+            for (k, &sb) in (ka..kb).zip(&runs[ka..kb]) {
+                let kl = k - lo;
+                let p = node[kl] as u32 as usize;
+                roots += (p == k) as usize;
+                let np = match p.checked_sub(lo) {
+                    // SAFETY: parents point at equal-or-smaller indices (the
+                    // caller's contract), so `pl <= kl < node.len()`.
+                    Some(pl) => unsafe { *node.get_unchecked(pl) },
+                    None => node[kl],
+                };
+                node[kl] = np;
                 let label = (np >> 32) as u32;
-                let sb = self.runs[k];
                 let (a, b) = ((sb >> 32) as usize, (sb & 0xffff_ffff) as usize);
-                // SAFETY: extraction clamps every run of row `r` to
-                // `0 <= a <= b < cols == row.len()`.
+                // SAFETY: every run lies in `0..cols` and `row.len() ==
+                // cols` (the caller's contract).
                 unsafe {
                     // Most runs are a pixel or two: two unconditional stores
                     // cover them, the fill only handles longer spans.
@@ -667,15 +783,54 @@ impl FastLabeler {
                 }
             }
         }
-        self.components = components;
+    }
+    roots
+}
+
+impl FastLabeler {
+    /// Creates a labeler with empty (growable) scratch storage.
+    pub fn new() -> Self {
+        FastLabeler::default()
+    }
+
+    /// Pass 1: the count pass and the tile pass over the frame as one tile
+    /// ([`TileScan::build`]). Returns the total run count.
+    fn build_runs(&mut self, img: &Bitmap, conn: Connectivity) -> usize {
+        let total = self.scan.count(img, 0..img.rows(), 0..img.cols(), 0);
+        grow_arena(&mut self.runs, total);
+        grow_arena(&mut self.node, total);
+        self.scan
+            .build(img, conn, &mut self.runs[..total], &mut self.node[..total]);
+        total
+    }
+
+    /// Labels `img` into `out` (re-dimensioned; every cell is written exactly
+    /// once — runs with their component label, gaps with background). With
+    /// reused storage of sufficient capacity the call performs no heap
+    /// allocation.
+    pub fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) {
+        let total = self.build_runs(img, conn);
+        out.reset_dims(img.rows(), img.cols());
+        // SAFETY: `build_runs` just built the one tile over the whole frame
+        // into `..total`: link_roots points parents down, extraction clamps
+        // runs to the frame, and the grid has `cols` cells per row.
+        self.components = unsafe {
+            flatten_fill(
+                &mut self.node[..total],
+                0,
+                &self.runs,
+                std::slice::from_ref(&self.scan),
+                out.cells_mut(),
+                img.cols(),
+            )
+        };
     }
 
     /// Counts components (number of union–find roots) without writing any
     /// labels.
     pub fn count_components(&mut self, img: &Bitmap, conn: Connectivity) -> usize {
-        self.build_runs(img, conn);
-        self.components = self
-            .node
+        let total = self.build_runs(img, conn);
+        self.components = self.node[..total]
             .iter()
             .enumerate()
             .filter(|&(k, &n)| n as u32 == k as u32)
@@ -685,7 +840,7 @@ impl FastLabeler {
 
     /// Number of runs extracted by the most recent labeling call.
     pub fn last_runs(&self) -> usize {
-        self.runs.len()
+        self.scan.end()
     }
 
     /// Number of components found by the most recent labeling call. O(1):
@@ -697,7 +852,7 @@ impl FastLabeler {
     /// Tile classification counts of the most recent labeling call (see
     /// [`TileStats`]).
     pub fn last_tile_stats(&self) -> TileStats {
-        self.tiles
+        self.scan.tiles
     }
 
     /// Total bytes of scratch capacity currently reserved — the session's
@@ -705,14 +860,7 @@ impl FastLabeler {
     /// warm calls perform zero arena reallocations by watching it.
     pub fn scratch_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.runs.capacity() * size_of::<u64>()
-            + self.row_runs.capacity() * size_of::<u32>()
-            + self.node.capacity() * size_of::<u64>()
-            + self.and_buf.capacity() * size_of::<u64>()
-            + self.win_cur.capacity() * size_of::<u64>()
-            + self.win_prev.capacity() * size_of::<u64>()
-            + self.starts_cur.capacity() * size_of::<u64>()
-            + self.starts_prev.capacity() * size_of::<u64>()
+        (self.runs.capacity() + self.node.capacity()) * size_of::<u64>() + self.scan.scratch_bytes()
     }
 }
 
@@ -729,12 +877,12 @@ impl FastLabeler {
         use crate::bitmap::for_each_run_in_words;
         let rows_u64 = img.rows() as u64;
         self.runs.clear();
-        self.row_runs.clear();
+        self.scan.row_runs.clear();
         self.node.clear();
         let total_runs: usize = (0..img.rows()).map(|r| img.count_row_runs(r)).sum();
         self.runs.reserve(total_runs);
         self.node.reserve(total_runs);
-        self.row_runs.reserve(img.rows() + 1);
+        self.scan.row_runs.reserve(img.rows() + 1);
         // Under 8-connectivity a run also touches the previous row's runs one
         // column diagonally past each end.
         let reach = match conn {
@@ -744,7 +892,8 @@ impl FastLabeler {
         let mut prev_lo = 0usize;
         for r in 0..img.rows() {
             let prev_hi = self.runs.len();
-            self.row_runs
+            self.scan
+                .row_runs
                 .push(u32::try_from(prev_hi).expect("run count exceeds u32"));
             let runs = &mut self.runs;
             img.for_each_row_run(r, |a, b| {
@@ -765,11 +914,9 @@ impl FastLabeler {
                     // table (the production path recovers the same indices
                     // by popcount instead).
                     let FastLabeler {
-                        runs,
-                        node,
-                        and_buf,
-                        ..
+                        runs, node, scan, ..
                     } = self;
+                    let and_buf = &mut scan.and_buf;
                     and_buf.clear();
                     and_buf.extend(
                         img.row_words(r)
@@ -824,14 +971,20 @@ impl FastLabeler {
             }
             prev_lo = prev_hi;
         }
-        self.row_runs
+        self.scan
+            .row_runs
             .push(u32::try_from(self.runs.len()).expect("run count exceeds u32"));
         self.runs.len()
     }
 
     /// Snapshot of the three build arenas, for word-for-word comparison.
     fn arena_snapshot(&self) -> (Vec<u64>, Vec<u32>, Vec<u64>) {
-        (self.runs.clone(), self.row_runs.clone(), self.node.clone())
+        let n = self.scan.end();
+        (
+            self.runs[..n].to_vec(),
+            self.scan.row_runs.clone(),
+            self.node[..n].to_vec(),
+        )
     }
 }
 

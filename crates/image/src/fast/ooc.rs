@@ -2,9 +2,9 @@
 //! arbitrarily tall frame through the tiled engine one band at a time. It
 //! is the crate's one streaming labeler, with one result type ([`OocRun`],
 //! [`OocStats`]) and one memory model: [`crate::stream::label_stream`] (its
-//! fixed-band convenience entry), `slap stream` / `slap label --out-of-core`
-//! and `slapd`'s stream jobs all run on [`OutOfCoreLabeler`], and every one
-//! of them emits feature records, never a label grid.
+//! fixed-band convenience entry), `slap stream` and `slapd`'s stream jobs
+//! all run on [`OutOfCoreLabeler`], and every one of them emits feature
+//! records, never a label grid.
 //!
 //! The paper's SLAP reads the image one scan line per beat and keeps only
 //! the frontier. This scheduler keeps the same carried state but advances a
@@ -23,32 +23,37 @@
 //!
 //! 1. **ingest** — `band_rows` packed rows (fewer for the final band; the
 //!    tail is zeroed so the band bitmap can be labeled whole);
-//! 2. **band label** — the tiled engine's phases 1–4 leave every band run
-//!    flattened to its band root, the component's first run in arena order;
-//! 3. **band fold** — every band run folds its area, centroid sums,
-//!    rightmost column, bottom row and perimeter charge (below) into a
-//!    band-local record indexed by its band root. The top row is the root's
-//!    row, and the column-major minimum (hence the leftmost column) is the
-//!    flattened node's `component_min`; the record becomes a global
+//! 2. **band label** — the tiled engine's phases 1–4 build the band's runs
+//!    into one arena, tile by tile (tile-major: with one tile column, row by
+//!    row), and union them across the tile seams. A component's band root
+//!    is its smallest arena index;
+//! 3. **band fold** — one walk in arena index order, tile by tile, flattens
+//!    every band run to its band root and folds its area, centroid sums,
+//!    rows, rightmost column and perimeter charge (below) into a band-local
+//!    record indexed by that root. The walk meets the root first and opens
+//!    the record there. The column-major minimum (hence the leftmost column)
+//!    is the flattened node's `component_min`; the record becomes a global
 //!    [`RetiredComponent`] only when it joins, takes or leaves a slot;
-//! 4. **seam merge** — the crate's one row-to-row adjacency sweep
-//!    ([`for_each_adjacent_pair`]) pairs carried runs with first-row runs: a
-//!    band component *adopts* the first carried slot it meets and unions
-//!    with any further ones, and its band record folds into that slot;
-//! 5. **carry + retire** — the band's last real row becomes the new carried
-//!    frontier, minting a slot for each component born in this band that
-//!    reaches it. A component that touches neither the carried row nor the
-//!    last row never takes a slot: its band record is already final and is
-//!    emitted at once. Every carried slot that missed the new frontier
-//!    retires its finished [`RetiredComponent`]. Forwarded and retired slots
-//!    return to a free list, so slot storage tracks *live* components, not
-//!    total ones.
+//! 4. **seam merge** — the band's first row, gathered across its tiles into
+//!    maximal runs, goes through the crate's one row-to-row adjacency sweep
+//!    ([`for_each_adjacent_pair`]) against the carried runs: a band
+//!    component *adopts* the first carried slot it meets and unions with
+//!    any further ones, and its band record folds into that slot;
+//! 5. **carry + retire** — the band's last real row, gathered the same way,
+//!    becomes the new carried frontier, minting a slot for each component
+//!    born in this band that reaches it. A component that touches neither
+//!    the carried row nor the last row never takes a slot: its band record
+//!    is already final and is emitted at once. Every carried slot that
+//!    missed the new frontier retires its finished [`RetiredComponent`].
+//!    Forwarded and retired slots return to a free list, so slot storage
+//!    tracks *live* components, not total ones.
 //!
 //! **Perimeter charge.** A run of `len` pixels pays `left + right +
-//! 2·(len − shared)`: its exposed side edges, plus top and bottom edges of
-//! every pixel less the two each vertical adjacency hides, where `shared`
-//! is the popcount of its span in the row above (the carried row for a
-//! band's first row, zeros at the image top). A vertical adjacency always
+//! 2·(len − shared)`: its exposed side edges (where the pixel past it is
+//! background), plus top and bottom edges of every pixel less the two each
+//! vertical adjacency hides, where `shared` is the popcount of its span in
+//! the row above (the carried row for a band's first row, zeros at the
+//! image top). A vertical adjacency always
 //! joins one component, so a component's charges sum to its 4-neighbor
 //! perimeter (only partial sums differ) and no run reads the row below.
 //!
@@ -59,12 +64,18 @@
 //! per-pixel fold over the whole-frame engine's labels, for every band
 //! height and tile-column count.
 
-use super::tiled::TiledLabeler;
+use super::tiled::{gather_row, TiledLabeler};
 use crate::bitmap::{count_ones_in_span, for_each_adjacent_pair, Bitmap};
 use crate::connectivity::Connectivity;
 use crate::live::{LiveComponents, NONE};
 use crate::stream::{RetiredComponent, RowSource};
 use std::io;
+
+/// Whether pixel `c` of a packed row is set.
+#[inline]
+fn bit(words: &[u64], c: u32) -> bool {
+    words[c as usize / 64] >> (c % 64) & 1 == 1
+}
 
 /// Refuses a frame of more than `2^32` rows: record row fields are `u32`.
 fn check_row_space(rows: u64) -> io::Result<()> {
@@ -188,6 +199,8 @@ pub struct OutOfCoreLabeler {
     comps: Vec<BandComp>,
     /// Scratch words for seam adjacency.
     and_buf: Vec<u64>,
+    /// Arena index of each run of a gathered band row.
+    row_ix: Vec<u32>,
 }
 
 impl OutOfCoreLabeler {
@@ -210,6 +223,7 @@ impl OutOfCoreLabeler {
             comp_ix: Vec::new(),
             comps: Vec::new(),
             and_buf: Vec::new(),
+            row_ix: Vec::new(),
         }
     }
 
@@ -226,7 +240,10 @@ impl OutOfCoreLabeler {
                 + self.next_runs.capacity()
                 + self.and_buf.capacity())
                 * size_of::<u64>()
-            + (self.prev_slots.capacity() + self.next_slots.capacity() + self.comp_ix.capacity())
+            + (self.prev_slots.capacity()
+                + self.next_slots.capacity()
+                + self.comp_ix.capacity()
+                + self.row_ix.capacity())
                 * size_of::<u32>()
             + self.comps.capacity() * size_of::<BandComp>()
     }
@@ -354,7 +371,7 @@ impl OutOfCoreLabeler {
     ) {
         let band = &self.band;
         self.core.build_arena(band, conn);
-        let (runs, node, row_runs) = self.core.arena();
+        let (runs, node, tiles) = self.core.arena();
         stats.peak_band_runs = stats.peak_band_runs.max(runs.len());
         if self.comp_ix.len() < runs.len() {
             self.comp_ix.resize(runs.len(), 0);
@@ -362,53 +379,58 @@ impl OutOfCoreLabeler {
         self.comps.clear();
         // Fits: the band's positions fit `u32` (checked per frame).
         let band_rows = self.band_rows as u32;
-
-        // Step 3: fold every band run into its band component's record. A
-        // root is its component's smallest arena index (parents always
-        // point down), so the fold meets it before any other run of its
-        // component and opens the record there. The row above the band's
-        // first row is the carried one (all zeros at the image top).
+        let cols = band.cols();
         for lr in 0..h {
-            let north = if lr > 0 {
-                band.row_words(lr - 1)
-            } else {
-                &self.prev_words[..]
-            };
-            let (row_lo, row_hi) = (row_runs[lr] as usize, row_runs[lr + 1] as usize);
-            stats.peak_frontier_runs = stats.peak_frontier_runs.max(row_hi - row_lo);
-            for k in row_lo..row_hi {
-                let sb = runs[k];
-                let (a, b) = ((sb >> 32) as u32, sb as u32);
-                let len = u64::from(b - a + 1);
-                // The band arena clips runs at tile-column boundaries, so a
-                // run's left/right pixel edge is exposed only when the
-                // neighboring arena run (same row, adjacent index) does not
-                // continue it.
-                let left = u64::from(k == row_lo || (runs[k - 1] & 0xffff_ffff) + 1 != sb >> 32);
-                let right =
-                    u64::from(k + 1 == row_hi || (runs[k + 1] >> 32) != (sb & 0xffff_ffff) + 1);
-                let root = node[k] as u32 as usize;
-                let ix = if root == k {
-                    self.comp_ix[k] = self.comps.len() as u32;
-                    self.comps.push(BandComp {
-                        top: lr as u32,
-                        min: (node[k] >> 32) as u32,
-                        slot: NONE,
-                        ..BandComp::default()
-                    });
-                    self.comps.len() - 1
+            let row_runs = tiles.iter().map(|t| t.row_runs[lr + 1] - t.row_runs[lr]);
+            stats.peak_frontier_runs = stats.peak_frontier_runs.max(row_runs.sum::<u32>() as usize);
+        }
+
+        // Step 3, in arena index order: parents point down, so a run's
+        // parent is flattened before the run, and a root — its component's
+        // smallest index — opens the record before any other run of its
+        // component. The row above the band's first row is the carried one
+        // (all zeros at the image top).
+        for t in tiles {
+            for lr in 0..h {
+                let row = band.row_words(lr);
+                let north = if lr > 0 {
+                    band.row_words(lr - 1)
                 } else {
-                    debug_assert!(root < k, "band roots are their components' first runs");
-                    self.comp_ix[root] as usize
+                    &self.prev_words[..]
                 };
-                let comp = &mut self.comps[ix];
-                comp.area += len;
-                comp.sum_row += len * lr as u64;
-                comp.sum_col += (u64::from(a) + u64::from(b)) * len / 2;
-                let shared = u64::from(count_ones_in_span(north, a, b));
-                comp.perimeter += left + right + 2 * (len - shared);
-                comp.max_col = comp.max_col.max(b);
-                comp.bottom = lr as u32;
+                for k in t.row_runs[lr] as usize..t.row_runs[lr + 1] as usize {
+                    let sb = runs[k];
+                    let (a, b) = ((sb >> 32) as u32, sb as u32);
+                    let len = u64::from(b - a + 1);
+                    // Tiles clip runs, so test the pixel past each side.
+                    let left = u64::from(a == 0 || !bit(row, a - 1));
+                    let right = u64::from(b as usize + 1 == cols || !bit(row, b + 1));
+                    node[k] = node[node[k] as u32 as usize];
+                    let root = node[k] as u32 as usize;
+                    let ix = if root == k {
+                        self.comp_ix[k] = self.comps.len() as u32;
+                        self.comps.push(BandComp {
+                            top: lr as u32,
+                            min: (node[k] >> 32) as u32,
+                            slot: NONE,
+                            ..BandComp::default()
+                        });
+                        self.comps.len() - 1
+                    } else {
+                        debug_assert!(root < k, "band roots are their components' first runs");
+                        self.comp_ix[root] as usize
+                    };
+                    let comp = &mut self.comps[ix];
+                    comp.area += len;
+                    comp.sum_row += len * lr as u64;
+                    comp.sum_col += (u64::from(a) + u64::from(b)) * len / 2;
+                    let shared = u64::from(count_ones_in_span(north, a, b));
+                    comp.perimeter += left + right + 2 * (len - shared);
+                    comp.max_col = comp.max_col.max(b);
+                    // A right tile's rows can precede its root's row.
+                    comp.top = comp.top.min(lr as u32);
+                    comp.bottom = comp.bottom.max(lr as u32);
+                }
             }
         }
         stats.pixels += self.comps.iter().map(|comp| comp.area).sum::<u64>();
@@ -417,9 +439,8 @@ impl OutOfCoreLabeler {
             // Step 4: seam merge across the band boundary — a band component
             // adopts the first carried slot it meets and unions with the
             // rest — then each joined component's band record folds into
-            // its slot.
-            let row0 = band.row_words(0);
-            let (r0lo, r0hi) = (row_runs[0] as usize, row_runs[1] as usize);
+            // its slot. The first row is gathered into the next frontier's
+            // buffer, free until step 5.
             let OutOfCoreLabeler {
                 prev_words,
                 prev_runs,
@@ -428,17 +449,21 @@ impl OutOfCoreLabeler {
                 comp_ix,
                 comps,
                 and_buf,
+                next_runs: row0_runs,
+                row_ix,
                 ..
             } = self;
+            gather_row(runs, tiles, 0, row0_runs, row_ix);
             for_each_adjacent_pair(
                 conn,
-                row0,
+                band.row_words(0),
                 prev_words,
-                &runs[r0lo..r0hi],
+                row0_runs,
                 prev_runs,
                 and_buf,
                 |c, q| {
-                    let comp = &mut comps[comp_ix[node[r0lo + c] as u32 as usize] as usize];
+                    let comp =
+                        &mut comps[comp_ix[node[row_ix[c] as usize] as u32 as usize] as usize];
                     live.join(&mut comp.slot, &mut prev_slots[q]);
                 },
             );
@@ -447,32 +472,18 @@ impl OutOfCoreLabeler {
             }
         }
 
-        // Step 5: the band's last real row becomes the new carried frontier.
-        // A component born in this band that reaches it takes a slot now,
-        // with its whole band record. Arena runs clipped at tile boundaries
-        // are coalesced back into maximal row runs — the seam sweeps and the
-        // `O(cols)` carried-run bound both assume them — which is safe
-        // because touching runs always share a component (the vertical seams
-        // unioned them).
-        self.next_runs.clear();
+        // Step 5: the band's last real row, gathered into maximal runs,
+        // becomes the new carried frontier. A component born in this band
+        // that reaches it takes a slot now, with its whole band record.
+        gather_row(runs, tiles, h - 1, &mut self.next_runs, &mut self.row_ix);
         self.next_slots.clear();
-        for k in row_runs[h - 1] as usize..row_runs[h] as usize {
-            let sb = runs[k];
-            let comp = &mut self.comps[self.comp_ix[node[k] as u32 as usize] as usize];
+        for &k in &self.row_ix {
+            let comp = &mut self.comps[self.comp_ix[node[k as usize] as u32 as usize] as usize];
             if comp.slot == NONE {
                 comp.slot = self.live.mint(comp.record(band_rows, band_top));
             }
-            let s = comp.slot;
-            self.live.touch(s);
-            if let Some(last) = self.next_runs.last_mut() {
-                if (*last & 0xffff_ffff) + 1 == sb >> 32 {
-                    debug_assert_eq!(*self.next_slots.last().unwrap(), s);
-                    *last = (*last & 0xffff_ffff_0000_0000) | (sb & 0xffff_ffff);
-                    continue;
-                }
-            }
-            self.next_runs.push(sb);
-            self.next_slots.push(s);
+            self.live.touch(comp.slot);
+            self.next_slots.push(comp.slot);
         }
 
         // A component that never took a slot is confined to this band: its
@@ -586,6 +597,39 @@ mod tests {
     }
 
     #[test]
+    fn a_root_below_a_right_tiles_first_run_opens_its_record_first() {
+        // Tiles fill the band arena tile by tile, so the L's root — its
+        // left-tile run on row 3 — precedes the right tile's runs on rows
+        // 0–2. A fold walking the band row by row across tiles would meet
+        // those runs before their root (and the dot's record would be the
+        // one it finds open); the top row, too, is the right tile's.
+        let img = Bitmap::from_art(
+            "#....#\n\
+             .....#\n\
+             .....#\n\
+             ######\n\
+             ......\n\
+             #.....\n\
+             .....#\n\
+             ######\n",
+        );
+        assert_small_bands_match_reference(&img, "root below the right tile's top");
+        for conn in CONNS {
+            let want = reference_records(&img, conn);
+            for band_rows in [4usize, 8] {
+                for tiles_x in [2usize, 3] {
+                    let mut got = ooc_on(&img, conn, band_rows, tiles_x).components;
+                    got.sort_unstable();
+                    assert_eq!(
+                        got, want,
+                        "conn={conn:?} band_rows={band_rows} tiles_x={tiles_x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn seam_perimeters_match_on_word_boundary_widths() {
         for cols in [63usize, 64, 65, 127, 128, 129] {
             let img = gen::uniform_random(23, cols, 0.55, cols as u64);
@@ -595,11 +639,10 @@ mod tests {
 
     #[test]
     fn a_warm_one_tile_labeler_survives_shape_and_connectivity_changes() {
-        // The one-tile band swaps its arena with the tile's; a stale arena
-        // left by a larger frame must not leak into a smaller one, and the
-        // swap must not grow the scratch when the larger frame comes back.
-        // (The bound is the second call's scratch, not the first's: each
-        // connectivity sizes a few words of buffers of its own.)
+        // The band arena only grows and a warm band overwrites a prefix of
+        // it; a stale arena tail left by a larger frame must not leak into
+        // a smaller one, and the larger frame coming back must not grow
+        // the scratch.
         let mut lab = OutOfCoreLabeler::new(16, 1);
         let tall = gen::uniform_random(100, 150, 0.5, 7);
         let short = gen::uniform_random(9, 20, 0.5, 8);

@@ -1,7 +1,8 @@
 //! Regressions for the strip-parallel shape: the tiled engine on a
 //! `threads × 1` grid, which is what the `parallel` engine kind runs. Each
 //! strip is one full-width band, so every boundary is a horizontal seam and
-//! the band relocation is the straight-copy path.
+//! the tile-major run arena is laid out row by row, as the sequential
+//! engine's.
 
 #[cfg(test)]
 mod tests {
@@ -108,8 +109,8 @@ mod tests {
 
     #[test]
     fn one_by_one_and_single_row_images_do_not_panic() {
-        // Degenerate dimensions through every phase: grid clamping, seam
-        // loops, band relocation, and the output bands.
+        // Degenerate dimensions through every phase: grid clamping, the
+        // count pass, seam loops, and the output bands.
         for art in ["#", ".", "#\n", "##"] {
             let img = Bitmap::from_art(art);
             for conn in [Connectivity::Four, Connectivity::Eight] {

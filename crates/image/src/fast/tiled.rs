@@ -14,33 +14,34 @@
 //! optimal mesh-labeling analysis prescribes (arXiv:1502.01435): seam work
 //! then grows with the tile *perimeter*, not the image width, and the seams
 //! merge in a balanced pairwise-doubling order so each level halves the
-//! number of unmerged regions. The phases:
+//! number of unmerged regions.
 //!
-//! 1. **tile pass (parallel)** — each worker runs the word-parallel
-//!    run-extraction + union–find pass over its own rectangular window
-//!    ([`FastLabeler`]'s column-window variant, which for a full-width
-//!    window is the row-range pass itself), with *local* run indices but
-//!    **global** run bounds and minimum-position payloads;
-//! 2. **relocation (parallel per band)** — tiles are interleaved row-by-row
-//!    into one global arena laid out exactly like the sequential engine's
-//!    (runs in (row, column) order, a global per-row run table), remapping
-//!    each tile-local parent through a per-tile index map. A band of one
-//!    tile is already in global order, so it is a straight copy with its
-//!    parents shifted by the band base;
+//! Every tile builds straight into one run arena — the disjoint-range
+//! layout of Gupta et al.'s parallel equivalence array — in **tile-major**
+//! order: tile `k = i·tiles_x + j` owns the index range after tiles `0..k`,
+//! row by row, and keeps its own row table of arena indices. With one tile
+//! column this is row-major order, the sequential engine's layout. The
+//! phases:
+//!
+//! 1. **count (on the calling thread)** — a popcount pass over each tile's
+//!    masked row words fills its row table and so fixes its arena range;
+//!    the arena and the tiles' scan buffers are sized here, so workers
+//!    only write;
+//! 2. **tile pass (parallel)** — each worker runs [`super::FastLabeler`]'s row
+//!    kernel over its tiles, writing into their ranges with **global** run
+//!    bounds and minima, and rebases their parents to arena indices;
 //! 3. **hierarchical seam merge (sequential, tiny)** — vertical seams first
-//!    (per band, runs clipped at a tile's column boundary are looked up by
-//!    binary search and unioned across it, with diagonal reach at 8-conn),
-//!    then full-width horizontal band seams (the crate's row-to-row
-//!    adjacency sweep, [`for_each_adjacent_pair`]). Boundaries are processed
-//!    in pairwise-doubling order — level ℓ merges the boundaries at odd
-//!    multiples of `2^ℓ` — and each level's seam count and union count are
-//!    recorded ([`TiledLabeler::seam_levels`]);
-//! 4. **flatten (parallel per band)** — a sequential `O(seam runs)` pre-pass
-//!    finalizes the recorded seam losers (the only nodes whose parent may
-//!    cross a band), then each band's ascending sweep reads only its own
-//!    nodes;
-//! 5. **output (parallel per band)** — run-at-a-time label fills into
-//!    disjoint row bands of the [`LabelGrid`].
+//!    (per band, a row's last run in the left tile meets the first run of
+//!    the same or, at 8-conn, an adjacent row in the right tile), then
+//!    full-width horizontal band seams (the facing rows, gathered across the
+//!    band's tiles, go through [`for_each_adjacent_pair`]). Level ℓ of the
+//!    pairwise-doubling order merges the boundaries at odd multiples of
+//!    `2^ℓ`; each level's seam and union counts are recorded
+//!    ([`TiledLabeler::seam_levels`]);
+//! 4. **seam losers (sequential, `O(seam runs)`)** — the only nodes whose
+//!    parent may cross a band are made final;
+//! 5. **flatten + output (parallel per band)** — one ascending sweep over a
+//!    band's adjacent tiles flattens every node and writes its run's labels.
 //!
 //! Corner cases the decomposition must not miss: a diagonal adjacency
 //! straddling a vertical boundary is handled by the vertical seam's ±1-row
@@ -52,9 +53,10 @@
 //! which no decomposition can change.
 //!
 //! The out-of-core scheduler ([`super::ooc`]) reuses phases 1–4 through
-//! `TiledLabeler::build_arena` to label one band of tiles at a time.
+//! `TiledLabeler::build_arena` to label one band of tiles at a time, and
+//! flattens inside its own ascending band fold.
 
-use super::{fill_label_row, link_roots, FastLabeler, MIN_HALF};
+use super::{flatten_fill, grow_arena, link_roots, TileScan, MIN_HALF};
 use crate::bitmap::{for_each_adjacent_pair, Bitmap};
 use crate::connectivity::Connectivity;
 use crate::labels::LabelGrid;
@@ -100,9 +102,9 @@ pub struct SeamLevel {
 
 /// Reusable tiled labeler (see the module docs for the phases).
 ///
-/// Every scratch structure — one [`FastLabeler`] per tile, the per-tile
-/// index maps, the global arenas — is kept between calls, so labeling a
-/// stream of images allocates only when an image exceeds all previous highs.
+/// Every scratch structure — the run arena, the per-tile row tables and scan
+/// buffers, the seam scratch — is kept between calls, so labeling a stream
+/// of images allocates only when an image exceeds all previous highs.
 #[derive(Debug)]
 pub struct TiledLabeler {
     /// Requested grid shape; a call clamps to `tiles_y.min(rows)` ×
@@ -111,35 +113,29 @@ pub struct TiledLabeler {
     tiles_x: usize,
     /// Worker count for the parallel phases (≥ 1).
     threads: usize,
-    /// Per-tile scratch labelers, row-major (`tiles[i * tiles_x + j]`).
-    tiles: Vec<FastLabeler>,
-    /// Per-tile local→global run index maps, filled during relocation so
-    /// tile-local parent pointers can be remapped.
-    l2g: Vec<Vec<u32>>,
-    /// Global run bounds in (row, column) order — the same layout the
-    /// sequential engine produces, which is what makes the row-wise seam
-    /// machinery and the output sweep reusable verbatim.
+    /// Per-tile row tables and scan buffers, tile-major
+    /// (`tiles[i * tiles_x + j]`).
+    tiles: Vec<TileScan>,
+    /// The run arena: tile `k` owns indices `tiles[k].base()..tiles[k].end()`,
+    /// row by row. Only grows; the current frame's runs are a prefix.
     runs: Vec<u64>,
-    /// Global union–find arena, packed `min_pos << 32 | parent`.
+    /// The union–find arena beside it, packed `min_pos << 32 | parent`.
     node: Vec<u64>,
-    /// Global index of the first run of each image row, plus a sentinel.
-    row_runs: Vec<u32>,
     /// Scratch words for horizontal seam adjacency.
     seam_and: Vec<u64>,
+    /// The two facing rows of a horizontal seam, gathered across the band's
+    /// tiles, and the arena index of each gathered run.
+    seam_runs: [Vec<u64>; 2],
+    seam_ix: [Vec<u32>; 2],
     /// Roots that lost a seam union — the nodes whose parent may cross a
-    /// band, finalized by the flatten pre-pass.
+    /// band, made final by phase 4.
     seam_losers: Vec<u32>,
-    /// Scratch path for the pre-pass root chases.
-    chase: Vec<u32>,
-    /// Root count each flatten worker observed in its band.
+    /// Root count each output worker observed in its band.
     band_roots: Vec<usize>,
     /// Cost accounting of the most recent hierarchical merge.
     levels: Vec<SeamLevel>,
-    /// Whether the most recent call took the tiled path (`false`: the
-    /// sequential delegate in `tiles[0]` holds the run/node state).
-    last_tiled: bool,
-    /// Tile-worker count of the most recent call (stale workers beyond it
-    /// hold state from older, larger calls).
+    /// Tile count of the most recent call (stale tiles beyond it hold state
+    /// from older, larger calls).
     last_ntiles: usize,
 }
 
@@ -152,16 +148,14 @@ impl TiledLabeler {
             tiles_x: tiles_x.max(1),
             threads: threads.max(1),
             tiles: Vec::new(),
-            l2g: Vec::new(),
             runs: Vec::new(),
             node: Vec::new(),
-            row_runs: Vec::new(),
             seam_and: Vec::new(),
+            seam_runs: [Vec::new(), Vec::new()],
+            seam_ix: [Vec::new(), Vec::new()],
             seam_losers: Vec::new(),
-            chase: Vec::new(),
             band_roots: Vec::new(),
             levels: Vec::new(),
-            last_tiled: false,
             last_ntiles: 0,
         }
     }
@@ -178,101 +172,83 @@ impl TiledLabeler {
 
     /// Number of runs extracted by the most recent labeling call.
     pub fn last_runs(&self) -> usize {
-        if self.last_tiled {
-            self.runs.len()
-        } else {
-            self.tiles.first().map_or(0, FastLabeler::last_runs)
-        }
+        self.tiles[..self.last_ntiles]
+            .last()
+            .map_or(0, TileScan::end)
     }
 
     /// Number of components found by the most recent labeling call. O(band
-    /// count): each flatten worker counts its own roots as it sweeps.
+    /// count): each output worker counts its own roots as it sweeps.
     pub fn last_components(&self) -> usize {
-        if self.last_tiled {
-            self.band_roots.iter().sum()
-        } else {
-            self.tiles.first().map_or(0, FastLabeler::last_components)
-        }
+        self.band_roots.iter().sum()
     }
 
     /// Tile classification counts of the most recent labeling call, summed
-    /// over the tile workers that participated (see [`super::TileStats`];
-    /// the hierarchical seam merge classifies no tiles of its own).
+    /// over the tiles that participated (see [`super::TileStats`]; the
+    /// hierarchical seam merge classifies no tiles of its own).
     pub fn last_tile_stats(&self) -> super::TileStats {
         let mut total = super::TileStats::default();
-        for lab in &self.tiles[..self.last_ntiles.min(self.tiles.len())] {
-            total.accumulate(lab.last_tile_stats());
+        for t in &self.tiles[..self.last_ntiles] {
+            total.accumulate(t.tiles);
         }
         total
     }
 
     /// Per-level costs of the most recent hierarchical seam merge (empty for
-    /// calls that took the sequential delegate).
+    /// a 1×1 grid).
     pub fn seam_levels(&self) -> &[SeamLevel] {
         &self.levels
     }
 
-    /// Total bytes of scratch capacity currently reserved across the global
-    /// arenas and every per-tile labeler — the session's high-water mark.
+    /// Total bytes of scratch capacity currently reserved across the arena,
+    /// the per-tile row tables and scan buffers, and the seam scratch — the
+    /// session's high-water mark.
     pub fn scratch_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.runs.capacity() * size_of::<u64>()
-            + self.node.capacity() * size_of::<u64>()
-            + self.row_runs.capacity() * size_of::<u32>()
-            + self.seam_and.capacity() * size_of::<u64>()
-            + self.seam_losers.capacity() * size_of::<u32>()
-            + self.chase.capacity() * size_of::<u32>()
+        (self.runs.capacity()
+            + self.node.capacity()
+            + self.seam_and.capacity()
+            + self.seam_runs.iter().map(Vec::capacity).sum::<usize>())
+            * size_of::<u64>()
+            + (self.seam_ix.iter().map(Vec::capacity).sum::<usize>() + self.seam_losers.capacity())
+                * size_of::<u32>()
             + self.band_roots.capacity() * size_of::<usize>()
             + self.levels.capacity() * size_of::<SeamLevel>()
             + self
-                .l2g
-                .iter()
-                .map(|m| m.capacity() * size_of::<u32>())
-                .sum::<usize>()
-            + self
                 .tiles
                 .iter()
-                .map(FastLabeler::scratch_bytes)
+                .map(TileScan::scratch_bytes)
                 .sum::<usize>()
     }
 
     /// Labels `img` into `out` (re-dimensioned; every cell is written exactly
-    /// once). A degenerate 1×1 grid delegates to the sequential
-    /// [`FastLabeler`] hot path.
+    /// once).
     pub fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) {
-        let (ty, tx) = self.effective_grid(img);
-        if self.tiles.is_empty() {
-            self.tiles.push(FastLabeler::new());
-        }
-        if ty * tx <= 1 {
-            self.last_tiled = false;
-            self.last_ntiles = 1;
-            self.levels.clear();
-            self.tiles[0].label_into(img, conn, out);
-            return;
-        }
         self.build_arena(img, conn);
+        let (ty, tx) = self.effective_grid(img);
+        let (rows, cols) = (img.rows(), img.cols());
 
-        // Phase 5: write labels, parallel over disjoint row bands. After the
-        // flatten every node holds `component_min << 32 | root`.
-        let rows = img.rows();
-        let cols = img.cols();
+        // Phase 5: a band's tiles are adjacent in the arena, so each worker
+        // owns one node range and one strip of the grid.
         let rb: Vec<usize> = (0..=ty).map(|i| i * rows / ty).collect();
         out.reset_dims(rows, cols);
-        let bands = out.strip_rows_mut(&rb);
-        let (runs, node, row_runs) = (&self.runs, &self.node, &self.row_runs);
-        run_jobs(bands.into_iter().enumerate(), |(i, band)| {
-            let (lo, hi) = (rb[i], rb[i + 1]);
-            for r in lo..hi {
-                let (klo, khi) = (row_runs[r] as usize, row_runs[r + 1] as usize);
-                fill_label_row(
-                    &mut band[(r - lo) * cols..(r - lo + 1) * cols],
-                    runs[klo..khi]
-                        .iter()
-                        .zip(&node[klo..khi])
-                        .map(|(&sb, &n)| (sb, (n >> 32) as u32)),
-                );
-            }
+        self.band_roots.clear();
+        self.band_roots.resize(ty, 0);
+        let mut bands = Vec::with_capacity(ty);
+        let mut rest = &mut self.node[..self.tiles[ty * tx - 1].end()];
+        let band_tiles = self.tiles.chunks(tx);
+        let strips = out.strip_rows_mut(&rb).into_iter();
+        for ((strip, tiles), roots) in strips.zip(band_tiles).zip(&mut self.band_roots) {
+            let (band, tail) = rest.split_at_mut(tiles[tx - 1].end() - tiles[0].base());
+            rest = tail;
+            bands.push((band, tiles, strip, roots));
+        }
+        let runs = &self.runs;
+        run_jobs(bands, |(band, tiles, strip, roots)| {
+            // SAFETY: `build_arena` built these tiles into `band`, and phase
+            // 4 left every parent pointing down within it or made it final;
+            // `strip` is the band's rows of a `cols`-wide grid.
+            *roots = unsafe { flatten_fill(band, tiles[0].base(), runs, tiles, strip, cols) };
         });
     }
 
@@ -282,286 +258,149 @@ impl TiledLabeler {
         (self.tiles_y.min(img.rows()), self.tiles_x.min(img.cols()))
     }
 
-    /// Phases 1–4 without the output sweep: afterwards [`Self::arena`]
-    /// exposes the global run table in (row, column) order with every
-    /// union–find node flattened to `component_min << 32 | root`. This is
-    /// the band-labeling core the out-of-core scheduler drives once per
-    /// band; unlike [`Self::label_into`] it always takes the tiled path
-    /// (a 1×1 grid is simply a zero-seam merge).
+    /// Phases 1–4: afterwards every node's parent is either final
+    /// (`component_min << 32 | root`) or a smaller index in its own band, so
+    /// one ascending sweep per band flattens the arena. This is the
+    /// band-labeling core the out-of-core scheduler drives once per band.
     pub(crate) fn build_arena(&mut self, img: &Bitmap, conn: Connectivity) {
-        let rows = img.rows();
-        let cols = img.cols();
+        let (rows, cols) = (img.rows(), img.cols());
         let (ty, tx) = self.effective_grid(img);
         let ntiles = ty * tx;
-        self.last_tiled = true;
         self.last_ntiles = ntiles;
-        while self.tiles.len() < ntiles {
-            self.tiles.push(FastLabeler::new());
-        }
-        while self.l2g.len() < ntiles {
-            self.l2g.push(Vec::new());
+        if self.tiles.len() < ntiles {
+            self.tiles.resize_with(ntiles, TileScan::default);
         }
         // Even splits; the clamp guarantees every tile is non-empty.
         let rb: Vec<usize> = (0..=ty).map(|i| i * rows / ty).collect();
         let cb: Vec<usize> = (0..=tx).map(|j| j * cols / tx).collect();
 
-        // Phase 1: per-tile run extraction + intra-tile unions, parallel.
-        // Tiles are handed out in contiguous chunks (their areas are within
-        // one row/column of equal, so chunks balance).
+        // Phase 1: tile `k` takes the arena range after tiles `0..k`.
+        let mut total = 0usize;
+        for (k, t) in self.tiles[..ntiles].iter_mut().enumerate() {
+            let (i, j) = (k / tx, k % tx);
+            total = t.count(img, rb[i]..rb[i + 1], cb[j]..cb[j + 1], total);
+        }
+        grow_arena(&mut self.runs, total);
+        grow_arena(&mut self.node, total);
+
+        // Phase 2: tiles are handed out in contiguous chunks (their areas are
+        // within one row/column of equal, so chunks balance), each with its
+        // arena range.
         let workers = self.threads.min(ntiles);
         let mut chunks = Vec::with_capacity(workers);
-        let mut rest = &mut self.tiles[..ntiles];
-        let mut k0 = 0usize;
+        let mut tiles_rest = &mut self.tiles[..ntiles];
+        let mut runs_rest = &mut self.runs[..total];
+        let mut node_rest = &mut self.node[..total];
         for w in 0..workers {
-            let take = (ntiles - k0) / (workers - w);
-            let (chunk, tail) = rest.split_at_mut(take);
-            rest = tail;
-            chunks.push((k0, chunk));
-            k0 += take;
+            let take = tiles_rest.len() / (workers - w);
+            let (chunk, tt) = tiles_rest.split_at_mut(take);
+            let len = chunk[take - 1].end() - chunk[0].base();
+            let (runs, rt) = runs_rest.split_at_mut(len);
+            let (node, nt) = node_rest.split_at_mut(len);
+            (tiles_rest, runs_rest, node_rest) = (tt, rt, nt);
+            chunks.push((chunk, runs, node));
         }
-        let (rb, cb) = (&rb, &cb);
-        run_jobs(chunks, |(base_k, chunk)| {
-            for (off, lab) in chunk.iter_mut().enumerate() {
-                let k = base_k + off;
-                let (i, j) = (k / tx, k % tx);
-                lab.build_runs_window(img, conn, rb[i], rb[i + 1], cb[j], cb[j + 1]);
+        run_jobs(chunks, |(chunk, runs, node)| {
+            let lo = chunk[0].base();
+            for t in chunk {
+                let (a, b) = (t.base() - lo, t.end() - lo);
+                t.build(img, conn, &mut runs[a..b], &mut node[a..b]);
             }
         });
 
-        // Global row → run-range table: row `r`'s runs are the tiles of its
-        // band interleaved in column order, so the global arena is laid out
-        // exactly as the sequential engine would lay it out.
-        self.row_runs.clear();
-        self.row_runs.reserve(rows + 1);
-        let mut band_base = Vec::with_capacity(ty + 1);
-        band_base.push(0usize);
-        let mut total = 0usize;
-        for i in 0..ty {
-            for r in rb[i]..rb[i + 1] {
-                self.row_runs
-                    .push(u32::try_from(total).expect("run count exceeds u32"));
-                let lr = r - rb[i];
-                for j in 0..tx {
-                    let t = &self.tiles[i * tx + j];
-                    total += (t.row_runs[lr + 1] - t.row_runs[lr]) as usize;
-                }
-            }
-            band_base.push(total);
-        }
-        // Relocation rewrites the parent half of packed
-        // `min_pos << 32 | parent` words; a parent index at or above
-        // 2^32 - 1 would carry into (and silently corrupt) the `min_pos`
-        // half. It can only fire if the LabelGrid pixel-count assertion is
-        // ever relaxed: the run count never exceeds the pixel count.
-        assert!(
-            total < u32::MAX as usize,
-            "{total} runs overflow the packed u32 parent index space"
-        );
-        self.row_runs.push(total as u32);
-
-        // Phase 2: relocate tiles into the global arenas, parallel over
-        // bands (a band owns a contiguous global index range and its own
-        // tiles). A tile-local parent always points to a smaller local
-        // index, and local index order is (row, column) order, so the
-        // per-tile map entry for a parent is already written when its child
-        // is relocated. A band of one tile skips the maps: its local order
-        // is the global order; a grid of one tile is swapped in, not copied.
-        if ntiles == 1 {
-            std::mem::swap(&mut self.runs, &mut self.tiles[0].runs);
-            std::mem::swap(&mut self.node, &mut self.tiles[0].node);
-        } else {
-            if tx > 1 {
-                for (k, map) in self.l2g[..ntiles].iter_mut().enumerate() {
-                    map.clear();
-                    map.resize(self.tiles[k].runs.len(), 0);
-                }
-            }
-            self.runs.clear();
-            self.runs.resize(total, 0);
-            self.node.clear();
-            self.node.resize(total, 0);
-            let mut bands = Vec::with_capacity(ty);
-            let mut runs_rest = &mut self.runs[..];
-            let mut node_rest = &mut self.node[..];
-            let mut l2g_rest = &mut self.l2g[..ntiles];
-            let mut tiles_rest = &self.tiles[..ntiles];
-            for i in 0..ty {
-                let band_len = band_base[i + 1] - band_base[i];
-                let (runs_dst, rr) = runs_rest.split_at_mut(band_len);
-                let (node_dst, nr) = node_rest.split_at_mut(band_len);
-                let (l2g_band, lr2) = l2g_rest.split_at_mut(tx);
-                let (tiles_band, tr2) = tiles_rest.split_at(tx);
-                (runs_rest, node_rest, l2g_rest, tiles_rest) = (rr, nr, lr2, tr2);
-                bands.push((i, runs_dst, node_dst, l2g_band, tiles_band));
-            }
-            run_jobs(bands, |(i, runs_dst, node_dst, l2g_band, tiles_band)| {
-                let gbase = band_base[i];
-                if let [tile] = tiles_band {
-                    // The overflow guard above makes the packed addition touch
-                    // only the parent half.
-                    runs_dst.copy_from_slice(&tile.runs);
-                    for (dst, &n) in node_dst.iter_mut().zip(&tile.node) {
-                        *dst = n + gbase as u64;
-                    }
-                    return;
-                }
-                let mut g = 0usize;
-                for lr in 0..rb[i + 1] - rb[i] {
-                    for (j, tile) in tiles_band.iter().enumerate() {
-                        let (klo, khi) =
-                            (tile.row_runs[lr] as usize, tile.row_runs[lr + 1] as usize);
-                        for k in klo..khi {
-                            l2g_band[j][k] = (gbase + g) as u32;
-                            runs_dst[g] = tile.runs[k];
-                            let n = tile.node[k];
-                            node_dst[g] =
-                                (n & MIN_HALF) | u64::from(l2g_band[j][n as u32 as usize]);
-                            g += 1;
-                        }
-                    }
-                }
-                debug_assert_eq!(g, runs_dst.len());
-            });
-        }
-
-        // Phase 3: hierarchical seam merge. Level ℓ of the pairwise-doubling
-        // schedule merges the boundaries at odd multiples of 2^ℓ — after it,
-        // runs of 2^(ℓ+1) tiles are connected. Vertical seams go first: they
-        // link runs of one band, so every parent they write stays inside
-        // that band's flatten domain. Then the full-width horizontal band
-        // seams, which also cover every diagonal straddling a band boundary
-        // — including the four-corner points.
+        // Phase 3: after level ℓ, runs of 2^(ℓ+1) tiles are connected.
+        // Vertical seams go first: they link runs of one band, so every
+        // parent they write stays in that band's flatten domain. The
+        // full-width horizontal seams then also cover every diagonal
+        // straddling a band boundary, four-corner points included.
         self.seam_losers.clear();
         self.levels.clear();
-        let mut level = 0usize;
-        for l in 0..schedule_levels(tx) {
-            let before = self.seam_losers.len();
-            let mut seams = 0usize;
-            let (half, step) = (1usize << l, 1usize << (l + 1));
-            let mut j = half;
-            while j < tx {
-                let x = cb[j] as u64;
-                for i in 0..ty {
-                    seams += 1;
-                    vertical_seam_unions(
+        for (vertical, n) in [(true, tx), (false, ty)] {
+            for l in 0..schedule_levels(n) {
+                let before = self.seam_losers.len();
+                let mut seams = 0usize;
+                for b in (1usize << l..n).step_by(2 << l) {
+                    if vertical {
+                        for i in 0..ty {
+                            let k = i * tx + b;
+                            vertical_seam_unions(
+                                &mut self.node,
+                                &self.runs,
+                                &self.tiles[k - 1],
+                                &self.tiles[k],
+                                conn,
+                                cb[b] as u64,
+                                &mut self.seam_losers,
+                            );
+                        }
+                        seams += ty;
+                        continue;
+                    }
+                    let above = &self.tiles[(b - 1) * tx..b * tx];
+                    let below = &self.tiles[b * tx..(b + 1) * tx];
+                    let [prev_runs, cur_runs] = &mut self.seam_runs;
+                    let [prev_ix, cur_ix] = &mut self.seam_ix;
+                    gather_row(&self.runs, above, rb[b] - 1 - rb[b - 1], prev_runs, prev_ix);
+                    gather_row(&self.runs, below, 0, cur_runs, cur_ix);
+                    horizontal_seam_unions(
                         &mut self.node,
-                        &self.runs,
-                        &self.row_runs,
+                        img,
+                        rb[b],
                         conn,
-                        x,
-                        rb[i],
-                        rb[i + 1],
+                        (cur_runs, cur_ix),
+                        (prev_runs, prev_ix),
+                        &mut self.seam_and,
                         &mut self.seam_losers,
                     );
+                    seams += 1;
                 }
-                j += step;
+                self.levels.push(SeamLevel {
+                    level: self.levels.len(),
+                    vertical,
+                    seams,
+                    unions: self.seam_losers.len() - before,
+                });
             }
-            self.levels.push(SeamLevel {
-                level,
-                vertical: true,
-                seams,
-                unions: self.seam_losers.len() - before,
-            });
-            level += 1;
-        }
-        for l in 0..schedule_levels(ty) {
-            let before = self.seam_losers.len();
-            let mut seams = 0usize;
-            let (half, step) = (1usize << l, 1usize << (l + 1));
-            let mut i = half;
-            while i < ty {
-                seams += 1;
-                horizontal_seam_unions(
-                    &mut self.node,
-                    &self.runs,
-                    &self.row_runs,
-                    img,
-                    rb[i],
-                    conn,
-                    &mut self.seam_and,
-                    &mut self.seam_losers,
-                );
-                i += step;
-            }
-            self.levels.push(SeamLevel {
-                level,
-                vertical: false,
-                seams,
-                unions: self.seam_losers.len() - before,
-            });
-            level += 1;
         }
 
-        // Phase 4a: finalize the seam losers (sequential, O(seam runs) —
-        // independent of the band sizes). Chasing a loser's chain ends at a
-        // true root holding the component minimum (link_roots keeps minima
-        // at survivors); writing that packed value back along the path makes
-        // every cross-band parent final, so the per-band sweeps below never
-        // read another band's (concurrently mutated) nodes.
-        for i in 0..self.seam_losers.len() {
-            let mut x = self.seam_losers[i];
-            self.chase.clear();
-            loop {
-                let p = self.node[x as usize] as u32;
-                if p == x {
-                    break;
-                }
-                self.chase.push(x);
-                x = p;
-            }
-            let final_val = self.node[x as usize];
-            for &y in &self.chase {
+        // Phase 4: a loser's chain ends at a true root holding the component
+        // minimum (link_roots keeps minima at survivors); writing that value
+        // back along the path makes every cross-band parent final, so the
+        // per-band sweeps never read another band's (concurrently mutated)
+        // nodes.
+        for &x in &self.seam_losers {
+            let root = find_pure(&self.node, x);
+            let final_val = self.node[root as usize];
+            let mut y = x;
+            while y != root {
+                let p = self.node[y as usize] as u32;
                 self.node[y as usize] = final_val;
+                y = p;
             }
         }
-
-        // Phase 4b: flatten, parallel over bands. Within a band, ascending
-        // order + parents-point-down means node[parent] is already flattened
-        // when node[k] copies it (vertical seam links stay in-band, so
-        // cross-tile parents are fine); a parent below the band base marks a
-        // phase-4a-finalized node, which is skipped. Every node ends as
-        // `component_min << 32 | root`; roots are counted per band so
-        // `last_components` never rescans the arena.
-        self.band_roots.clear();
-        self.band_roots.resize(ty, 0);
-        let mut bands = Vec::with_capacity(ty);
-        let mut rest = &mut self.node[..];
-        for (i, roots) in self.band_roots.iter_mut().enumerate() {
-            let (band, tail) = rest.split_at_mut(band_base[i + 1] - band_base[i]);
-            rest = tail;
-            bands.push((band_base[i], band, roots));
-        }
-        run_jobs(bands, |(lo, band, roots)| {
-            let mut count = 0usize;
-            for k in 0..band.len() {
-                let p = band[k] as u32 as usize;
-                if let Some(pl) = p.checked_sub(lo) {
-                    if pl == k {
-                        count += 1;
-                    } else {
-                        band[k] = band[pl];
-                    }
-                }
-            }
-            *roots = count;
-        });
     }
 
-    /// Read access to the flattened arena after `Self::build_arena`:
-    /// `(runs, node, row_runs)` — run bounds in (row, column) order, nodes
-    /// holding `component_min << 32 | root`, and the per-row run ranges.
-    pub(crate) fn arena(&self) -> (&[u64], &[u64], &[u32]) {
-        (&self.runs, &self.node, &self.row_runs)
+    /// The current frame's `(runs, node, tiles)` after [`Self::build_arena`]:
+    /// the arena and the tiles whose row tables index it.
+    pub(crate) fn arena(&mut self) -> (&[u64], &mut [u64], &[TileScan]) {
+        let tiles = &self.tiles[..self.last_ntiles];
+        let total = tiles.last().map_or(0, TileScan::end);
+        (&self.runs[..total], &mut self.node[..total], tiles)
     }
 }
 
 /// Runs `work` over `jobs`: a phase of one job runs on the calling thread,
 /// so a one-worker call — the out-of-core scheduler's 1 × 1 band, once per
-/// band — spawns nothing; several jobs each get a scoped thread. None of
-/// several runs on the caller: a tile labeled there grows its arenas in the
-/// caller's malloc arena, where they were measured to make the caller's
-/// later large allocations (a fast-engine frame's component statistics)
-/// fault in fresh pages on every call.
+/// band — spawns nothing; several jobs each get a scoped thread, none on the
+/// caller. The run arena and every tile's scan buffers are sized on the
+/// calling thread (phase 1), so workers only write.
+///
+/// Each thread is joined here rather than left to the scope, which waits
+/// only for the closures: a thread still exiting when the next phase spawns
+/// makes the C library set up a fresh stack, with bookkeeping on the
+/// caller's heap. Measured on perfbench blobs, that left the heap unable to
+/// shrink after a large free in one run of five (peak RSS 109 MB against
+/// 98–99 MB).
 fn run_jobs<T: Send>(jobs: impl IntoIterator<Item = T>, work: impl Fn(T) + Sync) {
     let mut jobs = jobs.into_iter().peekable();
     let Some(first) = jobs.next() else {
@@ -572,8 +411,14 @@ fn run_jobs<T: Send>(jobs: impl IntoIterator<Item = T>, work: impl Fn(T) + Sync)
     }
     let work = &work;
     std::thread::scope(|s| {
-        for job in std::iter::once(first).chain(jobs) {
-            s.spawn(move || work(job));
+        let handles: Vec<_> = std::iter::once(first)
+            .chain(jobs)
+            .map(|job| s.spawn(move || work(job)))
+            .collect();
+        for h in handles {
+            if let Err(panic) = h.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 }
@@ -588,77 +433,73 @@ fn schedule_levels(n: usize) -> usize {
     l
 }
 
-/// Unions runs across the vertical boundary at column `x` for every row in
-/// `row_lo..row_hi`: a left run clipped to end exactly at `x - 1` joins the
-/// right run starting exactly at `x` on the same row (4-conn) and, with
-/// diagonal reach, on the rows directly above/below within the range
-/// (8-conn). Rows above/below the range are deliberately out of scope —
-/// those adjacencies belong to the full-width horizontal seams.
-///
-/// Runs are located by binary search within the row's `row_runs` range, so a
-/// seam costs `O(rows_in_band · log(runs_per_row))` — proportional to the
-/// boundary length, not the band area. Shared with the out-of-core band
-/// merger ([`super::ooc`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn vertical_seam_unions(
+/// Unions runs across the vertical boundary at column `x` between two
+/// adjacent tiles of one band: a row's last left-tile run, when it ends at
+/// `x - 1`, joins the first right-tile run starting at `x` on the same row
+/// (4-conn) and, with diagonal reach, on the rows above/below within the
+/// band (8-conn; adjacencies leaving the band belong to the horizontal
+/// seams). A run touching the boundary is always its tile row's last or
+/// first, so each row costs O(1).
+fn vertical_seam_unions(
     node: &mut [u64],
     runs: &[u64],
-    row_runs: &[u32],
+    left: &TileScan,
+    right: &TileScan,
     conn: Connectivity,
     x: u64,
-    row_lo: usize,
-    row_hi: usize,
     losers: &mut Vec<u32>,
 ) {
     debug_assert!(x > 0);
-    for r in row_lo..row_hi {
-        let Some(left) = run_ending_at(runs, row_runs, r, x - 1) else {
+    let h = left.row_runs.len() - 1;
+    // The first run of the right tile's row `lr`, if it starts at `x`.
+    let starting = |lr: usize| {
+        let (lo, hi) = (right.row_runs[lr] as usize, right.row_runs[lr + 1] as usize);
+        (lo < hi && runs[lo] >> 32 == x).then_some(lo)
+    };
+    for lr in 0..h {
+        let (lo, hi) = (left.row_runs[lr] as usize, left.row_runs[lr + 1] as usize);
+        if lo == hi || runs[hi - 1] & 0xffff_ffff != x - 1 {
             continue;
+        }
+        let reach = match conn {
+            Connectivity::Four => lr..=lr,
+            Connectivity::Eight => lr.saturating_sub(1)..=(lr + 1).min(h - 1),
         };
-        match conn {
-            Connectivity::Four => {
-                if let Some(right) = run_starting_at(runs, row_runs, r, x) {
-                    union_pair(node, left, right, losers);
-                }
-            }
-            Connectivity::Eight => {
-                let lo = r.max(row_lo + 1) - 1;
-                let hi = (r + 1).min(row_hi - 1);
-                for rr in lo..=hi {
-                    if let Some(right) = run_starting_at(runs, row_runs, rr, x) {
-                        union_pair(node, left, right, losers);
-                    }
-                }
+        for rr in reach {
+            if let Some(r) = starting(rr) {
+                union_pair(node, hi - 1, r, losers);
             }
         }
     }
 }
 
-/// Global index of row `r`'s run ending exactly at column `col`, if any —
-/// the left side of a vertical seam.
-#[inline]
-fn run_ending_at(runs: &[u64], row_runs: &[u32], r: usize, col: u64) -> Option<usize> {
-    let (lo, hi) = (row_runs[r] as usize, row_runs[r + 1] as usize);
-    let row = &runs[lo..hi];
-    let k = row.partition_point(|&sb| (sb >> 32) <= col);
-    if k > 0 && (row[k - 1] & 0xffff_ffff) == col {
-        Some(lo + k - 1)
-    } else {
-        None
-    }
-}
-
-/// Global index of row `r`'s run starting exactly at column `col`, if any —
-/// the right side of a vertical seam.
-#[inline]
-fn run_starting_at(runs: &[u64], row_runs: &[u32], r: usize, col: u64) -> Option<usize> {
-    let (lo, hi) = (row_runs[r] as usize, row_runs[r + 1] as usize);
-    let row = &runs[lo..hi];
-    let k = row.partition_point(|&sb| (sb >> 32) < col);
-    if k < row.len() && (row[k] >> 32) == col {
-        Some(lo + k)
-    } else {
-        None
+/// Gathers local row `lr` of a band's `tiles` in column order into `out`,
+/// with each run's arena index in `ix`. Runs clipped at a tile boundary are
+/// coalesced back into the maximal row run, indexed by its first piece:
+/// touching pieces always share a component once the band's vertical seams
+/// have run, and the seam sweeps and the out-of-core frontier want maximal
+/// runs.
+pub(crate) fn gather_row(
+    runs: &[u64],
+    tiles: &[TileScan],
+    lr: usize,
+    out: &mut Vec<u64>,
+    ix: &mut Vec<u32>,
+) {
+    out.clear();
+    ix.clear();
+    for t in tiles {
+        for k in t.row_runs[lr]..t.row_runs[lr + 1] {
+            let sb = runs[k as usize];
+            if let Some(last) = out.last_mut() {
+                if (*last & 0xffff_ffff) + 1 == sb >> 32 {
+                    *last = (*last & MIN_HALF) | (sb & 0xffff_ffff);
+                    continue;
+                }
+            }
+            out.push(sb);
+            ix.push(k);
+        }
     }
 }
 
@@ -669,8 +510,8 @@ fn union_pair(node: &mut [u64], a: usize, b: usize, losers: &mut Vec<u32>) {
     link_seam(node, ra, rb, losers);
 }
 
-/// Links roots `ra` and `rb` across a seam, recording the loser for the
-/// flatten pre-pass; returns the survivor.
+/// Links roots `ra` and `rb` across a seam, recording the loser for phase 4;
+/// returns the survivor.
 #[inline]
 fn link_seam(node: &mut [u64], ra: u32, rb: u32, losers: &mut Vec<u32>) -> u32 {
     if ra != rb {
@@ -681,7 +522,7 @@ fn link_seam(node: &mut [u64], ra: u32, rb: u32, losers: &mut Vec<u32>) -> u32 {
 
 /// Read-only find over the packed nodes. Seam unions deliberately do **not**
 /// path-halve: halving could rewrite a non-root node's parent onto a
-/// cross-band ancestor, breaking the phase-4a invariant that only recorded
+/// cross-band ancestor, breaking the phase-4 invariant that only recorded
 /// seam losers carry cross-band parents. Chains are at most a few seam links
 /// long (one per band a component spans), so pure finds stay cheap.
 fn find_pure(node: &[u64], mut x: u32) -> u32 {
@@ -695,22 +536,21 @@ fn find_pure(node: &[u64], mut x: u32) -> u32 {
 }
 
 /// Unions every pair of runs touching across the full-width seam between
-/// rows `y - 1` and `y` under `conn`. Each row was already unioned within
-/// its own band, so both sides need a find; each root that loses a link is
-/// appended to `losers` for the flatten pre-pass.
+/// rows `y - 1` and `y` under `conn`; `cur` and `prev` are the two rows'
+/// gathered runs with their arena indices ([`gather_row`]). Each row was
+/// already unioned within its own band, so both sides need a find; each
+/// root that loses a link is appended to `losers` for phase 4.
 #[allow(clippy::too_many_arguments)]
 fn horizontal_seam_unions(
     node: &mut [u64],
-    runs: &[u64],
-    row_runs: &[u32],
     img: &Bitmap,
     y: usize,
     conn: Connectivity,
+    (cur, cur_ix): (&[u64], &[u32]),
+    (prev, prev_ix): (&[u64], &[u32]),
     and_buf: &mut Vec<u64>,
     losers: &mut Vec<u32>,
 ) {
-    let cur = row_runs[y] as usize..row_runs[y + 1] as usize;
-    let prev = row_runs[y - 1] as usize..row_runs[y] as usize;
     // Cache the lower run's surviving root across its pairs: one find per
     // run, not per pair (link_seam returns the survivor).
     let mut last_c = usize::MAX;
@@ -719,15 +559,15 @@ fn horizontal_seam_unions(
         conn,
         img.row_words(y),
         img.row_words(y - 1),
-        &runs[cur.clone()],
-        &runs[prev.clone()],
+        cur,
+        prev,
         and_buf,
         |c, q| {
             if c != last_c {
                 last_c = c;
-                croot = find_pure(node, (cur.start + c) as u32);
+                croot = find_pure(node, cur_ix[c]);
             }
-            let rq = find_pure(node, (prev.start + q) as u32);
+            let rq = find_pure(node, prev_ix[q]);
             croot = link_seam(node, croot, rq, losers);
         },
     );
@@ -770,7 +610,7 @@ fn seam_union_eight_two_pointer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fast::fast_labels_conn;
+    use crate::fast::{fast_labels_conn, FastLabeler};
     use crate::gen;
     use crate::oracle::bfs_labels_conn;
 
@@ -978,6 +818,64 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_labeler_survives_clamped_grid_shape_changes() {
+        // 64 × 2 clamps to 3 × 2 on a 3-row frame and stays 64 × 2 on a
+        // 200-row one: the tile count and every tile's window change between
+        // calls, and the small frame coming back must not grow the scratch.
+        let mut labeler = TiledLabeler::new(64, 2, 2);
+        let mut grid = LabelGrid::new_background(1, 1);
+        let small = gen::uniform_random(3, 50, 0.5, 7);
+        let big = gen::uniform_random(200, 200, 0.5, 8);
+        let mut warm_bytes = 0;
+        for (i, img) in [&small, &big, &small].into_iter().enumerate() {
+            for conn in [Connectivity::Four, Connectivity::Eight] {
+                labeler.label_into(img, conn, &mut grid);
+                assert_eq!(grid, fast_labels_conn(img, conn), "call {i} conn={conn:?}");
+                assert_eq!(labeler.last_components(), grid.component_count());
+            }
+            if i == 1 {
+                warm_bytes = labeler.scratch_bytes();
+            }
+        }
+        assert!(labeler.scratch_bytes() <= warm_bytes);
+    }
+
+    #[test]
+    fn a_warm_session_holds_one_run_arena() {
+        // Tiles build straight into one arena, so a warm tiled session holds
+        // what a warm fast labeler holds, up to 5%, plus only what tile
+        // columns add by construction: the runs they clip at their
+        // boundaries (16 bytes each) and a row table per tile (4 bytes per
+        // row per extra tile column, one sentinel per extra tile).
+        for name in ["random50", "blobs"] {
+            for n in [512usize, 1024] {
+                let img = gen::by_name(name, n, 1).unwrap();
+                let mut out = LabelGrid::new_background(1, 1);
+                let mut fast = FastLabeler::new();
+                for conn in [Connectivity::Four, Connectivity::Eight] {
+                    fast.label_into(&img, conn, &mut out);
+                }
+                for (ty, tx) in [(1usize, 1usize), (2, 1), (1, 2), (2, 2), (4, 1)] {
+                    let mut tiled = TiledLabeler::new(ty, tx, 2);
+                    for conn in [Connectivity::Four, Connectivity::Eight] {
+                        tiled.label_into(&img, conn, &mut out);
+                    }
+                    let clipped = tiled.last_runs() - fast.last_runs();
+                    let row_tables = (tx - 1) * n + ty * tx - 1;
+                    let allowance = 16 * clipped + 4 * row_tables;
+                    assert!(
+                        tiled.scratch_bytes() as f64
+                            <= 1.05 * fast.scratch_bytes() as f64 + allowance as f64,
+                        "{name} {n}² {ty}x{tx}: tiled {} B, fast {} B, allowance {allowance} B",
+                        tiled.scratch_bytes(),
+                        fast.scratch_bytes()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn single_row_and_single_column_images_do_not_panic() {
         for (rows, cols) in [(1usize, 200usize), (200, 1), (1, 1), (2, 2)] {
             let img = gen::uniform_random(rows, cols, 0.5, 11);
@@ -1010,7 +908,7 @@ mod tests {
                 });
             }
             let split = runs.len() - img.count_row_runs(1);
-            let row_runs = [0, split as u32, runs.len() as u32];
+            let ix: Vec<u32> = (0..runs.len() as u32).collect();
 
             let mut node_tp = node.clone();
             let mut losers_tp = Vec::new();
@@ -1024,11 +922,11 @@ mod tests {
             let mut losers = Vec::new();
             horizontal_seam_unions(
                 &mut node,
-                &runs,
-                &row_runs,
                 &img,
                 1,
                 Connectivity::Eight,
+                (&runs[split..], &ix[split..]),
+                (&runs[..split], &ix[..split]),
                 &mut Vec::new(),
                 &mut losers,
             );

@@ -127,6 +127,11 @@ impl LabelGrid {
         self.labels.fill(Self::BACKGROUND);
     }
 
+    /// Every cell, row-major — for engines that write whole rows.
+    pub(crate) fn cells_mut(&mut self) -> &mut [u32] {
+        &mut self.labels
+    }
+
     /// Re-dimensions the grid, leaving cell contents unspecified — the
     /// caller must overwrite every cell (the fast engine writes each row
     /// exactly once, runs and background gaps alike).

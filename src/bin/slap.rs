@@ -19,10 +19,41 @@ use slap_repro::image::{
 use slap_repro::machine::render_gantt;
 use slap_repro::serve::{Client, ClientError, RetryPolicy, ServeConfig, Server};
 use slap_repro::unionfind::{TarjanUf, UfKind};
-use std::io::Read;
+use std::io::{self, Read, Write};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+
+/// `print!` for the subcommands that report on stdout: a closed stdout —
+/// the reader left the pipe, as `head` does — ends the process quietly with
+/// status 0 instead of a panic (see [`stdout_ok`]).
+macro_rules! out {
+    ($($arg:tt)*) => {
+        stdout_ok(io::stdout().write_fmt(format_args!($($arg)*)))
+    };
+}
+
+/// `println!` through [`out!`].
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// Settles a write to stdout: a closed pipe exits quietly with status 0,
+/// any other failure is an error. SIGPIPE stays ignored (Rust's default),
+/// so `serve` and `client` keep seeing a vanished socket peer as an
+/// `EPIPE` error rather than being killed.
+fn stdout_ok(written: io::Result<()>) {
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => die(&format!("write stdout: {e}")),
+    }
+}
 
 /// One subcommand: its synopsis after `slap ` — the name, then
 /// `[--flag VALUE]`, `[--toggle]`, `<required>`, `[optional]` and a
@@ -259,7 +290,7 @@ fn positive<T: FromStr + PartialOrd + From<u8>>(v: &str) -> Option<T> {
 /// Opens `path`, or stdin, and names it for error messages.
 fn open_input(path: Option<&str>) -> (Box<dyn Read>, &str) {
     let Some(path) = path else {
-        return (Box::new(std::io::stdin().lock()), "stdin");
+        return (Box::new(io::stdin().lock()), "stdin");
     };
     let f = std::fs::File::open(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
     (Box::new(f), path)
@@ -279,7 +310,7 @@ fn main() {
 
 fn gen_cmd(args: &Args) {
     let img = args.workload().3;
-    pbm::write_plain(&img, std::io::stdout().lock()).expect("write PBM");
+    stdout_ok(pbm::write_plain(&img, io::stdout().lock()));
 }
 
 fn label_cmd(args: &Args) {
@@ -299,11 +330,12 @@ fn trace_cmd(args: &Args) {
         Some("label") => (&tr.label_spans, &tr.label_report, "Label-Pass (Fig. 6)"),
         Some(v) => die(&format!("--pass must be uf or label, got {v:?}")),
     };
-    println!(
+    outln!(
         "{title} on {name} {n}x{n}: makespan {} steps, {} messages",
-        rep.makespan, rep.messages
+        rep.makespan,
+        rep.messages
     );
-    print!("{}", render_gantt(spans, 100));
+    out!("{}", render_gantt(spans, 100));
 }
 
 fn features_cmd(args: &Args) {
@@ -317,20 +349,25 @@ fn features_cmd(args: &Args) {
     let mut labels = LabelGrid::new_background(1, 1);
     let run = features_with_engine(&img, conn, session.as_mut(), &mut labels);
     let euler = euler_number(&img, conn);
-    println!(
+    outln!(
         "{} component(s), Euler number {} ({} hole(s)), measured in {} SLAP steps",
         run.per_component.len(),
         euler.euler,
         run.per_component.len() as i64 - euler.euler,
         run.metrics.total_steps
     );
-    println!(
+    outln!(
         "{:>10} {:>7} {:>12} {:>14} {:>9} {:>8}",
-        "label", "area", "bbox", "centroid", "perim", "extent"
+        "label",
+        "area",
+        "bbox",
+        "centroid",
+        "perim",
+        "extent"
     );
     for (label, f) in &run.per_component {
         let (cr, cc) = f.centroid();
-        println!(
+        outln!(
             "{label:>10} {:>7} {:>5}x{:<6} ({cr:6.1},{cc:6.1}) {:>9} {:>8.2}",
             f.area,
             f.height(),
@@ -347,38 +384,46 @@ fn compare_cmd(args: &Args) {
     let (name, n, seed, img) = args.workload();
     let cc = label_components_kind(&img, uf, &opts);
     let runs = label_components_runs::<TarjanUf>(&img, &opts);
-    println!("workload {name} {n}x{n} (seed {seed}), union-find {uf}, {conn}");
-    println!("{:<28} {:>12} {:>10}", "algorithm", "steps", "PEs");
-    println!(
+    outln!("workload {name} {n}x{n} (seed {seed}), union-find {uf}, {conn}");
+    outln!("{:<28} {:>12} {:>10}", "algorithm", "steps", "PEs");
+    outln!(
         "{:<28} {:>12} {:>10}",
-        "Algorithm CC (pixels)", cc.metrics.total_steps, n
+        "Algorithm CC (pixels)",
+        cc.metrics.total_steps,
+        n
     );
-    println!(
+    outln!(
         "{:<28} {:>12} {:>10}",
-        "Algorithm CC (runs)", runs.metrics.total_steps, n
+        "Algorithm CC (runs)",
+        runs.metrics.total_steps,
+        n
     );
     if conn == Connectivity::Four {
         let (nl, nr) = naive_slap_labels(&img);
         assert_eq!(nl, cc.labels);
-        println!("{:<28} {:>12} {:>10}", "naive label passing", nr.steps, n);
+        outln!("{:<28} {:>12} {:>10}", "naive label passing", nr.steps, n);
         let (dl, dr) = divide_conquer_labels(&img);
         assert_eq!(dl, cc.labels);
-        println!(
+        outln!(
             "{:<28} {:>12} {:>10}",
-            "divide & conquer [2,12]", dr.steps, n
+            "divide & conquer [2,12]",
+            dr.steps,
+            n
         );
     }
     let (hl, hr) = sv_labels_conn(&img, conn);
     assert_eq!(hl, cc.labels);
-    println!(
+    outln!(
         "{:<28} {:>12} {:>10}",
-        "hypercube S-V [5]-style", hr.rounds, hr.pes
+        "hypercube S-V [5]-style",
+        hr.rounds,
+        hr.pes
     );
 }
 
 fn workloads_cmd(_: &Args) {
     for w in gen::WORKLOADS {
-        println!("{w}");
+        outln!("{w}");
     }
     eprintln!("\nunion-find kinds for --uf:");
     for k in UfKind::ALL {
@@ -508,7 +553,7 @@ fn client_cmd(args: &Args) {
         let outcome = if stream_mode {
             client.label_stream(img).map(|ok| {
                 let ms = t0.elapsed().as_secs_f64() * 1e3;
-                println!(
+                outln!(
                     "{name}: {}x{}, {} component(s) streamed, {ms:.3} ms \
                      ({} retry(ies) so far)",
                     ok.rows,
@@ -517,7 +562,7 @@ fn client_cmd(args: &Args) {
                     client.retries(),
                 );
                 for rec in &ok.records {
-                    println!(
+                    outln!(
                         "  label {}: area {}, bbox [{}..{}]x[{}..{}], \
                          perimeter {}",
                         rec.label(ok.rows),
@@ -532,7 +577,7 @@ fn client_cmd(args: &Args) {
             })
         } else {
             client.label(img).map(|ok| {
-                println!(
+                outln!(
                     "{name}: {}x{}, {} component(s), {:.3} ms ({} retry(ies) so far)",
                     ok.rows,
                     ok.cols,
@@ -562,7 +607,7 @@ fn client_cmd(args: &Args) {
 /// The first two lines of a `label` report: the image, its component
 /// count and its largest component.
 fn print_components(img: &Bitmap, stats: &[ComponentInfo], conn: Connectivity) {
-    println!(
+    outln!(
         "{}x{} image, {:.1}% foreground, {} component(s) under {conn}",
         img.rows(),
         img.cols(),
@@ -570,7 +615,7 @@ fn print_components(img: &Bitmap, stats: &[ComponentInfo], conn: Connectivity) {
         stats.len(),
     );
     if let Some(largest) = stats.iter().max_by_key(|s| s.pixels) {
-        println!(
+        outln!(
             "largest component: label {} with {} px ({}x{} bbox)",
             largest.label,
             largest.pixels,
@@ -585,7 +630,7 @@ fn report(img: &Bitmap, uf: UfKind, opts: &CcOptions) {
     let stats = run.labels.component_stats();
     let m = &run.metrics;
     print_components(img, &stats, opts.connectivity);
-    println!(
+    outln!(
         "SLAP/{uf}: {} steps on {} PEs ({:.1} steps/column); \
          messages: {} union-find + {} label",
         m.total_steps,
@@ -608,7 +653,7 @@ fn host_report(img: &Bitmap, conn: Connectivity, mut session: Box<dyn LabelEngin
     let stats = labels.component_stats();
     let stats_elapsed = t1.elapsed();
     print_components(img, &stats, conn);
-    print!(
+    out!(
         "host/{}: {} thread(s), {:.3} ms, stats {:.3} ms",
         session.kind(),
         engine_stats.threads,
@@ -616,22 +661,25 @@ fn host_report(img: &Bitmap, conn: Connectivity, mut session: Box<dyn LabelEngin
         stats_elapsed.as_secs_f64() * 1e3
     );
     if engine_stats.runs > 0 {
-        print!(", {} run(s)", engine_stats.runs);
+        out!(", {} run(s)", engine_stats.runs);
     }
     let tiles = engine_stats.tiles;
     if tiles.total() > 0 {
-        print!(
+        out!(
             ", tiles {}bg/{}int/{}bd",
-            tiles.background, tiles.interior, tiles.boundary
+            tiles.background,
+            tiles.interior,
+            tiles.boundary
         );
     }
     if engine_stats.iterations > 0 {
-        print!(
+        out!(
             ", {} iteration(s), {} reduction pass(es)",
-            engine_stats.iterations, engine_stats.reduction_passes
+            engine_stats.iterations,
+            engine_stats.reduction_passes
         );
     }
-    println!();
+    outln!();
 }
 
 /// `stream --framed`: consumes a length-prefixed multi-image P4 stream
@@ -658,13 +706,16 @@ fn framed_stream_report(input: Box<dyn Read>, what: &str, conn: Connectivity) {
         let stats = labeler
             .label_source_with(&mut frame, conn, |_| components += 1)
             .unwrap_or_else(|e| die(&format!("read {what} frame {index}: {e}")));
-        println!(
+        outln!(
             "frame {index}: {}x{}, {components} component(s), {} px, peak carried {} run(s)",
-            stats.rows, stats.cols, stats.pixels, stats.peak_carried_runs,
+            stats.rows,
+            stats.cols,
+            stats.pixels,
+            stats.peak_carried_runs,
         );
     }
     let elapsed = t0.elapsed();
-    println!(
+    outln!(
         "{index} frame(s) under {conn} in {:.3} ms (one warm stream session, \
          O(cols + live) carried state)",
         elapsed.as_secs_f64() * 1e3
@@ -704,13 +755,13 @@ fn stream_cmd(args: &Args) {
         })
         .unwrap_or_else(|e| die(&format!("read {what}: {e}")));
     let elapsed = t0.elapsed();
-    println!(
+    outln!(
         "{}x{} image, {:.1}% foreground, {total} component(s) under {conn}",
         s.rows,
         s.cols,
         100.0 * s.pixels as f64 / (s.rows as f64 * s.cols as f64).max(1.0),
     );
-    println!(
+    outln!(
         "stream engine: {} band(s) of {} row(s) x 1 tile column(s); \
          peak frontier {} run(s), peak carried {} run(s), {} live slot(s), \
          {} band run(s); {} rows in {:.3} ms ({:.0} rows/s)",
@@ -726,13 +777,17 @@ fn stream_cmd(args: &Args) {
     );
     preview.sort_unstable();
     preview.truncate(LISTED);
-    println!(
+    outln!(
         "{:>10} {:>7} {:>12} {:>14} {:>9}",
-        "label", "area", "bbox", "centroid", "perim"
+        "label",
+        "area",
+        "bbox",
+        "centroid",
+        "perim"
     );
     for rec in &preview {
         let (cr, cc) = rec.centroid();
-        println!(
+        outln!(
             "{:>10} {:>7} {:>5}x{:<6} ({cr:6.1},{cc:6.1}) {:>9}",
             rec.label(s.rows as usize),
             rec.area,
@@ -742,7 +797,7 @@ fn stream_cmd(args: &Args) {
         );
     }
     if total > preview.len() as u64 {
-        println!("  ... and {} more", total - preview.len() as u64);
+        outln!("  ... and {} more", total - preview.len() as u64);
     }
 }
 

@@ -380,3 +380,23 @@ fn bad_positional_arguments_exit_2_without_panic() {
     assert_refused(&["label", "a.pbm", "b.pbm"], "\"b.pbm\"");
     assert_refused(&["serve", "extra"], "\"extra\"");
 }
+
+#[test]
+fn a_reader_closing_stdout_ends_gen_quietly() {
+    // `slap gen random50 512 1 | head -c 10`: a 512² plain PBM overflows
+    // the pipe buffer, so the write after the reader leaves meets a closed
+    // pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_slap"))
+        .args(["gen", "random50", "512", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn slap");
+    let mut head = [0u8; 10];
+    std::io::Read::read_exact(&mut child.stdout.take().expect("stdout handle"), &mut head)
+        .expect("read 10 bytes");
+    let out = child.wait_with_output().expect("wait for slap");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{out:?}");
+}
