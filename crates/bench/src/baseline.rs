@@ -39,17 +39,17 @@ pub fn run(quick: bool, progress: &mut dyn FnMut(&str)) -> Report {
     let mut entries = Vec::new();
     let mut sessions: Vec<_> = HOST_ENGINES
         .iter()
-        .map(|&(kind, id)| (kind.session(1), id, LabelGrid::new_background(1, 1)))
+        .map(|&(kind, id)| (kind, kind.session(1), id, LabelGrid::new_background(1, 1)))
         .collect();
     sweep::drive(FAMILIES, sides, quick, |p| {
         let mut truth = LabelGrid::new_background(1, 1);
-        for (session, id, grid) in &mut sessions {
+        for (kind, session, id, grid) in &mut sessions {
             let mut stats = None;
             let times = sweep::time_reps(p.reps, || {
                 stats = Some(session.label_into(std::hint::black_box(p.img), p.conn, grid));
             });
             let mut e = Entry::at(p, id, "", 1).timed(times, p.reps);
-            if session.kind() == EngineKind::Bfs {
+            if *kind == EngineKind::Bfs {
                 std::mem::swap(&mut truth, grid);
             } else {
                 e = e.matching(*grid == truth);

@@ -2,8 +2,9 @@
 //! **every registered engine**, recorded to `BENCH_reuse.json`.
 //!
 //! This is the measurement behind the engine layer's core promise: a
-//! [`slap_cc::engine::LabelEngine`] session owns its scratch arenas and
-//! relabels allocation-free once warm. For each (engine, family, size,
+//! [`slap_cc::engine::LabelEngine`] owns its scratch arenas and reuses them
+//! once warm (`tests/alloc_count.rs` counts the allocations themselves).
+//! For each (engine, family, size,
 //! connectivity) point the sweep records two entries:
 //!
 //! * **cold** — a fresh session *and* a fresh label grid constructed inside
@@ -15,7 +16,7 @@
 //! The sweep iterates [`slap_cc::engine::registry`] — adding an engine to
 //! the registry adds it to this file with no bench-side changes — and
 //! [`spec`] gates **cold/warm ≥ 1 (warm ≤ cold) on every engine at every
-//! point**, so a session type that silently loses its reuse property fails.
+//! point**, so a labeler that silently loses its reuse property fails.
 
 use crate::record::{Cmp, Cover, Entry, Gate, Ratio, Report, Sel, Spec, TIMED};
 use crate::sweep;
@@ -57,8 +58,7 @@ fn time_point(kind: EngineKind, p: &sweep::Point, truth: &LabelGrid) -> [Entry; 
         // Two warm-up passes: double-buffered arenas may need a second call
         // before every buffer reaches its high-water mark.
         session.label_into(img, conn, &mut grid);
-        session.label_into(img, conn, &mut grid);
-        threads = session.threads();
+        threads = session.label_into(img, conn, &mut grid).threads;
         let (best, mean) = sweep::time_reps(reps, || {
             session.label_into(std::hint::black_box(img), conn, &mut grid);
             std::hint::black_box(&grid);

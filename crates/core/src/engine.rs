@@ -1,5 +1,5 @@
-//! The unified host-engine layer: one trait, persistent sessions, and a
-//! registry-driven dispatch surface.
+//! The host-engine registry: every whole-frame labeler, enumerated with its
+//! capabilities.
 //!
 //! The workspace has five whole-frame host labeling engines — the BFS gold
 //! oracle, the word-parallel [`fast`](crate::fast) engine, its
@@ -8,20 +8,18 @@
 //! engine — and, as the two-pass parallel CCL literature observes (Gupta et
 //! al., arXiv:1606.05973), they all share one skeleton: *group foreground
 //! into equivalence classes, then resolve every pixel's class to the
-//! component minimum*. This module names that skeleton in the type system.
-//! The bounded-memory streaming labeler is not one of them: it emits
-//! feature records, never a grid, and is driven directly
+//! component minimum*. The bounded-memory streaming labeler is not one of
+//! them: it emits feature records, never a grid, and is driven directly
 //! ([`slap_image::label_stream`], [`slap_image::OutOfCoreLabeler`]).
 //!
-//! * [`LabelEngine`] — the common interface: `label_into(&mut self, img,
-//!   conn, out) -> EngineStats`. Implementations are **sessions**: each owns
-//!   its scratch arenas (run tables, union–find nodes, per-tile pools) and
-//!   reuses them across calls, so a warm session in steady state performs
-//!   **zero heap allocation** per frame — the difference the `slap-bench
-//!   reuse` sweep records.
-//! * [`BfsSession`], [`FastSession`], [`TiledSession`],
-//!   [`PropagateSession`] — the engines behind the trait (`parallel` and
-//!   `tiled` are two shapes of one [`TiledSession`]). All produce
+//! * [`LabelEngine`] — the common interface, defined in `slap_image` and
+//!   re-exported here: `label_into(&mut self, img, conn, out) ->
+//!   EngineStats` plus `scratch_bytes`. The labelers implement it directly
+//!   ([`slap_image::BfsOracle`], [`FastLabeler`], [`TiledLabeler`] — which
+//!   serves both `parallel` and `tiled` — and [`PropagateLabeler`]). Each
+//!   owns its scratch arenas and reuses them across calls: a warm sequential
+//!   labeler allocates nothing per frame, and the tiled one nothing of
+//!   128 KiB or more (`tests/alloc_count.rs`). All produce
 //!   **bit-identical** output (component minima are
 //!   decomposition-invariant), which the `engine_matrix` differential
 //!   harness asserts across every registered engine × workload family ×
@@ -33,227 +31,8 @@
 //!   match arms. Every engine supports both connectivities.
 
 use slap_image::fast::{FastLabeler, PropagateLabeler, TiledLabeler};
-use slap_image::{BfsOracle, Bitmap, Connectivity, LabelGrid, TileStats};
-
-/// What one [`LabelEngine::label_into`] call observed. Cheap to produce
-/// (derived from state the engines already maintain) and uniform across
-/// engines, so sweeps and reports can print one table.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Number of connected components labeled.
-    pub components: usize,
-    /// Size of the run universe the engine worked over (`0` for the
-    /// pixel-probing BFS oracle, which has no run decomposition).
-    pub runs: usize,
-    /// Worker threads used for this call (`1` for sequential engines).
-    pub threads: usize,
-    /// Coarse word × 2-row tile classification counts from the block-based
-    /// first pass (two-pass run-based engines only; all-zero for the
-    /// pixel-probing oracle and the propagation engine, which scan no
-    /// tiles). For the engines that do,
-    /// `tiles.total() == words_per_row × rows`.
-    pub tiles: TileStats,
-    /// Relaxation rounds an iterative engine needed to reach its fixpoint,
-    /// including the final no-change round that proves convergence
-    /// (propagation engine only; `0` for the direct two-pass engines).
-    pub iterations: usize,
-    /// Pointer-jumping label-reduction passes an iterative engine performed
-    /// across all rounds (propagation engine only; `0` otherwise).
-    pub reduction_passes: usize,
-}
-
-/// A persistent labeling session: the unified interface over every host
-/// engine.
-///
-/// A session is stateful scratch, not configuration — create one, then feed
-/// it any number of images of any dimensions and either connectivity. The
-/// contract every implementation upholds:
-///
-/// * **bit-identity** — the output grid equals
-///   [`slap_image::bfs_labels_conn`] exactly (component minima, not merely
-///   the same partition);
-/// * **reuse** — scratch arenas persist across calls; once every arena has
-///   reached its high-water mark ([`LabelEngine::scratch_bytes`] stable), a
-///   call performs no heap allocation;
-/// * **isolation** — no state leaks between calls: a warm session's output
-///   is bit-identical to a fresh one's for every input.
-pub trait LabelEngine {
-    /// Which registered engine this session is.
-    fn kind(&self) -> EngineKind;
-
-    /// Labels `img` into `out` (re-dimensioned as needed; every cell
-    /// written) and reports what the call observed.
-    fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats;
-
-    /// Total bytes of scratch capacity currently reserved — the session's
-    /// arena high-water mark. Tests assert warm calls perform zero
-    /// reallocations by checking this is stable across repeated inputs.
-    fn scratch_bytes(&self) -> usize;
-
-    /// Worker threads this session labels with (`1` unless multithreaded).
-    fn threads(&self) -> usize {
-        1
-    }
-}
-
-/// Session over the sequential BFS flood-fill gold oracle
-/// ([`BfsOracle`]): per-pixel probing, the reference every other engine is
-/// differentially tested against.
-#[derive(Debug, Default)]
-pub struct BfsSession {
-    oracle: BfsOracle,
-}
-
-impl BfsSession {
-    /// Creates a session with empty (growable) scratch.
-    pub fn new() -> Self {
-        BfsSession::default()
-    }
-}
-
-impl LabelEngine for BfsSession {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Bfs
-    }
-
-    fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats {
-        let components = self.oracle.label_into(img, conn, out);
-        EngineStats {
-            components,
-            threads: 1,
-            ..EngineStats::default()
-        }
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.oracle.scratch_bytes()
-    }
-}
-
-/// Session over the word-parallel run-based fast engine
-/// ([`FastLabeler`]): the sequential hot path and default choice.
-#[derive(Debug, Default)]
-pub struct FastSession {
-    labeler: FastLabeler,
-}
-
-impl FastSession {
-    /// Creates a session with empty (growable) scratch.
-    pub fn new() -> Self {
-        FastSession::default()
-    }
-}
-
-impl LabelEngine for FastSession {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Fast
-    }
-
-    fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats {
-        self.labeler.label_into(img, conn, out);
-        EngineStats {
-            components: self.labeler.last_components(),
-            runs: self.labeler.last_runs(),
-            threads: 1,
-            tiles: self.labeler.last_tile_stats(),
-            ..EngineStats::default()
-        }
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.labeler.scratch_bytes()
-    }
-}
-
-/// Session over the 2-D tiled engine ([`TiledLabeler`]): workers own
-/// rectangular tiles of a `tiles_y × tiles_x` grid, and the seams merge
-/// hierarchically in pairwise-doubling order — vertical column boundaries
-/// first, then full-width band seams. It serves two registry kinds:
-/// [`EngineKind::Tiled`] and [`EngineKind::Parallel`], the `threads × 1`
-/// strip shape.
-#[derive(Debug)]
-pub struct TiledSession {
-    labeler: TiledLabeler,
-    kind: EngineKind,
-}
-
-impl TiledSession {
-    /// Creates a session labeling on a `tiles_y × tiles_x` grid with
-    /// `threads` workers (all clamped to ≥ 1).
-    pub fn new(tiles_y: usize, tiles_x: usize, threads: usize) -> Self {
-        let labeler = TiledLabeler::new(tiles_y, tiles_x, threads);
-        let (tiles_y, tiles_x) = labeler.tiles();
-        TiledSession {
-            labeler,
-            kind: EngineKind::Tiled { tiles_x, tiles_y },
-        }
-    }
-}
-
-impl LabelEngine for TiledSession {
-    fn kind(&self) -> EngineKind {
-        self.kind
-    }
-
-    fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats {
-        self.labeler.label_into(img, conn, out);
-        EngineStats {
-            components: self.labeler.last_components(),
-            runs: self.labeler.last_runs(),
-            threads: self.labeler.threads(),
-            tiles: self.labeler.last_tile_stats(),
-            ..EngineStats::default()
-        }
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.labeler.scratch_bytes()
-    }
-
-    fn threads(&self) -> usize {
-        self.labeler.threads()
-    }
-}
-
-/// Session over the iterative label-equivalence propagation engine
-/// ([`PropagateLabeler`]): GPU-style alternating relaxation sweeps with
-/// pointer-jumping reduction between rounds — the flat, data-parallel
-/// contrast to the direct two-pass engines, reporting its convergence
-/// behavior through [`EngineStats::iterations`] and
-/// [`EngineStats::reduction_passes`].
-#[derive(Debug, Default)]
-pub struct PropagateSession {
-    labeler: PropagateLabeler,
-}
-
-impl PropagateSession {
-    /// Creates a session with empty (growable) scratch.
-    pub fn new() -> Self {
-        PropagateSession::default()
-    }
-}
-
-impl LabelEngine for PropagateSession {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Propagate
-    }
-
-    fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats {
-        self.labeler.label_into(img, conn, out);
-        EngineStats {
-            components: self.labeler.last_components(),
-            runs: self.labeler.last_runs(),
-            threads: 1,
-            iterations: self.labeler.last_iterations(),
-            reduction_passes: self.labeler.last_reduction_passes(),
-            ..EngineStats::default()
-        }
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.labeler.scratch_bytes()
-    }
-}
+use slap_image::BfsOracle;
+pub use slap_image::{EngineStats, LabelEngine};
 
 /// The registered host engines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -324,22 +103,19 @@ impl EngineKind {
             .expect("every kind is registered")
     }
 
-    /// Opens a fresh session of this engine. `threads` is honored by
+    /// A fresh labeler of this engine. `threads` is honored by
     /// multithreaded engines and ignored (as documented in the registry) by
     /// sequential ones.
     pub fn session(self, threads: usize) -> Box<dyn LabelEngine> {
         match self {
-            EngineKind::Bfs => Box::new(BfsSession::new()),
-            EngineKind::Fast => Box::new(FastSession::new()),
+            EngineKind::Bfs => Box::new(BfsOracle::new()),
+            EngineKind::Fast => Box::new(FastLabeler::new()),
             // Full-width strips, one worker each.
-            EngineKind::Parallel => Box::new(TiledSession {
-                labeler: TiledLabeler::new(threads, 1, threads),
-                kind: EngineKind::Parallel,
-            }),
+            EngineKind::Parallel => Box::new(TiledLabeler::new(threads, 1, threads)),
             EngineKind::Tiled { tiles_x, tiles_y } => {
-                Box::new(TiledSession::new(tiles_y, tiles_x, threads))
+                Box::new(TiledLabeler::new(tiles_y, tiles_x, threads))
             }
-            EngineKind::Propagate => Box::new(PropagateSession::new()),
+            EngineKind::Propagate => Box::new(PropagateLabeler::new()),
         }
     }
 }
@@ -408,7 +184,7 @@ pub fn registry() -> &'static [EngineInfo] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slap_image::{bfs_labels_conn, gen};
+    use slap_image::{bfs_labels_conn, gen, Connectivity, LabelGrid};
 
     #[test]
     fn registry_covers_every_kind_exactly_once() {
@@ -427,6 +203,7 @@ mod tests {
         let img = gen::by_name("blobs", 37, 5).unwrap();
         for info in registry() {
             let mut session = info.kind.session(3);
+            let threads = if info.multithreaded { 3 } else { 1 };
             let mut grid = LabelGrid::new_background(1, 1);
             for conn in [Connectivity::Four, Connectivity::Eight] {
                 let truth = bfs_labels_conn(&img, conn);
@@ -438,7 +215,7 @@ mod tests {
                     "{} {conn}",
                     info.kind
                 );
-                assert_eq!(stats.threads, session.threads(), "{}", info.kind);
+                assert_eq!(stats.threads, threads, "{}", info.kind);
                 if info.kind != EngineKind::Bfs {
                     assert!(stats.runs > 0, "{} reports its run universe", info.kind);
                 }
@@ -457,7 +234,7 @@ mod tests {
         // Two warm-up passes over the frame set (double-buffered arenas can
         // need a second pass for both halves to hit their highs), then the
         // steady state: further passes must not grow any arena — the
-        // zero-allocation regime the reuse bench records.
+        // regime the reuse bench records.
         let frames: Vec<_> = ["random50", "checker", "blobs"]
             .iter()
             .map(|name| gen::by_name(name, 48, 9).unwrap())
@@ -490,8 +267,6 @@ mod tests {
         let truth = bfs_labels_conn(&img, Connectivity::Four);
         for t in [0usize, 1, 2, 4, 8] {
             let mut session = EngineKind::Parallel.session(t);
-            assert_eq!(session.kind(), EngineKind::Parallel);
-            assert_eq!(session.threads(), t.max(1));
             let mut grid = LabelGrid::new_background(1, 1);
             let stats = session.label_into(&img, Connectivity::Four, &mut grid);
             assert_eq!(grid, truth, "threads={t}");

@@ -37,11 +37,12 @@
 //! column is a stack of horizontal band seams), the specification behind
 //! the tiled engine's seam pass.
 //!
-//! The [`engine`] module unifies the whole-frame host engines behind one
-//! trait: [`LabelEngine`] sessions own their scratch arenas and relabel
-//! allocation-free in steady state, and [`registry`] enumerates every engine
-//! with its capabilities so the CLI, the bench sweeps, and the differential
-//! suites dispatch from data rather than per-engine match arms.
+//! The [`engine`] module is the registry of the whole-frame host engines:
+//! [`registry`] enumerates every engine with its capabilities so the CLI,
+//! the bench sweeps, and the differential suites dispatch from data rather
+//! than per-engine match arms, and [`EngineKind::session`] boxes the
+//! engine's labeler behind [`LabelEngine`] (defined in `slap_image`,
+//! re-exported here with [`EngineStats`]).
 //!
 //! # Quick start
 //!
@@ -73,10 +74,7 @@ pub use cc::{
     label_components, label_components_kind, CcMetrics, CcOptions, CcRun, ForwardPolicy,
     PassMetrics,
 };
-pub use engine::{
-    registry, BfsSession, EngineInfo, EngineKind, EngineStats, FastSession, LabelEngine,
-    PropagateSession, TiledSession,
-};
+pub use engine::{registry, EngineInfo, EngineKind, EngineStats, LabelEngine};
 pub use runs::label_components_runs;
 pub use slap_image::fast;
 pub use slap_image::stream;

@@ -113,6 +113,61 @@ impl TileStats {
     }
 }
 
+/// What one [`LabelEngine::label_into`] call observed, built from the
+/// values that call computed and uniform across engines, so sweeps and
+/// reports can print one table.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Number of connected components labeled.
+    pub components: usize,
+    /// Size of the run universe the engine worked over (`0` for the
+    /// pixel-probing BFS oracle, which has no run decomposition).
+    pub runs: usize,
+    /// The engine's configured worker count (`1` for sequential engines).
+    pub threads: usize,
+    /// Coarse word × 2-row tile classification counts from the block-based
+    /// first pass (two-pass run-based engines only; all-zero for the
+    /// pixel-probing oracle and the propagation engine, which scan no
+    /// tiles). For the engines that do,
+    /// `tiles.total() == words_per_row × rows`.
+    pub tiles: TileStats,
+    /// Relaxation rounds an iterative engine needed to reach its fixpoint,
+    /// including the final no-change round that proves convergence
+    /// (propagation engine only; `0` for the direct two-pass engines).
+    pub iterations: usize,
+    /// Pointer-jumping label-reduction passes an iterative engine performed
+    /// across all rounds (propagation engine only; `0` otherwise).
+    pub reduction_passes: usize,
+}
+
+/// A whole-frame labeler: the one interface over [`crate::BfsOracle`],
+/// [`FastLabeler`], [`TiledLabeler`] and [`PropagateLabeler`].
+///
+/// A labeler is stateful scratch, not configuration: create one, then feed
+/// it any number of images of any dimensions and either connectivity. Every
+/// implementation upholds:
+///
+/// * **bit-identity** — the output grid equals
+///   [`crate::bfs_labels_conn`] exactly (component minima, not merely the
+///   same partition);
+/// * **reuse** — scratch arenas persist across calls and only grow
+///   ([`LabelEngine::scratch_bytes`] is their high-water mark).
+///   `tests/alloc_count.rs` counts what a third warm call on a 256² frame
+///   allocates: nothing on the sequential labelers, and nothing of 128 KiB
+///   or more on the multithreaded [`TiledLabeler`], which still spawns its
+///   workers and builds a few vectors of one entry per tile or band;
+/// * **isolation** — no state leaks between calls: a warm labeler's grid
+///   and [`EngineStats`] equal a fresh one's for every input.
+pub trait LabelEngine {
+    /// Labels `img` into `out` (re-dimensioned as needed; every cell
+    /// written) and reports what the call observed.
+    fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats;
+
+    /// Total bytes of scratch capacity currently reserved: the labeler's
+    /// arena high-water mark.
+    fn scratch_bytes(&self) -> usize;
+}
+
 /// Reusable word-parallel labeler (see the module docs for the algorithm).
 ///
 /// All scratch storage lives in the struct and is recycled across calls.
@@ -132,9 +187,6 @@ pub struct FastLabeler {
     node: Vec<u64>,
     /// The frame as one tile: its row table and scan buffers.
     scan: TileScan,
-    /// Root count of the most recent call, folded into the output sweep (so
-    /// [`FastLabeler::last_components`] is O(1), never a node-arena rescan).
-    components: usize,
 }
 
 /// One tile's share of a run arena: its row table and the row kernel's scan
@@ -804,17 +856,28 @@ impl FastLabeler {
         total
     }
 
-    /// Labels `img` into `out` (re-dimensioned; every cell is written exactly
-    /// once — runs with their component label, gaps with background). With
-    /// reused storage of sufficient capacity the call performs no heap
-    /// allocation.
-    pub fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) {
+    /// Counts components (number of union–find roots) without writing any
+    /// labels.
+    pub fn count_components(&mut self, img: &Bitmap, conn: Connectivity) -> usize {
+        let total = self.build_runs(img, conn);
+        self.node[..total]
+            .iter()
+            .enumerate()
+            .filter(|&(k, &n)| n as u32 == k as u32)
+            .count()
+    }
+}
+
+impl LabelEngine for FastLabeler {
+    /// Every cell is written exactly once: runs with their component label,
+    /// gaps with background. The root count is folded into that sweep.
+    fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats {
         let total = self.build_runs(img, conn);
         out.reset_dims(img.rows(), img.cols());
         // SAFETY: `build_runs` just built the one tile over the whole frame
         // into `..total`: link_roots points parents down, extraction clamps
         // runs to the frame, and the grid has `cols` cells per row.
-        self.components = unsafe {
+        let components = unsafe {
             flatten_fill(
                 &mut self.node[..total],
                 0,
@@ -824,41 +887,16 @@ impl FastLabeler {
                 img.cols(),
             )
         };
+        EngineStats {
+            components,
+            runs: total,
+            threads: 1,
+            tiles: self.scan.tiles,
+            ..EngineStats::default()
+        }
     }
 
-    /// Counts components (number of union–find roots) without writing any
-    /// labels.
-    pub fn count_components(&mut self, img: &Bitmap, conn: Connectivity) -> usize {
-        let total = self.build_runs(img, conn);
-        self.components = self.node[..total]
-            .iter()
-            .enumerate()
-            .filter(|&(k, &n)| n as u32 == k as u32)
-            .count();
-        self.components
-    }
-
-    /// Number of runs extracted by the most recent labeling call.
-    pub fn last_runs(&self) -> usize {
-        self.scan.end()
-    }
-
-    /// Number of components found by the most recent labeling call. O(1):
-    /// the count is folded into the labeling sweep itself.
-    pub fn last_components(&self) -> usize {
-        self.components
-    }
-
-    /// Tile classification counts of the most recent labeling call (see
-    /// [`TileStats`]).
-    pub fn last_tile_stats(&self) -> TileStats {
-        self.scan.tiles
-    }
-
-    /// Total bytes of scratch capacity currently reserved — the session's
-    /// high-water mark. Steady-state reuse keeps this constant; tests assert
-    /// warm calls perform zero arena reallocations by watching it.
-    pub fn scratch_bytes(&self) -> usize {
+    fn scratch_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.runs.capacity() + self.node.capacity()) * size_of::<u64>() + self.scan.scratch_bytes()
     }
@@ -1165,8 +1203,7 @@ mod tests {
                 for conn in [Connectivity::Four, Connectivity::Eight] {
                     let mut lab = FastLabeler::new();
                     let mut out = LabelGrid::new_background(1, 1);
-                    lab.label_into(&img, conn, &mut out);
-                    let ts = lab.last_tile_stats();
+                    let ts = lab.label_into(&img, conn, &mut out).tiles;
                     assert_eq!(
                         ts.total(),
                         (img.words_per_row() * img.rows()) as u64,
@@ -1184,22 +1221,19 @@ mod tests {
         let full = gen::by_name("full", 64, 0).unwrap();
         let mut lab = FastLabeler::new();
         let mut out = LabelGrid::new_background(1, 1);
-        lab.label_into(&full, Connectivity::Four, &mut out);
-        let ts = lab.last_tile_stats();
+        let ts = lab.label_into(&full, Connectivity::Four, &mut out).tiles;
         assert_eq!(ts.background, 0);
         assert_eq!(ts.boundary, full.words_per_row() as u64);
         assert_eq!(ts.interior, (full.words_per_row() * 63) as u64);
         // An empty frame: every tile is background.
         let empty = gen::by_name("empty", 64, 0).unwrap();
-        lab.label_into(&empty, Connectivity::Four, &mut out);
-        let ts = lab.last_tile_stats();
+        let ts = lab.label_into(&empty, Connectivity::Four, &mut out).tiles;
         assert_eq!(ts.background, ts.total());
         // A ragged tail word is never interior: 65 columns of solid rows
         // leave the one-bit tail word classified boundary, not interior.
         let ragged = gen::by_name_dims("full", 8, 65, 0).unwrap();
-        lab.label_into(&ragged, Connectivity::Four, &mut out);
+        let ts = lab.label_into(&ragged, Connectivity::Four, &mut out).tiles;
         assert_eq!(out, bfs_labels(&ragged));
-        let ts = lab.last_tile_stats();
         assert_eq!(ts.interior, 7, "only the full words below row 0");
         assert_eq!(ts.boundary, 2 + 7, "row 0 words + every tail word");
     }

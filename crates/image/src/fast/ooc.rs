@@ -65,6 +65,7 @@
 //! height and tile-column count.
 
 use super::tiled::{gather_row, TiledLabeler};
+use super::LabelEngine;
 use crate::bitmap::{count_ones_in_span, for_each_adjacent_pair, Bitmap};
 use crate::connectivity::Connectivity;
 use crate::live::{LiveComponents, NONE};
@@ -168,7 +169,7 @@ impl BandComp {
 
 /// Reusable out-of-core labeler (see the module docs for the band cycle).
 /// The band bitmap, the tiled core, and every carried vector persist across
-/// calls, so a stream of frames with equal widths reallocates nothing.
+/// calls, so a stream of frames with equal widths grows no arena.
 #[derive(Debug)]
 pub struct OutOfCoreLabeler {
     /// Rows per band (≥ 1); the in-memory working set is `band_rows × cols`.

@@ -8,8 +8,8 @@
 mod tests {
     use crate::bitmap::Bitmap;
     use crate::connectivity::Connectivity;
-    use crate::fast::fast_labels_conn;
     use crate::fast::tiled::{tiled_labels_conn, TiledLabeler};
+    use crate::fast::{fast_labels_conn, LabelEngine};
     use crate::gen;
     use crate::labels::LabelGrid;
     use crate::oracle::bfs_labels_conn;
@@ -102,9 +102,9 @@ mod tests {
         let small = Bitmap::from_art("#.#\n###\n");
         labeler.label_into(&small, Connectivity::Four, &mut grid);
         assert_eq!(grid, fast_labels_conn(&small, Connectivity::Four));
-        labeler.label_into(&big, Connectivity::Eight, &mut grid);
+        let stats = labeler.label_into(&big, Connectivity::Eight, &mut grid);
         assert_eq!(grid, fast_labels_conn(&big, Connectivity::Eight));
-        assert_eq!(labeler.last_components(), grid.component_count());
+        assert_eq!(stats.components, grid.component_count());
     }
 
     #[test]

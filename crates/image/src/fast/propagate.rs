@@ -35,9 +35,10 @@
 //! Output is **bit-identical** to [`crate::oracle::bfs_labels_conn`]: at the
 //! fixpoint every run's representative is its component's minimum run index,
 //! and a final fold resolves that to the minimum column-major position.
-//! [`PropagateLabeler`] keeps all arenas between calls and is
-//! allocation-free once warm, like every other engine session.
+//! [`PropagateLabeler`] keeps all arenas between calls, so a warm call
+//! allocates nothing.
 
+use super::{EngineStats, LabelEngine};
 use crate::bitmap::{for_each_adjacent_pair, Bitmap};
 use crate::connectivity::Connectivity;
 use crate::labels::LabelGrid;
@@ -77,9 +78,6 @@ pub struct PropagateLabeler {
     minpos: Vec<u32>,
     /// Whole-word adjacency scratch (`cur & prev`, possibly dilated).
     and_buf: Vec<u64>,
-    components: usize,
-    iterations: usize,
-    reduction_passes: usize,
 }
 
 impl PropagateLabeler {
@@ -153,16 +151,18 @@ impl PropagateLabeler {
     /// Pass 2: iterate relaxation rounds to the fixpoint. Each round is a
     /// forward edge sweep, a backward edge sweep, and pointer-jumping
     /// reduction passes until the label forest is flat; rounds repeat until
-    /// one changes nothing.
-    fn solve(&mut self) {
+    /// one changes nothing. Returns the rounds, including the final
+    /// no-change round that proves convergence (so always ≥ 1), and the
+    /// reduction passes across all rounds, each counting the final pass
+    /// that verifies flatness.
+    fn solve(&mut self) -> (usize, usize) {
         let n = self.runs.len();
         self.labels.clear();
         self.labels.extend(0..n as u32);
-        self.iterations = 0;
-        self.reduction_passes = 0;
+        let (mut iterations, mut reduction_passes) = (0, 0);
         let PropagateLabeler { edges, labels, .. } = self;
         loop {
-            self.iterations += 1;
+            iterations += 1;
             let mut changed = false;
             // Forward sweep (ascending rows): hook the larger representative
             // to the smaller. Writing through `L[l]` (the representative
@@ -209,7 +209,7 @@ impl PropagateLabeler {
             // `L[i] = L[L[i]]` passes until flat. Ascending order makes each
             // pass at least halve every chain's depth.
             loop {
-                self.reduction_passes += 1;
+                reduction_passes += 1;
                 let mut jumped = false;
                 for i in 0..n {
                     // SAFETY: label values are run indices < n.
@@ -227,14 +227,26 @@ impl PropagateLabeler {
                 }
             }
         }
+        (iterations, reduction_passes)
     }
 
-    /// Labels `img` into `out` (re-dimensioned; every cell written exactly
-    /// once). With reused storage of sufficient capacity the call performs
-    /// no heap allocation.
-    pub fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) {
+    /// Counts components without writing any labels.
+    pub fn count_components(&mut self, img: &Bitmap, conn: Connectivity) -> usize {
         self.build(img, conn);
         self.solve();
+        self.labels
+            .iter()
+            .enumerate()
+            .filter(|&(i, &l)| l as usize == i)
+            .count()
+    }
+}
+
+impl LabelEngine for PropagateLabeler {
+    /// Every cell is written exactly once.
+    fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats {
+        self.build(img, conn);
+        let (iterations, reduction_passes) = self.solve();
         let rows = img.rows();
         out.reset_dims(rows, img.cols());
         // Readout: fold each run's minimum position into its representative
@@ -250,7 +262,6 @@ impl PropagateLabeler {
                 self.minpos[l] = self.minpos[i];
             }
         }
-        self.components = components;
         for r in 0..rows {
             let (lo, hi) = (self.row_runs[r] as usize, self.row_runs[r + 1] as usize);
             let row = out.row_mut(r);
@@ -262,48 +273,17 @@ impl PropagateLabeler {
                 row[a..=b].fill(label);
             }
         }
+        EngineStats {
+            components,
+            runs: n,
+            threads: 1,
+            iterations,
+            reduction_passes,
+            ..EngineStats::default()
+        }
     }
 
-    /// Counts components without writing any labels.
-    pub fn count_components(&mut self, img: &Bitmap, conn: Connectivity) -> usize {
-        self.build(img, conn);
-        self.solve();
-        self.components = self
-            .labels
-            .iter()
-            .enumerate()
-            .filter(|&(i, &l)| l as usize == i)
-            .count();
-        self.components
-    }
-
-    /// Number of runs extracted by the most recent call.
-    pub fn last_runs(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Number of components found by the most recent call.
-    pub fn last_components(&self) -> usize {
-        self.components
-    }
-
-    /// Relaxation rounds the most recent call needed to reach the fixpoint
-    /// (each a forward plus a backward edge sweep), including the final
-    /// no-change round that proves convergence. Always ≥ 1.
-    pub fn last_iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Pointer-jumping reduction passes the most recent call performed
-    /// across all rounds (each a full `L[i] = L[L[i]]` sweep, counting the
-    /// final pass that verifies flatness).
-    pub fn last_reduction_passes(&self) -> usize {
-        self.reduction_passes
-    }
-
-    /// Total bytes of scratch capacity currently reserved — the session's
-    /// high-water mark, stable once warm.
-    pub fn scratch_bytes(&self) -> usize {
+    fn scratch_bytes(&self) -> usize {
         use std::mem::size_of;
         self.runs.capacity() * size_of::<u64>()
             + self.row_runs.capacity() * size_of::<u32>()
@@ -399,14 +379,14 @@ mod tests {
         let mut out = LabelGrid::new_background(1, 1);
         for name in ["spiral", "serpentine", "hilbert"] {
             let img = gen::by_name(name, 64, 1).unwrap();
-            labeler.label_into(&img, Connectivity::Four, &mut out);
+            let stats = labeler.label_into(&img, Connectivity::Four, &mut out);
             assert_eq!(out, bfs_labels(&img), "{name}");
             assert!(
-                labeler.last_iterations() <= 32,
+                stats.iterations <= 32,
                 "{name}: {} rounds for a 64x64 frame",
-                labeler.last_iterations()
+                stats.iterations
             );
-            assert!(labeler.last_reduction_passes() >= 1, "{name}");
+            assert!(stats.reduction_passes >= 1, "{name}");
         }
     }
 
@@ -456,13 +436,13 @@ mod tests {
         let mut lab = PropagateLabeler::new();
         let mut out = LabelGrid::new_background(1, 1);
         let empty = gen::by_name("empty", 16, 0).unwrap();
-        lab.label_into(&empty, Connectivity::Four, &mut out);
-        assert_eq!(lab.last_iterations(), 1);
-        assert_eq!(lab.last_reduction_passes(), 0);
+        let stats = lab.label_into(&empty, Connectivity::Four, &mut out);
+        assert_eq!(stats.iterations, 1);
+        assert_eq!(stats.reduction_passes, 0);
         let ladder = Bitmap::from_art("###\n###\n");
-        lab.label_into(&ladder, Connectivity::Four, &mut out);
+        let stats = lab.label_into(&ladder, Connectivity::Four, &mut out);
         assert_eq!(out, bfs_labels(&ladder));
-        assert_eq!(lab.last_iterations(), 2);
-        assert!(lab.last_reduction_passes() >= 1);
+        assert_eq!(stats.iterations, 2);
+        assert!(stats.reduction_passes >= 1);
     }
 }

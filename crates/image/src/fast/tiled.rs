@@ -56,7 +56,9 @@
 //! `TiledLabeler::build_arena` to label one band of tiles at a time, and
 //! flattens inside its own ascending band fold.
 
-use super::{flatten_fill, grow_arena, link_roots, TileScan, MIN_HALF};
+use super::{
+    flatten_fill, grow_arena, link_roots, EngineStats, LabelEngine, TileScan, TileStats, MIN_HALF,
+};
 use crate::bitmap::{for_each_adjacent_pair, Bitmap};
 use crate::connectivity::Connectivity;
 use crate::labels::LabelGrid;
@@ -104,7 +106,8 @@ pub struct SeamLevel {
 ///
 /// Every scratch structure — the run arena, the per-tile row tables and scan
 /// buffers, the seam scratch — is kept between calls, so labeling a stream
-/// of images allocates only when an image exceeds all previous highs.
+/// of images grows an arena only when an image exceeds all previous highs
+/// (each call still builds a few vectors of one entry per tile or band).
 #[derive(Debug)]
 pub struct TiledLabeler {
     /// Requested grid shape; a call clamps to `tiles_y.min(rows)` ×
@@ -160,96 +163,10 @@ impl TiledLabeler {
         }
     }
 
-    /// The grid shape requested at construction, `(tiles_y, tiles_x)`.
-    pub fn tiles(&self) -> (usize, usize) {
-        (self.tiles_y, self.tiles_x)
-    }
-
-    /// The worker count requested at construction.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Number of runs extracted by the most recent labeling call.
-    pub fn last_runs(&self) -> usize {
-        self.tiles[..self.last_ntiles]
-            .last()
-            .map_or(0, TileScan::end)
-    }
-
-    /// Number of components found by the most recent labeling call. O(band
-    /// count): each output worker counts its own roots as it sweeps.
-    pub fn last_components(&self) -> usize {
-        self.band_roots.iter().sum()
-    }
-
-    /// Tile classification counts of the most recent labeling call, summed
-    /// over the tiles that participated (see [`super::TileStats`]; the
-    /// hierarchical seam merge classifies no tiles of its own).
-    pub fn last_tile_stats(&self) -> super::TileStats {
-        let mut total = super::TileStats::default();
-        for t in &self.tiles[..self.last_ntiles] {
-            total.accumulate(t.tiles);
-        }
-        total
-    }
-
     /// Per-level costs of the most recent hierarchical seam merge (empty for
     /// a 1×1 grid).
     pub fn seam_levels(&self) -> &[SeamLevel] {
         &self.levels
-    }
-
-    /// Total bytes of scratch capacity currently reserved across the arena,
-    /// the per-tile row tables and scan buffers, and the seam scratch — the
-    /// session's high-water mark.
-    pub fn scratch_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.runs.capacity()
-            + self.node.capacity()
-            + self.seam_and.capacity()
-            + self.seam_runs.iter().map(Vec::capacity).sum::<usize>())
-            * size_of::<u64>()
-            + (self.seam_ix.iter().map(Vec::capacity).sum::<usize>() + self.seam_losers.capacity())
-                * size_of::<u32>()
-            + self.band_roots.capacity() * size_of::<usize>()
-            + self.levels.capacity() * size_of::<SeamLevel>()
-            + self
-                .tiles
-                .iter()
-                .map(TileScan::scratch_bytes)
-                .sum::<usize>()
-    }
-
-    /// Labels `img` into `out` (re-dimensioned; every cell is written exactly
-    /// once).
-    pub fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) {
-        self.build_arena(img, conn);
-        let (ty, tx) = self.effective_grid(img);
-        let (rows, cols) = (img.rows(), img.cols());
-
-        // Phase 5: a band's tiles are adjacent in the arena, so each worker
-        // owns one node range and one strip of the grid.
-        let rb: Vec<usize> = (0..=ty).map(|i| i * rows / ty).collect();
-        out.reset_dims(rows, cols);
-        self.band_roots.clear();
-        self.band_roots.resize(ty, 0);
-        let mut bands = Vec::with_capacity(ty);
-        let mut rest = &mut self.node[..self.tiles[ty * tx - 1].end()];
-        let band_tiles = self.tiles.chunks(tx);
-        let strips = out.strip_rows_mut(&rb).into_iter();
-        for ((strip, tiles), roots) in strips.zip(band_tiles).zip(&mut self.band_roots) {
-            let (band, tail) = rest.split_at_mut(tiles[tx - 1].end() - tiles[0].base());
-            rest = tail;
-            bands.push((band, tiles, strip, roots));
-        }
-        let runs = &self.runs;
-        run_jobs(bands, |(band, tiles, strip, roots)| {
-            // SAFETY: `build_arena` built these tiles into `band`, and phase
-            // 4 left every parent pointing down within it or made it final;
-            // `strip` is the band's rows of a `cols`-wide grid.
-            *roots = unsafe { flatten_fill(band, tiles[0].base(), runs, tiles, strip, cols) };
-        });
     }
 
     /// The clamped grid shape for `img`: every tile must own at least one
@@ -386,6 +303,70 @@ impl TiledLabeler {
         let tiles = &self.tiles[..self.last_ntiles];
         let total = tiles.last().map_or(0, TileScan::end);
         (&self.runs[..total], &mut self.node[..total], tiles)
+    }
+}
+
+impl LabelEngine for TiledLabeler {
+    /// Every cell is written exactly once; each output worker counts the
+    /// roots of its band as it sweeps.
+    fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats {
+        self.build_arena(img, conn);
+        let (ty, tx) = self.effective_grid(img);
+        let (rows, cols) = (img.rows(), img.cols());
+        let tiles = &self.tiles[..ty * tx];
+
+        // Phase 5: a band's tiles are adjacent in the arena, so each worker
+        // owns one node range and one strip of the grid.
+        let rb: Vec<usize> = (0..=ty).map(|i| i * rows / ty).collect();
+        out.reset_dims(rows, cols);
+        self.band_roots.clear();
+        self.band_roots.resize(ty, 0);
+        let mut bands = Vec::with_capacity(ty);
+        let mut rest = &mut self.node[..tiles[ty * tx - 1].end()];
+        let strips = out.strip_rows_mut(&rb).into_iter();
+        for ((strip, band_tiles), roots) in strips.zip(tiles.chunks(tx)).zip(&mut self.band_roots) {
+            let (band, tail) = rest.split_at_mut(band_tiles[tx - 1].end() - band_tiles[0].base());
+            rest = tail;
+            bands.push((band, band_tiles, strip, roots));
+        }
+        let runs = &self.runs;
+        run_jobs(bands, |(band, tiles, strip, roots)| {
+            // SAFETY: `build_arena` built these tiles into `band`, and phase
+            // 4 left every parent pointing down within it or made it final;
+            // `strip` is the band's rows of a `cols`-wide grid.
+            *roots = unsafe { flatten_fill(band, tiles[0].base(), runs, tiles, strip, cols) };
+        });
+        let mut tile_stats = TileStats::default();
+        for t in tiles {
+            tile_stats.accumulate(t.tiles);
+        }
+        EngineStats {
+            components: self.band_roots.iter().sum(),
+            runs: tiles[ty * tx - 1].end(),
+            threads: self.threads,
+            tiles: tile_stats,
+            ..EngineStats::default()
+        }
+    }
+
+    /// Total bytes of scratch capacity currently reserved across the arena,
+    /// the per-tile row tables and scan buffers, and the seam scratch.
+    fn scratch_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.runs.capacity()
+            + self.node.capacity()
+            + self.seam_and.capacity()
+            + self.seam_runs.iter().map(Vec::capacity).sum::<usize>())
+            * size_of::<u64>()
+            + (self.seam_ix.iter().map(Vec::capacity).sum::<usize>() + self.seam_losers.capacity())
+                * size_of::<u32>()
+            + self.band_roots.capacity() * size_of::<usize>()
+            + self.levels.capacity() * size_of::<SeamLevel>()
+            + self
+                .tiles
+                .iter()
+                .map(TileScan::scratch_bytes)
+                .sum::<usize>()
     }
 }
 
@@ -737,8 +718,15 @@ mod tests {
 
     #[test]
     fn zero_threads_clamps_to_one() {
-        let labeler = TiledLabeler::new(0, 0, 0);
-        assert_eq!((labeler.tiles(), labeler.threads()), ((1, 1), 1));
+        // A 0 × 0 grid on 0 workers labels as one tile on one worker: no
+        // seam level runs.
+        let mut labeler = TiledLabeler::new(0, 0, 0);
+        let img = gen::by_name("maze", 16, 3).unwrap();
+        let mut out = LabelGrid::new_background(1, 1);
+        let stats = labeler.label_into(&img, Connectivity::Four, &mut out);
+        assert_eq!(out, fast_labels_conn(&img, Connectivity::Four));
+        assert_eq!(stats.threads, 1);
+        assert!(labeler.seam_levels().is_empty());
     }
 
     #[test]
@@ -812,9 +800,9 @@ mod tests {
         let small = Bitmap::from_art("#.#\n###\n");
         labeler.label_into(&small, Connectivity::Four, &mut grid);
         assert_eq!(grid, fast_labels_conn(&small, Connectivity::Four));
-        labeler.label_into(&big, Connectivity::Eight, &mut grid);
+        let stats = labeler.label_into(&big, Connectivity::Eight, &mut grid);
         assert_eq!(grid, fast_labels_conn(&big, Connectivity::Eight));
-        assert_eq!(labeler.last_components(), grid.component_count());
+        assert_eq!(stats.components, grid.component_count());
     }
 
     #[test]
@@ -829,9 +817,9 @@ mod tests {
         let mut warm_bytes = 0;
         for (i, img) in [&small, &big, &small].into_iter().enumerate() {
             for conn in [Connectivity::Four, Connectivity::Eight] {
-                labeler.label_into(img, conn, &mut grid);
+                let stats = labeler.label_into(img, conn, &mut grid);
                 assert_eq!(grid, fast_labels_conn(img, conn), "call {i} conn={conn:?}");
-                assert_eq!(labeler.last_components(), grid.component_count());
+                assert_eq!(stats.components, grid.component_count());
             }
             if i == 1 {
                 warm_bytes = labeler.scratch_bytes();
@@ -852,15 +840,17 @@ mod tests {
                 let img = gen::by_name(name, n, 1).unwrap();
                 let mut out = LabelGrid::new_background(1, 1);
                 let mut fast = FastLabeler::new();
+                let mut fast_runs = 0;
                 for conn in [Connectivity::Four, Connectivity::Eight] {
-                    fast.label_into(&img, conn, &mut out);
+                    fast_runs = fast.label_into(&img, conn, &mut out).runs;
                 }
                 for (ty, tx) in [(1usize, 1usize), (2, 1), (1, 2), (2, 2), (4, 1)] {
                     let mut tiled = TiledLabeler::new(ty, tx, 2);
+                    let mut tiled_runs = 0;
                     for conn in [Connectivity::Four, Connectivity::Eight] {
-                        tiled.label_into(&img, conn, &mut out);
+                        tiled_runs = tiled.label_into(&img, conn, &mut out).runs;
                     }
-                    let clipped = tiled.last_runs() - fast.last_runs();
+                    let clipped = tiled_runs - fast_runs;
                     let row_tables = (tx - 1) * n + ty * tx - 1;
                     let allowance = 16 * clipped + 4 * row_tables;
                     assert!(

@@ -552,7 +552,7 @@ impl ComponentInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{gen, Connectivity, FastLabeler};
+    use crate::{gen, Connectivity, FastLabeler, LabelEngine};
 
     /// The per-pixel fold the run walk replaced, kept as the reference:
     /// one map entry per distinct label, widened pixel by pixel.

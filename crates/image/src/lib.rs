@@ -17,7 +17,9 @@
 //!   ground truth the fast engine is differentially tested against.
 //! * [`fast`] — the word-parallel run-based labeling engine, bit-identical
 //!   to the oracle and several times faster; the default reference the
-//!   differential suites and benchmarks compare against. Its
+//!   differential suites and benchmarks compare against. Every whole-frame
+//!   labeler here implements [`LabelEngine`], whose `label_into` returns the
+//!   call's [`EngineStats`]. Its
 //!   [`fast::tiled`] submodule is the decomposed engine that scales with
 //!   cores: a 2-D tile grid labeled on scoped worker threads, seams merged
 //!   hierarchically over the run universe (its `T × 1` shape is the
@@ -54,7 +56,8 @@ pub use bitmap::{Bitmap, Columns};
 pub use connectivity::Connectivity;
 pub use fast::{
     fast_component_count, fast_labels, fast_labels_conn, tiled_labels, tiled_labels_conn,
-    FastLabeler, OocRun, OocStats, OutOfCoreLabeler, SeamLevel, TileStats, TiledLabeler,
+    EngineStats, FastLabeler, LabelEngine, OocRun, OocStats, OutOfCoreLabeler, SeamLevel,
+    TileStats, TiledLabeler,
 };
 pub use labels::{ComponentInfo, LabelGrid};
 pub use oracle::{bfs_labels, bfs_labels_conn, BfsOracle};

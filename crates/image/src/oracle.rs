@@ -8,6 +8,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::connectivity::Connectivity;
+use crate::fast::{EngineStats, LabelEngine};
 use crate::labels::LabelGrid;
 
 /// Reusable flood-fill state: the traversal queue survives between calls, so
@@ -23,11 +24,12 @@ impl BfsOracle {
     pub fn new() -> Self {
         BfsOracle::default()
     }
+}
 
-    /// Labels `img` into `out` (re-dimensioned and background-filled in
-    /// bulk), returning the number of components found. With a reused `out`
-    /// grid of sufficient capacity the call is allocation-free.
-    pub fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> usize {
+impl LabelEngine for BfsOracle {
+    /// Re-dimensions and background-fills `out` in bulk, then floods each
+    /// component from its first pixel in column-major order.
+    fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats {
         let (rows, cols) = (img.rows(), img.cols());
         out.reset_background(rows, cols);
         let queue = &mut self.queue;
@@ -52,12 +54,15 @@ impl BfsOracle {
                 }
             }
         }
-        components
+        EngineStats {
+            components,
+            threads: 1,
+            ..EngineStats::default()
+        }
     }
 
-    /// Total bytes of scratch capacity currently reserved (the traversal
-    /// queue) — the session's high-water mark.
-    pub fn scratch_bytes(&self) -> usize {
+    /// Bytes of traversal-queue capacity.
+    fn scratch_bytes(&self) -> usize {
         self.queue.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 }
@@ -70,7 +75,7 @@ pub fn bfs_labels(img: &Bitmap) -> LabelGrid {
 }
 
 /// [`bfs_labels`] under an arbitrary adjacency convention. Allocates one
-/// fresh grid; use [`BfsOracle::label_into`] to reuse storage across calls.
+/// fresh grid; hold a [`BfsOracle`] to reuse storage across calls.
 pub fn bfs_labels_conn(img: &Bitmap, conn: Connectivity) -> LabelGrid {
     let mut out = LabelGrid::new_background(img.rows(), img.cols());
     BfsOracle::new().label_into(img, conn, &mut out);

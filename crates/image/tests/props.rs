@@ -9,7 +9,7 @@ use slap_image::pbm::{FramedPbmReader, PbmRowReader};
 use slap_image::stream::{BitmapRows, RowSource, STREAM_BAND_ROWS};
 use slap_image::{
     bfs_labels, bfs_labels_conn, fast_labels_conn, gen, label_stream, morph, pbm,
-    tiled_labels_conn, Bitmap, ComponentInfo, Connectivity, FastLabeler, LabelGrid,
+    tiled_labels_conn, Bitmap, ComponentInfo, Connectivity, FastLabeler, LabelEngine, LabelGrid,
     OutOfCoreLabeler, TiledLabeler,
 };
 

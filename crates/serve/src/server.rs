@@ -48,7 +48,7 @@ use crate::wire::PrefixParser;
 use slap_image::pbm::{self, PbmError, PbmRowReader, MAX_FRAME_BYTES};
 use slap_image::stream::band_rows_for;
 use slap_image::{
-    Bitmap, Connectivity, FastLabeler, LabelGrid, OutOfCoreLabeler, RetiredComponent,
+    Bitmap, Connectivity, FastLabeler, LabelEngine, LabelGrid, OutOfCoreLabeler, RetiredComponent,
 };
 use std::io::{self, PipeReader, PipeWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -1108,9 +1108,9 @@ impl Labelers {
                 if let Some(hook) = &cfg.job_hook {
                     hook(&img);
                 }
-                self.fast.label_into(&img, cfg.conn, &mut self.grid);
+                let stats = self.fast.label_into(&img, cfg.conn, &mut self.grid);
                 Ok(Outcome::Labeled {
-                    components: self.fast.last_components(),
+                    components: stats.components,
                     labels: self.grid.as_slice().to_vec(),
                 })
             }

@@ -1,4 +1,4 @@
-//! Warm-session batch labeling through the unified engine layer.
+//! Warm-session batch labeling through the engine registry.
 //!
 //! ```sh
 //! cargo run --release --example engine_sessions -- [workload] [n] [frames]
@@ -6,8 +6,8 @@
 //! cargo run --release --example engine_sessions -- random50 1024 8
 //! ```
 //!
-//! Opens one persistent session per registered engine
-//! (`slap_cc::engine::registry()`), feeds every session the same batch of
+//! Opens one persistent labeler per registered engine
+//! (`slap_cc::engine::registry()`), feeds every one the same batch of
 //! frames twice — once cold-ish (first sight of each frame shape) and once
 //! warm — and prints per-engine stats: components, run-universe size,
 //! wall-clock per frame, and the scratch high-water mark, demonstrating
@@ -16,7 +16,9 @@
 //!   registry and it appears in the table;
 //! * **bit-identity**: every engine's grid equals the BFS oracle's exactly;
 //! * **reuse**: the second pass is faster and the `scratch_bytes` watermark
-//!   stops moving — warm sessions label without allocating.
+//!   stops moving — warm labelers grow no arena (`tests/alloc_count.rs`
+//!   counts the allocations themselves: none on the sequential engines,
+//!   none frame-sized on the tiled one).
 
 use slap_repro::cc::engine::registry;
 use slap_repro::image::{gen, Bitmap, Connectivity, LabelGrid};
@@ -73,7 +75,7 @@ fn main() {
         }
         let watermark = session.scratch_bytes();
 
-        // Pass 2: warm — same frames, zero reallocation (watermark frozen).
+        // Pass 2: warm — same frames, no arena grows (watermark frozen).
         let t1 = Instant::now();
         for img in &batch {
             session.label_into(img, Connectivity::Four, &mut grid);
@@ -82,7 +84,7 @@ fn main() {
         assert_eq!(
             session.scratch_bytes(),
             watermark,
-            "{}: a warm pass over seen frames must not allocate",
+            "{}: a warm pass over seen frames must not grow an arena",
             info.kind
         );
 
@@ -99,6 +101,6 @@ fn main() {
 
     println!(
         "\nevery engine produced bit-identical grids; warm passes reuse the\n\
-         sessions' arenas (see BENCH_reuse.json for the recorded sweep)"
+         labelers' arenas (see BENCH_reuse.json for the recorded sweep)"
     );
 }

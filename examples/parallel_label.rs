@@ -46,8 +46,9 @@ fn main() {
     let reference = fast_labels_conn(&img, Connectivity::Four);
     let seq = t0.elapsed();
 
-    // Hot-loop shape: one reusable session + one reusable grid, so repeated
-    // calls are allocation-free in steady state.
+    // Hot-loop shape: one reusable labeler + one reusable grid, so repeated
+    // calls grow no arena (the worker spawns and a few per-call vectors of
+    // one entry per band remain).
     let mut labeler = EngineKind::Parallel.session(threads);
     let mut labels = LabelGrid::new_background(1, 1);
     labeler.label_into(&img, Connectivity::Four, &mut labels); // warm-up

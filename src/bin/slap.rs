@@ -6,7 +6,7 @@
 //! [`EngineKind`], and this binary holds no per-engine code of its own.
 
 use slap_repro::baselines::{divide_conquer_labels, naive_slap_labels};
-use slap_repro::cc::engine::{registry, EngineKind, LabelEngine};
+use slap_repro::cc::engine::{registry, EngineKind};
 use slap_repro::cc::features::{euler_number, features_with_engine};
 use slap_repro::cc::spacetime::left_pass_trace;
 use slap_repro::cc::{label_components_kind, label_components_runs, CcOptions};
@@ -243,12 +243,12 @@ impl<'a> Args<'a> {
         (name, n, seed, img)
     }
 
-    /// The host-engine session `--engine` names, shaped by `--tiles` and
-    /// sized by `--threads`; `None` without `--engine` (the caller's
+    /// The host engine `--engine` names, shaped by `--tiles`, and its worker
+    /// count from `--threads`; `None` without `--engine` (the caller's
     /// default: the SLAP simulation for `label`, the fast engine for
     /// `features`). Multithreaded engines default to the host's available
-    /// parallelism.
-    fn session(&self) -> Option<Box<dyn LabelEngine>> {
+    /// parallelism; the others refuse `--threads`.
+    fn engine(&self) -> Option<(EngineKind, usize)> {
         let mut kind = self.get("--engine").map(|name| {
             EngineKind::parse(name).unwrap_or_else(|| {
                 let names = engine_names(", ");
@@ -266,15 +266,18 @@ impl<'a> Args<'a> {
                 .and_then(|(r, c)| Some((positive(r)?, positive(c)?)))
                 .unwrap_or_else(|| die(&format!("--tiles needs RxC (e.g. 2x2), got {v:?}")));
         }
-        let threads = match self.num::<usize>("--threads") {
-            Some(_) if kind.is_none() => die("--threads sizes an --engine"),
-            Some(t) => t,
-            None if kind.is_some_and(|k| k.info().multithreaded) => {
-                std::thread::available_parallelism().map_or(1, |p| p.get())
-            }
-            None => 1,
+        let multithreaded = kind.map(|k| k.info().multithreaded);
+        let threads = match (self.num::<usize>("--threads"), multithreaded) {
+            (Some(_), None) => die("--threads sizes an --engine"),
+            (Some(_), Some(false)) => die(&format!(
+                "--threads sizes a multithreaded --engine, not {}",
+                kind.map_or("", EngineKind::name)
+            )),
+            (Some(t), Some(true)) => t,
+            (None, Some(true)) => std::thread::available_parallelism().map_or(1, |p| p.get()),
+            (None, _) => 1,
         };
-        Some(kind?.session(threads))
+        kind.map(|k| (k, threads))
     }
 
     /// `[file.pbm]`: the input file, or `None` for stdin.
@@ -314,10 +317,13 @@ fn gen_cmd(args: &Args) {
 }
 
 fn label_cmd(args: &Args) {
-    let (uf, opts, session) = (args.uf(), args.cc_options(), args.session());
+    let (uf, opts, engine) = (args.uf(), args.cc_options(), args.engine());
+    if engine.is_some() && args.get("--uf").is_some() {
+        die("--uf picks the simulated union-find; a host --engine does not read it");
+    }
     let img = read_image(args.file()).1;
-    match session {
-        Some(session) => host_report(&img, opts.connectivity, session),
+    match engine {
+        Some((kind, threads)) => host_report(&img, opts.connectivity, kind, threads),
         None => report(&img, uf, &opts),
     }
 }
@@ -341,9 +347,8 @@ fn trace_cmd(args: &Args) {
 fn features_cmd(args: &Args) {
     // Feature extraction labels with any registered engine (default:
     // fast) — bit-identity makes the choice invisible in the output.
-    let mut session = args
-        .session()
-        .unwrap_or_else(|| EngineKind::Fast.session(1));
+    let (kind, threads) = args.engine().unwrap_or((EngineKind::Fast, 1));
+    let mut session = kind.session(threads);
     let conn = args.conn();
     let img = read_image(args.file()).1;
     let mut labels = LabelGrid::new_background(1, 1);
@@ -642,9 +647,10 @@ fn report(img: &Bitmap, uf: UfKind, opts: &CcOptions) {
 }
 
 /// `label --engine E [--threads N]`: labels with a registered host engine
-/// session and reports the components, timing the labeling instead of
-/// counting SLAP steps.
-fn host_report(img: &Bitmap, conn: Connectivity, mut session: Box<dyn LabelEngine>) {
+/// and reports the components, timing the labeling instead of counting SLAP
+/// steps.
+fn host_report(img: &Bitmap, conn: Connectivity, kind: EngineKind, threads: usize) {
+    let mut session = kind.session(threads);
     let mut labels = LabelGrid::new_background(1, 1);
     let t0 = std::time::Instant::now();
     let engine_stats = session.label_into(img, conn, &mut labels);
@@ -654,8 +660,7 @@ fn host_report(img: &Bitmap, conn: Connectivity, mut session: Box<dyn LabelEngin
     let stats_elapsed = t1.elapsed();
     print_components(img, &stats, conn);
     out!(
-        "host/{}: {} thread(s), {:.3} ms, stats {:.3} ms",
-        session.kind(),
+        "host/{kind}: {} thread(s), {:.3} ms, stats {:.3} ms",
         engine_stats.threads,
         elapsed.as_secs_f64() * 1e3,
         stats_elapsed.as_secs_f64() * 1e3

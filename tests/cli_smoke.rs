@@ -351,6 +351,12 @@ fn every_subcommand_refuses_flags_it_does_not_take() {
         ("label --tiles 2x2", "--engine"),
         ("features --engine fast --tiles 2x2", "--engine"),
         ("label --conn 4 --conn 8", "--conn"),
+        // A flag the chosen path never reads: sequential engines take no
+        // --threads, and a host engine reads no --uf.
+        ("label --engine fast --threads 2", "--threads"),
+        ("features --engine bfs --threads 2", "--threads"),
+        ("label --engine propagate --threads 2", "--threads"),
+        ("label --engine fast --uf blum", "--uf"),
     ];
     for (args, named) in cases {
         assert_refused(&args.split(' ').collect::<Vec<_>>(), named);

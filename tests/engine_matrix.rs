@@ -56,7 +56,7 @@ fn drive_matrix(session: &mut dyn LabelEngine, side: usize, what: &str) {
     for name in gen::WORKLOADS {
         let img = gen::by_name(name, side, 23).unwrap();
         for conn in [Connectivity::Four, Connectivity::Eight] {
-            let want = oracle.label_into(&img, conn, &mut truth);
+            let want = oracle.label_into(&img, conn, &mut truth).components;
             let stats = session.label_into(&img, conn, &mut grid);
             assert_eq!(grid, truth, "{what}: workload {name} conn={conn:?}");
             assert_eq!(
@@ -212,13 +212,9 @@ fn registry_capabilities_match_observed_behavior() {
         // Advertised connectivities all work (exercised above); here check
         // the thread capability claim is honest.
         let mut session = info.kind.session(5);
-        if info.multithreaded {
-            assert_eq!(session.threads(), 5, "{}", info.kind);
-        } else {
-            assert_eq!(session.threads(), 1, "{}", info.kind);
-        }
+        let threads = if info.multithreaded { 5 } else { 1 };
         let mut grid = LabelGrid::new_background(1, 1);
         let stats = session.label_into(&img, Connectivity::Four, &mut grid);
-        assert_eq!(stats.threads, session.threads(), "{}", info.kind);
+        assert_eq!(stats.threads, threads, "{}", info.kind);
     }
 }

@@ -8,8 +8,8 @@
 //! pin down what the matrix cannot see — *how* the engine converges.
 
 use proptest::prelude::*;
-use slap_repro::cc::engine::{LabelEngine, PropagateSession};
-use slap_repro::image::{bfs_labels_conn, gen, Bitmap, Connectivity, LabelGrid};
+use slap_repro::image::fast::PropagateLabeler;
+use slap_repro::image::{bfs_labels_conn, gen, Bitmap, Connectivity, LabelEngine, LabelGrid};
 use std::collections::VecDeque;
 
 /// Per-component minimum column-major pixel and the BFS eccentricity of the
@@ -77,10 +77,10 @@ fn max_eccentricity_from_min_pixels(img: &Bitmap, conn: Connectivity) -> usize {
     worst
 }
 
-/// Labels `img` with a fresh propagate session, asserting bit-identity, and
+/// Labels `img` with a fresh propagate labeler, asserting bit-identity, and
 /// returns the observed convergence counters.
 fn run_propagate(img: &Bitmap, conn: Connectivity) -> (usize, usize) {
-    let mut session = PropagateSession::new();
+    let mut session = PropagateLabeler::new();
     let mut grid = LabelGrid::new_background(1, 1);
     let stats = session.label_into(img, conn, &mut grid);
     assert_eq!(grid, bfs_labels_conn(img, conn));
@@ -159,7 +159,7 @@ fn warm_propagate_session_relabels_allocation_free_with_call_local_counters() {
         (gen::by_name_dims(name, rows, cols, 13).unwrap(), conn)
     })
     .collect();
-    let mut session = PropagateSession::new();
+    let mut session = PropagateLabeler::new();
     let mut grid = LabelGrid::new_background(1, 1);
     for _ in 0..2 {
         for (img, conn) in &frames {

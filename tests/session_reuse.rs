@@ -4,15 +4,16 @@
 //! arenas have reached their high-water marks, further calls must perform
 //! **zero reallocations** (asserted through the `scratch_bytes` capacity
 //! watermark: a `Vec` can only grow its capacity by reallocating, so a
-//! stable watermark over a repeated frame set proves the steady state is
-//! allocation-free). The streaming labeler, which emits records instead of
-//! a grid, is held to the same reuse contract on its records.
+//! stable watermark over a repeated frame set proves no arena regrows;
+//! `tests/alloc_count.rs` counts the allocations themselves). The
+//! streaming labeler, which emits records instead of a grid, is held to the
+//! same reuse contract on its records.
 
 use proptest::prelude::*;
-use slap_repro::cc::engine::{registry, FastSession, LabelEngine};
+use slap_repro::cc::engine::{registry, EngineKind, LabelEngine};
 use slap_repro::image::{
-    bfs_labels_conn, gen, stream::BitmapRows, Bitmap, Connectivity, LabelGrid, OocStats,
-    OutOfCoreLabeler, STREAM_BAND_ROWS,
+    bfs_labels_conn, gen, stream::BitmapRows, Bitmap, Connectivity, FastLabeler, LabelGrid,
+    OocStats, OutOfCoreLabeler, STREAM_BAND_ROWS,
 };
 
 fn arb_frame() -> impl Strategy<Value = Bitmap> {
@@ -26,20 +27,26 @@ fn arb_conn() -> impl Strategy<Value = Connectivity> {
     prop::sample::select(vec![Connectivity::Four, Connectivity::Eight])
 }
 
-/// Labels `img` with a warm `session` and asserts the result equals a fresh
-/// session's and the oracle's.
-fn check_warm_equals_fresh(session: &mut dyn LabelEngine, img: &Bitmap, conn: Connectivity) {
+/// Labels `img` with a warm `session`, built as `kind.session(threads)`,
+/// and asserts its grid and stats equal a fresh session's, and its grid the
+/// oracle's.
+fn check_warm_equals_fresh(
+    kind: EngineKind,
+    threads: usize,
+    session: &mut dyn LabelEngine,
+    img: &Bitmap,
+    conn: Connectivity,
+) {
     let mut warm_grid = LabelGrid::new_background(1, 1);
-    session.label_into(img, conn, &mut warm_grid);
-    let mut fresh = session.kind().session(session.threads());
+    let warm_stats = session.label_into(img, conn, &mut warm_grid);
     let mut fresh_grid = LabelGrid::new_background(1, 1);
-    fresh.label_into(img, conn, &mut fresh_grid);
-    assert_eq!(warm_grid, fresh_grid, "warm vs fresh ({})", session.kind());
+    let fresh_stats = kind.session(threads).label_into(img, conn, &mut fresh_grid);
+    assert_eq!(warm_grid, fresh_grid, "warm vs fresh ({kind})");
+    assert_eq!(warm_stats, fresh_stats, "warm vs fresh stats ({kind})");
     assert_eq!(
         warm_grid,
         bfs_labels_conn(img, conn),
-        "warm vs oracle ({})",
-        session.kind()
+        "warm vs oracle ({kind})"
     );
 }
 
@@ -98,7 +105,7 @@ fn check_warm_stream_equals_fresh(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The reuse property: a warm `FastSession`'s grid, and a warm
+    /// The reuse property: a warm fast labeler's grid and stats, and a warm
     /// streaming labeler's records, equal a fresh one's after interleaving
     /// frames of different dims and families.
     #[test]
@@ -111,16 +118,17 @@ proptest! {
         side in 4usize..40,
     ) {
         let named = gen::by_name(family, side, 5).unwrap();
-        let mut session = FastSession::new();
+        let kind = EngineKind::Fast;
+        let mut session = kind.session(1);
         let mut grid = LabelGrid::new_background(1, 1);
         // Interleave frames of unrelated dims/densities, checking the warm
         // output against a fresh session at every step.
         session.label_into(&a, conn, &mut grid);
-        check_warm_equals_fresh(&mut session, &b, conn);
+        check_warm_equals_fresh(kind, 1, session.as_mut(), &b, conn);
         session.label_into(&named, conn, &mut grid);
-        check_warm_equals_fresh(&mut session, &c, conn);
+        check_warm_equals_fresh(kind, 1, session.as_mut(), &c, conn);
         // Re-labeling an earlier frame must reproduce it exactly.
-        check_warm_equals_fresh(&mut session, &a, conn);
+        check_warm_equals_fresh(kind, 1, session.as_mut(), &a, conn);
 
         // The same interleaving through one warm streaming labeler.
         let mut labeler = OutOfCoreLabeler::new(STREAM_BAND_ROWS, 1);
@@ -131,7 +139,7 @@ proptest! {
         check_warm_stream_equals_fresh(&mut labeler, &a, conn);
     }
 
-    /// Warm calls are allocation-free: after a frame set has been seen
+    /// Warm calls grow no arena: after a frame set has been seen
     /// (twice — double-buffered arenas need a pass per buffer half), its
     /// capacity watermark is final, so repeating the set reallocates nothing.
     #[test]
@@ -210,7 +218,7 @@ fn warm_fast_session_relabels_allocation_free_with_block_classification() {
     .iter()
     .map(|&(name, rows, cols)| gen::by_name_dims(name, rows, cols, 13).unwrap())
     .collect();
-    let mut session = FastSession::new();
+    let mut session = FastLabeler::new();
     let mut grid = LabelGrid::new_background(1, 1);
     for _ in 0..2 {
         for (i, img) in frames.iter().enumerate() {
