@@ -935,28 +935,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn quick_tables_match_the_pinned_file() {
-        // `experiments --quick all` with its host-timing cells masked: every
-        // step and operation count is pinned. E11 is left out: its thread
-        // rows and note follow the host's core count, and every cell it
-        // measures is wall clock. On an intended change, commit the new
-        // rendering (its path is in the failure message) with a CHANGES.md
-        // line saying why the counts moved.
-        let got: String = all(Scale::Quick)
-            .iter()
-            .filter(|t| !t.title.starts_with("E11 "))
+    /// Renders `experiments [--quick] all` with its host-timing cells
+    /// masked, so every step and operation count is pinned, and compares it
+    /// with `pinned`, the committed `crates/bench/<file>`. E11 is left out
+    /// (and not run): its thread rows and note follow the host's core
+    /// count, and every cell it measures is wall clock. On an intended
+    /// change, commit the new rendering (its path is in the failure
+    /// message) with a CHANGES.md line saying why the counts moved.
+    fn assert_tables_match(scale: Scale, file: &str, pinned: &str) {
+        let got: String = (1..=16)
+            .filter(|&i| i != 11)
+            .flat_map(|i| by_name(&format!("e{i}"), scale).expect("experiment"))
             .map(|t| t.host_time_masked().to_markdown())
             .collect();
-        if got != include_str!("../experiments_quick.md") {
-            let path = std::env::temp_dir().join("experiments_quick.md");
+        if got != pinned {
+            let path = std::env::temp_dir().join(file);
             std::fs::write(&path, &got).expect("write the new rendering");
             panic!(
-                "E1–E16 quick tables differ from crates/bench/experiments_quick.md; \
+                "E1–E16 tables differ from crates/bench/{file}; \
                  the new rendering is in {}",
                 path.display()
             );
         }
+    }
+
+    #[test]
+    fn quick_tables_match_the_pinned_file() {
+        assert_tables_match(
+            Scale::Quick,
+            "experiments_quick.md",
+            include_str!("../experiments_quick.md"),
+        );
+    }
+
+    /// The full-scale tables take about 20 s in release, so this runs on
+    /// request: `cargo test --release -p slap_bench -- --ignored
+    /// full_tables_match_the_pinned_file` (CI runs it).
+    #[test]
+    #[ignore]
+    fn full_tables_match_the_pinned_file() {
+        assert_tables_match(
+            Scale::Full,
+            "experiments_full.md",
+            include_str!("../experiments_full.md"),
+        );
     }
 
     #[test]

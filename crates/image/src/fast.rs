@@ -29,7 +29,10 @@
 //! * **two-pass union–find over the run universe** — union by minimum run
 //!   index, path halving, and per-root minimum-position maintenance;
 //! * **bulk output** — labels are written a run at a time with slice fills,
-//!   not per pixel.
+//!   not per pixel;
+//! * **records at resolve time** — one more pass over the flattened runs
+//!   folds a compact record per component into the grid it filled, so
+//!   [`LabelGrid::component_stats`] need not walk the labels again.
 //!
 //! On `x86_64` hosts the row kernel is compiled twice and dispatched at
 //! runtime: a baseline build, and a `popcnt`/`bmi1`/`bmi2` build for the
@@ -45,7 +48,7 @@
 
 use crate::bitmap::{for_each_diagonal_pair_at, Bitmap};
 use crate::connectivity::Connectivity;
-use crate::labels::LabelGrid;
+use crate::labels::{ComponentRecord, LabelGrid};
 use std::ops::Range;
 
 pub mod ooc;
@@ -153,9 +156,10 @@ pub struct EngineStats {
 /// * **reuse** — scratch arenas persist across calls and only grow
 ///   ([`LabelEngine::scratch_bytes`] is their high-water mark).
 ///   `tests/alloc_count.rs` counts what a third warm call on a 256² frame
-///   allocates: nothing on the sequential labelers, and nothing of 128 KiB
+///   allocates: nothing on the sequential labelers (the component records
+///   [`FastLabeler`] leaves in the grid included), and nothing of 128 KiB
 ///   or more on the multithreaded [`TiledLabeler`], which still spawns its
-///   workers and builds a few vectors of one entry per tile or band;
+///   workers;
 /// * **isolation** — no state leaks between calls: a warm labeler's grid
 ///   and [`EngineStats`] equal a fresh one's for every input.
 pub trait LabelEngine {
@@ -780,6 +784,8 @@ impl TileScan {
 
 /// Pass 2 over one band of tiles (the whole frame for [`FastLabeler`]): the
 /// flattening sweep fused with the label output into `out`, the band's rows.
+/// Once every band is flattened, [`fold_records`] walks the whole arena for
+/// the component records.
 /// `node` is the band's arena range, from index `lo` on. Tiles are visited
 /// in ascending index order and parents point down, so run `k`'s parent is
 /// already flattened — it holds the root and the component minimum — and
@@ -839,6 +845,65 @@ pub(crate) unsafe fn flatten_fill(
     roots
 }
 
+/// The record fold, run once the arena is flattened (every node `component
+/// min << 32 | root`): one walk over `tiles` in arena order leaves one
+/// record per component in `out`, the grid the flatten just filled, which
+/// then carries them to [`LabelGrid::component_stats`]. `components` is the
+/// flatten's root count.
+///
+/// A component's root is its smallest arena index, so the walk meets it
+/// before any other run of the component. The root opens the next record
+/// and keeps its index in the low half of its own node; every later run
+/// finds it there through its root. Each run then adds its pixels, row and
+/// last column to its record, the same few instructions for roots and the
+/// rest (records start empty).
+/// `O(runs)`, with no scratch beyond the records themselves; afterwards
+/// every node visited holds `component min << 32 | record index`.
+pub(crate) fn fold_records(
+    node: &mut [u64],
+    runs: &[u64],
+    tiles: &[TileScan],
+    components: usize,
+    out: &mut LabelGrid,
+) {
+    let records = out.records_mut();
+    records.resize(
+        components,
+        ComponentRecord {
+            label: 0,
+            pixels: 0,
+            min_row: u32::MAX,
+            max_row: 0,
+            max_col: 0,
+        },
+    );
+    let mut opened = 0u32;
+    for t in tiles {
+        for (row, span) in (t.rows.start as u32..).zip(t.row_runs.windows(2)) {
+            let (ka, kb) = (span[0] as usize, span[1] as usize);
+            for (k, &sb) in (ka..kb).zip(&runs[ka..kb]) {
+                let (a, b) = ((sb >> 32) as u32, sb as u32);
+                let n = node[k];
+                let root = n as u32 as usize;
+                debug_assert!(root <= k, "roots are their components' first runs");
+                let is_root = root == k;
+                let ix = if is_root { opened } else { node[root] as u32 };
+                node[k] = (n & MIN_HALF) | u64::from(ix);
+                opened += u32::from(is_root);
+                let rec = &mut records[ix as usize];
+                rec.label = (n >> 32) as u32;
+                rec.pixels += b - a + 1;
+                // A tile-major arena can reach a component's rows out of
+                // order (a right tile's rows precede a lower tile's).
+                rec.min_row = rec.min_row.min(row);
+                rec.max_row = rec.max_row.max(row);
+                rec.max_col = rec.max_col.max(b);
+            }
+        }
+    }
+    debug_assert_eq!(opened as usize, components, "one record per root");
+}
+
 impl FastLabeler {
     /// Creates a labeler with empty (growable) scratch storage.
     pub fn new() -> Self {
@@ -870,7 +935,9 @@ impl FastLabeler {
 
 impl LabelEngine for FastLabeler {
     /// Every cell is written exactly once: runs with their component label,
-    /// gaps with background. The root count is folded into that sweep.
+    /// gaps with background. The root count is folded into that sweep, and
+    /// the component records into one more pass over the runs
+    /// ([`fold_records`]), which `out` then carries.
     fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats {
         let total = self.build_runs(img, conn);
         out.reset_dims(img.rows(), img.cols());
@@ -887,6 +954,13 @@ impl LabelEngine for FastLabeler {
                 img.cols(),
             )
         };
+        fold_records(
+            &mut self.node[..total],
+            &self.runs,
+            std::slice::from_ref(&self.scan),
+            components,
+            out,
+        );
         EngineStats {
             components,
             runs: total,

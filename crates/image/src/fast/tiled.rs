@@ -41,7 +41,9 @@
 //! 4. **seam losers (sequential, `O(seam runs)`)** — the only nodes whose
 //!    parent may cross a band are made final;
 //! 5. **flatten + output (parallel per band)** — one ascending sweep over a
-//!    band's adjacent tiles flattens every node and writes its run's labels.
+//!    band's adjacent tiles flattens every node and writes its run's labels;
+//!    the fast engine's record fold then walks the arena once (on the
+//!    calling thread) and leaves the component records in the grid.
 //!
 //! Corner cases the decomposition must not miss: a diagonal adjacency
 //! straddling a vertical boundary is handled by the vertical seam's ±1-row
@@ -57,7 +59,8 @@
 //! flattens inside its own ascending band fold.
 
 use super::{
-    flatten_fill, grow_arena, link_roots, EngineStats, LabelEngine, TileScan, TileStats, MIN_HALF,
+    flatten_fill, fold_records, grow_arena, link_roots, EngineStats, LabelEngine, TileScan,
+    TileStats, MIN_HALF,
 };
 use crate::bitmap::{for_each_adjacent_pair, Bitmap};
 use crate::connectivity::Connectivity;
@@ -106,8 +109,9 @@ pub struct SeamLevel {
 ///
 /// Every scratch structure — the run arena, the per-tile row tables and scan
 /// buffers, the seam scratch — is kept between calls, so labeling a stream
-/// of images grows an arena only when an image exceeds all previous highs
-/// (each call still builds a few vectors of one entry per tile or band).
+/// of images grows an arena only when an image exceeds all previous highs.
+/// Tile, chunk and band bounds are computed in place, so a call allocates
+/// only for the worker threads of a phase of several jobs.
 #[derive(Debug)]
 pub struct TiledLabeler {
     /// Requested grid shape; a call clamps to `tiles_y.min(rows)` ×
@@ -188,14 +192,14 @@ impl TiledLabeler {
             self.tiles.resize_with(ntiles, TileScan::default);
         }
         // Even splits; the clamp guarantees every tile is non-empty.
-        let rb: Vec<usize> = (0..=ty).map(|i| i * rows / ty).collect();
-        let cb: Vec<usize> = (0..=tx).map(|j| j * cols / tx).collect();
+        let rb = |i: usize| i * rows / ty;
+        let cb = |j: usize| j * cols / tx;
 
         // Phase 1: tile `k` takes the arena range after tiles `0..k`.
         let mut total = 0usize;
         for (k, t) in self.tiles[..ntiles].iter_mut().enumerate() {
             let (i, j) = (k / tx, k % tx);
-            total = t.count(img, rb[i]..rb[i + 1], cb[j]..cb[j + 1], total);
+            total = t.count(img, rb(i)..rb(i + 1), cb(j)..cb(j + 1), total);
         }
         grow_arena(&mut self.runs, total);
         grow_arena(&mut self.node, total);
@@ -204,19 +208,18 @@ impl TiledLabeler {
         // within one row/column of equal, so chunks balance), each with its
         // arena range.
         let workers = self.threads.min(ntiles);
-        let mut chunks = Vec::with_capacity(workers);
         let mut tiles_rest = &mut self.tiles[..ntiles];
         let mut runs_rest = &mut self.runs[..total];
         let mut node_rest = &mut self.node[..total];
-        for w in 0..workers {
+        let chunks = (0..workers).map(|w| {
             let take = tiles_rest.len() / (workers - w);
-            let (chunk, tt) = tiles_rest.split_at_mut(take);
+            let (chunk, tt) = std::mem::take(&mut tiles_rest).split_at_mut(take);
             let len = chunk[take - 1].end() - chunk[0].base();
-            let (runs, rt) = runs_rest.split_at_mut(len);
-            let (node, nt) = node_rest.split_at_mut(len);
+            let (runs, rt) = std::mem::take(&mut runs_rest).split_at_mut(len);
+            let (node, nt) = std::mem::take(&mut node_rest).split_at_mut(len);
             (tiles_rest, runs_rest, node_rest) = (tt, rt, nt);
-            chunks.push((chunk, runs, node));
-        }
+            (chunk, runs, node)
+        });
         run_jobs(chunks, |(chunk, runs, node)| {
             let lo = chunk[0].base();
             for t in chunk {
@@ -246,7 +249,7 @@ impl TiledLabeler {
                                 &self.tiles[k - 1],
                                 &self.tiles[k],
                                 conn,
-                                cb[b] as u64,
+                                cb(b) as u64,
                                 &mut self.seam_losers,
                             );
                         }
@@ -257,12 +260,12 @@ impl TiledLabeler {
                     let below = &self.tiles[b * tx..(b + 1) * tx];
                     let [prev_runs, cur_runs] = &mut self.seam_runs;
                     let [prev_ix, cur_ix] = &mut self.seam_ix;
-                    gather_row(&self.runs, above, rb[b] - 1 - rb[b - 1], prev_runs, prev_ix);
+                    gather_row(&self.runs, above, rb(b) - 1 - rb(b - 1), prev_runs, prev_ix);
                     gather_row(&self.runs, below, 0, cur_runs, cur_ix);
                     horizontal_seam_unions(
                         &mut self.node,
                         img,
-                        rb[b],
+                        rb(b),
                         conn,
                         (cur_runs, cur_ix),
                         (prev_runs, prev_ix),
@@ -308,27 +311,34 @@ impl TiledLabeler {
 
 impl LabelEngine for TiledLabeler {
     /// Every cell is written exactly once; each output worker counts the
-    /// roots of its band as it sweeps.
+    /// roots of its band as it sweeps. The component records are folded in
+    /// one more pass over the runs ([`fold_records`]), which `out` then
+    /// carries.
     fn label_into(&mut self, img: &Bitmap, conn: Connectivity, out: &mut LabelGrid) -> EngineStats {
         self.build_arena(img, conn);
         let (ty, tx) = self.effective_grid(img);
-        let (rows, cols) = (img.rows(), img.cols());
+        let cols = img.cols();
         let tiles = &self.tiles[..ty * tx];
+        let total = tiles[ty * tx - 1].end();
 
         // Phase 5: a band's tiles are adjacent in the arena, so each worker
         // owns one node range and one strip of the grid.
-        let rb: Vec<usize> = (0..=ty).map(|i| i * rows / ty).collect();
-        out.reset_dims(rows, cols);
+        out.reset_dims(img.rows(), cols);
         self.band_roots.clear();
         self.band_roots.resize(ty, 0);
-        let mut bands = Vec::with_capacity(ty);
-        let mut rest = &mut self.node[..tiles[ty * tx - 1].end()];
-        let strips = out.strip_rows_mut(&rb).into_iter();
-        for ((strip, band_tiles), roots) in strips.zip(tiles.chunks(tx)).zip(&mut self.band_roots) {
-            let (band, tail) = rest.split_at_mut(band_tiles[tx - 1].end() - band_tiles[0].base());
-            rest = tail;
-            bands.push((band, band_tiles, strip, roots));
-        }
+        let mut node_rest = &mut self.node[..total];
+        let mut cells_rest = out.cells_mut();
+        let bands = tiles
+            .chunks(tx)
+            .zip(&mut self.band_roots)
+            .map(|(band_tiles, roots)| {
+                let len = band_tiles[tx - 1].end() - band_tiles[0].base();
+                let (band, tail) = std::mem::take(&mut node_rest).split_at_mut(len);
+                let cells = band_tiles[0].rows.len() * cols;
+                let (strip, cells_tail) = std::mem::take(&mut cells_rest).split_at_mut(cells);
+                (node_rest, cells_rest) = (tail, cells_tail);
+                (band, band_tiles, strip, roots)
+            });
         let runs = &self.runs;
         run_jobs(bands, |(band, tiles, strip, roots)| {
             // SAFETY: `build_arena` built these tiles into `band`, and phase
@@ -336,13 +346,15 @@ impl LabelEngine for TiledLabeler {
             // `strip` is the band's rows of a `cols`-wide grid.
             *roots = unsafe { flatten_fill(band, tiles[0].base(), runs, tiles, strip, cols) };
         });
+        let components = self.band_roots.iter().sum();
+        fold_records(&mut self.node[..total], &self.runs, tiles, components, out);
         let mut tile_stats = TileStats::default();
         for t in tiles {
             tile_stats.accumulate(t.tiles);
         }
         EngineStats {
-            components: self.band_roots.iter().sum(),
-            runs: tiles[ty * tx - 1].end(),
+            components,
+            runs: total,
             threads: self.threads,
             tiles: tile_stats,
             ..EngineStats::default()

@@ -11,11 +11,43 @@ use std::collections::HashMap;
 /// position (`col * rows + row`) over its pixels, so labels of an `r × c`
 /// image fit in `u32` for any image up to 65536 × 65536 pixels... in practice
 /// we require `rows * cols <= u32::MAX` and assert it on construction.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// A grid that the run-based engines ([`crate::FastLabeler`],
+/// [`crate::TiledLabeler`]) fill also carries the component records their
+/// resolve folded, so [`LabelGrid::component_stats`] and
+/// [`LabelGrid::component_count`] need not walk the labels again. Every
+/// `&mut` access drops them, so a grid written any other way falls back to
+/// the walk. Equality compares dimensions and labels only.
+#[derive(Clone)]
 pub struct LabelGrid {
     rows: usize,
     cols: usize,
     labels: Vec<u32>,
+    /// The filling engine's records, in its fold order; meaningful only
+    /// while `carried` holds (the buffer keeps its capacity across frames).
+    records: Vec<ComponentRecord>,
+    carried: bool,
+}
+
+impl PartialEq for LabelGrid {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols) && self.labels == other.labels
+    }
+}
+
+impl Eq for LabelGrid {}
+
+/// One component as an engine's record fold leaves it: 20 bytes, widened
+/// to [`ComponentInfo`] on output. The leftmost column is not stored: an
+/// engine label is the component's minimum column-major position, so it is
+/// `label / rows`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ComponentRecord {
+    pub(crate) label: u32,
+    pub(crate) pixels: u32,
+    pub(crate) min_row: u32,
+    pub(crate) max_row: u32,
+    pub(crate) max_col: u32,
 }
 
 impl LabelGrid {
@@ -40,6 +72,8 @@ impl LabelGrid {
             rows,
             cols,
             labels: vec![Self::BACKGROUND; rows * cols],
+            records: Vec::new(),
+            carried: false,
         }
     }
 
@@ -61,9 +95,10 @@ impl LabelGrid {
         self.labels[row * self.cols + col]
     }
 
-    /// Writes the label of pixel `(row, col)`.
+    /// Writes the label of pixel `(row, col)` (dropping carried records).
     #[inline]
     pub fn set(&mut self, row: usize, col: usize, label: u32) {
+        self.carried = false;
         self.labels[row * self.cols + col] = label;
     }
 
@@ -84,10 +119,11 @@ impl LabelGrid {
         &self.labels[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// The labels of one row, for bulk writes (run fills in the fast engine
-    /// and the readout phases).
+    /// The labels of one row, for bulk writes (the propagation engine's
+    /// readout; dropping carried records).
     #[inline]
     pub fn row_mut(&mut self, row: usize) -> &mut [u32] {
+        self.carried = false;
         &mut self.labels[row * self.cols..(row + 1) * self.cols]
     }
 
@@ -98,6 +134,7 @@ impl LabelGrid {
     /// and ending at `rows()`; band `t` receives the row-major cells of rows
     /// `bounds[t]..bounds[t + 1]` as one mutable slice. Panics when the
     /// boundaries are not ascending or do not cover the grid exactly.
+    /// Drops carried records.
     pub fn strip_rows_mut(&mut self, bounds: &[usize]) -> Vec<&mut [u32]> {
         assert!(
             bounds.first() == Some(&0) && bounds.last() == Some(&self.rows),
@@ -108,7 +145,7 @@ impl LabelGrid {
             "band boundaries must be strictly ascending"
         );
         let cols = self.cols;
-        let mut rest = &mut self.labels[..];
+        let mut rest = self.cells_mut();
         let mut bands = Vec::with_capacity(bounds.len() - 1);
         for w in bounds.windows(2) {
             let (band, tail) = rest.split_at_mut((w[1] - w[0]) * cols);
@@ -127,14 +164,27 @@ impl LabelGrid {
         self.labels.fill(Self::BACKGROUND);
     }
 
-    /// Every cell, row-major — for engines that write whole rows.
+    /// Every cell, row-major — for engines that write whole rows (dropping
+    /// carried records).
     pub(crate) fn cells_mut(&mut self) -> &mut [u32] {
+        self.carried = false;
         &mut self.labels
+    }
+
+    /// The record buffer for an engine's record fold, emptied: the grid
+    /// carries whatever the fold leaves in it until the next `&mut` access.
+    /// The fold must write the labels first and leave exactly one record
+    /// per component, labeled with its minimum column-major position.
+    pub(crate) fn records_mut(&mut self) -> &mut Vec<ComponentRecord> {
+        self.records.clear();
+        self.carried = true;
+        &mut self.records
     }
 
     /// Re-dimensions the grid, leaving cell contents unspecified — the
     /// caller must overwrite every cell (the fast engine writes each row
-    /// exactly once, runs and background gaps alike).
+    /// exactly once, runs and background gaps alike). Drops carried
+    /// records.
     pub(crate) fn reset_dims(&mut self, rows: usize, cols: usize) {
         assert!(
             rows > 0 && cols > 0,
@@ -146,13 +196,17 @@ impl LabelGrid {
         );
         self.rows = rows;
         self.cols = cols;
+        self.carried = false;
         self.labels.resize(rows * cols, Self::BACKGROUND);
     }
 
-    /// Number of distinct components (distinct foreground labels), counted
-    /// on the run fold of [`LabelGrid::component_stats`] without building
-    /// its records.
+    /// Number of distinct components (distinct foreground labels): the
+    /// number of carried records, or else counted on the walk of
+    /// [`LabelGrid::component_stats`] without building its records.
     pub fn component_count(&self) -> usize {
+        if self.carried {
+            return self.records.len();
+        }
         label_groups(&self.fold_runs().1).count()
     }
 
@@ -208,15 +262,24 @@ impl LabelGrid {
     /// Per-component statistics, sorted by label, in a vector of exactly
     /// one record per component (`capacity() == len()`).
     ///
-    /// Folds maximal runs of one label rather than pixels. Each row is
-    /// walked 64 labels at a time as a mask of change points; each run
-    /// costs one probe of a small direct-mapped label index, which may
-    /// split a label over several slots; one radix sort of the slots by
-    /// label then merges those. The cost is `O(pixels/64 + runs + slots)`,
-    /// and at most one slot is opened per run. Nothing is assumed about the
-    /// labels themselves: any labeling, canonical or not and with a label's
-    /// pixels in any rows, gets one record per distinct foreground label.
+    /// A grid that carries its engine's records (see the type docs) widens
+    /// them in label order: one counting scatter by the label's top bits
+    /// straight into the output, then a sort of each small bucket, at
+    /// `O(components)` with no pass over the labels.
+    ///
+    /// Any other grid is walked: maximal runs of one label are folded
+    /// rather than pixels. Each row is walked 64 labels at a time as a mask
+    /// of change points; each run costs one probe of a small direct-mapped
+    /// label index, which may split a label over several slots; one radix
+    /// sort of the slots by label then merges those. The cost is
+    /// `O(pixels/64 + runs + slots)`, and at most one slot is opened per
+    /// run. Nothing is assumed about the labels themselves: any labeling,
+    /// canonical or not and with a label's pixels in any rows, gets one
+    /// record per distinct foreground label.
     pub fn component_stats(&self) -> Vec<ComponentInfo> {
+        if self.carried {
+            return self.widen_records();
+        }
         let (slots, order) = self.fold_runs();
         let mut out = Vec::with_capacity(label_groups(&order).count());
         for keys in label_groups(&order) {
@@ -232,6 +295,52 @@ impl LabelGrid {
                 min_col: s.min_col as usize,
                 max_col: s.max_col as usize,
             });
+        }
+        out
+    }
+
+    /// The carried records as [`ComponentInfo`], sorted by label. About
+    /// one bucket per record (at most `2^16`) keyed by the label's top
+    /// bits; the scatter writes each record once, into its bucket's next
+    /// free output position, so no buffer but the output holds them.
+    fn widen_records(&self) -> Vec<ComponentInfo> {
+        let n = self.records.len();
+        let bits = (usize::BITS - n.leading_zeros()).min(16);
+        // Labels are positions below `rows * cols`.
+        let span = (self.rows * self.cols - 1) as u64;
+        let shift = (u64::BITS - span.leading_zeros()).saturating_sub(bits);
+        let bucket = |r: &ComponentRecord| (r.label >> shift) as usize;
+        // `next[b]` starts as bucket `b`'s first output position and ends
+        // as one past its last.
+        let mut next = vec![0u32; (1 << bits) + 1];
+        for r in &self.records {
+            next[bucket(r) + 1] += 1;
+        }
+        for b in 1..next.len() {
+            next[b] += next[b - 1];
+        }
+        let mut out = Vec::with_capacity(n);
+        let cells = out.spare_capacity_mut();
+        for r in &self.records {
+            let at = &mut next[bucket(r)];
+            cells[*at as usize].write(ComponentInfo {
+                label: r.label,
+                pixels: r.pixels as usize,
+                min_row: r.min_row as usize,
+                max_row: r.max_row as usize,
+                min_col: r.label as usize / self.rows,
+                max_col: r.max_col as usize,
+            });
+            *at += 1;
+        }
+        // SAFETY: the bucket starts are the exclusive prefix sums of the
+        // bucket sizes, so the scatter wrote each of the first `n` cells
+        // exactly once.
+        unsafe { out.set_len(n) };
+        let mut start = 0;
+        for &end in &next[..1 << bits] {
+            out[start..end as usize].sort_unstable_by_key(|c| c.label);
+            start = end as usize;
         }
         out
     }
@@ -552,7 +661,7 @@ impl ComponentInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{gen, Connectivity, FastLabeler, LabelEngine};
+    use crate::{gen, Connectivity, FastLabeler, LabelEngine, TiledLabeler};
 
     /// The per-pixel fold the run walk replaced, kept as the reference:
     /// one map entry per distinct label, widened pixel by pixel.
@@ -893,8 +1002,14 @@ mod tests {
         for cols in [1, 63, 64, 65, 127, 128, 129] {
             let img = gen::uniform_random(9, cols, 0.6, cols as u64);
             labeler.label_into(&img, Connectivity::Four, &mut g);
-            for l in g.labels.iter_mut().filter(|l| **l != LabelGrid::BACKGROUND) {
-                *l = l.reverse_bits();
+            for r in 0..g.rows() {
+                for l in g
+                    .row_mut(r)
+                    .iter_mut()
+                    .filter(|l| **l != LabelGrid::BACKGROUND)
+                {
+                    *l = l.reverse_bits();
+                }
             }
             assert_matches_reference(&g, &format!("renamed, width {cols}"));
         }
@@ -911,6 +1026,126 @@ mod tests {
         for g in [g, tiny(), LabelGrid::new_background(3, 3)] {
             let stats = g.component_stats();
             assert_eq!(stats.capacity(), stats.len());
+        }
+    }
+
+    /// `g` with its carried records dropped: the same labels, walked.
+    fn walked(g: &LabelGrid) -> LabelGrid {
+        let mut w = g.clone();
+        w.cells_mut();
+        assert!(!w.carried);
+        w
+    }
+
+    #[test]
+    fn carried_records_equal_the_walk_on_the_run_based_engines() {
+        let mut g = LabelGrid::new_background(1, 1);
+        let mut fast = FastLabeler::new();
+        let mut tiled =
+            [(1, 1), (2, 1), (1, 3), (3, 2)].map(|(ty, tx)| TiledLabeler::new(ty, tx, 2));
+        for name in gen::WORKLOADS {
+            for (rows, cols) in [(37, 37), (5, 130), (70, 3)] {
+                let img = gen::by_name_dims(name, rows, cols, 7).unwrap();
+                for conn in [Connectivity::Four, Connectivity::Eight] {
+                    let engines = std::iter::once(&mut fast as &mut dyn LabelEngine)
+                        .chain(tiled.iter_mut().map(|t| t as &mut dyn LabelEngine));
+                    for (e, engine) in engines.enumerate() {
+                        let stats = engine.label_into(&img, conn, &mut g);
+                        let what = format!("{name} {rows}x{cols} {conn:?} engine {e}");
+                        assert!(g.carried, "{what}");
+                        assert_eq!(g.records.len(), stats.components, "{what}");
+                        let w = walked(&g);
+                        assert_eq!(g.component_stats(), w.component_stats(), "{what}");
+                        assert_eq!(g.component_count(), w.component_count(), "{what}");
+                    }
+                }
+            }
+        }
+        // Past 2^16 records every output bucket holds several labels.
+        let img = gen::by_name("random50", 1024, 3).unwrap();
+        let components = fast.label_into(&img, Connectivity::Four, &mut g).components;
+        assert!(components > 1 << 16, "{components}");
+        assert_eq!(g.component_stats(), walked(&g).component_stats());
+    }
+
+    #[test]
+    fn every_mut_path_drops_the_carried_records() {
+        let img = gen::by_name("random50", 24, 9).unwrap();
+        let (r, c) = img.iter_ones_colmajor().nth(40).unwrap();
+        let i = r * img.cols() + c;
+        let background = LabelGrid::BACKGROUND;
+        type Mutation = fn(&mut LabelGrid, usize, usize);
+        let paths: [(&str, Mutation); 6] = [
+            ("set", |g, r, c| g.set(r, c, LabelGrid::BACKGROUND)),
+            ("row_mut", |g, r, c| g.row_mut(r)[c] = LabelGrid::BACKGROUND),
+            ("strip_rows_mut", |g, r, c| {
+                let rows = g.rows();
+                let cols = g.cols();
+                g.strip_rows_mut(&[0, rows])[0][r * cols + c] = LabelGrid::BACKGROUND;
+            }),
+            ("cells_mut", |g, r, c| {
+                let cols = g.cols();
+                g.cells_mut()[r * cols + c] = LabelGrid::BACKGROUND;
+            }),
+            ("reset_dims", |g, _, _| {
+                let (rows, cols) = (g.rows(), g.cols());
+                g.reset_dims(rows, cols);
+            }),
+            ("reset_background", |g, _, _| {
+                let (rows, cols) = (g.rows(), g.cols());
+                g.reset_background(rows, cols);
+            }),
+        ];
+        let mut labeler = FastLabeler::new();
+        for (what, mutate) in paths {
+            let mut g = LabelGrid::new_background(1, 1);
+            labeler.label_into(&img, Connectivity::Four, &mut g);
+            let before = g.component_stats();
+            mutate(&mut g, r, c);
+            assert!(!g.carried, "{what}");
+            assert_matches_reference(&g, what);
+            if what != "reset_dims" {
+                assert_ne!(g.component_stats(), before, "{what} changed a pixel");
+            }
+        }
+        // One pixel taken out of a component after `label_into`: the
+        // stats are the walk's, not the stale records.
+        let mut g = LabelGrid::new_background(1, 1);
+        labeler.label_into(&img, Connectivity::Four, &mut g);
+        let label = g.as_slice()[i];
+        let mut h = g.clone();
+        h.set(r, c, background);
+        let pixels = |g: &LabelGrid| -> usize {
+            g.component_stats()
+                .iter()
+                .filter(|s| s.label == label)
+                .map(|s| s.pixels)
+                .sum()
+        };
+        assert_eq!(pixels(&h) + 1, pixels(&g));
+        assert_eq!(g, walked(&g), "equality compares labels only");
+    }
+
+    #[test]
+    fn a_grid_relabeled_by_a_walking_engine_keeps_no_records() {
+        let mut g = LabelGrid::new_background(1, 1);
+        let mut fast = FastLabeler::new();
+        let mut walkers: [Box<dyn LabelEngine>; 2] = [
+            Box::new(crate::BfsOracle::new()),
+            Box::new(crate::fast::PropagateLabeler::new()),
+        ];
+        for name in ["random50", "blobs", "spiral"] {
+            let first = gen::by_name(name, 40, 1).unwrap();
+            let second = gen::by_name(name, 33, 2).unwrap();
+            for walker in &mut walkers {
+                for conn in [Connectivity::Four, Connectivity::Eight] {
+                    fast.label_into(&first, conn, &mut g);
+                    assert!(g.carried);
+                    walker.label_into(&second, conn, &mut g);
+                    assert!(!g.carried, "{name} {conn:?}");
+                    assert_matches_reference(&g, &format!("{name} {conn:?} relabeled"));
+                }
+            }
         }
     }
 

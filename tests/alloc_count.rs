@@ -3,13 +3,15 @@
 //! warm frames under it.
 //!
 //! * A warm sequential labeler (`bfs`, `fast`, `propagate`) makes **no
-//!   allocation at all** on a repeat call.
-//! * The multithreaded tiled engine (`parallel`, `tiled`) still spawns its
-//!   scoped workers and keeps a few per-call vectors of one entry per tile
-//!   or band, so a repeat call does allocate; it makes **no frame-sized
+//!   allocation at all** on a repeat call; `fast` fills the grid's
+//!   component records too, in the grid's own reused buffer.
+//! * The multithreaded tiled engine (`parallel`, `tiled`) keeps no per-call
+//!   vectors, but still spawns its scoped workers and collects their join
+//!   handles, so a repeat call does allocate; it makes **no frame-sized
 //!   allocation** (none of [`BIG`] bytes or more).
 //! * A warm [`OutOfCoreLabeler`] streaming a frame into a counting sink
-//!   makes no frame-sized allocation either.
+//!   makes no frame-sized allocation, and with one tile column (one tile
+//!   per band, labeled on the calling thread) **no allocation at all**.
 //!
 //! The counters are process-wide atomics, so worker-thread allocations
 //! count too; the tests take [`SERIAL`] so that no other test's
@@ -173,7 +175,7 @@ fn a_warm_band_labeler_allocates_nothing_frame_sized() {
                 let mut records = 0;
                 let seen = allocs_during(|| records = stream(&mut labeler));
                 assert_eq!(records, want, "{name} {conn:?} tiles_x {tiles_x}");
-                if seen.big != 0 {
+                if seen.big != 0 || (tiles_x == 1 && seen.mine != 0) {
                     broken.push(format!("tiles_x {tiles_x} {name} {conn:?}: {seen:?}"));
                 }
             }

@@ -207,6 +207,56 @@ fn label_and_features_dispatch_every_registered_engine() {
     assert!(err.contains("streaming engine"), "{err}");
 }
 
+/// `report` with every `<number> ms` timing masked to `_ ms`.
+fn mask_timings(report: &str) -> String {
+    let words: Vec<&str> = report.split(' ').collect();
+    let masked: Vec<&str> = words
+        .iter()
+        .enumerate()
+        .map(|(i, w)| {
+            let timed = words.get(i + 1).is_some_and(|next| next.starts_with("ms"));
+            if timed && w.parse::<f64>().is_ok() {
+                "_"
+            } else {
+                w
+            }
+        })
+        .collect();
+    masked.join(" ")
+}
+
+#[test]
+fn run_based_engines_print_the_walks_component_stats() {
+    // `fast` and `parallel` print the records their labeling pass carried
+    // in the grid; `bfs` leaves none, so its stats come from the walk over
+    // the labels. The stats lines must agree to the last digit.
+    for workload in ["random50", "blobs"] {
+        let pbm_bytes = slap(&["gen", workload, "256", "3"]).stdout;
+        for conn in ["4", "8"] {
+            let reports: Vec<(String, String)> = ["fast", "parallel", "bfs"]
+                .into_iter()
+                .map(|engine| {
+                    let args = ["label", "--engine", engine, "--conn", conn];
+                    let report = mask_timings(&stdout_str(&slap_with_stdin(&args, &pbm_bytes)));
+                    let (stats, host): (Vec<&str>, Vec<&str>) =
+                        report.lines().partition(|l| !l.starts_with("host/"));
+                    assert_eq!(host.len(), 1, "{engine}: {report:?}");
+                    assert!(
+                        host[0].contains(" _ ms, stats _ ms"),
+                        "{engine}: timings must be masked: {report:?}"
+                    );
+                    (engine.to_string(), stats.join("\n"))
+                })
+                .collect();
+            let (_, want) = &reports[2];
+            assert!(want.contains("largest component"), "{want:?}");
+            for (engine, stats) in &reports {
+                assert_eq!(stats, want, "{workload} {conn}-conn: {engine} vs bfs");
+            }
+        }
+    }
+}
+
 #[test]
 fn framed_stream_ingests_multiple_p4_frames_in_one_process() {
     // Two hand-crafted raw P4 frames of different dimensions, each preceded

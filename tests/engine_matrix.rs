@@ -48,7 +48,9 @@ fn pixel_stats(g: &LabelGrid) -> Vec<ComponentInfo> {
 
 /// Drives `session` over every family × connectivity at `side`, asserting
 /// bit-identity against the oracle, the statistics' self-consistency, and
-/// the run-folded component statistics against the per-pixel fold.
+/// the component statistics against the per-pixel fold: the records the
+/// grid carries from `fast`, `parallel` and `tiled`, the walk over the
+/// labels for `bfs` and `propagate`.
 fn drive_matrix(session: &mut dyn LabelEngine, side: usize, what: &str) {
     let mut oracle = BfsOracle::new();
     let mut truth = LabelGrid::new_background(1, 1);
