@@ -127,34 +127,6 @@ impl LabelGrid {
         &mut self.labels[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// Splits the grid into disjoint consecutive row bands for concurrent
-    /// writes (one scoped thread per band in the strip-parallel engine).
-    ///
-    /// `bounds` are the `T + 1` ascending band boundaries, starting at `0`
-    /// and ending at `rows()`; band `t` receives the row-major cells of rows
-    /// `bounds[t]..bounds[t + 1]` as one mutable slice. Panics when the
-    /// boundaries are not ascending or do not cover the grid exactly.
-    /// Drops carried records.
-    pub fn strip_rows_mut(&mut self, bounds: &[usize]) -> Vec<&mut [u32]> {
-        assert!(
-            bounds.first() == Some(&0) && bounds.last() == Some(&self.rows),
-            "band boundaries must start at 0 and end at rows()"
-        );
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "band boundaries must be strictly ascending"
-        );
-        let cols = self.cols;
-        let mut rest = self.cells_mut();
-        let mut bands = Vec::with_capacity(bounds.len() - 1);
-        for w in bounds.windows(2) {
-            let (band, tail) = rest.split_at_mut((w[1] - w[0]) * cols);
-            bands.push(band);
-            rest = tail;
-        }
-        bands
-    }
-
     /// Re-dimensions the grid to `rows × cols` and marks every pixel
     /// background, reusing the existing allocation when it is large enough.
     /// The batch-fill equivalent of constructing with
@@ -1075,14 +1047,9 @@ mod tests {
         let i = r * img.cols() + c;
         let background = LabelGrid::BACKGROUND;
         type Mutation = fn(&mut LabelGrid, usize, usize);
-        let paths: [(&str, Mutation); 6] = [
+        let paths: [(&str, Mutation); 5] = [
             ("set", |g, r, c| g.set(r, c, LabelGrid::BACKGROUND)),
             ("row_mut", |g, r, c| g.row_mut(r)[c] = LabelGrid::BACKGROUND),
-            ("strip_rows_mut", |g, r, c| {
-                let rows = g.rows();
-                let cols = g.cols();
-                g.strip_rows_mut(&[0, rows])[0][r * cols + c] = LabelGrid::BACKGROUND;
-            }),
             ("cells_mut", |g, r, c| {
                 let cols = g.cols();
                 g.cells_mut()[r * cols + c] = LabelGrid::BACKGROUND;
